@@ -52,7 +52,6 @@ from .identities import (
 from .orthogonal import (
     PartialSumResult,
     SubsetStats,
-    full_o2n_average,
     ominus_autocorr_det,
     ominus_autocorr_eps,
     orthogonal_contour,
@@ -65,6 +64,7 @@ from .orthogonal import (
     subset_stats,
 )
 from .precision import PrecisionConfig
+from .routes import full_o2n_average
 from .symcore import (
     Partition,
     SplitPermutation,

@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 import time
 from typing import Sequence
 
-from . import haar, orthogonal, symplectic, unitary
+from . import haar, orthogonal, routes, symplectic, unitary
 from .contour import ContourConfig
 from .errors import RouteError
 from .identities import run_identity_suite
@@ -35,13 +34,8 @@ EXIT_USAGE = 2
 EXIT_ROUTE = 3
 EXIT_FAIL = 4
 
-_EXACT_METHODS = ("schur", "det", "comb", "eps")
-_METHODS_BY_FAMILY = {
-    "unitary": ("schur", "det", "comb", "contour", "quadrature", "montecarlo"),
-    "symplectic": ("schur", "det", "eps", "contour", "quadrature", "montecarlo"),
-    "so": ("schur", "det", "eps", "contour", "quadrature", "montecarlo"),
-    "ominus": ("det", "eps", "contour", "quadrature", "montecarlo"),
-}
+_METHODS_BY_FAMILY = {family: (*table, "contour", "quadrature", "montecarlo")
+                      for family, table in routes.ROUTES.items()}
 
 
 class UsageError(Exception):
@@ -126,20 +120,6 @@ def _resolve_precision(args) -> PrecisionConfig | None:
     return PrecisionConfig.extended(digits)
 
 
-def _resolve_threads(args) -> int:
-    # reserved cap; the current implementation is serial and fixed-order
-    raw = getattr(args, "threads", None)
-    if raw is None:
-        raw = os.environ.get("RMT_AUTOCORR_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise UsageError("--threads must be an integer") from exc
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
-    return threads
-
-
 def _query_spec(args):
     spec = haar.GroupSpec(args.group, args.N)
     if getattr(args, "alpha", None):
@@ -181,23 +161,8 @@ def _query_echo(spec, shifts, m) -> dict:
 
 def _route_value(spec, shifts, alphas, m, method, args, prec):
     fam = spec.family
-    if method in _EXACT_METHODS:
-        if fam == "unitary":
-            q = unitary.UnitaryQuery(spec.size, m, tuple(shifts))
-            return {"schur": unitary.autocorr_schur,
-                    "det": unitary.autocorr_det,
-                    "comb": unitary.autocorr_comb}[method](q, prec), None
-        table = {
-            "symplectic": {"schur": symplectic.sp_autocorr_schur,
-                           "det": symplectic.sp_autocorr_det,
-                           "eps": symplectic.sp_autocorr_eps},
-            "so": {"schur": orthogonal.so_autocorr_schur,
-                   "det": orthogonal.so_autocorr_det,
-                   "eps": orthogonal.so_autocorr_eps},
-            "ominus": {"det": orthogonal.ominus_autocorr_det,
-                       "eps": orthogonal.ominus_autocorr_eps},
-        }
-        return table[fam][method](spec.size, shifts, prec), None
+    if method in routes.ROUTES[fam]:
+        return routes.ROUTES[fam][method](spec.size, shifts, m, prec), None
     if prec is not None:
         raise UsageError("--digits applies to the closed-form routes and the "
                          "identity suite; integration routes run in double precision")
@@ -220,20 +185,6 @@ def _route_value(spec, shifts, alphas, m, method, args, prec):
         mean, stderr = haar.monte_carlo_average(spec, integrand, args.seed, samples)
         return mean, stderr
     raise UsageError(f"unknown method {method!r}")
-
-
-def canonical_value(spec, shifts, m=0, prec=None):
-    """The always-defined route per family (Schur sums; coset closed form)."""
-    if spec.family == "unitary":
-        return unitary.autocorr_schur(unitary.UnitaryQuery(spec.size, m, tuple(shifts)), prec)
-    if spec.family == "symplectic":
-        return symplectic.sp_autocorr_schur(spec.size, shifts, prec)
-    if spec.family == "so":
-        return orthogonal.so_autocorr_schur(spec.size, shifts, prec)
-    try:
-        return orthogonal.ominus_autocorr_eps(spec.size, shifts, prec)
-    except RouteError:
-        return orthogonal.ominus_autocorr_schur(spec.size, shifts, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +275,7 @@ def cmd_montecarlo(args) -> int:
     spec, shifts, _alphas, m = _query_spec(args)
     if args.samples < 100:
         raise UsageError("--samples must be >= 100")
-    exact = complex(canonical_value(spec, shifts, m))
+    exact = complex(routes.canonical_value(spec.family, spec.size, shifts, m))
     integrand = haar.autocorr_integrand(spec, shifts, m)
     mean, stderr = haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
     if stderr > 0:
@@ -381,7 +332,6 @@ def _add_common(p: argparse.ArgumentParser, with_query: bool = True) -> None:
         p.add_argument("--n", type=int, help="unitary total shift count (optional check)")
     p.add_argument("--digits", type=int, help="extended-precision decimal digits (>= 30)")
     p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-    p.add_argument("--threads", type=int, help="parallelism cap (reserved; runs are serial)")
     p.add_argument("--out", help="also write the report to this file")
 
 
@@ -441,7 +391,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _resolve_threads(args)
         if getattr(args, "digits", None) is not None and args.digits < 30:
             raise UsageError("--digits must be >= 30")
         return args.func(args)

@@ -10,7 +10,9 @@ on an aligned grid.
 
 The two lemma checks evaluate both sides (block-ordered permutation sum
 vs n-fold integral, and sign-vector sum vs k-fold integral) from their
-printed definitions and report the residual.
+printed definitions and report the residual.  Each contour route is one
+of the two lemmas applied to an exp-pole kernel, so the routes build
+their integrands with the same two builders.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContourTooTight, DimensionCap
-from .symcore import enumerate_split_permutations
+from .symcore import (
+    enumerate_split_permutations,
+    index_pairs,
+    require_separated,
+    sign_vectors,
+    vandermonde,
+)
 
 GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,6 +90,15 @@ def require_exp_kernel_radius(radius: float) -> None:
             "branches; move the enclosed points closer together")
 
 
+def require_exp_kernel_contour(enclosed: Sequence[complex], cfg: ContourConfig | None,
+                               what: str) -> None:
+    """Guards of a contour route with exp-pole kernels: the enclosed points
+    are separated and the circle around them stays inside the pole branches."""
+    require_separated(enclosed, what)
+    _center, radius = resolve_geometry(cfg or DEFAULT_CONTOUR, enclosed)
+    require_exp_kernel_radius(radius)
+
+
 def _node_circles(dim: int, cfg: ContourConfig, center: complex, radius: float) -> list[np.ndarray]:
     M = cfg.nodes_per_dim
     base = 2.0 * np.pi * np.arange(M) / M
@@ -135,6 +152,17 @@ def _one(*_args) -> complex:
     return 1.0 + 0j
 
 
+def exp_pole(x):
+    """1 / (1 - e^{-x}): the pole factor of every contour route (residue 1 at 0)."""
+    return 1.0 / (1.0 - np.exp(-x))
+
+
+def exp_sum(c: complex, zs: Sequence):
+    """exp(c * sum(zs)) as a product of one factor per variable, so that
+    on broadcast grids no full-size temporary exists besides the result."""
+    return math.prod(np.exp(c * z) for z in zs)
+
+
 def assert_unit_residue(f: Callable[[complex], complex]) -> None:
     """Numerically check that f(x) = 1/x + analytic near x = 0."""
     for probe in (1e-7 + 0j, 1e-7j, (0.7 + 0.4j) * 1e-7):
@@ -150,7 +178,11 @@ class BipartiteKernel:
     regular: Callable = field(default=_one)
 
     def __call__(self, a: Sequence[complex], b: Sequence[complex]) -> complex:
-        out = complex(self.regular(tuple(a), tuple(b)))
+        return complex(self.times(1.0 + 0j, a, b))
+
+    def times(self, out, a: Sequence, b: Sequence):
+        """out * G(a; b); an array `out` of the full grid shape is scaled in place."""
+        out *= self.regular(tuple(a), tuple(b))
         for ai in a:
             for bj in b:
                 out *= self.pole(ai - bj)
@@ -166,12 +198,13 @@ class SymmetricKernel:
     include_diagonal: bool = True
 
     def __call__(self, a: Sequence[complex]) -> complex:
-        out = complex(self.regular(tuple(a)))
-        k = len(a)
-        for i in range(k):
-            start = i if self.include_diagonal else i + 1
-            for j in range(start, k):
-                out *= self.pole(a[i] + a[j])
+        return complex(self.times(1.0 + 0j, a))
+
+    def times(self, out, a: Sequence):
+        """out * G(a); an array `out` of the full grid shape is scaled in place."""
+        out *= self.regular(tuple(a))
+        for i, j in index_pairs(len(a), self.include_diagonal):
+            out *= self.pole(a[i] + a[j])
         return out
 
 
@@ -185,12 +218,54 @@ class LemmaCheckResult:
         return abs(self.lhs - self.rhs)
 
 
-def _vandermonde_tuple(z: Sequence[complex]) -> complex:
-    out = 1.0 + 0j
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            out *= z[j] - z[i]
-    return out
+def unitary_lemma_integrand(kernel: BipartiteKernel, u: Sequence[complex], m: int):
+    """Vectorized integrand of the unitary lemma's n-fold side, constant included.
+
+    (-1)^{n(n-1)/2} / (m! (n-m)!) * G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2
+    / prod_{i,j}(z_i - u_j), for circular_integral(n, ..., enclosed_points=u,
+    vectorized=True).  Full-grid products are formed in place, the
+    constant and denominators one variable at a time.
+    """
+    u = [complex(x) for x in u]
+    n = len(u)
+    const = (-1) ** (n * (n - 1) // 2) / (math.factorial(m) * math.factorial(n - m))
+
+    def integrand(*z):
+        val = vandermonde(z)
+        val *= val
+        val = kernel.times(val, z[:m], z[m:])
+        for d, zd in enumerate(z):
+            val *= (const if d == 0 else 1.0) / math.prod(zd - p for p in u)
+        return val
+
+    return integrand
+
+
+def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], variant: str):
+    """Vectorized integrand of the sign-vector lemma's k-fold side, constant included.
+
+    (-1)^{k(k-1)/2} 2^k / k! * G(z) Delta(z^2)^2 * numerator
+    / prod_{i,j}(z_i - alpha_j)(z_i + alpha_j), numerator prod z_j ("plain")
+    or prod alpha_j ("signed"), for a contour enclosing +-alpha.
+    """
+    if variant not in ("plain", "signed"):
+        raise ValueError("variant must be 'plain' or 'signed'")
+    al = [complex(x) for x in alphas]
+    k = len(al)
+    const = (-1) ** (k * (k - 1) // 2) * 2 ** k / math.factorial(k)
+    if variant == "signed":
+        const *= math.prod(al)
+
+    def integrand(*z):
+        val = vandermonde([zd * zd for zd in z])
+        val *= val
+        val = kernel.times(val, z)
+        for d, zd in enumerate(z):
+            top = zd if variant == "plain" else 1.0
+            val *= (const if d == 0 else 1.0) * top / math.prod((zd - a) * (zd + a) for a in al)
+        return val
+
+    return integrand
 
 
 def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
@@ -203,23 +278,11 @@ def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
     """
     assert_unit_residue(kernel.pole)
     u = [complex(x) for x in u]
-    n = len(u)
     lhs = 0j
-    for split in enumerate_split_permutations(n, m):
-        a = tuple(u[i - 1] for i in split.left)
-        b = tuple(u[i - 1] for i in split.right)
-        lhs += kernel(a, b)
-
-    def integrand(*z: complex) -> complex:
-        val = kernel(z[:m], z[m:]) * _vandermonde_tuple(z) ** 2
-        den = 1.0 + 0j
-        for zi in z:
-            for uj in u:
-                den *= zi - uj
-        return val / den
-
-    pref = (-1) ** (n * (n - 1) // 2) / (math.factorial(m) * math.factorial(n - m))
-    rhs = pref * circular_integral(n, integrand, cfg, enclosed_points=u)
+    for split in enumerate_split_permutations(len(u), m):
+        lhs += kernel(tuple(u[i - 1] for i in split.left), tuple(u[i - 1] for i in split.right))
+    rhs = circular_integral(len(u), unitary_lemma_integrand(kernel, u, m), cfg,
+                            enclosed_points=u, vectorized=True)
     return LemmaCheckResult(lhs, rhs)
 
 
@@ -230,32 +293,13 @@ def lemma_sym_check(kernel: SymmetricKernel, alphas: Sequence[complex], variant:
     variant "plain":  lhs = sum_eps G(eps * alpha), integral numerator prod z_j;
     variant "signed": lhs = sum_eps (prod eps) G(eps * alpha), numerator prod alpha_j.
     """
-    if variant not in ("plain", "signed"):
-        raise ValueError("variant must be 'plain' or 'signed'")
+    integrand = sym_lemma_integrand(kernel, alphas, variant)
     assert_unit_residue(kernel.pole)
     al = [complex(x) for x in alphas]
-    k = len(al)
-
     lhs = 0j
-    for mask in range(2 ** k):
-        eps = [1 - 2 * ((mask >> j) & 1) for j in range(k)]
-        weight = np.prod(eps) if variant == "signed" else 1
+    for eps in sign_vectors(len(al)):
+        weight = math.prod(eps) if variant == "signed" else 1
         lhs += weight * kernel(tuple(e * a for e, a in zip(eps, al)))
-
-    alpha_prod = np.prod(al) if k else 1.0 + 0j
-
-    def integrand(*z: complex) -> complex:
-        val = kernel(z)
-        for i in range(k):
-            for j in range(i + 1, k):
-                val *= (z[j] ** 2 - z[i] ** 2) ** 2
-        val *= alpha_prod if variant == "signed" else np.prod(z)
-        for zi in z:
-            for aj in al:
-                val /= (zi - aj) * (zi + aj)
-        return val
-
-    enclosed = al + [-a for a in al]
-    pref = (-1) ** (k * (k - 1) // 2) * 2 ** k / math.factorial(k)
-    rhs = pref * circular_integral(k, integrand, cfg, enclosed_points=enclosed)
+    rhs = circular_integral(len(al), integrand, cfg, enclosed_points=al + [-a for a in al],
+                            vectorized=True)
     return LemmaCheckResult(lhs, rhs)

@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionCap
+from .symcore import vandermonde
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,17 +90,6 @@ class WeylMeasure:
     node_offset: float  # half-step grid offset (avoids factored 0/0 for SO)
 
 
-def _paired_vandermonde(E: np.ndarray) -> np.ndarray:
-    """Vandermonde over the 2N points (e^{i th_1..N}, e^{-i th_1..N})."""
-    pts = np.concatenate([E, np.conj(E)], axis=1)
-    m = pts.shape[1]
-    out = np.ones(E.shape[0], dtype=complex)
-    for a in range(m):
-        for b in range(a + 1, m):
-            out *= pts[:, b] - pts[:, a]
-    return out
-
-
 def weyl_measure(spec: GroupSpec) -> WeylMeasure:
     N = spec.size
     fam = spec.family
@@ -126,7 +116,7 @@ def weyl_measure(spec: GroupSpec) -> WeylMeasure:
             if n_pairs == 0:
                 return np.ones(T.shape[0])
             E = np.exp(1j * T)
-            d = const * _paired_vandermonde(E) * np.prod(E - np.conj(E), axis=1)
+            d = const * vandermonde([*E.T, *np.conj(E).T]) * np.prod(E - np.conj(E), axis=1)
             return d.real
 
         return WeylMeasure(spec, density, 1.0, 0.0)
@@ -138,7 +128,7 @@ def weyl_measure(spec: GroupSpec) -> WeylMeasure:
 
     def density(T: np.ndarray) -> np.ndarray:
         E = np.exp(1j * T)
-        d = const * _paired_vandermonde(E) / np.prod(np.conj(E) - E, axis=1)
+        d = const * vandermonde([*E.T, *np.conj(E).T]) / np.prod(np.conj(E) - E, axis=1)
         return d.real
 
     return WeylMeasure(spec, density, 1.0, 0.5)
@@ -306,12 +296,12 @@ def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def _complex_ginibre(rng: np.random.Generator, B: int, n: int) -> np.ndarray:
-    return (rng.standard_normal((B, n, n)) + 1j * rng.standard_normal((B, n, n))) / np.sqrt(2)
+def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def _haar_unitary_batch(rng: np.random.Generator, B: int, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_complex_ginibre(rng, B, n))
+    q, r = np.linalg.qr(_complex_gaussian(rng, (B, n, n)))
     d = np.einsum("bii->bi", r)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -348,7 +338,7 @@ def _haar_symplectic_batch(rng: np.random.Generator, B: int, N: int) -> np.ndarr
     dim = 2 * N
     basis: list[np.ndarray] = []
     for _ in range(N):
-        v = (rng.standard_normal((B, dim)) + 1j * rng.standard_normal((B, dim))) / np.sqrt(2)
+        v = _complex_gaussian(rng, (B, dim))
         for _pass in range(2):  # second pass tightens orthogonality
             for u in basis:
                 v = v - np.einsum("bi,bi->b", np.conj(u), v)[:, None] * u
@@ -386,28 +376,25 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return (a[:, 0::2] + a[:, 1::2]) / 2.0
 
 
-def sample_eigenangles(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
-    """Stream of `count` eigenangle vectors, reproducible from the seed."""
+def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
+    """`count` eigenangle vectors from the seeded stream, in sampling chunks."""
     rng = np.random.default_rng(rng_seed)
     remaining = count
     while remaining > 0:
         B = min(_SAMPLE_CHUNK, remaining)
-        angles = eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
-        for row in angles:
-            yield row
+        yield eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
         remaining -= B
+
+
+def sample_eigenangles(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
+    """Stream of `count` eigenangle vectors, reproducible from the seed."""
+    for angles in _eigenangle_chunks(spec, rng_seed, count):
+        yield from angles
 
 
 def sample_eigenangle_batch(spec: GroupSpec, rng_seed: int, count: int) -> np.ndarray:
     """All `count` eigenangle vectors at once (same stream as the generator)."""
-    rng = np.random.default_rng(rng_seed)
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        B = min(_SAMPLE_CHUNK, remaining)
-        chunks.append(eigenangles_of(spec, sample_matrix_batch(spec, rng, B)))
-        remaining -= B
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate(list(_eigenangle_chunks(spec, rng_seed, count)), axis=0)
 
 
 def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.ndarray],

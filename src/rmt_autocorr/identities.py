@@ -21,20 +21,10 @@ import numpy as np
 from .errors import InconsistentCoefficients
 from .precision import PrecisionConfig, ops_for
 from .orthogonal import _subset_pairs, subset_stats
-from .symcore import vandermonde
+from .symcore import min_separation, vandermonde
 
 CONVENTION_STATEMENT = "statement"   # x^(|D|^2 - 2|D| + 1)
 CONVENTION_PROSE = "prose"           # x^(|D|^2 + 2|D| + 1)
-
-
-def _vandermonde_with_zero(w, j, num):
-    pts = list(w)
-    pts[j] = num.zero
-    out = num.one
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            out = out * (pts[b] - pts[a])
-    return out
 
 
 def identity1_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
@@ -45,7 +35,7 @@ def identity1_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
         w = [num.scalar(x) for x in shifts]
         lhs_terms = []
         for j in range(n):
-            t = _vandermonde_with_zero(w, j, num)
+            t = vandermonde(w[:j] + [num.zero] + w[j + 1:], prec)
             for m in range(n):
                 t = t * (num.one - w[j] * w[m])
             lhs_terms.append(t)
@@ -114,19 +104,16 @@ def identity2_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
         return float(num.absolute(num.fsum(terms)))
 
 
-def _x_power(x, e: int, num):
-    if e >= 0:
-        return x ** e
-    return num.one / x ** (-e)
-
-
-def _fn_terms(cache, x, r: int, n: int, num):
+def _subset_terms(cache, x, r: int, exponent, num, even_c_only: bool = False):
+    """Terms (-1)^S w_C^r Delta(C) Delta(D) prod (x^2 - w_a w_b) x^exponent(|D|)
+    of a subset sum, with 0^0 = 1 at x = 0."""
     xx = x * x
     x_is_zero = num.absolute(x) == 0
     terms = []
-    for _A, B, st, pairs in cache:
-        d = len(B)
-        e = d * d + (r - n) * d
+    for A, B, st, pairs in cache:
+        if even_c_only and len(A) % 2:
+            continue
+        e = exponent(len(B))
         if x_is_zero:
             if e < 0:
                 raise ValueError("x = 0 is not allowed when exponents go negative")
@@ -134,12 +121,16 @@ def _fn_terms(cache, x, r: int, n: int, num):
                 continue
             xe = num.one
         else:
-            xe = _x_power(x, e, num)
+            xe = x ** e if e >= 0 else num.one / x ** (-e)
         t = (-num.one if st.S % 2 else num.one) * st.w_A ** r * st.delta_A * st.delta_B * xe
         for p in pairs:
             t = t * (xx - p)
         terms.append(t)
     return terms
+
+
+def _fn_terms(cache, x, r: int, n: int, num):
+    return _subset_terms(cache, x, r, lambda d: d * d + (r - n) * d, num)
 
 
 def fn_eval(shifts: Sequence[complex], x: complex, r: int,
@@ -157,24 +148,10 @@ def fn_eval(shifts: Sequence[complex], x: complex, r: int,
 
 
 def _identity3_terms(cache, x, convention: str, n: int, num):
-    terms = []
-    for A, B, st, pairs in cache:
-        if len(A) % 2:
-            continue
-        d = len(B)
-        if convention == CONVENTION_STATEMENT:
-            e = d * d - 2 * d + 1
-        elif convention == CONVENTION_PROSE:
-            e = d * d + 2 * d + 1
-        else:
-            raise ValueError("convention must be 'statement' or 'prose'")
-        t = (-num.one if st.S % 2 else num.one) * st.w_A ** (n - 2) \
-            * st.delta_A * st.delta_B * _x_power(x, e, num)
-        xx = x * x
-        for p in pairs:
-            t = t * (xx - p)
-        terms.append(t)
-    return terms
+    if convention not in (CONVENTION_STATEMENT, CONVENTION_PROSE):
+        raise ValueError("convention must be 'statement' or 'prose'")
+    s = -2 if convention == CONVENTION_STATEMENT else 2
+    return _subset_terms(cache, x, n - 2, lambda d: d * d + s * d + 1, num, even_c_only=True)
 
 
 def identity3_residual(shifts: Sequence[complex], x: complex,
@@ -199,7 +176,7 @@ def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
         w = [num.scalar(x) for x in shifts]
         lhs_terms = []
         for j in range(n):
-            t = w[j] * w[j] * _vandermonde_with_zero(w, j, num)
+            t = w[j] * w[j] * vandermonde(w[:j] + [num.zero] + w[j + 1:], prec)
             for m in range(n):
                 if m != j:
                     t = t * (num.one - w[m] * w[j])
@@ -279,7 +256,7 @@ def _sample_shifts(rng: np.random.Generator, n: int, radius: float,
         if len(pts) < n:
             continue
         pts = pts[:n]
-        if n < 2 or min(abs(a - b) for i, a in enumerate(pts) for b in pts[:i]) >= min_sep:
+        if min_separation(pts) >= min_sep:
             return [complex(p) for p in pts]
 
 

@@ -19,27 +19,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .contour import ContourConfig, circular_integral, require_exp_kernel_radius, resolve_geometry
-from .errors import NearConfluent, PoleHit
+from .contour import (
+    ContourConfig,
+    SymmetricKernel,
+    circular_integral,
+    exp_pole,
+    exp_sum,
+    require_exp_kernel_contour,
+    sym_lemma_integrand,
+)
+from .errors import PoleHit
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
     Partition,
-    adjacent_pair_runs,
     conjugate_partition,
+    decreasing_tuples,
+    det_sum_over_vandermonde,
     enumerate_even_partitions,
     enumerate_so_index_sets,
-    require_separated,
+    partial_index_vectors,
     schur_stable,
+    vandermonde,
 )
 from .symplectic import (
-    EPS_DENOM_FLOOR,
-    _det_sum_over_vandermonde,
-    _epsilon_vectors,
-    parity_index_vectors,
+    parity_index_vectors,  # not called here; bench/tracer.py patches this binding too
+    reflection_sum,
+    sp_autocorr_det,
+    sp_autocorr_schur,
 )
 
 
@@ -78,24 +89,18 @@ def subset_stats(A: Sequence[int], B: Sequence[int], shifts: Sequence[complex],
     num = ops_for(prec)
     with num.guard():
         w = [num.scalar(x) for x in shifts]
-
-        def prod(factors):
-            out = num.one
-            for f in factors:
-                out = out * f
-            return out
-
+        w_A = [w[a] for a in A]
         W = sum(1 for a in A for b in B if a > b)
         S = len(A) * len(B) + len(A) * (len(A) + 1) // 2 + W
         return SubsetStats(
-            w_A=prod(w[a] for a in A),
+            w_A=math.prod(w_A, start=num.one),
             S=S,
             W=W,
-            E=prod(num.one - w[a] * w[b] for a in A for b in B),
-            D=prod(w[b] - w[a] for a in A for b in B),
-            delta_A=prod(w[A[j]] - w[A[i]] for i in range(len(A)) for j in range(i + 1, len(A))),
-            delta_B=prod(w[B[j]] - w[B[i]] for i in range(len(B)) for j in range(i + 1, len(B))),
-            cal_E_A=prod(num.one - w[A[i]] * w[A[j]] for i in range(len(A)) for j in range(i + 1, len(A))),
+            E=math.prod((num.one - w[a] * w[b] for a in A for b in B), start=num.one),
+            D=math.prod((w[b] - w[a] for a in A for b in B), start=num.one),
+            delta_A=vandermonde(w_A, prec),
+            delta_B=vandermonde([w[b] for b in B], prec),
+            cal_E_A=math.prod((num.one - x * y for x, y in combinations(w_A, 2)), start=num.one),
         )
 
 
@@ -112,31 +117,13 @@ def _subset_pairs(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 def so_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: the adjacency/pinning-constrained index sum."""
-    require_separated(shifts, "shifts")
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        ws = [num.scalar(w) for w in shifts]
-        return _det_sum_over_vandermonde(ws, enumerate_so_index_sets(k, N), num)
+    return det_sum_over_vandermonde(shifts, enumerate_so_index_sets(len(shifts), N), prec)
 
 
 def _odd_partitions_exact(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing all-odd tuples of exactly `length` parts in [1, max_part]."""
-    if max_part < 1:
-        return
-
-    def rec(remaining: int, cap: int, acc: list[int]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        p = cap if cap % 2 else cap - 1
-        while p >= 1:
-            acc.append(p)
-            yield from rec(remaining - 1, p, acc)
-            acc.pop()
-            p -= 2
-
-    yield from rec(length, max_part, [])
+    if max_part >= 1:
+        yield from decreasing_tuples(length, range(max_part - 1 + max_part % 2, 0, -2))
 
 
 def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -149,50 +136,16 @@ def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     num = ops_for(prec)
     k = len(shifts)
     with num.guard():
-        terms = []
-        for lam_prime in _odd_partitions_exact(2 * N, k):
-            lam = conjugate_partition(Partition(lam_prime)).padded(k)
-            terms.append(schur_stable(lam, shifts, prec))
-        even_cap = k if k % 2 == 0 else k - 1
-        for lam_prime in enumerate_even_partitions(2 * N, even_cap):
-            lam = conjugate_partition(lam_prime).padded(k)
-            terms.append(schur_stable(lam, shifts, prec))
+        conjugates = chain(map(Partition, _odd_partitions_exact(2 * N, k)),
+                           enumerate_even_partitions(2 * N, k - k % 2))
+        terms = [schur_stable(conjugate_partition(lp).padded(k), shifts, prec) for lp in conjugates]
         return num.fsum(terms)
 
 
-def _check_strict_pair_denominators(shifts: Sequence[complex]) -> None:
-    ws = [complex(w) for w in shifts]
-    if any(w == 0 for w in ws):
-        raise PoleHit("sign-vector route needs nonzero shifts")
-    k = len(ws)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for a in (1, -1):
-                for b in (1, -1):
-                    if abs(1 - ws[i] ** (-a) * ws[j] ** (-b)) < EPS_DENOM_FLOOR:
-                        raise PoleHit("reflection-sum denominator vanishes")
-
-
 def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
-    """Sign-vector route with strict pair products (i < j, no diagonal)."""
-    _check_strict_pair_denominators(shifts)
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        ws = [num.scalar(w) for w in shifts]
-        terms = []
-        for eps in _epsilon_vectors(k):
-            t = num.one
-            for j in range(k):
-                t = t * ws[j] ** (eps[j] * N)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    t = t / (num.one - ws[i] ** (-eps[i]) * ws[j] ** (-eps[j]))
-            terms.append(t)
-        total = num.fsum(terms)
-        for w in ws:
-            total = total * w ** N
-        return total
+    """Sign-vector route: the reflection sum with strict pair products
+    (i < j, no diagonal); raises PoleHit where that sum does."""
+    return reflection_sum(N, shifts, prec, diagonal=False, signed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +162,6 @@ class PartialSumResult:
         return abs(complex(self.value) - complex(self.closed_form))
 
 
-def _partial_index_vectors(variant: str, count: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    if variant == "M":
-        pairs = count // 2
-        yield from adjacent_pair_runs(pairs, 0, n_max)
-    elif variant == "E":
-        pairs = count // 2 - 1
-        for mid in adjacent_pair_runs(pairs, 1, n_max - 1):
-            yield (0,) + mid + (n_max,)
-    elif variant == "R":
-        pairs = (count - 1) // 2
-        for run in adjacent_pair_runs(pairs, 0, n_max - 1):
-            yield run + (n_max,)
-    elif variant == "L":
-        pairs = (count - 1) // 2
-        for run in adjacent_pair_runs(pairs, 1, n_max):
-            yield (0,) + run
-    else:
-        raise ValueError("variant must be one of M, E, R, L")
-
-
 def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
                     prec: PrecisionConfig | None = None) -> PartialSumResult:
     """One of the four partial determinant sums and its closed form.
@@ -243,21 +176,12 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         raise ValueError(f"variant {variant} needs an even number of shifts")
     if variant in ("R", "L") and m % 2 == 0:
         raise ValueError(f"variant {variant} needs an odd number of shifts")
-    require_separated(shifts, "shifts")
+    value = det_sum_over_vandermonde(shifts, partial_index_vectors(variant, m, n_max), prec)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
-        vecs = [v for v in _partial_index_vectors(variant, m, n_max)
-                if len(v) == m and all(v[i] < v[i + 1] for i in range(m - 1))]
-        value = _det_sum_over_vandermonde(ws, vecs, num)
-
         want_even = variant in ("M", "R")
-        cal_e_full = num.one
-        delta_full = num.one
-        for i in range(m):
-            for j in range(i + 1, m):
-                cal_e_full = cal_e_full * (num.one - ws[i] * ws[j])
-                delta_full = delta_full * (ws[j] - ws[i])
+        cal_e_full = math.prod((num.one - x * y for x, y in combinations(ws, 2)), start=num.one)
         if abs(num.to_complex(cal_e_full)) == 0.0:
             raise PoleHit("script-E normalization vanishes (w_i w_j = 1)")
         terms = []
@@ -267,7 +191,7 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
             st = subset_stats(A, B, shifts, prec)
             sgn = -1 if (st.S - len(A)) % 2 else 1
             terms.append(sgn * st.w_A ** n_max * st.E * st.delta_A * st.delta_B)
-        closed = num.fsum(terms) / (cal_e_full * delta_full)
+        closed = num.fsum(terms) / (cal_e_full * vandermonde(ws, prec))
         return PartialSumResult(value, closed)
 
 
@@ -275,133 +199,63 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
 # O^-(2N)
 # ---------------------------------------------------------------------------
 
+def _times_coset_factor(sp_route, N: int, shifts: Sequence[complex], prec):
+    """prod (w_m^2 - 1) times a symplectic route at size parameter N - 1,
+    all in the working precision."""
+    num = ops_for(prec)
+    with num.guard():
+        value = sp_route(N - 1, shifts, prec)
+        for w in shifts:
+            ws = num.scalar(w)
+            value = value * (ws * ws - num.one)
+        return value
+
+
 def ominus_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
-    """Determinant route: prod (w_m^2 - 1) times the symplectic-style
-    alternating-parity sum at size parameter N - 1."""
+    """Determinant route: prod (w_m^2 - 1) times the symplectic
+    alternating-parity determinant route at size parameter N - 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    require_separated(shifts, "shifts")
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        ws = [num.scalar(w) for w in shifts]
-        base = _det_sum_over_vandermonde(ws, parity_index_vectors(k, 2 * (N - 1) + k - 1), num)
-        for w in ws:
-            base = base * (w * w - num.one)
-        return base
+    return _times_coset_factor(sp_autocorr_det, N, shifts, prec)
 
 
 def ominus_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Signed sign-vector route: like SO but each term carries prod eps_j."""
-    _check_strict_pair_denominators(shifts)
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        ws = [num.scalar(w) for w in shifts]
-        terms = []
-        for eps in _epsilon_vectors(k):
-            t = num.one if math.prod(eps) > 0 else -num.one
-            for j in range(k):
-                t = t * ws[j] ** (eps[j] * N)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    t = t / (num.one - ws[i] ** (-eps[i]) * ws[j] ** (-eps[j]))
-            terms.append(t)
-        total = num.fsum(terms)
-        for w in ws:
-            total = total * w ** N
-        return total
+    return reflection_sum(N, shifts, prec, diagonal=False, signed=True)
 
 
 def ominus_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
-    """Confluent-safe fallback: prod (w^2 - 1) times the even-partition
-    Schur sum in the 2(N-1) x k box (the symplectic Schur route at N - 1)."""
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        terms = [schur_stable(lam, shifts, prec)
-                 for lam in enumerate_even_partitions(k, 2 * (N - 1))]
-        total = num.fsum(terms)
-        for w in shifts:
-            ws = num.scalar(w)
-            total = total * (ws * ws - num.one)
-        return total
+    """Confluent-safe route: prod (w^2 - 1) times the symplectic Schur
+    route at N - 1 (the even-partition sum in the 2(N-1) x k box)."""
+    return _times_coset_factor(sp_autocorr_schur, N, shifts, prec)
 
 
 # ---------------------------------------------------------------------------
-# Contour forms and the full-group average
+# Contour form
 # ---------------------------------------------------------------------------
 
 def orthogonal_contour(family: str, N: int, alphas: Sequence[complex],
                        cfg: ContourConfig | None = None) -> complex:
     """Contour route for SO / O^- at shifts w_j = exp(+alpha_j).
 
-    Both integrands use the strict pair product prod_{l<m}
-    (1 - exp(-z_m - z_l))^(-1); the numerator is prod z_j for SO and
-    prod alpha_j for the determinant -1 coset.  (The diagonal l = m factor
-    would add an uncancelled pole at z = 0 in the signed case and does not
-    reproduce the closed forms.)
+    The sign-vector lemma with kernel exp(N sum z) times the strict pair
+    product prod_{l<m} (1 - exp(-z_m - z_l))^(-1), times exp(N sum alpha):
+    the plain variant (numerator prod z_j) for SO, the signed one
+    (numerator prod alpha_j) for the determinant -1 coset.  (The diagonal
+    l = m factor would add an uncancelled pole at z = 0 in the signed case
+    and does not reproduce the closed forms.)
     """
     fam = str(family).lower()
     if fam not in ("so", "ominus"):
         raise ValueError("family must be 'so' or 'ominus'")
     al = [complex(a) for a in alphas]
-    k = len(al)
     enclosed = al + [-a for a in al]
-    require_separated(enclosed, "+-alpha points")
-    cfg = cfg or ContourConfig()
-    _center, radius = resolve_geometry(cfg, enclosed)
-    require_exp_kernel_radius(radius)
-    alpha_prod = np.prod(al) if k else 1.0 + 0j
-
-    def integrand(*z):
-        val = np.exp(N * sum(z))
-        for l in range(k):
-            for m_ in range(l + 1, k):
-                val = val / (1 - np.exp(-z[m_] - z[l]))
-        for i in range(k):
-            for j in range(i + 1, k):
-                val = val * (z[j] ** 2 - z[i] ** 2) ** 2
-        if fam == "so":
-            for zj in z:
-                val = val * zj
-        else:
-            val = val * alpha_prod
-        for zj in z:
-            for ai in al:
-                val = val / ((zj - ai) * (zj + ai))
-        return val
-
-    pref = ((-1) ** (k * (k - 1) // 2) * 2 ** k / math.factorial(k)
-            * np.exp(N * sum(al)))
-    return pref * circular_integral(k, integrand, cfg, enclosed_points=enclosed,
-                                    vectorized=True)
-
-
-def full_o2n_average(N: int, shifts: Sequence[complex],
-                     undo_embedded_sign: bool = True,
-                     prec: PrecisionConfig | None = None):
-    """Average over all of O(2N) = SO(2N) and its determinant -1 coset.
-
-    With undo_embedded_sign (default) this is the genuine Haar average of
-    prod Lambda(w_j) over O(2N): the coset value carries a defining (-1)^k
-    which is removed before the two halves are mixed with equal weight.
-    With the flag off the coset value enters as defined.
-    """
-    k = len(shifts)
-    num = ops_for(prec)
-    with num.guard():
-        so_val = so_autocorr_schur(N, shifts, prec)
-        try:
-            om_val = ominus_autocorr_eps(N, shifts, prec)
-        except PoleHit:
-            try:
-                om_val = ominus_autocorr_det(N, shifts, prec)
-            except NearConfluent:
-                om_val = ominus_autocorr_schur(N, shifts, prec)
-        if undo_embedded_sign:
-            om_val = om_val * (-1) ** k
-        return (so_val + om_val) / 2
+    require_exp_kernel_contour(enclosed, cfg, "+-alpha points")
+    kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=False)
+    variant = "plain" if fam == "so" else "signed"
+    return np.exp(N * sum(al)) * circular_integral(
+        len(al), sym_lemma_integrand(kernel, al, variant), cfg, enclosed_points=enclosed,
+        vectorized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,6 @@ class DoubleOps:
         return cmath.sqrt(z)
 
     @staticmethod
-    def log(z):
-        return cmath.log(z)
-
-    @staticmethod
     def absolute(z):
         return abs(z)
 
@@ -183,10 +179,6 @@ class ExtendedOps:
     @staticmethod
     def sqrt(z):
         return mp.sqrt(z)
-
-    @staticmethod
-    def log(z):
-        return mp.log(z)
 
     @staticmethod
     def absolute(z):

@@ -2,9 +2,10 @@
 
 This is the symmetric-function substrate shared by all the autocorrelation
 routes: integer partitions with explicit length, the block-ordered
-permutations indexing the combinatorial sums, Vandermonde determinants,
-and two Schur polynomial evaluators -- the bialternant ratio (fails near
-coincident points) and a confluent-safe complete-homogeneous determinant.
+permutations and sign vectors indexing the combinatorial sums, the one
+Vandermonde product, and two Schur polynomial evaluators -- the
+bialternant ratio (fails near coincident points) and a confluent-safe
+complete-homogeneous determinant.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import NearConfluent
 from .precision import PrecisionConfig, ops_for
@@ -92,6 +95,28 @@ def enumerate_split_permutations(n: int, m: int) -> Iterator[SplitPermutation]:
         yield SplitPermutation(left, right, -1 if inversions % 2 else 1)
 
 
+def sign_vectors(k: int) -> Iterator[tuple[int, ...]]:
+    """All 2^k vectors in {+1, -1}^k; bit j of the counter flips entry j."""
+    for mask in range(2 ** k):
+        yield tuple(1 - 2 * ((mask >> j) & 1) for j in range(k))
+
+
+def index_pairs(k: int, diagonal: bool) -> list[tuple[int, int]]:
+    """Index pairs 0 <= i <= j < k in lexicographic order; i < j without the diagonal."""
+    return [(i, j) for i in range(k) for j in range(i if diagonal else i + 1, k)]
+
+
+def decreasing_tuples(length: int, values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing `length`-tuples drawn from `values` (listed in
+    decreasing order), in reverse lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for i, v in enumerate(values):
+        for rest in decreasing_tuples(length - 1, values[i:]):
+            yield (v,) + rest
+
+
 def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
     """Partitions of length k (zero-padded) with all parts even and <= max_part.
 
@@ -99,18 +124,8 @@ def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
     """
     if max_part % 2:
         raise ValueError("max_part must be even")
-    half = max_part // 2
-
-    def rec(prefix: list[int], remaining: int, cap: int):
-        if remaining == 0:
-            yield Partition(tuple(2 * p for p in prefix))
-            return
-        for p in range(cap, -1, -1):
-            prefix.append(p)
-            yield from rec(prefix, remaining - 1, p)
-            prefix.pop()
-
-    yield from rec([], k, half)
+    for parts in decreasing_tuples(k, range(max_part, -1, -2)):
+        yield Partition(parts)
 
 
 def count_even_partitions(k: int, max_part: int) -> int:
@@ -133,31 +148,44 @@ def adjacent_pair_runs(count: int, lo: int, hi: int) -> Iterator[tuple[int, ...]
     yield from rec(lo, count, [])
 
 
+def partial_index_vectors(variant: str, count: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Strictly increasing `count`-vectors in {0..n_max} of one partial family.
+
+    M: adjacent pairs (p, p+1) throughout; E: pinned at 0 and n_max with the
+    interior paired; R: pinned at n_max only; L: pinned at 0 only.
+    """
+    if variant == "M":
+        vecs = adjacent_pair_runs(count // 2, 0, n_max)
+    elif variant == "E":
+        vecs = ((0,) + mid + (n_max,) for mid in adjacent_pair_runs(count // 2 - 1, 1, n_max - 1))
+    elif variant == "R":
+        vecs = (run + (n_max,) for run in adjacent_pair_runs((count - 1) // 2, 0, n_max - 1))
+    elif variant == "L":
+        vecs = ((0,) + run for run in adjacent_pair_runs((count - 1) // 2, 1, n_max))
+    else:
+        raise ValueError("variant must be one of M, E, R, L")
+    for vec in vecs:
+        if len(vec) == count and all(vec[i] < vec[i + 1] for i in range(count - 1)):
+            yield vec
+
+
 def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
     """Index vectors of the even-orthogonal determinant sum.
 
     Strictly increasing vectors in {0, ..., 2*n_param + k - 1} whose entries
     either pair up adjacently (i = j, j+1) throughout, or are pinned at the
     ends (first 0 / last 2*n_param + k - 1) with the interior paired; which
-    ends are pinned depends on the parity of k.  Both branches are produced
-    and de-duplicated.
+    ends are pinned depends on the parity of k.  Both branches (partial
+    families E and M for even k, L and R for odd k) are produced and
+    de-duplicated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     top = 2 * n_param + k - 1
     seen: set[tuple[int, ...]] = set()
-
-    branches: list[Iterator[tuple[int, ...]]] = []
-    if k % 2 == 0:
-        branches.append((0,) + mid + (top,) for mid in adjacent_pair_runs((k - 2) // 2, 1, top - 1))
-        branches.append(iter(adjacent_pair_runs(k // 2, 0, top)))
-    else:
-        branches.append((0,) + mid for mid in adjacent_pair_runs((k - 1) // 2, 1, top))
-        branches.append(mid + (top,) for mid in adjacent_pair_runs((k - 1) // 2, 0, top - 1))
-
-    for branch in branches:
-        for vec in branch:
-            if len(vec) == k and all(vec[i] < vec[i + 1] for i in range(k - 1)) and vec not in seen:
+    for variant in ("E", "M") if k % 2 == 0 else ("L", "R"):
+        for vec in partial_index_vectors(variant, k, top):
+            if vec not in seen:
                 seen.add(vec)
                 yield vec
 
@@ -181,15 +209,38 @@ def require_separated(points: Sequence[complex], what: str = "points") -> None:
 
 
 def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
-    """prod_{j<k} (x_k - x_j); empty and singleton inputs give 1."""
+    """prod_{j<k} (x_k - x_j); empty and singleton inputs give 1.
+
+    Numpy-array points (one broadcastable grid per variable, as in the
+    contour and quadrature integrands) give the product on their broadcast
+    grid in double precision, accumulated in place in one array.
+    """
     num = ops_for(prec)
     with num.guard():
-        pts = [num.scalar(p) for p in points]
-        out = num.one
+        grids = [p.shape for p in points if isinstance(p, np.ndarray)]
+        if grids:
+            pts = list(points)
+            out = np.ones(np.broadcast_shapes(*grids), dtype=complex)
+        else:
+            pts = [num.scalar(p) for p in points]
+            out = num.one
         for j in range(len(pts)):
             for k in range(j + 1, len(pts)):
-                out = out * (pts[k] - pts[j])
+                out *= pts[k] - pts[j]
         return out
+
+
+def det_sum_over_vandermonde(shifts: Sequence, vectors, prec: PrecisionConfig | None = None):
+    """Sum over the exponent vectors of det[w_i^(vec_j)], over the Vandermonde.
+
+    Raises NearConfluent when the shifts are not separated.
+    """
+    require_separated(shifts, "shifts")
+    num = ops_for(prec)
+    with num.guard():
+        ws = [num.scalar(w) for w in shifts]
+        terms = [num.det([[wp ** e for e in vec] for wp in ws]) for vec in vectors]
+        return num.fsum(terms) / vandermonde(ws, prec)
 
 
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:

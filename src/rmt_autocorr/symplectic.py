@@ -7,9 +7,10 @@ The average of Lambda(w_1)..Lambda(w_k) equals
 * a 2^k-term sign-vector closed form (the fast route), and
 * a k-fold contour integral at shifts w_j = exp(-alpha_j).
 
-Also hosts the large-N scaling ratio against the sign-vector form with
-(eps_i b_i + eps_j b_j)^(-1) factors, computed entirely through the exact
-closed form so the cost is independent of N.
+The sign-vector sum, `reflection_sum`, also serves the two orthogonal
+families.  Also hosts the large-N scaling ratio against the sign-vector
+form with (eps_i b_i + eps_j b_j)^(-1) factors, computed entirely through
+the exact closed form so the cost is independent of N.
 """
 
 from __future__ import annotations
@@ -19,14 +20,23 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .contour import ContourConfig, circular_integral, require_exp_kernel_radius, resolve_geometry
+from .contour import (
+    ContourConfig,
+    SymmetricKernel,
+    circular_integral,
+    exp_pole,
+    exp_sum,
+    require_exp_kernel_contour,
+    sym_lemma_integrand,
+)
 from .errors import PoleHit
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
+    det_sum_over_vandermonde,
     enumerate_even_partitions,
-    require_separated,
+    index_pairs,
     schur_stable,
-    vandermonde,
+    sign_vectors as _epsilon_vectors,
 )
 
 EPS_DENOM_FLOOR = 1e-6  # below this the 2^k closed form has lost too much
@@ -49,24 +59,10 @@ def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, -1, [])
 
 
-def _det_sum_over_vandermonde(ws, vectors, num):
-    terms = [num.det([[wp ** e for e in vec] for wp in ws]) for vec in vectors]
-    total = num.fsum(terms)
-    denom = num.one
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            denom = denom * (ws[j] - ws[i])
-    return total / denom
-
-
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: alternating-parity index sum over the Vandermonde."""
-    require_separated(shifts, "shifts")
-    num = ops_for(prec)
     k = len(shifts)
-    with num.guard():
-        ws = [num.scalar(w) for w in shifts]
-        return _det_sum_over_vandermonde(ws, parity_index_vectors(k, 2 * N + k - 1), num)
+    return det_sum_over_vandermonde(shifts, parity_index_vectors(k, 2 * N + k - 1), prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -78,42 +74,44 @@ def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
         return num.fsum(terms)
 
 
-def _epsilon_vectors(k: int) -> Iterator[tuple[int, ...]]:
-    for mask in range(2 ** k):
-        yield tuple(1 - 2 * ((mask >> j) & 1) for j in range(k))
+def _sign_pairs(k: int, diagonal: bool) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, a, b) over the reflection-sum pairs and signs a, b = +-1,
+    with a = b on the diagonal."""
+    for i, j in index_pairs(k, diagonal):
+        for a in (1, -1):
+            for b in (1, -1):
+                if i < j or a == b:
+                    yield i, j, a, b
 
 
-def sp_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
-    """Sign-vector route: w_1^N..w_k^N times the 2^k-term reflection sum.
+def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None,
+                   diagonal: bool, signed: bool):
+    """w_1^N..w_k^N times the 2^k-term sign-vector (reflection) sum.
 
-    The pair products run over 1 <= i <= j <= k, diagonal included.
-    Raises PoleHit when a denominator 1 - w_i^(-e_i) w_j^(-e_j) is within
-    the floor of zero for some sign choice (including i = j).
+    The term of eps is prod_j w_j^(eps_j N) over the pair product of
+    (1 - w_i^(-eps_i) w_j^(-eps_j)), pairs i <= j with the diagonal and
+    i < j without, times prod eps_j when signed.  Raises PoleHit for a
+    zero shift or when a denominator is within the floor of zero for some
+    sign choice.
     """
-    if any(complex(w) == 0 for w in shifts):
-        raise PoleHit("sign-vector route needs nonzero shifts")
-    k = len(shifts)
     ws_d = [complex(w) for w in shifts]
-    for i in range(k):
-        for j in range(i, k):
-            for a in (1, -1):
-                for b in (1, -1):
-                    if i == j and a != b:
-                        continue
-                    if abs(1 - ws_d[i] ** (-a) * ws_d[j] ** (-b)) < EPS_DENOM_FLOOR:
-                        raise PoleHit("reflection-sum denominator vanishes; "
-                                      "use the Schur route")
+    if any(w == 0 for w in ws_d):
+        raise PoleHit("sign-vector route needs nonzero shifts")
+    k = len(ws_d)
+    for i, j, a, b in _sign_pairs(k, diagonal):
+        if abs(1 - ws_d[i] ** (-a) * ws_d[j] ** (-b)) < EPS_DENOM_FLOOR:
+            raise PoleHit("reflection-sum denominator vanishes; use the Schur route")
+    pairs = index_pairs(k, diagonal)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
         terms = []
         for eps in _epsilon_vectors(k):
-            t = num.one
+            t = -num.one if signed and math.prod(eps) < 0 else num.one
             for j in range(k):
                 t = t * ws[j] ** (eps[j] * N)
-            for i in range(k):
-                for j in range(i, k):
-                    t = t / (num.one - ws[i] ** (-eps[i]) * ws[j] ** (-eps[j]))
+            for i, j in pairs:
+                t = t / (num.one - ws[i] ** (-eps[i]) * ws[j] ** (-eps[j]))
             terms.append(t)
         total = num.fsum(terms)
         for w in ws:
@@ -121,40 +119,26 @@ def sp_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | N
         return total
 
 
+def sp_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
+    """Sign-vector route: the reflection sum with pairs 1 <= i <= j <= k,
+    diagonal included; raises PoleHit where that sum does."""
+    return reflection_sum(N, shifts, prec, diagonal=True, signed=False)
+
+
 def sp_autocorr_contour(N: int, alphas: Sequence[complex],
                         cfg: ContourConfig | None = None) -> complex:
     """Contour route at shifts w_j = exp(-alpha_j), circle enclosing +-alpha.
 
-    Integrand: prod_{l<=m} (1 - exp(-z_m - z_l))^(-1) times the squared
-    Vandermonde in the z_j^2 with a prod z_j numerator, over
-    prod (z_j - alpha_i)(z_j + alpha_i), weighted by exp(N sum z).
+    The plain sign-vector lemma with kernel exp(N sum z) prod_{l<=m}
+    (1 - exp(-z_m - z_l))^(-1), times exp(-N sum alpha).
     """
     al = [complex(a) for a in alphas]
-    k = len(al)
     enclosed = al + [-a for a in al]
-    require_separated(enclosed, "+-alpha points")
-    cfg = cfg or ContourConfig()
-    _center, radius = resolve_geometry(cfg, enclosed)
-    require_exp_kernel_radius(radius)
-
-    def integrand(*z):
-        val = np.exp(N * sum(z))
-        for l in range(k):
-            for m_ in range(l, k):
-                val = val / (1 - np.exp(-z[m_] - z[l]))
-        for i in range(k):
-            for j in range(i + 1, k):
-                val = val * (z[j] ** 2 - z[i] ** 2) ** 2
-        for zj in z:
-            val = val * zj
-            for ai in al:
-                val = val / ((zj - ai) * (zj + ai))
-        return val
-
-    pref = ((-1) ** (k * (k - 1) // 2) * 2 ** k / math.factorial(k)
-            * np.exp(-N * sum(al)))
-    return pref * circular_integral(k, integrand, cfg, enclosed_points=enclosed,
-                                    vectorized=True)
+    require_exp_kernel_contour(enclosed, cfg, "+-alpha points")
+    kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=True)
+    return np.exp(-N * sum(al)) * circular_integral(
+        len(al), sym_lemma_integrand(kernel, al, "plain"), cfg, enclosed_points=enclosed,
+        vectorized=True)
 
 
 def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None = None):
@@ -170,14 +154,10 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     if any(x == 0 for x in bs_d):
         raise PoleHit("scaling ratio needs nonzero b")
     scale = max(abs(x) for x in bs_d)
-    for i in range(k):
-        for j in range(i, k):
-            for a in (1, -1):
-                for c in (1, -1):
-                    if i == j and a != c:
-                        continue
-                    if abs(a * bs_d[i] + c * bs_d[j]) < 1e-12 * scale:
-                        raise PoleHit("eps_i b_i + eps_j b_j vanishes")
+    if any(abs(a * bs_d[i] + c * bs_d[j]) < 1e-12 * scale
+           for i, j, a, c in _sign_pairs(k, diagonal=True)):
+        raise PoleHit("eps_i b_i + eps_j b_j vanishes")
+    pairs = index_pairs(k, diagonal=True)
     num = ops_for(prec)
     with num.guard():
         bs = [num.scalar(x) for x in b]
@@ -190,11 +170,10 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
                 w_pow = num.exp(eps[j] * bs[j])
                 te = te * w_pow
                 ta = ta * w_pow
-            for i in range(k):
-                for j in range(i, k):
-                    x = eps[i] * bs[i] + eps[j] * bs[j]
-                    te = te / (-num.expm1(-x / N))
-                    ta = ta / x
+            for i, j in pairs:
+                x = eps[i] * bs[i] + eps[j] * bs[j]
+                te = te / (-num.expm1(-x / N))
+                ta = ta / x
             exact_terms.append(te)
             asym_terms.append(ta)
         # the common e^{sum b} prefactors cancel in the ratio

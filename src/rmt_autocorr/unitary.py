@@ -15,13 +15,18 @@ singular configurations instead of silently losing digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .contour import ContourConfig, circular_integral, require_exp_kernel_radius, resolve_geometry
+from .contour import (
+    BipartiteKernel,
+    ContourConfig,
+    circular_integral,
+    exp_pole,
+    exp_sum,
+    require_exp_kernel_contour,
+    unitary_lemma_integrand,
+)
 from .errors import PoleHit
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
@@ -161,31 +166,14 @@ def autocorr_contour(N: int, alphas: Sequence[complex], m: int,
                      cfg: ContourConfig | None = None) -> complex:
     """Contour route: I_{m,n} at shifts w_j = exp(-alpha_j).
 
-    n-fold integral of exp(-N sum z_right) over the cross-block
-    (1 - exp(z_q - z_l)) factors, with the squared Vandermonde kernel over
-    prod (z_i - alpha_j), on a shared circle enclosing the alphas.
+    The unitary lemma with kernel G(a; b) = exp(-N sum b) prod
+    (1 - exp(b_j - a_i))^(-1), integrated on a shared circle enclosing
+    the alphas.
     """
     al = [complex(a) for a in alphas]
-    n = len(al)
-    if not 0 <= m <= n:
+    if not 0 <= m <= len(al):
         raise ValueError("need 0 <= m <= n")
-    require_separated(al, "alpha points")
-    cfg = cfg or ContourConfig()
-    _center, radius = resolve_geometry(cfg, al)
-    require_exp_kernel_radius(radius)
-
-    def integrand(*z):
-        val = np.exp(-N * sum(z[m:]))
-        for l in range(m):
-            for q in range(m, n):
-                val = val / (1 - np.exp(z[q] - z[l]))
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = val * (z[j] - z[i]) ** 2
-        for zi in z:
-            for aj in al:
-                val = val / (zi - aj)
-        return val
-
-    pref = (-1) ** (n * (n - 1) // 2) / (math.factorial(m) * math.factorial(n - m))
-    return pref * circular_integral(n, integrand, cfg, enclosed_points=al, vectorized=True)
+    require_exp_kernel_contour(al, cfg, "alpha points")
+    kernel = BipartiteKernel(exp_pole, lambda _a, b: exp_sum(-N, b))
+    return circular_integral(len(al), unitary_lemma_integrand(kernel, al, m), cfg,
+                             enclosed_points=al, vectorized=True)

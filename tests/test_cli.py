@@ -188,14 +188,20 @@ def test_identity_suite_extended_cli(capsys):
     assert report["mode"] == "extended(40)"
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("RMT_AUTOCORR_THREADS", "0")
-    assert main(["compute", "--group", "usp", "--N", "1", "--shifts", "2",
-                 "--method", "eps"]) == 2
-    monkeypatch.setenv("RMT_AUTOCORR_THREADS", "2")
-    assert main(["compute", "--group", "usp", "--N", "1", "--shifts", "2",
-                 "--method", "eps"]) == 0
-    capsys.readouterr()
+def test_ominus_schur_route(capsys):
+    # the coset moment at k = 1 is (w^2 - 1)(1 + w^2 + ... + w^(2N-2)) = w^(2N) - 1
+    w, N = 0.7 + 0.2j, 3
+    code, out, _ = run_cli(capsys, "compute", "--group", "ominus", "--N", str(N),
+                           "--shifts", "0.7+0.2i", "--method", "schur")
+    assert code == 0
+    got = json.loads(out)["value"]
+    assert complex(got["re"], got["im"]) == pytest.approx(w ** (2 * N) - 1, abs=1e-14)
+
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", "ominus", "--N", "2",
+                           "--shifts", "0.8+0.1i,1.4", "--routes", "det,eps,schur")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True and set(report["routes"]) == {"det", "eps", "schur"}
 
 
 def test_unitary_contour_cli(capsys):

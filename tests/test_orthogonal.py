@@ -255,6 +255,15 @@ def test_full_o2n_examples():
     assert kept == pytest.approx(((1 + w ** 2) + (w ** 2 - 1)) / 2)
 
 
+def test_full_o2n_coset_falls_back_to_schur():
+    # w_1 w_2 = 1 puts a zero denominator in the coset's sign-vector sum
+    N, w = 2, [0.8 + 0.3j, 1 / (0.8 + 0.3j)]
+    with pytest.raises(PoleHit):
+        ominus_autocorr_eps(N, w)
+    expected = (complex(so_autocorr_schur(N, w)) + complex(ominus_autocorr_schur(N, w))) / 2
+    assert complex(full_o2n_average(N, w)) == expected
+
+
 def test_full_o2n_against_component_split_monte_carlo():
     N, w = 2, [0.6]
     exact = complex(full_o2n_average(N, w))
