@@ -114,7 +114,8 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
     Scalar mode calls integrand(z_1, ..., z_dim) per grid point with a
     fixed lexicographic order and compensated accumulation, so results do
     not depend on evaluation batching.  Vectorized mode hands the integrand
-    one broadcastable array per dimension and expects the full grid back.
+    one broadcastable array per dimension and expects an array that
+    broadcasts to the full grid back; it does not write to that array.
     """
     cfg = cfg or DEFAULT_CONTOUR
     if dim > cfg.dim_cap:
@@ -125,10 +126,13 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
 
     if vectorized:
         shaped = [c.reshape((1,) * d + (M,) + (1,) * (dim - d - 1)) for d, c in enumerate(circles)]
-        vals = np.asarray(integrand(*shaped), dtype=complex)
-        for d, c in enumerate(circles):
-            vals = vals * (c - center).reshape((1,) * d + (M,) + (1,) * (dim - d - 1))
-        return complex(vals.sum() / M ** dim)
+        # Contracting one axis at a time with the node weights reads the
+        # integrand's grid without a second full-size array (or writing to
+        # it: the result may be a view of the circles).
+        vals = np.broadcast_to(np.asarray(integrand(*shaped), dtype=complex), (M,) * dim)
+        for c in reversed(circles):
+            vals = vals @ (c - center)
+        return complex(vals / M ** dim)
 
     total = 0j
     comp = 0j  # Kahan compensation

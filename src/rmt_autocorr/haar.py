@@ -6,9 +6,14 @@ closed-form routes:
 * deterministic tensor quadrature against the explicit Weyl eigenvalue
   densities (exact for the trigonometric-polynomial integrands in scope,
   feasible for small matrix size), and
-* Monte Carlo over Haar-sampled matrices (QR with phase/sign correction
-  for U(N) and O(2N); a symplectic-structure-preserving Gram-Schmidt for
-  USp(2N)), reduced to eigenangles.
+* Monte Carlo over eigenangles: U(N) angles are those of Haar matrices
+  (QR with phase correction); the self-dual families draw theirs from the
+  Killip-Nenciu Jacobi model (one n x n symmetric eigensolve per sample,
+  no group element is built).
+
+The Haar matrix samplers (QR with sign correction for O(2N), a
+symplectic-structure-preserving Gram-Schmidt for USp(2N)) and
+`eigenangles_of` stay as the reference the Jacobi model is tested against.
 
 Also hosts per-matrix characteristic-polynomial evaluation and the
 functional-equation residuals.
@@ -376,13 +381,54 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return (a[:, 0::2] + a[:, 1::2]) / 2.0
 
 
+def _jacobi_angles(rng: np.random.Generator, B: int, n: int, a: float) -> np.ndarray:
+    """B ascending angle vectors in [0, pi] of the Jacobi ensemble.
+
+    Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b: the
+    eigenvalues x of the n x n Jacobi matrix built from independent Beta
+    Verblunsky coefficients alpha_0..alpha_{2n-2} (alpha_{-1} =
+    alpha_{2n-1} = -1) have density prop. to Delta(x)^2 prod (4 - x^2)^a
+    on [-2, 2], so theta = arccos(x / 2) has the Weyl law of USp(2n)
+    for a = 1/2 and of SO(2n) for a = -1/2.
+    """
+    if n == 0:
+        return np.empty((B, 0))
+    k = np.arange(2 * n - 1)
+    even = k % 2 == 0
+    p = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + 2 * a + 2)
+    q = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 1) / 2)
+    alpha = np.full((B, 2 * n + 1), -1.0)  # alpha[:, i + 1] is alpha_i
+    alpha[:, 1:-1] = 1 - 2 * rng.beta(p, q, size=(B, 2 * n - 1))
+    odd = alpha[:, 0::2]   # alpha_{-1}, alpha_1, ..., alpha_{2n-1}
+    ev = alpha[:, 1::2]    # alpha_0, alpha_2, ..., alpha_{2n-2}
+    # alpha_{2j-2}; at j = 0 it is multiplied by 1 + alpha_{-1} = 0
+    ev_prev = np.concatenate([np.zeros((B, 1)), ev[:, :-1]], axis=1)
+    jac = np.zeros((B, n, n))
+    idx = np.arange(n)
+    jac[:, idx, idx] = (1 - odd[:, :-1]) * ev - (1 + odd[:, :-1]) * ev_prev
+    off = np.sqrt((1 - odd[:, :-2]) * (1 - ev[:, :-1] ** 2) * (1 + odd[:, 1:-1]))
+    jac[:, idx[1:], idx[:-1]] = off
+    jac[:, idx[:-1], idx[1:]] = off
+    x = np.linalg.eigvalsh(jac)[:, ::-1]
+    return np.arccos(np.clip(x / 2, -1.0, 1.0))
+
+
 def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
-    """`count` eigenangle vectors from the seeded stream, in sampling chunks."""
+    """`count` eigenangle vectors from the seeded stream, in sampling chunks.
+
+    U(N) angles come from Haar matrices; the self-dual families draw theirs
+    from the Jacobi model without building a group element.  The free
+    angles of O^-(2N) follow the USp(2N - 2) law.
+    """
     rng = np.random.default_rng(rng_seed)
+    a = -0.5 if spec.family == SO_EVEN else 0.5
     remaining = count
     while remaining > 0:
         B = min(_SAMPLE_CHUNK, remaining)
-        yield eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
+        if spec.family == UNITARY:
+            yield eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
+        else:
+            yield _jacobi_angles(rng, B, spec.free_angles, a)
         remaining -= B
 
 

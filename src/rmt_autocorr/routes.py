@@ -37,10 +37,12 @@ ROUTES = {
                "eps": _self_dual(orthogonal.ominus_autocorr_eps)},
 }
 
-# The coset's 2^k closed form is cheap at every N; its Schur sum is the
-# confluent-safe fallback.
-CANONICAL = {"unitary": ("schur",), "symplectic": ("schur",), "so": ("schur",),
-             "ominus": ("eps", "schur")}
+# The determinant and 2^k closed forms are cheap at every N and keep their
+# digits where the Schur sums lose them (Jacobi-Trudi cancellation off the
+# unit circle for U(N), binomial(k + N, k) terms for the others); the
+# Schur sum is the confluent-safe fallback.
+CANONICAL = {"unitary": ("det", "schur"), "symplectic": ("eps", "schur"),
+             "so": ("eps", "schur"), "ominus": ("eps", "schur")}
 
 
 def canonical_value(family: str, N: int, shifts: Sequence[complex], m: int = 0,

@@ -159,3 +159,20 @@ def test_signed_variant_distinguishes_odd_kernels():
     expected = np.exp(3 * alpha) - np.exp(-3 * alpha)
     assert res.lhs == pytest.approx(expected)
     assert res.residual <= 1e-7
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_vectorized_path_leaves_the_integrands_result_alone(dim):
+    # the result is a view of the node circle (broadcast along the other axes)
+    cfg = ContourConfig(nodes_per_dim=32)
+    seen = []
+
+    def first(*z):
+        seen.append((z[0], z[0].copy()))
+        return z[0]
+
+    vector = circular_integral(dim, first, cfg, [0.3 + 0.1j], vectorized=True)
+    scalar = circular_integral(dim, lambda *z: z[0], cfg, [0.3 + 0.1j])
+    assert abs(vector - scalar) <= 1e-13
+    nodes, snapshot = seen[0]
+    assert np.array_equal(nodes, snapshot)

@@ -10,8 +10,11 @@ from rmt_autocorr import (
     functional_equation_residual,
     group,
     monte_carlo_average,
+    ominus_autocorr_eps,
     quadrature_average,
     sample_eigenangles,
+    so_autocorr_eps,
+    sp_autocorr_eps,
     weyl_autocorrelation,
     znorm_residual,
 )
@@ -224,3 +227,47 @@ def test_full_orthogonal_batch_without_component_fix():
     q = _haar_orthogonal_batch(np.random.default_rng(8), 400, 4, None)
     signs = np.sign(np.linalg.det(q))
     assert abs(signs.mean()) < 0.25  # both components show up about equally
+
+
+# ---------------------------------------------------------------------------
+# The Jacobi model of the self-dual spectra
+# ---------------------------------------------------------------------------
+
+SELF_DUAL_EPS = {"usp": sp_autocorr_eps, "so": so_autocorr_eps, "ominus": ominus_autocorr_eps}
+
+
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+@pytest.mark.parametrize("N,seed", [(2, 301), (8, 302), (16, 303)])
+def test_jacobi_model_reproduces_the_exact_moment(fam, N, seed):
+    # the USp and SO moments differ by many standard errors here, so a
+    # swapped endpoint exponent a = +-1/2 fails this
+    spec = group(fam, N)
+    shifts = [0.85, 0.6 + 0.25j, -0.4 + 0.5j]
+    exact = complex(SELF_DUAL_EPS[fam](N, shifts))
+    mean, se = monte_carlo_average(spec, autocorr_integrand(spec, shifts), seed, 20000)
+    assert abs(mean - exact) <= 4 * se
+
+
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+@pytest.mark.parametrize("N", [2, 5])
+def test_jacobi_model_agrees_with_the_matrix_sampler(fam, N):
+    spec = group(fam, N)
+    count = 20000
+    jacobi = sample_eigenangle_batch(spec, 401 + N, count)
+    matrix = eigenangles_of(spec, sample_matrix_batch(spec, np.random.default_rng(501 + N), count))
+    for r in (1, 2, 3):
+        x = np.cos(r * jacobi).sum(axis=1)
+        y = np.cos(r * matrix).sum(axis=1)
+        z = abs(x.mean() - y.mean()) / np.sqrt((x.var(ddof=1) + y.var(ddof=1)) / count)
+        assert z <= 4
+
+
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_jacobi_model_angles_are_sorted_in_zero_pi(fam, N):
+    spec = group(fam, N)
+    angles = sample_eigenangle_batch(spec, 7, 5000)
+    assert angles.shape == (5000, spec.free_angles)
+    if spec.free_angles:
+        assert angles.min() >= 0.0 and angles.max() <= np.pi
+        assert np.all(np.diff(angles, axis=1) >= 0)
