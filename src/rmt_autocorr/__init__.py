@@ -27,7 +27,6 @@ from .errors import (
 )
 from .haar import (
     GroupSpec,
-    WeylMeasure,
     char_poly_eval,
     functional_equation_residual,
     group,
@@ -35,7 +34,7 @@ from .haar import (
     quadrature_average,
     sample_eigenangles,
     weyl_autocorrelation,
-    weyl_measure,
+    weyl_density,
     znorm_residual,
 )
 from .identities import (

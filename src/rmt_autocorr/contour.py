@@ -39,46 +39,27 @@ GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 # exp-kernel integrands (z_i +- z_j = 2 pi i k, k != 0).
 EXP_KERNEL_MAX_RADIUS = 2.8
 
+# Largest contour dimension (M^dim grid points).
+DIM_CAP = 3
+
 
 @dataclass(frozen=True)
 class ContourConfig:
     nodes_per_dim: int = 128
-    radius_rule: str = "auto"          # "auto" | "explicit"
-    radius: float | None = None
-    center: complex | None = None
-    dim_cap: int = 3
-    grid_rotation: str = "golden"      # "golden" | "none"
 
     def __post_init__(self) -> None:
         if self.nodes_per_dim < 16:
             raise ValueError("nodes_per_dim must be >= 16")
-        if self.dim_cap > 4:
-            raise ValueError("dim_cap must be <= 4")
-        if self.radius_rule not in ("auto", "explicit"):
-            raise ValueError("radius_rule must be 'auto' or 'explicit'")
-        if self.radius_rule == "explicit" and not (self.radius and self.radius > 0):
-            raise ValueError("explicit radius_rule requires a positive radius")
-        if self.grid_rotation not in ("golden", "none"):
-            raise ValueError("grid_rotation must be 'golden' or 'none'")
 
 
 DEFAULT_CONTOUR = ContourConfig()
 
 
-def resolve_geometry(cfg: ContourConfig, enclosed: Sequence[complex]) -> tuple[complex, float]:
-    """Center and radius of the shared circle.
-
-    Auto rule: center at the centroid of the enclosed points (unless the
-    config pins one), radius twice the farthest enclosed distance plus an
-    absolute 0.1 floor.
-    """
+def resolve_geometry(enclosed: Sequence[complex]) -> tuple[complex, float]:
+    """Center and radius of the shared circle: the centroid of the enclosed
+    points, and twice the farthest enclosed distance plus an absolute 0.1."""
     pts = [complex(p) for p in enclosed]
-    if cfg.center is not None:
-        center = complex(cfg.center)
-    else:
-        center = sum(pts) / len(pts) if pts else 0j
-    if cfg.radius_rule == "explicit":
-        return center, float(cfg.radius)
+    center = sum(pts) / len(pts) if pts else 0j
     spread = max((abs(p - center) for p in pts), default=0.0)
     return center, 2.0 * spread + 0.1
 
@@ -90,19 +71,17 @@ def require_exp_kernel_radius(radius: float) -> None:
             "branches; move the enclosed points closer together")
 
 
-def require_exp_kernel_contour(enclosed: Sequence[complex], cfg: ContourConfig | None,
-                               what: str) -> None:
+def require_exp_kernel_contour(enclosed: Sequence[complex], what: str) -> None:
     """Guards of a contour route with exp-pole kernels: the enclosed points
     are separated and the circle around them stays inside the pole branches."""
     require_separated(enclosed, what)
-    _center, radius = resolve_geometry(cfg or DEFAULT_CONTOUR, enclosed)
+    _center, radius = resolve_geometry(enclosed)
     require_exp_kernel_radius(radius)
 
 
-def _node_circles(dim: int, cfg: ContourConfig, center: complex, radius: float) -> list[np.ndarray]:
-    M = cfg.nodes_per_dim
+def _node_circles(dim: int, M: int, center: complex, radius: float) -> list[np.ndarray]:
     base = 2.0 * np.pi * np.arange(M) / M
-    rot = GOLDEN_FRACTION * (2.0 * np.pi / M) if cfg.grid_rotation == "golden" else 0.0
+    rot = GOLDEN_FRACTION * (2.0 * np.pi / M)
     return [center + radius * np.exp(1j * (base + d * rot)) for d in range(dim)]
 
 
@@ -117,12 +96,11 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
     one broadcastable array per dimension and expects an array that
     broadcasts to the full grid back; it does not write to that array.
     """
-    cfg = cfg or DEFAULT_CONTOUR
-    if dim > cfg.dim_cap:
-        raise DimensionCap(f"dimension {dim} exceeds the configured cap {cfg.dim_cap}")
-    center, radius = resolve_geometry(cfg, enclosed_points)
-    circles = _node_circles(dim, cfg, center, radius)
-    M = cfg.nodes_per_dim
+    if dim > DIM_CAP:
+        raise DimensionCap(f"dimension {dim} exceeds the cap {DIM_CAP}")
+    M = (cfg or DEFAULT_CONTOUR).nodes_per_dim
+    center, radius = resolve_geometry(enclosed_points)
+    circles = _node_circles(dim, M, center, radius)
 
     if vectorized:
         shaped = [c.reshape((1,) * d + (M,) + (1,) * (dim - d - 1)) for d, c in enumerate(circles)]

@@ -11,6 +11,11 @@ closed-form routes:
   Killip-Nenciu Jacobi model (one n x n symmetric eigensolve per sample,
   no group element is built).
 
+Each self-dual family's eigenangle law is written once, as the Jacobi
+exponent of `_JACOBI_A` in the coordinate x = 2 cos(theta), where the Weyl
+density is a real polynomial (Keating-Snaith, CMP 214, 2000); the
+quadrature density and the Jacobi sampler both read that table.
+
 The Haar matrix samplers (QR with sign correction for O(2N), a
 symplectic-structure-preserving Gram-Schmidt for USp(2N)) and
 `eigenangles_of` stay as the reference the Jacobi model is tested against.
@@ -37,8 +42,6 @@ SYMPLECTIC = "symplectic"
 SO_EVEN = "so"
 O_MINUS = "ominus"
 
-FAMILIES = (UNITARY, SYMPLECTIC, SO_EVEN, O_MINUS)
-
 _ALIASES = {
     "u": UNITARY, "un": UNITARY, "unitary": UNITARY,
     "usp": SYMPLECTIC, "sp": SYMPLECTIC, "symplectic": SYMPLECTIC,
@@ -47,6 +50,9 @@ _ALIASES = {
 }
 
 _SAMPLE_CHUNK = 4096
+
+# Largest free-angle count of the tensor quadrature (M^d grid points).
+DIM_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -82,61 +88,30 @@ def group(family: str, size: int) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# Weyl eigenvalue densities
+# Eigenangle laws
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeylMeasure:
-    """Eigenangle density of a group family, normalized to total mass 1."""
-
-    group: GroupSpec
-    density: Callable[[np.ndarray], np.ndarray]  # (P, d) angles -> (P,) reals
-    normalization: float
-    node_offset: float  # half-step grid offset (avoids factored 0/0 for SO)
+# Jacobi endpoint exponent a of each self-dual family: in x = 2 cos(theta)
+# its n = free_angles eigenangles have density prop. to
+# Delta(x)^2 prod (4 - x^2)^a on [-2, 2]^n.  Read by the Weyl density and
+# by the Jacobi-model sampler.  O^-(2N) has the USp(2N - 2) law.
+_JACOBI_A = {SYMPLECTIC: 0.5, SO_EVEN: -0.5, O_MINUS: 0.5}
 
 
-def weyl_measure(spec: GroupSpec) -> WeylMeasure:
-    N = spec.size
-    fam = spec.family
+def weyl_density(spec: GroupSpec, T: np.ndarray) -> np.ndarray:
+    """Weyl eigenangle density at the (P, d) angle array T, mass 1 on [0, 2 pi)^d.
 
-    if fam == UNITARY:
-        const = 1.0 / (math.factorial(N) * TWO_PI ** N)
-
-        def density(T: np.ndarray) -> np.ndarray:
-            E = np.exp(1j * T)
-            out = np.full(T.shape[0], const)
-            for a in range(N):
-                for b in range(a + 1, N):
-                    out *= np.abs(E[:, b] - E[:, a]) ** 2
-            return out
-
-        return WeylMeasure(spec, density, 1.0, 0.0)
-
-    if fam in (SYMPLECTIC, O_MINUS):
-        n_pairs = N if fam == SYMPLECTIC else N - 1
-        const = ((-1.0) ** (n_pairs * (n_pairs - 1) // 2)
-                 / (np.pi ** n_pairs * math.factorial(n_pairs) * 4.0 ** n_pairs))
-
-        def density(T: np.ndarray) -> np.ndarray:
-            if n_pairs == 0:
-                return np.ones(T.shape[0])
-            E = np.exp(1j * T)
-            d = const * vandermonde([*E.T, *np.conj(E).T]) * np.prod(E - np.conj(E), axis=1)
-            return d.real
-
-        return WeylMeasure(spec, density, 1.0, 0.0)
-
-    # SO(2N): the factored form has (e^{-i th}-e^{i th})^{-1} singular at
-    # th in {0, pi}; quadrature nodes are half-step offset to dodge it.
-    const = ((-1.0) ** (N * (N - 1) // 2) * 2.0 ** (1 - 2 * N)
-             / (np.pi ** N * math.factorial(N)))
-
-    def density(T: np.ndarray) -> np.ndarray:
-        E = np.exp(1j * T)
-        d = const * vandermonde([*E.T, *np.conj(E).T]) / np.prod(np.conj(E) - E, axis=1)
-        return d.real
-
-    return WeylMeasure(spec, density, 1.0, 0.5)
+    U(N): |Delta(e^{i theta})|^2 / (N! (2 pi)^N).  Self-dual families:
+    2^{1/2 - a} Delta(2 cos theta)^2 prod (2 sin theta)^{2a + 1} / (n! (4 pi)^n),
+    the law of `_JACOBI_A` carried over to theta.
+    """
+    n = T.shape[1]
+    if spec.family == UNITARY:
+        return np.abs(vandermonde(list(np.exp(1j * T).T))) ** 2 / (math.factorial(n) * TWO_PI ** n)
+    a = _JACOBI_A[spec.family]
+    const = 2.0 ** (0.5 - a) / (math.factorial(n) * (2 * TWO_PI) ** n)
+    return (const * vandermonde(list(2 * np.cos(T).T)).real ** 2
+            * np.prod((2 * np.sin(T)) ** (2 * a + 1), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +130,10 @@ def char_poly_eval(spec: GroupSpec, angles: np.ndarray, s: complex):
     if T.shape[1] != spec.free_angles:
         if not (spec.free_angles == 0 and T.size == 0):
             raise ValueError("angle count does not match the group")
-    E = np.exp(1j * T)
     if spec.family == UNITARY:
-        out = np.prod(1 - E * s, axis=1)
+        out = np.prod(1 - np.exp(1j * T) * s, axis=1)
     else:
-        out = np.prod((1 - E * s) * (1 - np.conj(E) * s), axis=1) if T.shape[1] else \
-            np.ones(T.shape[0], dtype=complex)
+        out = np.prod(1 + s * s - 2 * s * np.cos(T), axis=1)
         if spec.family == O_MINUS:
             out = out * (1 - s) * (1 + s)
     return out[0] if single else out
@@ -219,7 +192,7 @@ def znorm_residual(spec: GroupSpec, angles: np.ndarray, s: complex) -> float:
 # ---------------------------------------------------------------------------
 
 def quadrature_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.ndarray],
-                       nodes_per_dim: int = 64, dim_cap: int = 3) -> complex:
+                       nodes_per_dim: int = 64) -> complex:
     """Average `integrand` against the Weyl density by tensor trapezoid.
 
     The periodic trapezoid rule is exact for trigonometric polynomials of
@@ -227,23 +200,21 @@ def quadrature_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nda
     package, so this is an exact oracle rather than an approximation.
 
     `integrand` must accept a (P, d) angle array and return (P,) values.
-    Raises DimensionCap when the free-angle count exceeds `dim_cap`.
+    Raises DimensionCap when the free-angle count exceeds DIM_CAP.
     """
     d = spec.free_angles
-    if d > dim_cap:
-        raise DimensionCap(f"{d} free angles exceeds the cap of {dim_cap}")
+    if d > DIM_CAP:
+        raise DimensionCap(f"{d} free angles exceeds the cap of {DIM_CAP}")
     if d == 0:
         return complex(np.asarray(integrand(np.zeros((1, 0))))[0])
-    measure = weyl_measure(spec)
     M = int(nodes_per_dim)
     if M < 4:
         raise ValueError("nodes_per_dim too small")
-    theta = TWO_PI * (np.arange(M) + measure.node_offset) / M
+    theta = TWO_PI * np.arange(M) / M
     grids = np.meshgrid(*([theta] * d), indexing="ij")
     T = np.stack([g.ravel() for g in grids], axis=-1)
-    dens = measure.density(T)
     vals = np.asarray(integrand(T))
-    return complex(np.sum(vals * dens) * (TWO_PI / M) ** d)
+    return complex(np.sum(vals * weyl_density(spec, T)) * (TWO_PI / M) ** d)
 
 
 def default_nodes(spec: GroupSpec, shift_count: int) -> int:
@@ -289,12 +260,12 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
 
 
 def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
-                         nodes_per_dim: int | None = None, dim_cap: int = 3) -> complex:
+                         nodes_per_dim: int | None = None) -> complex:
     """Brute-force quadrature value of the family's autocorrelation."""
     if nodes_per_dim is None:
         nodes_per_dim = default_nodes(spec, len(shifts))
     return quadrature_average(spec, autocorr_integrand(spec, shifts, m),
-                              nodes_per_dim=nodes_per_dim, dim_cap=dim_cap)
+                              nodes_per_dim=nodes_per_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +392,13 @@ def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[n
     angles of O^-(2N) follow the USp(2N - 2) law.
     """
     rng = np.random.default_rng(rng_seed)
-    a = -0.5 if spec.family == SO_EVEN else 0.5
     remaining = count
     while remaining > 0:
         B = min(_SAMPLE_CHUNK, remaining)
         if spec.family == UNITARY:
             yield eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
         else:
-            yield _jacobi_angles(rng, B, spec.free_angles, a)
+            yield _jacobi_angles(rng, B, spec.free_angles, _JACOBI_A[spec.family])
         remaining -= B
 
 

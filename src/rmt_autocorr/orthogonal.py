@@ -182,7 +182,7 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         ws = [num.scalar(w) for w in shifts]
         want_even = variant in ("M", "R")
         cal_e_full = math.prod((num.one - x * y for x, y in combinations(ws, 2)), start=num.one)
-        if abs(num.to_complex(cal_e_full)) == 0.0:
+        if abs(complex(cal_e_full)) == 0.0:
             raise PoleHit("script-E normalization vanishes (w_i w_j = 1)")
         terms = []
         for A, B in _subset_pairs(m):
@@ -250,7 +250,7 @@ def orthogonal_contour(family: str, N: int, alphas: Sequence[complex],
         raise ValueError("family must be 'so' or 'ominus'")
     al = [complex(a) for a in alphas]
     enclosed = al + [-a for a in al]
-    require_exp_kernel_contour(enclosed, cfg, "+-alpha points")
+    require_exp_kernel_contour(enclosed, "+-alpha points")
     kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=False)
     variant = "plain" if fam == "so" else "signed"
     return np.exp(N * sum(al)) * circular_integral(

@@ -46,10 +46,6 @@ class PrecisionConfig:
             raise ValueError("agreement_tol must be positive")
 
     @classmethod
-    def double(cls, agreement_tol: float = 1e-9) -> "PrecisionConfig":
-        return cls(MODE_DOUBLE, agreement_tol=agreement_tol)
-
-    @classmethod
     def extended(cls, digits: int = 40, agreement_tol: float | None = None) -> "PrecisionConfig":
         if agreement_tol is None:
             agreement_tol = 10.0 ** (-(digits - 15))
@@ -58,9 +54,6 @@ class PrecisionConfig:
     @property
     def is_double(self) -> bool:
         return self.mode == MODE_DOUBLE
-
-
-DOUBLE = PrecisionConfig()
 
 
 def _generic_det(rows, absfn):
@@ -93,8 +86,6 @@ def _generic_det(rows, absfn):
 
 class DoubleOps:
     """Machine-double operation set (python complex scalars)."""
-
-    is_double = True
 
     @staticmethod
     def guard():
@@ -138,15 +129,9 @@ class DoubleOps:
     def det(cls, rows):
         return _generic_det([[complex(x) for x in r] for r in rows], abs)
 
-    @staticmethod
-    def to_complex(z) -> complex:
-        return complex(z)
-
 
 class ExtendedOps:
     """mpmath operation set at a fixed decimal precision."""
-
-    is_double = False
 
     def __init__(self, digits: int):
         self.digits = digits
@@ -190,10 +175,6 @@ class ExtendedOps:
 
     def det(self, rows):
         return _generic_det([[self.scalar(x) for x in r] for r in rows], abs)
-
-    @staticmethod
-    def to_complex(z) -> complex:
-        return complex(z)
 
 
 _DOUBLE_OPS = DoubleOps()

@@ -134,7 +134,7 @@ def sp_autocorr_contour(N: int, alphas: Sequence[complex],
     """
     al = [complex(a) for a in alphas]
     enclosed = al + [-a for a in al]
-    require_exp_kernel_contour(enclosed, cfg, "+-alpha points")
+    require_exp_kernel_contour(enclosed, "+-alpha points")
     kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=True)
     return np.exp(-N * sum(al)) * circular_integral(
         len(al), sym_lemma_integrand(kernel, al, "plain"), cfg, enclosed_points=enclosed,

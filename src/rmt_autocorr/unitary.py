@@ -173,7 +173,7 @@ def autocorr_contour(N: int, alphas: Sequence[complex], m: int,
     al = [complex(a) for a in alphas]
     if not 0 <= m <= len(al):
         raise ValueError("need 0 <= m <= n")
-    require_exp_kernel_contour(al, cfg, "alpha points")
+    require_exp_kernel_contour(al, "alpha points")
     kernel = BipartiteKernel(exp_pole, lambda _a, b: exp_sum(-N, b))
     return circular_integral(len(al), unitary_lemma_integrand(kernel, al, m), cfg,
                              enclosed_points=al, vectorized=True)

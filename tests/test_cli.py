@@ -94,6 +94,15 @@ def test_crosscheck_pass_and_fail_paths(capsys):
     assert code == 3  # NearConfluent from the det route
 
 
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+def test_crosscheck_self_dual_quadrature(capsys, fam):
+    code, out, _ = run_cli(capsys, "crosscheck", "--group", fam, "--N", "2",
+                           "--shifts", "0.8+0.1i,1.4", "--routes", "eps,quadrature")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True and report["max_deviation"] <= 1e-9
+
+
 def test_identity_suite_cli(capsys):
     code, out, _ = run_cli(capsys, "identity-suite", "--trials", "25", "--seed", "3")
     assert code == 0

@@ -16,6 +16,7 @@ from rmt_autocorr import (
     so_autocorr_eps,
     sp_autocorr_eps,
     weyl_autocorrelation,
+    weyl_density,
     znorm_residual,
 )
 from rmt_autocorr.haar import (
@@ -54,10 +55,26 @@ def test_density_normalization(fam, N):
 def test_quadrature_dimension_cap():
     with pytest.raises(DimensionCap):
         quadrature_average(group("u", 4), lambda T: np.ones(T.shape[0]))
-    # raising the cap is allowed explicitly
-    val = quadrature_average(group("u", 4), lambda T: np.ones(T.shape[0]),
-                             nodes_per_dim=16, dim_cap=4)
-    assert abs(val - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_so_density_is_finite_at_zero_and_pi(N):
+    # theta = 0 and pi (eigenvalues +-1) are where a form of the SO(2N)
+    # density with the factor 1 / (e^{-i theta} - e^{i theta}) divides 0 by 0
+    spec = group("so", N)
+    T = np.array([[0.0] * N, [np.pi] * N, [0.0, np.pi, 0.4][:N], [np.pi, 0.0, 2.9][:N]])
+    dens = weyl_density(spec, T)
+    assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
+    if N == 1:  # the rotation angle of SO(2) is uniform
+        assert dens == pytest.approx(np.full(4, 1 / (2 * np.pi)), rel=1e-15)
+
+
+def test_so_quadrature_with_nodes_at_zero_and_pi_matches_eps():
+    # 24 nodes put theta = 0 and pi on the grid
+    spec = group("so", 2)
+    shifts = [0.8 + 0.1j, -0.5 + 0.4j]
+    val = weyl_autocorrelation(spec, shifts, nodes_per_dim=24)
+    assert val == pytest.approx(complex(so_autocorr_eps(2, shifts)), rel=1e-12)
 
 
 def test_symplectic_quadrature_hand_integral():
