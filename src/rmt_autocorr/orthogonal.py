@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,12 +38,12 @@ from .precision import PrecisionConfig, ops_for
 from .symcore import (
     Partition,
     conjugate_partition,
-    decreasing_tuples,
     det_sum_over_vandermonde,
     enumerate_even_partitions,
     enumerate_so_index_sets,
     partial_index_vectors,
-    schur_stable,
+    schur_stable,  # not called here; bench/tracer.py patches this binding too
+    schur_sum,
     vandermonde,
 )
 from .symplectic import (
@@ -117,13 +117,14 @@ def _subset_pairs(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 def so_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: the adjacency/pinning-constrained index sum."""
-    return det_sum_over_vandermonde(shifts, enumerate_so_index_sets(len(shifts), N), prec)
+    top = 2 * N + len(shifts) - 1
+    return det_sum_over_vandermonde(shifts, enumerate_so_index_sets(len(shifts), N), top, prec)
 
 
 def _odd_partitions_exact(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing all-odd tuples of exactly `length` parts in [1, max_part]."""
     if max_part >= 1:
-        yield from decreasing_tuples(length, range(max_part - 1 + max_part % 2, 0, -2))
+        yield from combinations_with_replacement(range(max_part - 1 + max_part % 2, 0, -2), length)
 
 
 def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -133,13 +134,10 @@ def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     is either all-odd with exactly 2N nonzero parts, or all-even with at
     most 2N parts.
     """
-    num = ops_for(prec)
     k = len(shifts)
-    with num.guard():
-        conjugates = chain(map(Partition, _odd_partitions_exact(2 * N, k)),
-                           enumerate_even_partitions(2 * N, k - k % 2))
-        terms = [schur_stable(conjugate_partition(lp).padded(k), shifts, prec) for lp in conjugates]
-        return num.fsum(terms)
+    conjugates = chain(map(Partition, _odd_partitions_exact(2 * N, k)),
+                       enumerate_even_partitions(2 * N, k - k % 2))
+    return schur_sum((conjugate_partition(lp).padded(k) for lp in conjugates), shifts, prec)
 
 
 def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -176,7 +174,8 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         raise ValueError(f"variant {variant} needs an even number of shifts")
     if variant in ("R", "L") and m % 2 == 0:
         raise ValueError(f"variant {variant} needs an odd number of shifts")
-    value = det_sum_over_vandermonde(shifts, partial_index_vectors(variant, m, n_max), prec)
+    value = det_sum_over_vandermonde(shifts, partial_index_vectors(variant, m, n_max), n_max,
+                                     prec)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]

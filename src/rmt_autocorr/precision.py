@@ -18,6 +18,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp
 
 MODE_DOUBLE = "machine-double"
@@ -82,6 +83,83 @@ def _generic_det(rows, absfn):
             for cc in range(c + 1, n):
                 a[r][cc] = a[r][cc] - f * a[c][cc]
     return det if sign > 0 else -det
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product, part by part."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cquot(ar, ai, br, bi):
+    """CPython's complex quotient (`_Py_c_quot`, Smith's algorithm) for a
+    nonzero divisor, part by part.  Where b has a NaN part neither branch
+    test holds and CPython gives NaN; so does the b.imag branch."""
+    ratio = bi / br
+    denom = br + bi * ratio
+    by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    ratio = br / bi
+    denom = br * ratio + bi
+    by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    real_wins = np.abs(br) >= np.abs(bi)
+    return np.where(real_wins, by_real[0], by_imag[0]), np.where(real_wins, by_real[1], by_imag[1])
+
+
+def batched_det(re, im):
+    """`_generic_det` of a stack of complex matrices, bit for bit.
+
+    `re` and `im` hold the real and imaginary parts, float64 arrays of shape
+    (B, n, n), and are overwritten; returns the parts of the B determinants.
+    Each step replays the scalar elimination in CPython's complex arithmetic
+    on separate real arrays (numpy's complex kernels round differently): the
+    pivot is the first row of largest abs (libm hypot, as `abs` of a complex),
+    the scalar code's integers 1 and 0 enter as 1+0j and 0+0j (the mixed
+    int-complex product of CPython before 3.14), and a zero pivot gives
+    0 * a[0][0].  Raises OverflowError where `abs` would.
+    """
+    B, n = re.shape[:2]
+    det_re, det_im = np.ones(B), np.zeros(B)
+    flip = np.zeros(B, dtype=bool)
+    stopped = np.zeros(B, dtype=bool)
+    early_re, early_im = np.empty(B), np.empty(B)
+    with np.errstate(all="ignore"):
+        for c in range(n):
+            col_re, col_im = re[:, c:, c], im[:, c:, c]
+            key = np.hypot(col_re, col_im)
+            overflow = np.isinf(key)
+            if overflow.any():   # abs raises where finite parts give an infinite modulus
+                overflow &= np.isfinite(col_re) & np.isfinite(col_im) & ~stopped[:, None]
+                if overflow.any():
+                    raise OverflowError("absolute value too large")
+            # max(): a later row replaces the best only if its key is larger
+            p = np.full(B, c)
+            best = key[:, 0]
+            for r in range(1, n - c):
+                larger = key[:, r] > best
+                p[larger] = c + r
+                best = np.where(larger, key[:, r], best)
+            zero = best == 0
+            if zero.any():
+                zero &= ~stopped
+                early_re[zero], early_im[zero] = _cmul(0.0, 0.0, re[zero, 0, 0], im[zero, 0, 0])
+                stopped |= zero
+            swap = np.flatnonzero(p != c)
+            if swap.size:
+                for a in (re, im):
+                    a[swap, c], a[swap, p[swap]] = a[swap, p[swap]], a[swap, c]
+                flip[swap] = ~flip[swap]
+            piv_re, piv_im = re[:, c, c], im[:, c, c]
+            det_re, det_im = _cmul(det_re, det_im, piv_re, piv_im)
+            if c + 1 < n:
+                f_re, f_im = _cquot(re[:, c + 1:, c, None], im[:, c + 1:, c, None],
+                                    piv_re[:, None, None], piv_im[:, None, None])
+                t_re, t_im = _cmul(f_re, f_im, re[:, c, None, c + 1:], im[:, c, None, c + 1:])
+                re[:, c + 1:, c + 1:] -= t_re
+                im[:, c + 1:, c + 1:] -= t_im
+    det_re[flip] = -det_re[flip]
+    det_im[flip] = -det_im[flip]
+    det_re[stopped] = early_re[stopped]
+    det_im[stopped] = early_im[stopped]
+    return det_re, det_im
 
 
 class DoubleOps:

@@ -3,24 +3,27 @@
 This is the symmetric-function substrate shared by all the autocorrelation
 routes: integer partitions with explicit length, the block-ordered
 permutations and sign vectors indexing the combinatorial sums, the one
-Vandermonde product, and two Schur polynomial evaluators -- the
+Vandermonde product, two Schur polynomial evaluators -- the
 bialternant ratio (fails near coincident points) and a confluent-safe
-complete-homogeneous determinant.
+complete-homogeneous determinant -- and the two determinant sums of the
+self-dual routes (`schur_sum`, `det_sum_over_vandermonde`), each built on
+one table per call and batched elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations, combinations_with_replacement, islice
+from math import comb, fsum
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NearConfluent
-from .precision import PrecisionConfig, ops_for
+from .precision import ExtendedOps, PrecisionConfig, batched_det, ops_for
 
 SEPARATION_RTOL = 1e-6  # relative pairwise-separation floor for bialternant-type routes
+_CHUNK = 1024  # matrices per batched elimination: bounds the working set of the sums
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,14 @@ class Partition:
         if length < self.nonzero_count:
             raise ValueError("cannot pad below the number of nonzero parts")
         return Partition(tuple(p for p in self.parts if p > 0) + (0,) * (length - self.nonzero_count))
+
+
+def _unchecked_partition(parts: tuple[int, ...]) -> Partition:
+    """A Partition of int parts that are valid by construction, built
+    without the checks (they cost more than the sums' per-term work)."""
+    lam = object.__new__(Partition)
+    object.__setattr__(lam, "parts", parts)
+    return lam
 
 
 def conjugate_partition(lam: Partition) -> Partition:
@@ -106,17 +117,6 @@ def index_pairs(k: int, diagonal: bool) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i if diagonal else i + 1, k)]
 
 
-def decreasing_tuples(length: int, values: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing `length`-tuples drawn from `values` (listed in
-    decreasing order), in reverse lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        for rest in decreasing_tuples(length - 1, values[i:]):
-            yield (v,) + rest
-
-
 def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
     """Partitions of length k (zero-padded) with all parts even and <= max_part.
 
@@ -124,8 +124,7 @@ def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
     """
     if max_part % 2:
         raise ValueError("max_part must be even")
-    for parts in decreasing_tuples(k, range(max_part, -1, -2)):
-        yield Partition(parts)
+    yield from map(_unchecked_partition, combinations_with_replacement(range(max_part, -1, -2), k))
 
 
 def count_even_partitions(k: int, max_part: int) -> int:
@@ -230,17 +229,71 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
         return out
 
 
-def det_sum_over_vandermonde(shifts: Sequence, vectors, prec: PrecisionConfig | None = None):
+def _chunks(items):
+    """Lists of up to _CHUNK consecutive items, without listing them all."""
+    it = iter(items)
+    while chunk := list(islice(it, _CHUNK)):
+        yield chunk
+
+
+def _det_sum(num, chunks):
+    """fsum of det[table[idx[i][j]]]_{i, j < n} over every matrix of every
+    chunk (table, idx, sizes): idx an int array (B, k, k), sizes the B n's.
+
+    In double precision the matrices of one size are eliminated at once by
+    `batched_det`, bit for bit `num.det` one by one; in extended precision
+    `num.det` takes them in order.  A 0 x 0 matrix counts as num.one.
+    """
+    if isinstance(num, ExtendedOps):
+        return num.fsum(num.det([[table[x] for x in row[:n]] for row in mat[:n]]) if n else num.one
+                        for table, idx, sizes in chunks
+                        for mat, n in zip(idx.tolist(), sizes.tolist()))
+    re_parts, im_parts = [], []
+    for table, idx, sizes in chunks:
+        values = np.array(table, dtype=complex)
+        for n in set(sizes.tolist()):
+            picked = idx[sizes == n, :n, :n]
+            re, im = batched_det(values.real[picked], values.imag[picked])
+            re_parts.append(re)
+            im_parts.append(im)
+    return complex(fsum(chain.from_iterable(re_parts)), fsum(chain.from_iterable(im_parts)))
+
+
+def det_sum_over_vandermonde(shifts: Sequence, vectors, top: int,
+                             prec: PrecisionConfig | None = None):
     """Sum over the exponent vectors of det[w_i^(vec_j)], over the Vandermonde.
 
-    Raises NearConfluent when the shifts are not separated.
+    Every determinant reads one table of w_i ** e, 0 <= e <= top (see
+    `_det_sum`).  Raises NearConfluent when the shifts are not separated,
+    and OverflowError when a power that some vector uses overflows.
     """
     require_separated(shifts, "shifts")
     num = ops_for(prec)
+    k = len(shifts)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
-        terms = [num.det([[wp ** e for e in vec] for wp in ws]) for vec in vectors]
-        return num.fsum(terms) / vandermonde(ws, prec)
+        overflowed = set()
+
+        def power(w, e):
+            try:
+                return w ** e
+            except OverflowError:  # an error only if a vector uses e
+                overflowed.add(e)
+                return num.zero
+
+        table = [power(w, e) for w in ws for e in range(top + 1)]
+        row_start = np.arange(k)[:, None] * (top + 1)
+
+        def chunks():
+            for chunk in _chunks(vectors):
+                vecs = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+                if vecs.size and not 0 <= vecs.min() <= vecs.max() <= top:
+                    raise ValueError("exponents must lie in 0..top")
+                if overflowed and np.isin(vecs, list(overflowed)).any():
+                    raise OverflowError("complex exponentiation")
+                yield table, row_start + vecs[:, None, :], np.full(len(chunk), k)
+
+        return _det_sum(num, chunks()) / vandermonde(ws, prec)
 
 
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:
@@ -300,3 +353,33 @@ def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None =
 
         rows = [[h_at(mu.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
         return num.det(rows)
+
+
+def schur_sum(parts, points: Sequence, prec: PrecisionConfig | None = None):
+    """Sum of `schur_stable(lam, points)` over the partitions `parts`, each
+    of length len(points); bit for bit the per-term sum.
+
+    Every Jacobi-Trudi matrix reads one table h_0..h_top (computed again
+    only when a partition needs a higher degree; see `_det_sum`).
+    """
+    num = ops_for(prec)
+    k = len(points)
+    offsets = np.arange(k) - np.arange(k)[:, None]   # j - i
+    with num.guard():
+        h = []
+
+        def chunks():
+            nonlocal h
+            for chunk in _chunks(parts):
+                lams = np.array([lam.parts for lam in chunk], dtype=np.intp)
+                if lams.shape[1:] != (k,):
+                    raise ValueError("partition length must equal the number of points")
+                ell = np.count_nonzero(lams, axis=1)
+                top = int((lams.max(axis=1, initial=0) + ell).max()) - 1
+                if top >= len(h):
+                    h = complete_homogeneous(top, points, prec)
+                # index -1 reads the appended zero: h_d = 0 for d < 0
+                idx = np.maximum(lams[:, :, None] + offsets, -1)
+                yield h + [num.zero], idx, ell
+
+        return _det_sum(num, chunks())

@@ -16,6 +16,7 @@ the exact closed form so the cost is independent of N.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,8 @@ from .symcore import (
     det_sum_over_vandermonde,
     enumerate_even_partitions,
     index_pairs,
-    schur_stable,
+    schur_stable,  # not called here; bench/tracer.py patches this binding too
+    schur_sum,
     sign_vectors as _epsilon_vectors,
 )
 
@@ -43,35 +45,21 @@ EPS_DENOM_FLOOR = 1e-6  # below this the 2^k closed form has lost too much
 
 
 def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2."""
-
-    def rec(j: int, prev: int, acc: list[int]):
-        if j == k:
-            yield tuple(acc)
-            return
-        start = prev + 1 if j else 0
-        for i in range(start, top + 1):
-            if i % 2 == j % 2:
-                acc.append(i)
-                yield from rec(j + 1, i, acc)
-                acc.pop()
-
-    yield from rec(0, -1, [])
+    """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2:
+    i_j = j - 1 + 2 b_j over weakly increasing b, in lexicographic order."""
+    for b in combinations_with_replacement(range((top - k + 1) // 2 + 1), k):
+        yield tuple(j + 2 * bj for j, bj in enumerate(b))
 
 
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: alternating-parity index sum over the Vandermonde."""
-    k = len(shifts)
-    return det_sum_over_vandermonde(shifts, parity_index_vectors(k, 2 * N + k - 1), prec)
+    top = 2 * N + len(shifts) - 1
+    return det_sum_over_vandermonde(shifts, parity_index_vectors(len(shifts), top), top, prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Schur route: sum over even partitions in the 2N x k box (confluent-safe)."""
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        terms = [schur_stable(lam, shifts, prec) for lam in enumerate_even_partitions(k, 2 * N)]
-        return num.fsum(terms)
+    return schur_sum(enumerate_even_partitions(len(shifts), 2 * N), shifts, prec)
 
 
 def _sign_pairs(k: int, diagonal: bool) -> Iterator[tuple[int, int, int, int]]:
