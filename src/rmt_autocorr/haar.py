@@ -6,10 +6,17 @@ closed-form routes:
 * deterministic tensor quadrature against the explicit Weyl eigenvalue
   densities (exact for the trigonometric-polynomial integrands in scope,
   feasible for small matrix size), and
-* Monte Carlo over eigenangles: U(N) angles are those of Haar matrices
-  (QR with phase correction); the self-dual families draw theirs from the
-  Killip-Nenciu Jacobi model (one n x n symmetric eigensolve per sample,
-  no group element is built).
+* Monte Carlo.  The moments (`autocorr_integrand`) need only
+  characteristic-polynomial values, which come from random coefficients
+  of Killip-Nenciu (IMRN 2004) with no group matrix and no eigensolve:
+  for U(N), independent Verblunsky coefficients run through the Szego
+  recursion, which yields prod (w - e^{i theta}) and
+  prod (1 - e^{-i theta} w) directly; for the self-dual families, a
+  random Jacobi matrix J whose continuant is
+  det((1 + w^2) I - w J) = prod (1 + w^2 - 2 w cos theta).  Any other
+  angle functional gets eigenangles: U(N) those of Haar matrices (QR
+  with phase correction), the self-dual families those of the same
+  Jacobi matrix (one n x n symmetric eigensolve per sample).
 
 Each self-dual family's eigenangle law is written once, as the Jacobi
 exponent of `_JACOBI_A` in the coordinate x = 2 cos(theta), where the Weyl
@@ -18,7 +25,8 @@ quadrature density and the Jacobi sampler both read that table.
 
 The Haar matrix samplers (QR with sign correction for O(2N), a
 symplectic-structure-preserving Gram-Schmidt for USp(2N)) and
-`eigenangles_of` stay as the reference the Jacobi model is tested against.
+`eigenangles_of` stay as the reference the coefficient models are tested
+against.
 
 Also hosts per-matrix characteristic-polynomial evaluation and the
 functional-equation residuals.
@@ -26,6 +34,7 @@ functional-equation residuals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -230,6 +239,9 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
     (equal to w^N Lambda_M(1/w), but total at w = 0).  The other families
     take plain products of Lambda_M(w_j); the determinant -1 coset carries
     its defining (-1)^k.
+
+    The callable carries `autocorr = (spec, shifts, m)`, by which
+    `monte_carlo_average` samples its values without eigenangles.
     """
     w = [complex(x) for x in shifts]
     fam = spec.family
@@ -245,17 +257,16 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
             for j in range(m, len(w)):
                 out *= np.prod(w[j] - E, axis=1)
             return out
+    else:
+        def integrand(T: np.ndarray) -> np.ndarray:
+            out = np.ones(T.shape[0], dtype=complex)
+            for wj in w:
+                out = out * char_poly_eval(spec, T, wj)
+            if fam == O_MINUS:
+                out = out * (-1) ** len(w)
+            return out
 
-        return integrand
-
-    def integrand(T: np.ndarray) -> np.ndarray:
-        out = np.ones(T.shape[0], dtype=complex)
-        for wj in w:
-            out = out * char_poly_eval(spec, T, wj)
-        if fam == O_MINUS:
-            out = out * (-1) ** len(w)
-        return out
-
+    integrand.autocorr = (spec, tuple(w), m)
     return integrand
 
 
@@ -352,18 +363,20 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return (a[:, 0::2] + a[:, 1::2]) / 2.0
 
 
-def _jacobi_angles(rng: np.random.Generator, B: int, n: int, a: float) -> np.ndarray:
-    """B ascending angle vectors in [0, pi] of the Jacobi ensemble.
+def _jacobi_matrix(rng: np.random.Generator, B: int, n: int,
+                   a: float) -> tuple[np.ndarray, np.ndarray]:
+    """B random n x n Jacobi matrices of the Jacobi ensemble: their (B, n)
+    diagonals and (B, n - 1) squared off-diagonals.
 
     Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b: the
-    eigenvalues x of the n x n Jacobi matrix built from independent Beta
+    eigenvalues x of the Jacobi matrix built from independent Beta
     Verblunsky coefficients alpha_0..alpha_{2n-2} (alpha_{-1} =
     alpha_{2n-1} = -1) have density prop. to Delta(x)^2 prod (4 - x^2)^a
     on [-2, 2], so theta = arccos(x / 2) has the Weyl law of USp(2n)
     for a = 1/2 and of SO(2n) for a = -1/2.
     """
     if n == 0:
-        return np.empty((B, 0))
+        return np.empty((B, 0)), np.empty((B, 0))
     k = np.arange(2 * n - 1)
     even = k % 2 == 0
     p = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + 2 * a + 2)
@@ -374,14 +387,76 @@ def _jacobi_angles(rng: np.random.Generator, B: int, n: int, a: float) -> np.nda
     ev = alpha[:, 1::2]    # alpha_0, alpha_2, ..., alpha_{2n-2}
     # alpha_{2j-2}; at j = 0 it is multiplied by 1 + alpha_{-1} = 0
     ev_prev = np.concatenate([np.zeros((B, 1)), ev[:, :-1]], axis=1)
+    diag = (1 - odd[:, :-1]) * ev - (1 + odd[:, :-1]) * ev_prev
+    off2 = (1 - odd[:, :-2]) * (1 - ev[:, :-1] ** 2) * (1 + odd[:, 1:-1])
+    return diag, off2
+
+
+def _jacobi_angles(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Ascending angles theta = arccos(x / 2) in [0, pi] of the eigenvalues x
+    of the Jacobi matrices `_jacobi_matrix` describes."""
+    B, n = diag.shape
     jac = np.zeros((B, n, n))
     idx = np.arange(n)
-    jac[:, idx, idx] = (1 - odd[:, :-1]) * ev - (1 + odd[:, :-1]) * ev_prev
-    off = np.sqrt((1 - odd[:, :-2]) * (1 - ev[:, :-1] ** 2) * (1 + odd[:, 1:-1]))
+    off = np.sqrt(off2)
+    jac[:, idx, idx] = diag
     jac[:, idx[1:], idx[:-1]] = off
     jac[:, idx[:-1], idx[1:]] = off
     x = np.linalg.eigvalsh(jac)[:, ::-1]
     return np.arccos(np.clip(x / 2, -1.0, 1.0))
+
+
+def _continuant(diag: np.ndarray, off2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """det((1 + s^2) I - s J) of each Jacobi matrix J at each s, shape (B, k).
+
+    This is prod_j (1 + s^2 - 2 s cos theta_j) over J's angles, taken by
+    the three-term recurrence of the leading minors,
+    p_j = (1 + s^2 - s J_jj) p_{j-1} - s^2 J_{j,j-1}^2 p_{j-2}:
+    no square root, eigensolve or arccos.
+    """
+    B = diag.shape[0]
+    off2 = np.concatenate([np.zeros((B, 1)), off2], axis=1)  # column j: J_{j,j-1}^2
+    p_prev, p = 0.0, np.ones((B, len(s)), dtype=complex)
+    for d, b2 in zip(diag.T[:, :, None], off2.T[:, :, None]):
+        p_prev, p = p, (1 + s * s - s * d) * p - s * s * b2 * p_prev
+    return p
+
+
+def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
+    """B rows of Verblunsky coefficients alpha_0..alpha_{N-1} of CUE(N).
+
+    Killip-Nenciu (IMRN 2004), Theorem 1 with beta = 2: independent, with
+    uniform phase, |alpha_t|^2 ~ Beta(1, N - t - 1) for t < N - 1 and
+    alpha_{N-1} on the unit circle.  The zeros of the Phi_N they define
+    are then the eigenvalues of a Haar U(N) matrix.
+    """
+    radius2 = np.ones((B, N))
+    radius2[:, :-1] = rng.beta(1.0, N - 1.0 - np.arange(N - 1), size=(B, N - 1))
+    return np.sqrt(radius2) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=(B, N)))
+
+
+def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_N(w) = prod (w - e^{i theta}) and Phi*_N(w) = prod (1 - e^{-i theta} w)
+    of each coefficient row at each shift, both of shape (B, k).
+
+    Szego recursion (Simon, OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
+    Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
+    Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
+    """
+    phi = np.ones((alpha.shape[0], len(w)), dtype=complex)
+    phi_star = phi.copy()
+    for a in alpha.T[:, :, None]:
+        w_phi = w * phi
+        phi, phi_star = w_phi - np.conj(a) * phi_star, phi_star - a * w_phi
+    return phi, phi_star
+
+
+def _sample_chunks(rng_seed: int, count: int,
+                   draw: Callable[[np.random.Generator, int], np.ndarray]) -> Iterator[np.ndarray]:
+    """draw(rng, B) over one seeded stream, for `count` samples in chunks."""
+    rng = np.random.default_rng(rng_seed)
+    for start in range(0, count, _SAMPLE_CHUNK):
+        yield draw(rng, min(_SAMPLE_CHUNK, count - start))
 
 
 def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
@@ -391,15 +466,31 @@ def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[n
     from the Jacobi model without building a group element.  The free
     angles of O^-(2N) follow the USp(2N - 2) law.
     """
-    rng = np.random.default_rng(rng_seed)
-    remaining = count
-    while remaining > 0:
-        B = min(_SAMPLE_CHUNK, remaining)
+    def draw(rng: np.random.Generator, B: int) -> np.ndarray:
         if spec.family == UNITARY:
-            yield eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
-        else:
-            yield _jacobi_angles(rng, B, spec.free_angles, _JACOBI_A[spec.family])
-        remaining -= B
+            return eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
+        return _jacobi_angles(*_jacobi_matrix(rng, B, spec.free_angles, _JACOBI_A[spec.family]))
+
+    return _sample_chunks(rng_seed, count, draw)
+
+
+def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Generator,
+                    B: int) -> np.ndarray:
+    """B values of `autocorr_integrand(spec, shifts, m)` at fresh Haar samples,
+    from sampled coefficients instead of eigenangles.
+
+    The self-dual families read the same stream as `_eigenangle_chunks`, so
+    each value is the angle path's up to rounding.
+    """
+    w = np.asarray(shifts, dtype=complex)
+    if spec.family == UNITARY:
+        phi, phi_star = _szego(_verblunsky_unitary(rng, B, spec.size), w)
+        return np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
+    jac = _jacobi_matrix(rng, B, spec.free_angles, _JACOBI_A[spec.family])
+    vals = _continuant(*jac, w).prod(axis=1)
+    if spec.family == O_MINUS:
+        vals = vals * np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
+    return vals
 
 
 def sample_eigenangles(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
@@ -415,11 +506,21 @@ def sample_eigenangle_batch(spec: GroupSpec, rng_seed: int, count: int) -> np.nd
 
 def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.ndarray],
                         rng_seed: int, count: int) -> tuple[complex, float]:
-    """Sample mean and standard error of a vectorized angle functional."""
+    """Sample mean and standard error of a vectorized angle functional.
+
+    An `autocorr_integrand` of `spec` is not evaluated on angles: its
+    values come from sampled coefficients (`_autocorr_chunk`), with no
+    group matrix and no eigensolve.  Other functionals get the angles of
+    `sample_eigenangle_batch`.
+    """
     if count < 2:
         raise ValueError("need at least two samples for a standard error")
-    angles = sample_eigenangle_batch(spec, rng_seed, count)
-    vals = np.asarray(integrand(angles))
+    moment = getattr(integrand, "autocorr", None)
+    if moment is not None and moment[0] == spec:
+        vals = np.concatenate(list(_sample_chunks(rng_seed, count,
+                                                  functools.partial(_autocorr_chunk, *moment))))
+    else:
+        vals = np.asarray(integrand(sample_eigenangle_batch(spec, rng_seed, count)))
     mean = complex(vals.mean())
     spread = float(np.sum(np.abs(vals - mean) ** 2) / (count - 1))
     return mean, math.sqrt(spread / count)

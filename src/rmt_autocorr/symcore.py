@@ -176,10 +176,11 @@ def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
     ends (first 0 / last 2*n_param + k - 1) with the interior paired; which
     ends are pinned depends on the parity of k.  Both branches (partial
     families E and M for even k, L and R for odd k) are produced and
-    de-duplicated.
+    de-duplicated.  With no shifts (k = 0) the one vector is the empty one.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k == 0:
+        yield ()
+        return
     top = 2 * n_param + k - 1
     seen: set[tuple[int, ...]] = set()
     for variant in ("E", "M") if k % 2 == 0 else ("L", "R"):

@@ -1,10 +1,14 @@
 """Weyl measures, quadrature, sampling and functional equations."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from rmt_autocorr import (
     DimensionCap,
+    UnitaryQuery,
+    autocorr_det,
     GroupSpec,
     char_poly_eval,
     functional_equation_residual,
@@ -20,7 +24,9 @@ from rmt_autocorr import (
     znorm_residual,
 )
 from rmt_autocorr.haar import (
+    _autocorr_chunk,
     _haar_orthogonal_batch,
+    _sample_chunks,
     autocorr_integrand,
     eigenangles_of,
     sample_eigenangle_batch,
@@ -288,3 +294,77 @@ def test_jacobi_model_angles_are_sorted_in_zero_pi(fam, N):
     if spec.free_angles:
         assert angles.min() >= 0.0 and angles.max() <= np.pi
         assert np.all(np.diff(angles, axis=1) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# Moments from sampled coefficients: Szego recursion and Jacobi continuant
+# ---------------------------------------------------------------------------
+
+def _coefficient_values(spec, shifts, m, seed, count):
+    """Per-sample values of the coefficient path of `monte_carlo_average`."""
+    chunk = functools.partial(_autocorr_chunk, spec, tuple(complex(w) for w in shifts), m)
+    return np.concatenate(list(_sample_chunks(seed, count, chunk)))
+
+
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+@pytest.mark.parametrize("N", [1, 2, 8, 16])
+def test_continuant_matches_the_eigensolved_angles(fam, N):
+    # same seeded stream, two chunks: every sample agrees with the integrand
+    # at the eigvalsh angles to 1e-12 relative, plus what each of the two
+    # double computations inherits from an ill-conditioned product:
+    # eigenvalue errors of n u ||J|| (||J|| <= 2) move a factor
+    # 1 + w^2 - w x by 2 n u |w|, a large relative error near w = +-1 when
+    # theta is near 0 or pi
+    spec = group(fam, N)
+    n, u, count = spec.free_angles, np.finfo(float).eps, 5000
+    for seed, shifts in enumerate([(0.0, 1.0, -1.0, 1.7 - 0.6j),
+                                   (0.85, 0.6 + 0.25j, -0.4 + 0.5j, 1.3j)], start=701):
+        T = sample_eigenangle_batch(spec, seed, count)
+        ref = autocorr_integrand(spec, shifts)(T)
+        got = _coefficient_values(spec, shifts, 0, seed, count)
+        w = np.array(shifts)
+        factors = np.abs(1 + w * w - 2 * w * np.cos(T[:, :, None]))
+        inherited = 4 * n * u * np.sum(np.abs(w) / factors, axis=(1, 2))
+        assert np.all(np.abs(got - ref) <= (1e-12 + inherited) * np.abs(ref)), (seed, shifts)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 16])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_szego_model_reproduces_the_exact_unitary_moment(N, m):
+    spec = group("u", N)
+    shifts = (0.9, 0.7 + 0.3j, -0.5 + 0.6j)
+    exact = complex(autocorr_det(UnitaryQuery(N, m, shifts)))
+    mean, se = monte_carlo_average(spec, autocorr_integrand(spec, shifts, m),
+                                   801 + 10 * N + m, 20000)
+    assert abs(mean - exact) <= 4 * se
+
+
+@pytest.mark.parametrize("N", [2, 5])
+def test_szego_model_agrees_with_the_matrix_sampler(N):
+    spec = group("u", N)
+    count = 20000
+    matrix = sample_eigenangle_batch(spec, 951 + N, count)  # QR + eigvals angles
+    for shifts, m in (((0.8, 0.8), 1), ((0.6 + 0.3j, -0.5 + 0.5j), 1), ((1.0, 1j), 1),
+                      ((0.5,), 0), ((1.2, -0.4j), 2)):
+        f = autocorr_integrand(spec, shifts, m)
+        coef, coef_se = monte_carlo_average(spec, f, 901 + N, count)
+        vals = f(matrix)
+        mat_se = np.sqrt(np.sum(np.abs(vals - vals.mean()) ** 2) / (count - 1) / count)
+        assert abs(coef - vals.mean()) <= 4 * np.hypot(coef_se, mat_se), (shifts, m)
+
+
+def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigensolver or QR called")
+
+    for name in ("eigvals", "eigvalsh", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for fam in ALL_FAMILIES:
+        spec = group(fam, 3)
+        f = autocorr_integrand(spec, (0.5, -0.3 + 0.4j), 1 if fam == "u" else 0)
+        mean, se = monte_carlo_average(spec, f, 3, 5000)
+        assert np.isfinite(mean) and se > 0
+        # any other functional, or the moment of another group, gets eigenangles
+        for other in (lambda T, f=f: f(T), autocorr_integrand(group(fam, 2), (0.5,))):
+            with pytest.raises(AssertionError, match="eigensolver or QR"):
+                monte_carlo_average(spec, other, 3, 5000)

@@ -12,6 +12,7 @@ from itertools import chain
 
 import pytest
 
+from rmt_autocorr import routes
 from rmt_autocorr.orthogonal import (
     _odd_partitions_exact,
     ominus_autocorr_det,
@@ -112,9 +113,11 @@ def test_route_matches_its_per_term_loop(route, prec, N):
 
 
 def test_k0_sums_are_one():
-    for route in ("sp schur", "so schur", "ominus schur", "sp det", "ominus det"):
-        assert ROUTES[route][0](3, (), None) == 1
-        assert ROUTES[route][0](3, (), EXT) == 1
+    # every closed-form route: the moment with no shifts is the average of 1
+    for family, table in routes.ROUTES.items():
+        for name, route in table.items():
+            for prec in (None, EXT):
+                assert route(3, (), 0, prec) == 1, (family, name, prec)
 
 
 @pytest.mark.parametrize("prec", [None, EXT], ids=["double", "ext40"])
