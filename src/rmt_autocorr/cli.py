@@ -171,18 +171,18 @@ def _route_value(spec, shifts, alphas, m, method, args, prec):
         return haar.weyl_autocorrelation(spec, shifts, m, nodes_per_dim=nodes), None
     if method == "contour":
         al = alphas if alphas is not None else _shifts_to_alpha(fam, shifts)
-        cfg = ContourConfig(nodes_per_dim=getattr(args, "nodes", None) or 128)
+        nodes = getattr(args, "nodes", None)
+        cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
         if fam == "unitary":
             return unitary.autocorr_contour(spec.size, al, m, cfg), None
         if fam == "symplectic":
             return symplectic.sp_autocorr_contour(spec.size, al, cfg), None
         return orthogonal.orthogonal_contour(fam, spec.size, al, cfg), None
     if method == "montecarlo":
-        samples = getattr(args, "samples", None) or 100000
-        if samples < 100:
+        if args.samples < 100:
             raise UsageError("--samples must be >= 100")
         integrand = haar.autocorr_integrand(spec, shifts, m)
-        mean, stderr = haar.monte_carlo_average(spec, integrand, args.seed, samples)
+        mean, stderr = haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
         return mean, stderr
     raise UsageError(f"unknown method {method!r}")
 
@@ -272,12 +272,9 @@ def cmd_identity_suite(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    spec, shifts, _alphas, m = _query_spec(args)
-    if args.samples < 100:
-        raise UsageError("--samples must be >= 100")
+    spec, shifts, alphas, m = _query_spec(args)
+    mean, stderr = _route_value(spec, shifts, alphas, m, "montecarlo", args, None)
     exact = complex(routes.canonical_value(spec.family, spec.size, shifts, m))
-    integrand = haar.autocorr_integrand(spec, shifts, m)
-    mean, stderr = haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
     if stderr > 0:
         z = abs(mean - exact) / stderr
     else:
@@ -347,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    help="schur | det | comb (u) / eps | contour | quadrature | montecarlo")
     p.add_argument("--nodes", type=int, help="nodes per dimension (quadrature/contour)")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("crosscheck", help="evaluate several routes and compare")
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routes", required=True, help="comma-separated route list")
     p.add_argument("--tol", type=float, help="agreement tolerance")
     p.add_argument("--nodes", type=int, help="nodes per dimension (quadrature/contour)")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("identity-suite", help="randomized identity residual sweep")

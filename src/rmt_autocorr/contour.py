@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,40 +89,28 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
                       vectorized: bool = False) -> complex:
     """(2 pi i)^{-dim} times the dim-fold contour integral of `integrand`.
 
-    Scalar mode calls integrand(z_1, ..., z_dim) per grid point with a
-    fixed lexicographic order and compensated accumulation, so results do
-    not depend on evaluation batching.  Vectorized mode hands the integrand
-    one broadcastable array per dimension and expects an array that
-    broadcasts to the full grid back; it does not write to that array.
+    `vectorized` selects only the integrand's calling convention: True hands
+    it one broadcastable array per dimension and expects an array that
+    broadcasts to the full grid back (it does not write to that array);
+    False calls integrand(z_1, ..., z_dim) once per grid point, with Python
+    complex arguments.  Both fill the same node grid and reduce it by the
+    same weighted contraction.
     """
     if dim > DIM_CAP:
         raise DimensionCap(f"dimension {dim} exceeds the cap {DIM_CAP}")
     M = (cfg or DEFAULT_CONTOUR).nodes_per_dim
     center, radius = resolve_geometry(enclosed_points)
     circles = _node_circles(dim, M, center, radius)
-
-    if vectorized:
-        shaped = [c.reshape((1,) * d + (M,) + (1,) * (dim - d - 1)) for d, c in enumerate(circles)]
-        # Contracting one axis at a time with the node weights reads the
-        # integrand's grid without a second full-size array (or writing to
-        # it: the result may be a view of the circles).
-        vals = np.broadcast_to(np.asarray(integrand(*shaped), dtype=complex), (M,) * dim)
-        for c in reversed(circles):
-            vals = vals @ (c - center)
-        return complex(vals / M ** dim)
-
-    total = 0j
-    comp = 0j  # Kahan compensation
-    for idx in product(range(M), repeat=dim):
-        z = tuple(circles[d][i] for d, i in enumerate(idx))
-        term = integrand(*z)
-        for d, i in enumerate(idx):
-            term = term * (circles[d][i] - center)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / M ** dim
+    shaped = [c.reshape((1,) * d + (M,) + (1,) * (dim - d - 1)) for d, c in enumerate(circles)]
+    if not vectorized:
+        integrand = np.frompyfunc(integrand, dim, 1)
+    # Contracting one axis at a time with the node weights reads the
+    # integrand's grid without a second full-size array (or writing to
+    # it: the result may be a view of the circles).
+    vals = np.broadcast_to(np.asarray(integrand(*shaped), dtype=complex), (M,) * dim)
+    for c in reversed(circles):
+        vals = vals @ (c - center)
+    return complex(vals / M ** dim)
 
 
 # ---------------------------------------------------------------------------

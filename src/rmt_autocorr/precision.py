@@ -2,9 +2,9 @@
 
 All closed-form routes and identity checks run either on plain Python
 complex numbers (the default) or on ``mpmath.mpc`` scalars at a configured
-decimal precision.  A :class:`PrecisionConfig` travels with every call;
-``ops_for(prec)`` hands back the matching operation set.  Code written
-against the operation set is precision-agnostic.
+decimal precision.  A :class:`PrecisionConfig` (None for doubles) travels
+with every call; ``ops_for(prec)`` hands back the matching operation set.
+Code written against the operation set is precision-agnostic.
 
 Vectorized machinery (Weyl quadrature grids, Haar sampling, Monte Carlo)
 is numpy-based and always runs in double precision; its error is either
@@ -21,40 +21,35 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-MODE_DOUBLE = "machine-double"
-MODE_EXTENDED = "extended"
-
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Arithmetic mode for the exact evaluation routes.
+    """Extended (mpmath) arithmetic for the exact evaluation routes, at
+    `digits` decimal digits (>= 30); machine doubles are prec=None."""
 
-    mode            "machine-double" or "extended"
-    digits          decimal digits in extended mode (>= 30)
-    agreement_tol   tolerance used by cross-checks at this precision
-    """
-
-    mode: str = MODE_DOUBLE
     digits: int = 40
-    agreement_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_DOUBLE, MODE_EXTENDED):
-            raise ValueError(f"unknown precision mode {self.mode!r}")
-        if self.mode == MODE_EXTENDED and self.digits < 30:
+        if self.digits < 30:
             raise ValueError("extended precision requires digits >= 30")
-        if not self.agreement_tol > 0:
-            raise ValueError("agreement_tol must be positive")
 
     @classmethod
-    def extended(cls, digits: int = 40, agreement_tol: float | None = None) -> "PrecisionConfig":
-        if agreement_tol is None:
-            agreement_tol = 10.0 ** (-(digits - 15))
-        return cls(MODE_EXTENDED, digits=digits, agreement_tol=agreement_tol)
+    def extended(cls, digits: int = 40) -> "PrecisionConfig":
+        return cls(digits)
+
+    @property
+    def mode(self) -> str:
+        return "extended"
+
+    @property
+    def agreement_tol(self) -> float:
+        """Tolerance of cross-checks at this precision."""
+        return 10.0 ** (-(self.digits - 15))
 
     @property
     def is_double(self) -> bool:
-        return self.mode == MODE_DOUBLE
+        """Always False: double precision is prec=None."""
+        return False
 
 
 def _generic_det(rows, absfn):
@@ -260,6 +255,6 @@ _DOUBLE_OPS = DoubleOps()
 
 def ops_for(prec: PrecisionConfig | None):
     """Operation set matching a precision config (None means double)."""
-    if prec is None or prec.is_double:
+    if prec is None:
         return _DOUBLE_OPS
     return ExtendedOps(prec.digits)

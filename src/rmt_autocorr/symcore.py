@@ -238,25 +238,22 @@ def _chunks(items):
 
 
 def _det_sum(num, chunks):
-    """fsum of det[table[idx[i][j]]]_{i, j < n} over every matrix of every
-    chunk (table, idx, sizes): idx an int array (B, k, k), sizes the B n's.
+    """fsum of det[table[idx[i][j]]] over every matrix of every chunk
+    (table, idx), idx an int array (B, k, k).
 
-    In double precision the matrices of one size are eliminated at once by
-    `batched_det`, bit for bit `num.det` one by one; in extended precision
-    `num.det` takes them in order.  A 0 x 0 matrix counts as num.one.
+    In double precision each chunk is one `batched_det` call, bit for bit
+    `num.det` one by one; in extended precision `num.det` takes the
+    matrices in order.  A 0 x 0 matrix counts as num.one.
     """
     if isinstance(num, ExtendedOps):
-        return num.fsum(num.det([[table[x] for x in row[:n]] for row in mat[:n]]) if n else num.one
-                        for table, idx, sizes in chunks
-                        for mat, n in zip(idx.tolist(), sizes.tolist()))
+        return num.fsum(num.det([[table[x] for x in row] for row in mat]) if mat else num.one
+                        for table, idx in chunks for mat in idx.tolist())
     re_parts, im_parts = [], []
-    for table, idx, sizes in chunks:
+    for table, idx in chunks:
         values = np.array(table, dtype=complex)
-        for n in set(sizes.tolist()):
-            picked = idx[sizes == n, :n, :n]
-            re, im = batched_det(values.real[picked], values.imag[picked])
-            re_parts.append(re)
-            im_parts.append(im)
+        re, im = batched_det(values.real[idx], values.imag[idx])
+        re_parts.append(re)
+        im_parts.append(im)
     return complex(fsum(chain.from_iterable(re_parts)), fsum(chain.from_iterable(im_parts)))
 
 
@@ -292,7 +289,7 @@ def det_sum_over_vandermonde(shifts: Sequence, vectors, top: int,
                     raise ValueError("exponents must lie in 0..top")
                 if overflowed and np.isin(vecs, list(overflowed)).any():
                     raise OverflowError("complex exponentiation")
-                yield table, row_start + vecs[:, None, :], np.full(len(chunk), k)
+                yield table, row_start + vecs[:, None, :]
 
         return _det_sum(num, chunks()) / vandermonde(ws, prec)
 
@@ -360,8 +357,11 @@ def schur_sum(parts, points: Sequence, prec: PrecisionConfig | None = None):
     """Sum of `schur_stable(lam, points)` over the partitions `parts`, each
     of length len(points); bit for bit the per-term sum.
 
-    Every Jacobi-Trudi matrix reads one table h_0..h_top (computed again
-    only when a partition needs a higher degree; see `_det_sum`).
+    Every Jacobi-Trudi matrix is gathered at the full size k x k from one
+    table h_0..h_top (computed again only when a partition needs a higher
+    degree; see `_det_sum`).  Rows past the length l(lam) read h_{j-i}:
+    zero below the diagonal and h_0 = 1 on it, so the determinant is the
+    l(lam) x l(lam) one.
     """
     num = ops_for(prec)
     k = len(points)
@@ -375,12 +375,10 @@ def schur_sum(parts, points: Sequence, prec: PrecisionConfig | None = None):
                 lams = np.array([lam.parts for lam in chunk], dtype=np.intp)
                 if lams.shape[1:] != (k,):
                     raise ValueError("partition length must equal the number of points")
-                ell = np.count_nonzero(lams, axis=1)
-                top = int((lams.max(axis=1, initial=0) + ell).max()) - 1
+                top = int(lams.max(initial=0)) + k - 1
                 if top >= len(h):
                     h = complete_homogeneous(top, points, prec)
                 # index -1 reads the appended zero: h_d = 0 for d < 0
-                idx = np.maximum(lams[:, :, None] + offsets, -1)
-                yield h + [num.zero], idx, ell
+                yield h + [num.zero], np.maximum(lams[:, :, None] + offsets, -1)
 
         return _det_sum(num, chunks())

@@ -126,6 +126,18 @@ def test_montecarlo_cli_and_determinism(capsys):
                  "--samples", "50"]) == 2
 
 
+@pytest.mark.parametrize("option", [("--method", "montecarlo", "--samples", "0"),
+                                    ("--method", "contour", "--nodes", "0")])
+def test_zero_samples_or_nodes_is_a_usage_error(option):
+    assert main(["compute", "--group", "so", "--N", "1", "--shifts", "0.5", *option]) == 2
+
+
+@pytest.mark.parametrize("option", [("--radius", "0"), ("--n-min", "1"),
+                                    ("--radius", "1e-4", "--n-max", "2")])
+def test_identity_suite_settings_it_cannot_sample_are_usage_errors(option):
+    assert main(["identity-suite", "--trials", "3", *option]) == 2
+
+
 def test_scaling_cli(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--k", "1", "--b", "1",
                            "--N-list", "10,100,1000,10000")

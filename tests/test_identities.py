@@ -176,3 +176,15 @@ def test_extended_identities_on_radius_15():
     # in double precision that radius is eps-limited near 1e-8 (see ledger)
     report = run_identity_suite(5, 11, PrecisionConfig.extended(40), radius=1.5)
     assert report.worst() <= 1e-30
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_min": 1}, "n_min"),
+    ({"radius": 0.0}, "radius"),
+    ({"radius": float("inf")}, "radius"),
+    # two points 1e-3 apart do not fit in a disk of radius 1e-4
+    ({"n_max": 2, "radius": 1e-4}, "draws"),
+])
+def test_suite_rejects_settings_it_cannot_sample(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_identity_suite(3, 1, **kwargs)

@@ -1,9 +1,12 @@
-"""The batched elimination against the scalar one it replays, bit for bit."""
+"""The batched elimination against the scalar one it replays, bit for bit,
+and the precision config."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from rmt_autocorr.precision import _generic_det, batched_det
+from rmt_autocorr.precision import PrecisionConfig, _generic_det, batched_det, ops_for
 
 
 def _scalar_dets(stack):
@@ -82,3 +85,14 @@ def test_batched_det_raises_where_abs_overflows():
     # a matrix whose elimination stopped at a zero pivot raises nothing later
     stopped = np.array([[[0.0, 1.0], [0.0, 1.5e308 + 1.5e308j]]])
     _assert_bit_identical(stopped)
+
+
+def test_precision_config_sets_only_the_digits():
+    prec = PrecisionConfig.extended(40)
+    assert [f.name for f in dataclasses.fields(prec)] == ["digits"]
+    assert (prec.mode, prec.agreement_tol, prec.is_double) == ("extended", 1e-25, False)
+    with pytest.raises(AttributeError):
+        prec.agreement_tol = 1e-9
+    with pytest.raises(ValueError):
+        PrecisionConfig(29)
+    assert ops_for(prec).digits == 40

@@ -18,7 +18,8 @@ from rmt_autocorr import (
     schur_stable,
     vandermonde,
 )
-from rmt_autocorr.symcore import count_even_partitions
+from rmt_autocorr import symcore
+from rmt_autocorr.symcore import count_even_partitions, schur_sum
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +290,24 @@ def test_schur_length_mismatch_rejected():
         schur_stable(Partition((1,)), [1.0, 2.0])
     with pytest.raises(ValueError):
         schur_bialternant(Partition((1, 0, 0)), [1.0, 2.0])
+
+
+def test_schur_sum_eliminates_one_chunk_in_one_batch(monkeypatch):
+    # lengths l(lam) = 0..k in one chunk: one k x k elimination, and the
+    # per-term sum in every bit
+    points = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
+    parts = [Partition(p) for p in [(0, 0, 0, 0), (3, 0, 0, 0), (2, 1, 0, 0),
+                                    (4, 2, 2, 0), (2, 2, 1, 1), (1, 0, 0, 0)]]
+    calls = []
+    original = symcore.batched_det
+
+    def counted(re, im):
+        calls.append(re.shape)
+        return original(re, im)
+
+    monkeypatch.setattr(symcore, "batched_det", counted)
+    value = schur_sum(parts, points)
+    assert calls == [(len(parts), 4, 4)]
+    terms = [schur_stable(lam, points) for lam in parts]
+    expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    assert repr(value) == repr(expected)
