@@ -9,14 +9,14 @@ closed-form routes:
 * Monte Carlo.  The moments (`autocorr_integrand`) need only
   characteristic-polynomial values, which come from random coefficients
   of Killip-Nenciu (IMRN 2004) with no group matrix and no eigensolve:
-  for U(N), independent Verblunsky coefficients run through the Szego
-  recursion, which yields prod (w - e^{i theta}) and
-  prod (1 - e^{-i theta} w) directly; for the self-dual families, a
-  random Jacobi matrix J whose continuant is
-  det((1 + w^2) I - w J) = prod (1 + w^2 - 2 w cos theta).  Any other
-  angle functional gets eigenangles: U(N) those of Haar matrices (QR
-  with phase correction), the self-dual families those of the same
-  Jacobi matrix (one n x n symmetric eigensolve per sample).
+  one Szego recursion runs over Verblunsky coefficients and yields
+  prod (w - e^{i theta}) and prod (1 - e^{-i theta} w) directly.  For U(N)
+  the coefficients are independent and complex; for the self-dual
+  families they are 2n real ones (Theorem 2), whose polynomial is
+  prod (1 + w^2 - 2 w cos theta).  Any other angle functional gets
+  eigenangles: U(N) those of Haar matrices (QR with phase correction),
+  the self-dual families those of the Jacobi matrix the same real
+  coefficients define (one n x n symmetric eigensolve per sample).
 
 Each self-dual family's eigenangle law is written once, as the Jacobi
 exponent of `_JACOBI_A` in the coordinate x = 2 cos(theta), where the Weyl
@@ -272,9 +272,15 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
 
 def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
                          nodes_per_dim: int | None = None) -> complex:
-    """Brute-force quadrature value of the family's autocorrelation."""
+    """Brute-force quadrature value of the family's autocorrelation.
+
+    Per angle, the density times the integrand has frequencies up to
+    2N + k, so nodes_per_dim <= 2N + k would alias: ValueError.
+    """
     if nodes_per_dim is None:
         nodes_per_dim = default_nodes(spec, len(shifts))
+    if nodes_per_dim <= 2 * spec.size + len(shifts):
+        raise ValueError(f"nodes_per_dim must exceed 2N + k = {2 * spec.size + len(shifts)}")
     return quadrature_average(spec, autocorr_integrand(spec, shifts, m),
                               nodes_per_dim=nodes_per_dim)
 
@@ -363,39 +369,41 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return (a[:, 0::2] + a[:, 1::2]) / 2.0
 
 
-def _jacobi_matrix(rng: np.random.Generator, B: int, n: int,
-                   a: float) -> tuple[np.ndarray, np.ndarray]:
-    """B random n x n Jacobi matrices of the Jacobi ensemble: their (B, n)
-    diagonals and (B, n - 1) squared off-diagonals.
+def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np.ndarray:
+    """B rows of real Verblunsky coefficients alpha_{-1}, alpha_0..alpha_{2n-1}
+    of the Jacobi ensemble, shape (B, 2n + 1).
 
-    Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b: the
-    eigenvalues x of the Jacobi matrix built from independent Beta
-    Verblunsky coefficients alpha_0..alpha_{2n-2} (alpha_{-1} =
-    alpha_{2n-1} = -1) have density prop. to Delta(x)^2 prod (4 - x^2)^a
-    on [-2, 2], so theta = arccos(x / 2) has the Weyl law of USp(2n)
-    for a = 1/2 and of SO(2n) for a = -1/2.
+    Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b:
+    alpha_0..alpha_{2n-2} are independent Beta draws and
+    alpha_{-1} = alpha_{2n-1} = -1.  The measure they define on the circle
+    has its mass at e^{+-i theta} for the eigenvalues x = 2 cos(theta) of
+    the Jacobi matrix of `_jacobi_angles`, whose density is prop. to
+    Delta(x)^2 prod (4 - x^2)^a on [-2, 2]: the Weyl law of USp(2n) for
+    a = 1/2 and of SO(2n) for a = -1/2.
     """
-    if n == 0:
-        return np.empty((B, 0)), np.empty((B, 0))
-    k = np.arange(2 * n - 1)
-    even = k % 2 == 0
-    p = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + 2 * a + 2)
-    q = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 1) / 2)
-    alpha = np.full((B, 2 * n + 1), -1.0)  # alpha[:, i + 1] is alpha_i
-    alpha[:, 1:-1] = 1 - 2 * rng.beta(p, q, size=(B, 2 * n - 1))
+    alpha = np.full((B, 2 * n + 1), -1.0)  # alpha[:, t + 1] is alpha_t
+    if n:
+        k = np.arange(2 * n - 1)
+        even = k % 2 == 0
+        p = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + 2 * a + 2)
+        q = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 1) / 2)
+        alpha[:, 1:-1] = 1 - 2 * rng.beta(p, q, size=(B, 2 * n - 1))
+    return alpha
+
+
+def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
+    """Ascending angles theta = arccos(x / 2) in [0, pi] of the eigenvalues x
+    of the n x n Jacobi matrix of each `_jacobi_verblunsky` row.
+
+    Its diagonal and squared off-diagonal come from the Geronimus relations.
+    """
     odd = alpha[:, 0::2]   # alpha_{-1}, alpha_1, ..., alpha_{2n-1}
     ev = alpha[:, 1::2]    # alpha_0, alpha_2, ..., alpha_{2n-2}
+    B, n = ev.shape
     # alpha_{2j-2}; at j = 0 it is multiplied by 1 + alpha_{-1} = 0
     ev_prev = np.concatenate([np.zeros((B, 1)), ev[:, :-1]], axis=1)
     diag = (1 - odd[:, :-1]) * ev - (1 + odd[:, :-1]) * ev_prev
     off2 = (1 - odd[:, :-2]) * (1 - ev[:, :-1] ** 2) * (1 + odd[:, 1:-1])
-    return diag, off2
-
-
-def _jacobi_angles(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Ascending angles theta = arccos(x / 2) in [0, pi] of the eigenvalues x
-    of the Jacobi matrices `_jacobi_matrix` describes."""
-    B, n = diag.shape
     jac = np.zeros((B, n, n))
     idx = np.arange(n)
     off = np.sqrt(off2)
@@ -404,22 +412,6 @@ def _jacobi_angles(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
     jac[:, idx[:-1], idx[1:]] = off
     x = np.linalg.eigvalsh(jac)[:, ::-1]
     return np.arccos(np.clip(x / 2, -1.0, 1.0))
-
-
-def _continuant(diag: np.ndarray, off2: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """det((1 + s^2) I - s J) of each Jacobi matrix J at each s, shape (B, k).
-
-    This is prod_j (1 + s^2 - 2 s cos theta_j) over J's angles, taken by
-    the three-term recurrence of the leading minors,
-    p_j = (1 + s^2 - s J_jj) p_{j-1} - s^2 J_{j,j-1}^2 p_{j-2}:
-    no square root, eigensolve or arccos.
-    """
-    B = diag.shape[0]
-    off2 = np.concatenate([np.zeros((B, 1)), off2], axis=1)  # column j: J_{j,j-1}^2
-    p_prev, p = 0.0, np.ones((B, len(s)), dtype=complex)
-    for d, b2 in zip(diag.T[:, :, None], off2.T[:, :, None]):
-        p_prev, p = p, (1 + s * s - s * d) * p - s * s * b2 * p_prev
-    return p
 
 
 def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
@@ -442,6 +434,12 @@ def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Szego recursion (Simon, OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
     Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
     Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
+    For the 2n real coefficients of `_jacobi_verblunsky` (alpha_{2n-1} = -1)
+    the zeros come in pairs e^{+-i theta}, and
+    Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  At w = 1 and
+    w = -1 each step multiplies by 1 - alpha_t or 1 + (-1)^t alpha_t, so these
+    products carry no cancellation beyond that of each factor.  An empty row
+    gives Phi = 1.
     """
     phi = np.ones((alpha.shape[0], len(w)), dtype=complex)
     phi_star = phi.copy()
@@ -469,7 +467,7 @@ def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[n
     def draw(rng: np.random.Generator, B: int) -> np.ndarray:
         if spec.family == UNITARY:
             return eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
-        return _jacobi_angles(*_jacobi_matrix(rng, B, spec.free_angles, _JACOBI_A[spec.family]))
+        return _jacobi_angles(_jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family]))
 
     return _sample_chunks(rng_seed, count, draw)
 
@@ -477,17 +475,19 @@ def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[n
 def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Generator,
                     B: int) -> np.ndarray:
     """B values of `autocorr_integrand(spec, shifts, m)` at fresh Haar samples,
-    from sampled coefficients instead of eigenangles.
+    from sampled coefficients instead of eigenangles: one Szego recursion
+    over the Killip-Nenciu coefficients of every family.
 
     The self-dual families read the same stream as `_eigenangle_chunks`, so
     each value is the angle path's up to rounding.
     """
     w = np.asarray(shifts, dtype=complex)
     if spec.family == UNITARY:
-        phi, phi_star = _szego(_verblunsky_unitary(rng, B, spec.size), w)
-        return np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
-    jac = _jacobi_matrix(rng, B, spec.free_angles, _JACOBI_A[spec.family])
-    vals = _continuant(*jac, w).prod(axis=1)
+        alpha = _verblunsky_unitary(rng, B, spec.size)
+    else:
+        alpha = _jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family])[:, 1:]
+    phi, phi_star = _szego(alpha, w)
+    vals = np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
     if spec.family == O_MINUS:
         vals = vals * np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
     return vals

@@ -98,7 +98,8 @@ def identity2_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
     num = ops_for(prec)
     with num.guard():
         cache = _subset_cache(shifts, prec)
-        return float(num.absolute(num.fsum(_identity2_terms(cache, len(shifts), num))))
+        n = len(shifts)
+        return float(num.absolute(num.fsum(_fn_terms(cache, num.one, n - 1, n, num))))
 
 
 def _subset_terms(cache, x, r: int, exponent, num, even_c_only: bool = False):
@@ -126,13 +127,9 @@ def _subset_terms(cache, x, r: int, exponent, num, even_c_only: bool = False):
     return terms
 
 
-def _identity2_terms(cache, n: int, num):
-    """Identity 2's subset sum: the kernel at x = 1, exponent 0, r = n - 1,
-    where prod (x^2 - w_a w_b) is the (1 - w_a w_b) cross product."""
-    return _subset_terms(cache, num.one, n - 1, lambda d: 0, num)
-
-
 def _fn_terms(cache, x, r: int, n: int, num):
+    """F_n's subset sum.  Identity 2 is F_n at x = 1, r = n - 1, where
+    prod (x^2 - w_a w_b) is the (1 - w_a w_b) cross product."""
     return _subset_terms(cache, x, r, lambda d: d * d + (r - n) * d, num)
 
 
@@ -308,8 +305,8 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
             bump("lemma1", lemma1_residual(coeffs, shifts, prec))
 
             cache = _subset_cache(shifts, prec)
-            bump("identity2", float(num.absolute(num.fsum(_identity2_terms(cache, n, num)))))
             r = n - 1
+            bump("identity2", float(num.absolute(num.fsum(_fn_terms(cache, num.one, r, n, num)))))
             bump("fn_zero", float(num.absolute(num.fsum(_fn_terms(cache, num.zero, r, n, num)))))
             for a in range(n):
                 for b in range(a + 1, n):

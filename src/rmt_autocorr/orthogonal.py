@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
@@ -34,7 +35,7 @@ from .contour import (
     sym_lemma_integrand,
 )
 from .errors import PoleHit
-from .precision import PrecisionConfig, ops_for
+from .precision import PrecisionConfig, _generic_det, ops_for
 from .symcore import (
     Partition,
     conjugate_partition,
@@ -268,22 +269,6 @@ def pairing_matrix(N: int) -> list[list[int]]:
 
 
 def pairing_determinant(N: int) -> int:
-    """Exact integer determinant of the pairing matrix (equals 2^(N-1))."""
-    a = [row[:] for row in pairing_matrix(N)]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            swap = next((r for r in range(c + 1, n) if a[r][c]), None)
-            if swap is None:
-                return 0
-            a[c], a[swap] = a[swap], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+    """Exact integer determinant of the pairing matrix (equals 2^(N-1)),
+    by elimination over rationals."""
+    return int(_generic_det([[Fraction(x) for x in row] for row in pairing_matrix(N)], abs))

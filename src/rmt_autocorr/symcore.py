@@ -133,18 +133,12 @@ def count_even_partitions(k: int, max_part: int) -> int:
 
 def adjacent_pair_runs(count: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """Strictly increasing vectors made of `count` adjacent pairs (p, p+1),
-    all entries within [lo, hi]."""
-
-    def rec(start: int, left: int, acc: list[int]):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for p in range(start, hi):
-            acc.extend((p, p + 1))
-            yield from rec(p + 2, left - 1, acc)
-            del acc[-2:]
-
-    yield from rec(lo, count, [])
+    all entries within [lo, hi]: p_i = q_i + 2i over weakly increasing q,
+    in lexicographic order.  None for count < 0."""
+    if count < 0:
+        return
+    for q in combinations_with_replacement(range(lo, hi - 2 * count + 2), count):
+        yield tuple(chain.from_iterable((qi + 2 * i, qi + 2 * i + 1) for i, qi in enumerate(q)))
 
 
 def partial_index_vectors(variant: str, count: int, n_max: int) -> Iterator[tuple[int, ...]]:

@@ -132,6 +132,14 @@ def test_zero_samples_or_nodes_is_a_usage_error(option):
     assert main(["compute", "--group", "so", "--N", "1", "--shifts", "0.5", *option]) == 2
 
 
+@pytest.mark.parametrize("query", [
+    ("--group", "u", "--N", "3", "--m", "0", "--shifts", "0.5,0.7+0.1i,-0.4i", "--nodes", "4"),
+    ("--group", "usp", "--N", "2", "--shifts", "0.5,0.3", "--nodes", "6"),
+])
+def test_quadrature_with_aliasing_nodes_is_a_usage_error(query):
+    assert main(["compute", "--method", "quadrature", *query]) == 2
+
+
 @pytest.mark.parametrize("option", [("--radius", "0"), ("--n-min", "1"),
                                     ("--radius", "1e-4", "--n-max", "2")])
 def test_identity_suite_settings_it_cannot_sample_are_usage_errors(option):

@@ -2,6 +2,7 @@
 
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,14 +25,17 @@ from rmt_autocorr import (
     znorm_residual,
 )
 from rmt_autocorr.haar import (
+    _JACOBI_A,
     _autocorr_chunk,
     _haar_orthogonal_batch,
+    _jacobi_verblunsky,
     _sample_chunks,
     autocorr_integrand,
     eigenangles_of,
     sample_eigenangle_batch,
     sample_matrix_batch,
 )
+from rmt_autocorr.routes import canonical_value
 
 ALL_FAMILIES = ["u", "usp", "so", "ominus"]
 
@@ -81,6 +85,22 @@ def test_so_quadrature_with_nodes_at_zero_and_pi_matches_eps():
     shifts = [0.8 + 0.1j, -0.5 + 0.4j]
     val = weyl_autocorrelation(spec, shifts, nodes_per_dim=24)
     assert val == pytest.approx(complex(so_autocorr_eps(2, shifts)), rel=1e-12)
+
+
+@pytest.mark.parametrize("fam,N,shifts,m", [
+    ("u", 3, (0.5, 0.7 + 0.1j, -0.4j), 0),
+    ("u", 2, (0.9, 0.6 + 0.3j), 1),
+    ("usp", 2, (0.5, 0.3), 0),
+    ("so", 2, (0.8 + 0.1j, -0.5 + 0.4j, 1.3), 0),
+    ("ominus", 3, (0.6 - 0.2j, 0.4), 0),
+])
+def test_quadrature_refuses_node_counts_that_alias(fam, N, shifts, m):
+    # per angle the density times the integrand has frequencies up to 2N + k
+    spec, M = group(fam, N), 2 * N + len(shifts)
+    with pytest.raises(ValueError, match="2N \\+ k"):
+        weyl_autocorrelation(spec, shifts, m, nodes_per_dim=M)
+    exact = complex(canonical_value(spec.family, N, shifts, m))
+    assert weyl_autocorrelation(spec, shifts, m, nodes_per_dim=M + 1) == pytest.approx(exact, rel=1e-12)
 
 
 def test_symplectic_quadrature_hand_integral():
@@ -297,7 +317,7 @@ def test_jacobi_model_angles_are_sorted_in_zero_pi(fam, N):
 
 
 # ---------------------------------------------------------------------------
-# Moments from sampled coefficients: Szego recursion and Jacobi continuant
+# Moments from sampled coefficients: one Szego recursion for every family
 # ---------------------------------------------------------------------------
 
 def _coefficient_values(spec, shifts, m, seed, count):
@@ -326,6 +346,28 @@ def test_continuant_matches_the_eigensolved_angles(fam, N):
         factors = np.abs(1 + w * w - 2 * w * np.cos(T[:, :, None]))
         inherited = 4 * n * u * np.sum(np.abs(w) / factors, axis=(1, 2))
         assert np.all(np.abs(got - ref) <= (1e-12 + inherited) * np.abs(ref)), (seed, shifts)
+
+
+@pytest.mark.parametrize("fam", ["usp", "so"])
+@pytest.mark.parametrize("N", [8, 16])
+def test_self_dual_values_at_plus_minus_one_keep_their_digits(fam, N):
+    # at w = 1 the exact value is prod_t (1 - alpha_t) and at w = -1
+    # prod_t (1 + (-1)^t alpha_t) over the sampled real coefficients: no
+    # cancellation beyond each factor's, so each sample must be within
+    # 4 u sum_t 1 / |f_t| of the 50-digit product, although angles near 0
+    # or pi make these values ill-conditioned in the eigenvalues
+    spec = group(fam, N)
+    u, count, seed = np.finfo(float).eps, 1000, 1101 + N
+    n, a = spec.free_angles, _JACOBI_A[spec.family]
+    alpha = np.concatenate(list(_sample_chunks(
+        seed, count, lambda rng, B: _jacobi_verblunsky(rng, B, n, a)[:, 1:])))
+    for w, c in ((1.0, -np.ones(2 * n)), (-1.0, (-1.0) ** np.arange(2 * n))):
+        got = _coefficient_values(spec, (w,), 0, seed, count)
+        with mpmath.workdps(50):
+            exact = np.array([float(mpmath.fprod(1 + ct * mpmath.mpf(at) for ct, at in zip(c, row)))
+                              for row in alpha])
+        bound = 4 * u * np.sum(1 / np.abs(1 + c * alpha), axis=1) * np.abs(exact)
+        assert np.all(np.abs(got - exact) <= bound), (w, np.max(np.abs(got - exact) / bound))
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 16])
