@@ -6,8 +6,9 @@ residual sweep), ``montecarlo`` (sampled mean vs exact value with a
 z-score), ``scaling`` (large-N ratio table as CSV).
 
 Exit codes: 0 success / all checks passed, 2 usage error, 3 numerical
-route error (NearConfluent, PoleHit, DimensionCap, ContourTooTight), 4 a
-cross-check, identity or Monte Carlo gate failed.
+route error (NearConfluent, PoleHit, DimensionCap, ContourTooTight, or an
+OverflowError of the arithmetic), 4 a cross-check, identity or Monte Carlo
+gate failed.
 
 Output is deterministic given the full argument list: JSON objects are
 emitted with sorted keys and 17-significant-digit floats, so re-serializing
@@ -217,16 +218,16 @@ def _deviation(a: complex, b: complex) -> float:
 def cmd_crosscheck(args) -> int:
     prec = _resolve_precision(args)
     spec, shifts, alphas, m = _query_spec(args)
-    routes = [r.strip() for r in args.routes.split(",") if r.strip()]
-    if len(routes) < 2:
-        raise UsageError("crosscheck needs at least two routes")
-    for r in routes:
+    requested = list(dict.fromkeys(r.strip() for r in args.routes.split(",") if r.strip()))
+    if len(requested) < 2:
+        raise UsageError("crosscheck needs at least two distinct routes")
+    for r in requested:
         if r not in _METHODS_BY_FAMILY[spec.family]:
             raise UsageError(f"route {r!r} is not available for {spec.family}")
     tol = args.tol if args.tol is not None else (prec.agreement_tol if prec else 1e-9)
     values: dict[str, complex] = {}
     timings: dict[str, float] = {}
-    for r in routes:
+    for r in requested:
         t0 = time.perf_counter()
         val, _ = _route_value(spec, shifts, alphas, m, r, args, prec)
         timings[r] = time.perf_counter() - t0
@@ -243,7 +244,7 @@ def cmd_crosscheck(args) -> int:
     report = {
         "query": _query_echo(spec, shifts, m),
         "precision": _precision_echo(prec),
-        "routes": {r: {"value": values[r], "seconds": timings[r]} for r in routes},
+        "routes": {r: {"value": values[r], "seconds": timings[r]} for r in requested},
         "pairwise_deviation": pairwise,
         "max_deviation": worst,
         "agreement_tol": tol,
@@ -394,7 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RouteError as exc:
+    except (RouteError, OverflowError) as exc:
         _emit(canonical_json({"error": type(exc).__name__, "detail": str(exc)}),
               getattr(args, "out", None))
         print(f"numerical route error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -28,19 +28,22 @@ CONVENTION_PROSE = "prose"           # x^(|D|^2 + 2|D| + 1)
 _MAX_DRAWS = 10_000                  # shift-vector draws per trial before giving up
 
 
+def _zero_substituted(w: list, j: int, prec: PrecisionConfig | None, num):
+    """Delta(w with w_j set to 0) * prod_{m != j} (1 - w_j w_m)."""
+    t = vandermonde(w[:j] + [num.zero] + w[j + 1:], prec)
+    for m, wm in enumerate(w):
+        if m != j:
+            t = t * (num.one - w[j] * wm)
+    return t
+
+
 def identity1_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
     """| sum_j Delta|_{w_j=0} prod_m (1 - w_j w_m)  -  (1 - prod w^2) Delta |."""
     num = ops_for(prec)
-    n = len(shifts)
     with num.guard():
         w = [num.scalar(x) for x in shifts]
-        lhs_terms = []
-        for j in range(n):
-            t = vandermonde(w[:j] + [num.zero] + w[j + 1:], prec)
-            for m in range(n):
-                t = t * (num.one - w[j] * w[m])
-            lhs_terms.append(t)
-        lhs = num.fsum(lhs_terms)
+        lhs = num.fsum(_zero_substituted(w, j, prec, num) * (num.one - wj * wj)
+                       for j, wj in enumerate(w))
         sq = num.one
         for x in w:
             sq = sq * x * x
@@ -79,58 +82,58 @@ def lemma1_residual(coeffs: Sequence[complex], shifts: Sequence[complex],
         return float(num.absolute(lhs - rhs))
 
 
-def _subset_cache(shifts: Sequence[complex], prec: PrecisionConfig | None):
-    """Per-subset data reused across many x evaluations in one trial."""
+def _subset_cache(shifts: Sequence[complex], r: int, prec: PrecisionConfig | None):
+    """Per-subset data of one shift vector, reused at every x: |C|, |D|, the
+    cross products w_a w_b (a in C, b in D), and (-1)^S Delta(C) Delta(D)
+    times w_C^r and, for |C| even only (else None), times w_C^(n-2)."""
     num = ops_for(prec)
-    m = len(shifts)
+    n = len(shifts)
     w = [num.scalar(x) for x in shifts]
     cache = []
-    for A, B in _subset_pairs(m):
-        st = subset_stats(A, B, shifts, prec)
-        pair_products = [w[a] * w[b] for a in A for b in B]
-        cache.append((A, B, st, pair_products))
+    for C, D in _subset_pairs(n):
+        st = subset_stats(C, D, shifts, prec)
+        base = (-num.one if st.S % 2 else num.one) * st.delta_A * st.delta_B
+        cache.append((len(C), len(D), [w[a] * w[b] for a in C for b in D], base * st.w_A ** r,
+                      None if len(C) % 2 else base * st.w_A ** (n - 2)))
     return cache
+
+
+def _subset_sums(cache, x, r: int, num):
+    """F_n(w; x; r) and the |C|-even sums of identity 3 under the statement
+    and the prose exponent, at one x.
+
+    Each subset pair's prod (x^2 - w_a w_b) is formed once and shared by the
+    three sums, and x^e once per distinct exponent, with 0^0 = 1 at x = 0.
+    The exponents of |D| = d are d^2 + (r - n) d for F_n, and (d - 1)^2
+    (statement) and (d + 1)^2 (prose) for identity 3.
+    """
+    n = cache[0][0] + cache[0][1]
+    exponents = {e for d in range(n + 1) for e in (d * d + (r - n) * d, (d - 1) ** 2, (d + 1) ** 2)}
+    if num.absolute(x) == 0:
+        if min(exponents) < 0:
+            raise ValueError("x = 0 is not allowed when exponents go negative")
+        power = {e: num.one if e == 0 else num.zero for e in exponents}
+    else:
+        power = {e: x ** e if e >= 0 else num.one / x ** (-e) for e in exponents}
+    xx = x * x
+    fn, statement, prose = [], [], []
+    for c, d, pairs, coef_r, coef_even in cache:
+        t = num.one
+        for p in pairs:
+            t = t * (xx - p)
+        fn.append(t * coef_r * power[d * d + (r - n) * d])
+        if coef_even is not None:
+            t = t * coef_even
+            statement.append(t * power[(d - 1) ** 2])
+            prose.append(t * power[(d + 1) ** 2])
+    return num.fsum(fn), num.fsum(statement), num.fsum(prose)
 
 
 def identity2_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
     """|signed subset sum with w_C^(n-1), Delta(C) Delta(D) and the
-    (1 - w_a w_b) cross product|; the identity says it is zero."""
-    num = ops_for(prec)
-    with num.guard():
-        cache = _subset_cache(shifts, prec)
-        n = len(shifts)
-        return float(num.absolute(num.fsum(_fn_terms(cache, num.one, n - 1, n, num))))
-
-
-def _subset_terms(cache, x, r: int, exponent, num, even_c_only: bool = False):
-    """Terms (-1)^S w_C^r Delta(C) Delta(D) prod (x^2 - w_a w_b) x^exponent(|D|)
-    of a subset sum, with 0^0 = 1 at x = 0."""
-    xx = x * x
-    x_is_zero = num.absolute(x) == 0
-    terms = []
-    for A, B, st, pairs in cache:
-        if even_c_only and len(A) % 2:
-            continue
-        e = exponent(len(B))
-        if x_is_zero:
-            if e < 0:
-                raise ValueError("x = 0 is not allowed when exponents go negative")
-            if e > 0:
-                continue
-            xe = num.one
-        else:
-            xe = x ** e if e >= 0 else num.one / x ** (-e)
-        t = (-num.one if st.S % 2 else num.one) * st.w_A ** r * st.delta_A * st.delta_B * xe
-        for p in pairs:
-            t = t * (xx - p)
-        terms.append(t)
-    return terms
-
-
-def _fn_terms(cache, x, r: int, n: int, num):
-    """F_n's subset sum.  Identity 2 is F_n at x = 1, r = n - 1, where
-    prod (x^2 - w_a w_b) is the (1 - w_a w_b) cross product."""
-    return _subset_terms(cache, x, r, lambda d: d * d + (r - n) * d, num)
+    (1 - w_a w_b) cross product|; the identity says it is zero.  This is
+    F_n at x = 1, r = n - 1."""
+    return float(abs(fn_eval(shifts, 1.0, len(shifts) - 1, prec)))
 
 
 def fn_eval(shifts: Sequence[complex], x: complex, r: int,
@@ -141,17 +144,9 @@ def fn_eval(shifts: Sequence[complex], x: complex, r: int,
     x^(|D|^2 + (r - n)|D|), with 0^0 = 1 at x = 0.
     """
     num = ops_for(prec)
-    n = len(shifts)
     with num.guard():
-        cache = _subset_cache(shifts, prec)
-        return num.fsum(_fn_terms(cache, num.scalar(x), r, n, num))
-
-
-def _identity3_terms(cache, x, convention: str, n: int, num):
-    if convention not in (CONVENTION_STATEMENT, CONVENTION_PROSE):
-        raise ValueError("convention must be 'statement' or 'prose'")
-    s = -2 if convention == CONVENTION_STATEMENT else 2
-    return _subset_terms(cache, x, n - 2, lambda d: d * d + s * d + 1, num, even_c_only=True)
+        cache = _subset_cache(shifts, r, prec)
+        return _subset_sums(cache, num.scalar(x), r, num)[0]
 
 
 def identity3_residual(shifts: Sequence[complex], x: complex,
@@ -161,11 +156,15 @@ def identity3_residual(shifts: Sequence[complex], x: complex,
     statement exponent convention."""
     if len(shifts) < 2:
         raise ValueError("needs at least two shifts")
+    if convention not in (CONVENTION_STATEMENT, CONVENTION_PROSE):
+        raise ValueError("convention must be 'statement' or 'prose'")
     num = ops_for(prec)
     n = len(shifts)
     with num.guard():
-        cache = _subset_cache(shifts, prec)
-        return float(num.absolute(num.fsum(_identity3_terms(cache, num.scalar(x), convention, n, num))))
+        # r = n - 1 keeps F_n's exponents >= 0, so x = 0 is allowed here too
+        cache = _subset_cache(shifts, n - 1, prec)
+        _, statement, prose = _subset_sums(cache, num.scalar(x), n - 1, num)
+        return float(num.absolute(statement if convention == CONVENTION_STATEMENT else prose))
 
 
 def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
@@ -174,14 +173,7 @@ def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
     n = len(shifts)
     with num.guard():
         w = [num.scalar(x) for x in shifts]
-        lhs_terms = []
-        for j in range(n):
-            t = w[j] * w[j] * vandermonde(w[:j] + [num.zero] + w[j + 1:], prec)
-            for m in range(n):
-                if m != j:
-                    t = t * (num.one - w[m] * w[j])
-            lhs_terms.append(t)
-        lhs = num.fsum(lhs_terms)
+        lhs = num.fsum(wj * wj * _zero_substituted(w, j, prec, num) for j, wj in enumerate(w))
         p1 = num.one
         p2 = num.one
         for x in w:
@@ -277,6 +269,10 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
         raise ValueError("trials must be >= 1")
     if n_min < 2:
         raise ValueError("n_min must be >= 2")
+    if n_max < n_min:
+        raise ValueError("n_max must be >= n_min")
+    if random_x_count < 1:
+        raise ValueError("random_x_count must be >= 1: identity 3 is checked at the random x")
     if not 0 < radius < float("inf"):
         raise ValueError("radius must be positive and finite")
     num = ops_for(prec)
@@ -304,23 +300,21 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
             bump("identity1", identity1_residual(shifts, prec))
             bump("lemma1", lemma1_residual(coeffs, shifts, prec))
 
-            cache = _subset_cache(shifts, prec)
             r = n - 1
-            bump("identity2", float(num.absolute(num.fsum(_fn_terms(cache, num.one, r, n, num)))))
-            bump("fn_zero", float(num.absolute(num.fsum(_fn_terms(cache, num.zero, r, n, num)))))
+            cache = _subset_cache(shifts, r, prec)
+            bump("identity2", float(num.absolute(_subset_sums(cache, num.one, r, num)[0])))
+            bump("fn_zero", float(num.absolute(_subset_sums(cache, num.zero, r, num)[0])))
             for a in range(n):
                 for b in range(a + 1, n):
                     root = num.sqrt(num.scalar(shifts[a]) * num.scalar(shifts[b]))
                     for signed_root in (root, -root):
                         bump("fn_witness", float(num.absolute(
-                            num.fsum(_fn_terms(cache, signed_root, r, n, num)))))
+                            _subset_sums(cache, signed_root, r, num)[0])))
             for x in xs:
-                xs_ = num.scalar(x)
-                bump("fn_random", float(num.absolute(num.fsum(_fn_terms(cache, xs_, r, n, num)))))
-                bump("identity3", float(num.absolute(
-                    num.fsum(_identity3_terms(cache, xs_, CONVENTION_STATEMENT, n, num)))))
-                prose_max = max(prose_max, float(num.absolute(
-                    num.fsum(_identity3_terms(cache, xs_, CONVENTION_PROSE, n, num)))))
+                fn, statement, prose = _subset_sums(cache, num.scalar(x), r, num)
+                bump("fn_random", float(num.absolute(fn)))
+                bump("identity3", float(num.absolute(statement)))
+                prose_max = max(prose_max, float(num.absolute(prose)))
 
             bump("identity4", identity4_residual(shifts, prec))
 

@@ -58,19 +58,15 @@ def canonical_value(family: str, N: int, shifts: Sequence[complex], m: int = 0,
 
 
 def full_o2n_average(N: int, shifts: Sequence[complex],
-                     undo_embedded_sign: bool = True,
                      prec: PrecisionConfig | None = None):
     """Average over all of O(2N) = SO(2N) and its determinant -1 coset.
 
-    With undo_embedded_sign (default) this is the genuine Haar average of
-    prod Lambda(w_j) over O(2N): the coset value carries a defining (-1)^k
-    which is removed before the two halves are mixed with equal weight.
-    With the flag off the coset value enters as defined.
+    This is the Haar average of prod Lambda(w_j) over O(2N): the coset
+    value carries a defining (-1)^k which is removed before the two halves
+    are mixed with equal weight.
     """
     num = ops_for(prec)
     with num.guard():
         so_val = canonical_value("so", N, shifts, 0, prec)
-        om_val = canonical_value("ominus", N, shifts, 0, prec)
-        if undo_embedded_sign:
-            om_val = om_val * (-1) ** len(shifts)
+        om_val = canonical_value("ominus", N, shifts, 0, prec) * (-1) ** len(shifts)
         return (so_val + om_val) / 2

@@ -163,25 +163,23 @@ def partial_index_vectors(variant: str, count: int, n_max: int) -> Iterator[tupl
 
 
 def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
-    """Index vectors of the even-orthogonal determinant sum.
+    """Index vectors of the even-orthogonal determinant sum, n_param >= 1.
 
     Strictly increasing vectors in {0, ..., 2*n_param + k - 1} whose entries
     either pair up adjacently (i = j, j+1) throughout, or are pinned at the
     ends (first 0 / last 2*n_param + k - 1) with the interior paired; which
     ends are pinned depends on the parity of k.  Both branches (partial
-    families E and M for even k, L and R for odd k) are produced and
-    de-duplicated.  With no shifts (k = 0) the one vector is the empty one.
+    families E and M for even k, L and R for odd k) are produced; for
+    n_param >= 1 they never share a vector.  With no shifts (k = 0) the one
+    vector is the empty one.
     """
+    if n_param < 1:
+        raise ValueError("n_param must be >= 1")
     if k == 0:
-        yield ()
-        return
+        return iter([()])
     top = 2 * n_param + k - 1
-    seen: set[tuple[int, ...]] = set()
-    for variant in ("E", "M") if k % 2 == 0 else ("L", "R"):
-        for vec in partial_index_vectors(variant, k, top):
-            if vec not in seen:
-                seen.add(vec)
-                yield vec
+    return chain.from_iterable(partial_index_vectors(variant, k, top)
+                               for variant in (("E", "M") if k % 2 == 0 else ("L", "R")))
 
 
 def min_separation(points: Sequence[complex]) -> float:

@@ -59,6 +59,8 @@ def test_exit_code_usage():
     assert main(["compute", "--group", "usp", "--N", "1", "--shifts", "2",
                  "--method", "eps", "--digits", "10"]) == 2
     assert main(["identity-suite", "--trials", "0"]) == 2
+    assert main(["crosscheck", "--group", "usp", "--N", "2", "--shifts", "0.5",
+                 "--routes", "eps,eps"]) == 2  # one distinct route compares nothing
     assert main(["nonsense"]) == 2
     assert main(["compute", "--group", "usp", "--N", "1", "--shifts", "2",
                  "--method", "quadrature", "--digits", "40"]) == 2
@@ -73,6 +75,17 @@ def test_exit_code_numerical_error(capsys):
                            "--shifts", "0", "--method", "eps")
     assert code == 3
     assert json.loads(out)["error"] == "PoleHit"
+
+
+@pytest.mark.parametrize("query", [
+    ("--group", "u", "--N", "2", "--m", "0", "--shifts", "1e200", "--method", "det"),
+    ("--group", "usp", "--N", "100000", "--shifts", "0.5", "--method", "eps"),
+])
+def test_overflow_is_a_numerical_error(capsys, query):
+    code, out, _ = run_cli(capsys, "compute", *query)
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"error", "detail"} and report["error"] == "OverflowError"
 
 
 def test_crosscheck_pass_and_fail_paths(capsys):
@@ -141,7 +154,8 @@ def test_quadrature_with_aliasing_nodes_is_a_usage_error(query):
 
 
 @pytest.mark.parametrize("option", [("--radius", "0"), ("--n-min", "1"),
-                                    ("--radius", "1e-4", "--n-max", "2")])
+                                    ("--radius", "1e-4", "--n-max", "2"),
+                                    ("--n-min", "4", "--n-max", "3"), ("--x-count", "-1")])
 def test_identity_suite_settings_it_cannot_sample_are_usage_errors(option):
     assert main(["identity-suite", "--trials", "3", *option]) == 2
 

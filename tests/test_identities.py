@@ -1,9 +1,11 @@
 """Residual checks for the supporting identities."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from rmt_autocorr import (
     InconsistentCoefficients,
@@ -17,7 +19,13 @@ from rmt_autocorr import (
     run_identity_suite,
     symmb_coeff_transform,
 )
-from rmt_autocorr.identities import CONVENTION_PROSE, CONVENTION_STATEMENT
+from rmt_autocorr.identities import (
+    CONVENTION_PROSE,
+    CONVENTION_STATEMENT,
+    _subset_cache,
+    _subset_sums,
+)
+from rmt_autocorr.precision import ops_for
 
 
 def _disk_points(rng, n, radius=1.0):
@@ -121,6 +129,71 @@ def test_identity3_statement_convention_wins():
         identity3_residual(w, 1.0, "nonsense")
 
 
+def _printed_subset_sum(w, x, r, exponent, even_c_only):
+    """The printed subset sum, term by term at 60 digits: over every split
+    of the indices into C and D, (-1)^S w_C^r Delta(C) Delta(D)
+    prod_{a in C, b in D} (x^2 - w_a w_b) x^exponent(|D|), with 0^0 = 1,
+    where S = |C||D| + |C|(|C| + 1)/2 + #{a in C, b in D: a > b}.
+
+    Returns the sum and the sum of the terms' moduli (the scale that
+    rounding errors are measured against)."""
+    n = len(w)
+    with mp.workdps(60):
+        w = [mp.mpc(v) for v in w]
+        x = mp.mpc(x)
+        total, scale = mp.mpc(0), mp.mpf(0)
+        for size in range(n + 1):
+            for C in itertools.combinations(range(n), size):
+                D = [i for i in range(n) if i not in C]
+                if even_c_only and len(C) % 2:
+                    continue
+                e = exponent(len(D))
+                if x == 0 and e < 0:
+                    raise ValueError("negative exponent at x = 0")
+                S = len(C) * len(D) + len(C) * (len(C) + 1) // 2 + sum(a > b for a in C for b in D)
+                t = mp.mpc(-1) ** S * mp.fprod(w[a] for a in C) ** r
+                for part in (C, D):
+                    for i, j in itertools.combinations(part, 2):
+                        t *= w[j] - w[i]
+                for a in C:
+                    for b in D:
+                        t *= x * x - w[a] * w[b]
+                t *= mp.mpc(1) if e == 0 else x ** e
+                total += t
+                scale += abs(t)
+        return total, scale
+
+
+@pytest.mark.parametrize("digits", [None, 40])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_subset_sums_match_the_printed_definitions(n, digits):
+    prec = None if digits is None else PrecisionConfig.extended(digits)
+    num = ops_for(prec)
+    tol = 1e-12 if digits is None else 1e-30
+    rng = np.random.default_rng(100 + n)
+    w = _disk_points(rng, n)
+    root = cmath.sqrt(w[0] * w[-1])
+    xs = [0.0, 1.0, root, -root] + [complex(0.2 + 0.8 * rng.random(), rng.uniform(-1, 1))
+                                    for _ in range(2)]
+    with num.guard():
+        caches = {r: _subset_cache(w, r, prec) for r in (n - 2, n - 1, n)}
+    for x in xs:
+        # identity 3 under the statement and the prose exponent
+        identity3 = [_printed_subset_sum(w, x, n - 2, e, True)
+                     for e in (lambda d: (d - 1) ** 2, lambda d: (d + 1) ** 2)]
+        for r, cache in caches.items():
+            if x == 0 and r < n - 1:   # F_n has x^(-1) at |D| = 1
+                with pytest.raises(ValueError), num.guard():
+                    _subset_sums(cache, num.scalar(x), r, num)
+                continue
+            wanted = [_printed_subset_sum(w, x, r, lambda d: d * d + (r - n) * d, False), *identity3]
+            with num.guard():
+                got = _subset_sums(cache, num.scalar(x), r, num)
+            with mp.workdps(60):
+                for value, (total, scale) in zip(got, wanted):
+                    assert abs(mp.mpc(value) - total) <= tol * scale
+
+
 def test_identity4():
     rng = np.random.default_rng(8)
     a, b = 0.7 + 0.1j, -0.4 + 0.6j
@@ -184,6 +257,10 @@ def test_extended_identities_on_radius_15():
     ({"radius": float("inf")}, "radius"),
     # two points 1e-3 apart do not fit in a disk of radius 1e-4
     ({"n_max": 2, "radius": 1e-4}, "draws"),
+    ({"n_min": 4, "n_max": 3}, "n_max"),
+    # identity 3 is checked at the random x only
+    ({"random_x_count": 0}, "random_x_count"),
+    ({"random_x_count": -1}, "random_x_count"),
 ])
 def test_suite_rejects_settings_it_cannot_sample(kwargs, message):
     with pytest.raises(ValueError, match=message):

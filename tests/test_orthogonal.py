@@ -250,9 +250,6 @@ def test_full_o2n_examples():
     w = 0.9 + 0.2j
     assert complex(full_o2n_average(1, [w])) == pytest.approx(1.0)
     assert complex(full_o2n_average(3, [0.0])) == pytest.approx(1.0)
-    # keeping the embedded sign mixes the raw coset value instead
-    kept = complex(full_o2n_average(1, [w], undo_embedded_sign=False))
-    assert kept == pytest.approx(((1 + w ** 2) + (w ** 2 - 1)) / 2)
 
 
 def test_full_o2n_coset_falls_back_to_schur():

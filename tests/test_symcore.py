@@ -200,6 +200,14 @@ def test_so_index_sets_examples():
     assert set(enumerate_so_index_sets(2, 1)) == {(0, 3), (0, 1), (1, 2), (2, 3)}
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_so_index_sets_need_a_positive_size(k):
+    # the two partial families share vectors only at n_param = 0, where the
+    # determinant sum over them disagrees with the eps and schur routes
+    with pytest.raises(ValueError, match="n_param"):
+        enumerate_so_index_sets(k, 0)
+
+
 @pytest.mark.parametrize("k,n_param", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2)])
 def test_so_index_sets_match_condition_filter(k, n_param):
     got = list(enumerate_so_index_sets(k, n_param))
