@@ -5,10 +5,11 @@ requested routes with pairwise deviations), ``identity-suite`` (randomized
 residual sweep), ``montecarlo`` (sampled mean vs exact value with a
 z-score), ``scaling`` (large-N ratio table as CSV).
 
-Exit codes: 0 success / all checks passed, 2 usage error, 3 numerical
-route error (NearConfluent, PoleHit, DimensionCap, ContourTooTight, or an
-OverflowError of the arithmetic), 4 a cross-check, identity or Monte Carlo
-gate failed.
+Exit codes: 0 success / all checks passed, 2 usage error (a non-finite
+input among them), 3 numerical route error (NearConfluent, PoleHit,
+DimensionCap, ContourTooTight, an OverflowError of the arithmetic, or an
+inf or NaN in the report), 4 a cross-check, identity or Monte Carlo gate
+failed.
 
 Output is deterministic given the full argument list: JSON objects are
 emitted with sorted keys and 17-significant-digit floats, so re-serializing
@@ -37,10 +38,16 @@ EXIT_FAIL = 4
 
 _METHODS_BY_FAMILY = {family: (*table, "contour", "quadrature", "montecarlo")
                       for family, table in routes.ROUTES.items()}
+# w = exp(sign * alpha): the exponentiated convention of each family's contour form
+_ALPHA_SIGN = {"unitary": -1, "symplectic": -1, "so": 1, "ominus": 1}
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
+
+
+class NonFiniteValue(ValueError):
+    """An inf or NaN in a report: the route failed, not its input."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +56,7 @@ class UsageError(Exception):
 
 def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite value in report")
+        raise NonFiniteValue("non-finite value in report")
     if x == 0:
         x = 0.0  # normalize -0.0 so round-trips stay byte-identical
     return format(x, ".17g")
@@ -89,11 +96,17 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_complex(token: str) -> complex:
-    t = token.strip().replace(" ", "").replace("I", "i").replace("i", "j")
+    """A finite complex literal; a trailing i or I is the imaginary unit."""
+    t = token.strip().replace(" ", "")
+    if t[-1:] in ("i", "I"):
+        t = t[:-1] + "j"
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex literal {token!r}") from exc
+    if not cmath.isfinite(z):
+        raise UsageError(f"non-finite complex literal {token!r}")
+    return z
 
 
 def parse_complex_list(text: str) -> list[complex]:
@@ -103,46 +116,24 @@ def parse_complex_list(text: str) -> list[complex]:
     return [parse_complex(t) for t in items]
 
 
-def _alpha_to_shifts(family: str, alphas: Sequence[complex]) -> list[complex]:
-    # shift conventions: w = exp(-alpha) for U and USp, w = exp(+alpha) for SO/O-
-    sign = 1.0 if family in ("so", "ominus") else -1.0
-    return [cmath.exp(sign * a) for a in alphas]
-
-
-def _shifts_to_alpha(family: str, shifts: Sequence[complex]) -> list[complex]:
-    sign = 1.0 if family in ("so", "ominus") else -1.0
-    return [sign * cmath.log(w) for w in shifts]
-
-
 def _resolve_precision(args) -> PrecisionConfig | None:
-    digits = getattr(args, "digits", None)
-    if digits is None:
-        return None
-    return PrecisionConfig.extended(digits)
+    return None if args.digits is None else PrecisionConfig(args.digits)
 
 
 def _query_spec(args):
     spec = haar.GroupSpec(args.group, args.N)
-    if getattr(args, "alpha", None):
-        alphas = parse_complex_list(args.alpha)
-        shifts = _alpha_to_shifts(spec.family, alphas)
-    elif getattr(args, "shifts", None):
+    if args.alpha is not None:
+        sign = _ALPHA_SIGN[spec.family]
+        shifts = [cmath.exp(sign * a) for a in parse_complex_list(args.alpha)]
+    else:
         shifts = parse_complex_list(args.shifts)
-        alphas = None
-    else:
-        raise UsageError("provide --shifts or --alpha")
-    m = getattr(args, "m", None)
-    if spec.family == "unitary":
-        if m is None:
-            raise UsageError("the unitary family requires --m")
-        n = getattr(args, "n", None)
-        if n is not None and n != len(shifts):
-            raise UsageError("--n must equal the number of shifts")
-        if not 0 <= m <= len(shifts):
-            raise UsageError("need 0 <= m <= n")
-    else:
-        m = 0
-    return spec, shifts, alphas, m
+    if spec.family != "unitary":
+        return spec, shifts, 0
+    if args.m is None:
+        raise UsageError("the unitary family requires --m")
+    if args.n is not None and args.n != len(shifts):
+        raise UsageError("--n must equal the number of shifts")
+    return spec, shifts, args.m
 
 
 def _precision_echo(prec: PrecisionConfig | None) -> dict:
@@ -160,32 +151,36 @@ def _query_echo(spec, shifts, m) -> dict:
     return echo
 
 
-def _route_value(spec, shifts, alphas, m, method, args, prec):
+def _check_method(family: str, method: str) -> None:
+    if method not in _METHODS_BY_FAMILY[family]:
+        raise UsageError(f"method {method!r} is not available for {family}")
+
+
+def _route_value(spec, shifts, m, method, args, prec):
+    """(value, Monte Carlo standard error or None) of one route."""
     fam = spec.family
+    _check_method(fam, method)
     if method in routes.ROUTES[fam]:
         return routes.ROUTES[fam][method](spec.size, shifts, m, prec), None
     if prec is not None:
-        raise UsageError("--digits applies to the closed-form routes and the "
+        raise UsageError("--digits applies to the closed-form routes, scaling and the "
                          "identity suite; integration routes run in double precision")
+    nodes = getattr(args, "nodes", None)
     if method == "quadrature":
-        nodes = getattr(args, "nodes", None)
         return haar.weyl_autocorrelation(spec, shifts, m, nodes_per_dim=nodes), None
     if method == "contour":
-        al = alphas if alphas is not None else _shifts_to_alpha(fam, shifts)
-        nodes = getattr(args, "nodes", None)
+        al = [_ALPHA_SIGN[fam] * cmath.log(w) for w in shifts]
         cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
         if fam == "unitary":
             return unitary.autocorr_contour(spec.size, al, m, cfg), None
         if fam == "symplectic":
             return symplectic.sp_autocorr_contour(spec.size, al, cfg), None
         return orthogonal.orthogonal_contour(fam, spec.size, al, cfg), None
-    if method == "montecarlo":
-        if args.samples < 100:
-            raise UsageError("--samples must be >= 100")
-        integrand = haar.autocorr_integrand(spec, shifts, m)
-        mean, stderr = haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
-        return mean, stderr
-    raise UsageError(f"unknown method {method!r}")
+    # method == "montecarlo"
+    if args.samples < 100:
+        raise UsageError("--samples must be >= 100")
+    integrand = haar.autocorr_integrand(spec, shifts, m)
+    return haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +189,8 @@ def _route_value(spec, shifts, alphas, m, method, args, prec):
 
 def cmd_compute(args) -> int:
     prec = _resolve_precision(args)
-    spec, shifts, alphas, m = _query_spec(args)
-    if args.method not in _METHODS_BY_FAMILY[spec.family]:
-        raise UsageError(f"method {args.method!r} is not available for {spec.family}")
-    value, stderr = _route_value(spec, shifts, alphas, m, args.method, args, prec)
+    spec, shifts, m = _query_spec(args)
+    value, stderr = _route_value(spec, shifts, m, args.method, args, prec)
     report = {
         "value": complex(value),
         "method": args.method,
@@ -217,19 +210,18 @@ def _deviation(a: complex, b: complex) -> float:
 
 def cmd_crosscheck(args) -> int:
     prec = _resolve_precision(args)
-    spec, shifts, alphas, m = _query_spec(args)
+    spec, shifts, m = _query_spec(args)
     requested = list(dict.fromkeys(r.strip() for r in args.routes.split(",") if r.strip()))
     if len(requested) < 2:
         raise UsageError("crosscheck needs at least two distinct routes")
     for r in requested:
-        if r not in _METHODS_BY_FAMILY[spec.family]:
-            raise UsageError(f"route {r!r} is not available for {spec.family}")
+        _check_method(spec.family, r)
     tol = args.tol if args.tol is not None else (prec.agreement_tol if prec else 1e-9)
     values: dict[str, complex] = {}
     timings: dict[str, float] = {}
     for r in requested:
         t0 = time.perf_counter()
-        val, _ = _route_value(spec, shifts, alphas, m, r, args, prec)
+        val, _ = _route_value(spec, shifts, m, r, args, prec)
         timings[r] = time.perf_counter() - t0
         values[r] = complex(val)
     pairwise = {}
@@ -255,8 +247,6 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_identity_suite(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     prec = _resolve_precision(args)
     if args.tol is not None:
         tol = args.tol
@@ -273,8 +263,8 @@ def cmd_identity_suite(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    spec, shifts, alphas, m = _query_spec(args)
-    mean, stderr = _route_value(spec, shifts, alphas, m, "montecarlo", args, None)
+    spec, shifts, m = _query_spec(args)
+    mean, stderr = _route_value(spec, shifts, m, "montecarlo", args, None)
     exact = complex(routes.canonical_value(spec.family, spec.size, shifts, m))
     if stderr > 0:
         z = abs(mean - exact) / stderr
@@ -296,18 +286,16 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    prec = _resolve_precision(args)
     b = parse_complex_list(args.b)
     if args.k is not None and args.k != len(b):
         raise UsageError("--k must equal the number of b values")
-    try:
-        n_list = [int(t) for t in args.N_list.split(",") if t.strip()]
-    except ValueError as exc:
-        raise UsageError("--N-list must be a comma-separated list of integers") from exc
-    if not n_list or any(n < 1 for n in n_list):
-        raise UsageError("--N-list entries must be positive integers")
+    n_list = [int(t) for t in args.N_list.split(",") if t.strip()]
+    if not n_list:
+        raise UsageError("empty --N-list")
     lines = ["N,ratio_re,ratio_im,abs_err"]
     for n in n_list:
-        ratio = complex(symplectic.sp_large_n_ratio(b, n))
+        ratio = complex(symplectic.sp_large_n_ratio(b, n, prec))
         lines.append(",".join([str(n), _format_float(ratio.real),
                                _format_float(ratio.imag), _format_float(abs(ratio - 1.0))]))
     _emit("\n".join(lines), args.out)
@@ -318,18 +306,22 @@ def cmd_scaling(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, with_query: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
+                with_digits: bool = True, with_seed: bool = True) -> None:
     if with_query:
         p.add_argument("--group", required=True,
                        help="group family: u, usp, so, ominus")
         p.add_argument("--N", required=True, type=int, help="size parameter")
-        p.add_argument("--shifts", help="comma-separated complex shifts, e.g. 0.5,1+0.2i")
-        p.add_argument("--alpha", help="shifts in exponentiated coordinates "
-                                       "(w = exp(-alpha) for u/usp, exp(+alpha) for so/ominus)")
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument("--shifts", help="comma-separated complex shifts, e.g. 0.5,1+0.2i")
+        given.add_argument("--alpha", help="shifts in exponentiated coordinates "
+                                           "(w = exp(-alpha) for u/usp, exp(+alpha) for so/ominus)")
         p.add_argument("--m", type=int, help="unitary split point (adjoint block size)")
         p.add_argument("--n", type=int, help="unitary total shift count (optional check)")
-    p.add_argument("--digits", type=int, help="extended-precision decimal digits (>= 30)")
-    p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
+    if with_digits:
+        p.add_argument("--digits", type=int, help="extended-precision decimal digits (>= 30)")
+    if with_seed:
+        p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
     p.add_argument("--out", help="also write the report to this file")
 
 
@@ -367,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identity_suite)
 
     p = sub.add_parser("montecarlo", help="Monte Carlo mean vs the exact value")
-    _add_common(p)
+    _add_common(p, with_digits=False)
     p.add_argument("--samples", type=int, default=100000)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("scaling", help="large-N ratio table (CSV)")
-    _add_common(p, with_query=False)
+    _add_common(p, with_query=False, with_seed=False)
     p.add_argument("--k", type=int, help="shift count (checked against --b)")
     p.add_argument("--b", required=True, help="comma-separated b values")
     p.add_argument("--N-list", dest="N_list", required=True,
@@ -389,13 +381,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if getattr(args, "digits", None) is not None and args.digits < 30:
-            raise UsageError("--digits must be >= 30")
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RouteError, OverflowError) as exc:
+    except (RouteError, OverflowError, NonFiniteValue) as exc:
         _emit(canonical_json({"error": type(exc).__name__, "detail": str(exc)}),
               getattr(args, "out", None))
         print(f"numerical route error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ one actually vanishes instead of resolving the discrepancy by fiat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -214,6 +215,11 @@ def symmb_coeff_transform(b: Sequence[complex], w_j: complex,
 # The batch suite
 # ---------------------------------------------------------------------------
 
+def _nan_max(a: float, b: float) -> float:
+    """max(a, b), but NaN if either is: a NaN residual fails the suite."""
+    return a if a != a or a >= b else b
+
+
 @dataclass(frozen=True)
 class IdentitySuiteReport:
     trials: int
@@ -225,7 +231,7 @@ class IdentitySuiteReport:
     identity3_losing_max: float
 
     def worst(self) -> float:
-        return max(self.max_residuals.values())
+        return reduce(_nan_max, self.max_residuals.values())
 
     def as_dict(self) -> dict:
         return {
@@ -286,8 +292,7 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
     prose_max = 0.0
 
     def bump(key: str, val: float) -> None:
-        if val > maxima[key]:
-            maxima[key] = val
+        maxima[key] = _nan_max(maxima[key], val)
 
     with num.guard():
         for _ in range(trials):
@@ -314,7 +319,7 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
                 fn, statement, prose = _subset_sums(cache, num.scalar(x), r, num)
                 bump("fn_random", float(num.absolute(fn)))
                 bump("identity3", float(num.absolute(statement)))
-                prose_max = max(prose_max, float(num.absolute(prose)))
+                prose_max = _nan_max(prose_max, float(num.absolute(prose)))
 
             bump("identity4", identity4_residual(shifts, prec))
 

@@ -135,6 +135,8 @@ def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     is either all-odd with exactly 2N nonzero parts, or all-even with at
     most 2N parts.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     k = len(shifts)
     conjugates = chain(map(Partition, _odd_partitions_exact(2 * N, k)),
                        enumerate_even_partitions(2 * N, k - k % 2))
@@ -202,6 +204,8 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
 def _times_coset_factor(sp_route, N: int, shifts: Sequence[complex], prec):
     """prod (w_m^2 - 1) times a symplectic route at size parameter N - 1,
     all in the working precision."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     num = ops_for(prec)
     with num.guard():
         value = sp_route(N - 1, shifts, prec)
@@ -214,8 +218,6 @@ def _times_coset_factor(sp_route, N: int, shifts: Sequence[complex], prec):
 def ominus_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: prod (w_m^2 - 1) times the symplectic
     alternating-parity determinant route at size parameter N - 1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return _times_coset_factor(sp_autocorr_det, N, shifts, prec)
 
 

@@ -53,12 +53,16 @@ def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
 
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: alternating-parity index sum over the Vandermonde."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     top = 2 * N + len(shifts) - 1
     return det_sum_over_vandermonde(shifts, parity_index_vectors(len(shifts), top), top, prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Schur route: sum over even partitions in the 2N x k box (confluent-safe)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     return schur_sum(enumerate_even_partitions(len(shifts), 2 * N), shifts, prec)
 
 
@@ -80,8 +84,12 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     (1 - w_i^(-eps_i) w_j^(-eps_j)), pairs i <= j with the diagonal and
     i < j without, times prod eps_j when signed.  Raises PoleHit for a
     zero shift or when a denominator is within the floor of zero for some
-    sign choice.
+    sign choice, and ValueError below the family's sizes: N >= 0 with the
+    diagonal (USp(2N)), N >= 1 without it (SO(2N), O^-(2N)).
     """
+    least = 0 if diagonal else 1
+    if N < least:
+        raise ValueError(f"N must be >= {least}")
     ws_d = [complex(w) for w in shifts]
     if any(w == 0 for w in ws_d):
         raise PoleHit("sign-vector route needs nonzero shifts")
@@ -137,6 +145,8 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     sides are evaluated through the closed forms (exp(b_j) directly, and
     expm1 for the denominators), so N = 10^4 costs the same as N = 10.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     bs_d = [complex(x) for x in b]
     k = len(bs_d)
     if any(x == 0 for x in bs_d):

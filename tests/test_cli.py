@@ -1,10 +1,15 @@
 """CLI behavior: values, exit codes, determinism, canonical serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rmt_autocorr.cli import canonical_json, main, parse_complex
+from rmt_autocorr import PrecisionConfig, sp_large_n_ratio
+from rmt_autocorr.cli import UsageError, canonical_json, main, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -265,3 +270,68 @@ def test_canonical_json_formatting():
     assert canonical_json([True, None, "x"]) == '[true,null,"x"]'
     with pytest.raises(ValueError):
         canonical_json(float("nan"))
+
+
+def test_shifts_and_alpha_are_mutually_exclusive():
+    assert main(["compute", "--group", "usp", "--N", "2", "--shifts", "0.5",
+                 "--alpha", "0.1", "--method", "eps"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("montecarlo", "--group", "so", "--N", "1", "--shifts", "0.5", "--samples", "200",
+     "--digits", "40"),
+    ("scaling", "--b", "1", "--N-list", "10", "--seed", "3"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv):
+    assert main(list(argv)) == 2
+
+
+def test_scaling_digits(capsys):
+    code, out, _ = run_cli(capsys, "scaling", "--b", "0.5,1.5", "--N-list", "10,1000",
+                           "--digits", "40")
+    assert code == 0
+    for line, n in zip(out.strip().splitlines()[1:], (10, 1000)):
+        ratio = complex(sp_large_n_ratio([0.5, 1.5], n, PrecisionConfig(40)))
+        n_text, re_text, im_text, _ = line.split(",")
+        assert (int(n_text), float(re_text), float(im_text)) == (n, ratio.real, ratio.imag)
+
+
+def test_parse_complex_refuses_non_finite_and_reads_a_trailing_i():
+    for token in ("nan", "inf", "-inf", "infj"):
+        with pytest.raises(UsageError, match="non-finite"):
+            parse_complex(token)
+    assert parse_complex("1+2I") == 1 + 2j
+    assert parse_complex("I") == 1j
+    assert parse_complex("0.5i") == 0.5j
+
+
+@pytest.mark.parametrize("method", ["schur", "det"])
+def test_non_finite_result_is_a_numerical_error(capsys, method):
+    code, out, _ = run_cli(capsys, "compute", "--group", "so", "--N", "3",
+                           "--shifts", "1e200", "--method", method)
+    assert code == 3
+    assert set(json.loads(out)) == {"error", "detail"}
+
+
+def test_identity_suite_nan_residual_is_a_numerical_error(capsys):
+    code, out, _ = run_cli(capsys, "identity-suite", "--trials", "1", "--radius", "1e200")
+    assert code == 3
+    assert set(json.loads(out)) == {"error", "detail"}
+
+
+def test_cli_as_a_process():
+    # the cold-start command the benchmark times, and an exit code through sys.exit(main())
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def launch(*argv):
+        return subprocess.run([sys.executable, "-m", "rmt_autocorr.cli", *argv], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = launch("compute", "--group", "usp", "--N", "1", "--shifts", "2", "--method", "eps")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["value"] == {"im": 0.0, "re": 5.0}
+    done = launch("compute", "--group", "so", "--N", "3", "--shifts", "1e200",
+                  "--method", "schur")
+    assert done.returncode == 3
+    assert set(json.loads(done.stdout)) == {"error", "detail"}

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -265,3 +266,11 @@ def test_extended_identities_on_radius_15():
 def test_suite_rejects_settings_it_cannot_sample(kwargs, message):
     with pytest.raises(ValueError, match=message):
         run_identity_suite(3, 1, **kwargs)
+
+
+def test_suite_keeps_nan_residuals():
+    # at radius 1e200 the products overflow: a NaN residual fails the suite
+    report = run_identity_suite(3, 1, None, radius=1e200)
+    assert math.isnan(report.worst())
+    assert all(math.isnan(report.max_residuals[key])
+               for key in ("identity1", "identity4", "fn_random"))

@@ -18,3 +18,20 @@ def test_canonical_value_keeps_its_digits(family, N, m, reference):
     exact = complex(ROUTES[family][reference](N, SHIFTS, m, PrecisionConfig.extended(60)))
     value = complex(canonical_value(family, N, SHIFTS, m))
     assert abs(value - exact) <= 1e-9 * abs(exact)
+
+
+# At the smallest size of each family the moment at shifts (a, b) is known:
+# USp(0) is the trivial group; SO(2) averages (1 - 2w cos t + w^2) over t;
+# O^-(2) is prod (w^2 - 1) times USp(0).  SO(0) and O^-(0) are not sizes here.
+@pytest.mark.parametrize("family,smallest,moment", [
+    ("symplectic", 0, lambda a, b: 1),
+    ("so", 1, lambda a, b: (1 + a * a) * (1 + b * b) + 2 * a * b),
+    ("ominus", 1, lambda a, b: (a * a - 1) * (b * b - 1)),
+], ids=["usp", "so", "ominus"])
+def test_self_dual_routes_refuse_sizes_below_the_family(family, smallest, moment):
+    shifts = (0.5, 0.3j)
+    for route in ROUTES[family].values():
+        with pytest.raises(ValueError, match=f"must be >= {smallest}"):
+            route(smallest - 1, shifts, 0, None)
+        assert complex(route(smallest, shifts, 0, None)) == pytest.approx(moment(*shifts),
+                                                                           abs=1e-14)

@@ -184,6 +184,12 @@ def test_large_n_ratio():
         sp_large_n_ratio([0.0], 100)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_large_n_ratio_refuses_sizes_below_one(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        sp_large_n_ratio([1.0], N)
+
+
 def test_large_n_ratio_complex_b():
     val = complex(sp_large_n_ratio([0.5 + 0.3j, 1.2], 5000))
     assert abs(val - 1) <= 2e-3
