@@ -128,6 +128,9 @@ def _query_spec(args):
     else:
         shifts = parse_complex_list(args.shifts)
     if spec.family != "unitary":
+        for option in ("m", "n"):
+            if getattr(args, option) is not None:
+                raise UsageError(f"--{option} applies to the unitary family only")
         return spec, shifts, 0
     if args.m is None:
         raise UsageError("the unitary family requires --m")

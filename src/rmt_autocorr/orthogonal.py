@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,15 +37,17 @@ from .contour import (
 from .errors import PoleHit
 from .precision import PrecisionConfig, _generic_det, ops_for
 from .symcore import (
-    Partition,
-    conjugate_partition,
+    chunk_rows,
     det_sum_over_vandermonde,
-    enumerate_even_partitions,
-    enumerate_so_index_sets,
-    partial_index_vectors,
+    enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
+    enumerate_so_index_sets,  # not called here; bench/tracer.py patches this binding too
+    even_partition_chunks,
+    partial_index_chunks,
     schur_stable,  # not called here; bench/tracer.py patches this binding too
     schur_sum,
+    so_index_chunks,
     vandermonde,
+    weakly_increasing_chunks,
 )
 from .symplectic import (
     parity_index_vectors,  # not called here; bench/tracer.py patches this binding too
@@ -119,13 +121,20 @@ def _subset_pairs(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 def so_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: the adjacency/pinning-constrained index sum."""
     top = 2 * N + len(shifts) - 1
-    return det_sum_over_vandermonde(shifts, enumerate_so_index_sets(len(shifts), N), top, prec)
+    return det_sum_over_vandermonde(shifts, so_index_chunks(len(shifts), N), top, prec)
+
+
+def _odd_partition_chunks(length: int, max_part: int) -> Iterator[np.ndarray]:
+    """Weakly decreasing all-odd vectors of exactly `length` parts in [1, max_part],
+    as chunks: the largest odd part minus 2 b over weakly increasing b."""
+    if max_part >= 1:
+        for b in weakly_increasing_chunks(length, (max_part + 1) // 2):
+            yield max_part - 1 + max_part % 2 - 2 * b
 
 
 def _odd_partitions_exact(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing all-odd tuples of exactly `length` parts in [1, max_part]."""
-    if max_part >= 1:
-        yield from combinations_with_replacement(range(max_part - 1 + max_part % 2, 0, -2), length)
+    """The vectors of `_odd_partition_chunks`, one by one."""
+    yield from chunk_rows(_odd_partition_chunks(length, max_part))
 
 
 def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -133,14 +142,15 @@ def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
 
     Sum of S_lambda over lambda whose conjugate lambda' has parts <= k and
     is either all-odd with exactly 2N nonzero parts, or all-even with at
-    most 2N parts.
+    most 2N parts; lambda_i = #{j : lambda'_j >= i}, i = 1..k, is lambda
+    padded to length k.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     k = len(shifts)
-    conjugates = chain(map(Partition, _odd_partitions_exact(2 * N, k)),
-                       enumerate_even_partitions(2 * N, k - k % 2))
-    return schur_sum((conjugate_partition(lp).padded(k) for lp in conjugates), shifts, prec)
+    levels = np.arange(1, k + 1)
+    conjugates = chain(_odd_partition_chunks(2 * N, k), even_partition_chunks(2 * N, k - k % 2))
+    return schur_sum(((lp[:, :, None] >= levels).sum(axis=1) for lp in conjugates), shifts, prec)
 
 
 def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -177,7 +187,7 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         raise ValueError(f"variant {variant} needs an even number of shifts")
     if variant in ("R", "L") and m % 2 == 0:
         raise ValueError(f"variant {variant} needs an odd number of shifts")
-    value = det_sum_over_vandermonde(shifts, partial_index_vectors(variant, m, n_max), n_max,
+    value = det_sum_over_vandermonde(shifts, partial_index_chunks(variant, m, n_max), n_max,
                                      prec)
     num = ops_for(prec)
     with num.guard():

@@ -218,13 +218,8 @@ class ExtendedOps:
         z = complex(z)
         return mp.mpc(z.real, z.imag)
 
-    @property
-    def one(self):
-        return mp.mpc(1)
-
-    @property
-    def zero(self):
-        return mp.mpc(0)
+    one = mp.mpc(1)   # exact at every precision; mpc values are immutable
+    zero = mp.mpc(0)
 
     @staticmethod
     def exp(z):

@@ -8,6 +8,13 @@ bialternant ratio (fails near coincident points) and a confluent-safe
 complete-homogeneous determinant -- and the two determinant sums of the
 self-dual routes (`schur_sum`, `det_sum_over_vandermonde`), each built on
 one table per call and batched elimination.
+
+The index vectors and partitions of those sums are enumerated once, by
+`weakly_increasing_chunks`, as integer arrays of at most _CHUNK rows; each
+family is array arithmetic on those rows, and the sums take the chunks
+as they come.  The tuple and Partition generators of the same families
+(`enumerate_even_partitions`, `partial_index_vectors`,
+`enumerate_so_index_sets`) are flattened views of the same chunks.
 """
 
 from __future__ import annotations
@@ -117,53 +124,84 @@ def index_pairs(k: int, diagonal: bool) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i if diagonal else i + 1, k)]
 
 
+def weakly_increasing_chunks(k: int, size: int) -> Iterator[np.ndarray]:
+    """The weakly increasing k-vectors over range(size) in lexicographic
+    order, as (B, k) intp arrays of 1 <= B <= _CHUNK rows.
+
+    This is the one enumeration of the self-dual sums: each index family
+    below is array arithmetic on these rows.  k = 0 gives one empty row.
+    """
+    if k == 0:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    rows = combinations_with_replacement(range(size), k)
+    while (flat := np.fromiter(chain.from_iterable(islice(rows, _CHUNK)), dtype=np.intp)).size:
+        yield flat.reshape(-1, k)
+
+
+def chunk_rows(chunks) -> Iterator[tuple[int, ...]]:
+    """The rows of a chunk iterable as tuples of Python ints."""
+    return (row for chunk in chunks for row in map(tuple, chunk.tolist()))
+
+
+def even_partition_chunks(k: int, max_part: int) -> Iterator[np.ndarray]:
+    """Partitions of length k (zero-padded) with all parts even and <= max_part,
+    as chunks of rows max_part - 2 b over weakly increasing b."""
+    if max_part % 2:
+        raise ValueError("max_part must be even")
+    for b in weakly_increasing_chunks(k, max_part // 2 + 1):
+        b *= -2   # in place: the SO(2N) conjugates are the widest rows, 2N parts
+        b += max_part
+        yield b
+
+
 def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
-    """Partitions of length k (zero-padded) with all parts even and <= max_part.
+    """The partitions of `even_partition_chunks`, one by one.
 
     Yields exactly binomial(k + max_part/2, k) partitions.
     """
-    if max_part % 2:
-        raise ValueError("max_part must be even")
-    yield from map(_unchecked_partition, combinations_with_replacement(range(max_part, -1, -2), k))
+    yield from map(_unchecked_partition, chunk_rows(even_partition_chunks(k, max_part)))
 
 
 def count_even_partitions(k: int, max_part: int) -> int:
     return comb(k + max_part // 2, k)
 
 
-def adjacent_pair_runs(count: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing vectors made of `count` adjacent pairs (p, p+1),
-    all entries within [lo, hi]: p_i = q_i + 2i over weakly increasing q,
-    in lexicographic order.  None for count < 0."""
-    if count < 0:
+def partial_index_chunks(variant: str, count: int, n_max: int) -> Iterator[np.ndarray]:
+    """Strictly increasing `count`-vectors in {0..n_max} of one partial family,
+    as chunks.
+
+    M: adjacent pairs (p, p+1) throughout; E: pinned at 0 and n_max with the
+    interior paired; R: pinned at n_max only; L: pinned at 0 only.  Between
+    the pins, in [lo, hi], the pairs start at p_i = q_i + 2i over weakly
+    increasing q, in lexicographic order.  A count of the wrong parity gives
+    no vector, and so do both pins at n_max < 1, where they would not increase.
+    """
+    if variant not in ("M", "E", "R", "L"):
+        raise ValueError("variant must be one of M, E, R, L")
+    first = int(variant in ("E", "L"))   # column 0 pinned at 0
+    last = int(variant in ("E", "R"))    # last column pinned at n_max
+    paired = count - first - last
+    if paired < 0 or paired % 2 or (first and last and n_max < 1):
         return
-    for q in combinations_with_replacement(range(lo, hi - 2 * count + 2), count):
-        yield tuple(chain.from_iterable((qi + 2 * i, qi + 2 * i + 1) for i, qi in enumerate(q)))
+    pairs = paired // 2
+    lo, hi = first, n_max - last
+    for q in weakly_increasing_chunks(pairs, hi - lo - 2 * pairs + 2):
+        vecs = np.zeros((len(q), count), dtype=np.intp)
+        vecs[:, first:first + paired:2] = lo + q + 2 * np.arange(pairs)
+        vecs[:, first + 1:first + paired:2] = vecs[:, first:first + paired:2] + 1
+        if last:
+            vecs[:, -1] = n_max
+        yield vecs
 
 
 def partial_index_vectors(variant: str, count: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing `count`-vectors in {0..n_max} of one partial family.
-
-    M: adjacent pairs (p, p+1) throughout; E: pinned at 0 and n_max with the
-    interior paired; R: pinned at n_max only; L: pinned at 0 only.
-    """
-    if variant == "M":
-        vecs = adjacent_pair_runs(count // 2, 0, n_max)
-    elif variant == "E":
-        vecs = ((0,) + mid + (n_max,) for mid in adjacent_pair_runs(count // 2 - 1, 1, n_max - 1))
-    elif variant == "R":
-        vecs = (run + (n_max,) for run in adjacent_pair_runs((count - 1) // 2, 0, n_max - 1))
-    elif variant == "L":
-        vecs = ((0,) + run for run in adjacent_pair_runs((count - 1) // 2, 1, n_max))
-    else:
-        raise ValueError("variant must be one of M, E, R, L")
-    for vec in vecs:
-        if len(vec) == count and all(vec[i] < vec[i + 1] for i in range(count - 1)):
-            yield vec
+    """The vectors of `partial_index_chunks`, one by one."""
+    yield from chunk_rows(partial_index_chunks(variant, count, n_max))
 
 
-def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
-    """Index vectors of the even-orthogonal determinant sum, n_param >= 1.
+def so_index_chunks(k: int, n_param: int) -> Iterator[np.ndarray]:
+    """Index vectors of the even-orthogonal determinant sum, n_param >= 1, as chunks.
 
     Strictly increasing vectors in {0, ..., 2*n_param + k - 1} whose entries
     either pair up adjacently (i = j, j+1) throughout, or are pinned at the
@@ -175,11 +213,14 @@ def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
     """
     if n_param < 1:
         raise ValueError("n_param must be >= 1")
-    if k == 0:
-        return iter([()])
     top = 2 * n_param + k - 1
-    return chain.from_iterable(partial_index_vectors(variant, k, top)
+    return chain.from_iterable(partial_index_chunks(variant, k, top)
                                for variant in (("E", "M") if k % 2 == 0 else ("L", "R")))
+
+
+def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of `so_index_chunks`, one by one."""
+    return chunk_rows(so_index_chunks(k, n_param))
 
 
 def min_separation(points: Sequence[complex]) -> float:
@@ -222,40 +263,49 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
         return out
 
 
-def _chunks(items):
-    """Lists of up to _CHUNK consecutive items, without listing them all."""
-    it = iter(items)
-    while chunk := list(islice(it, _CHUNK)):
-        yield chunk
+def _batches(chunks):
+    """The gathered (re, im) matrix stacks of consecutive chunks (table, idx),
+    grouped until a group holds _CHUNK matrices: the short chunks at the
+    ends of chained index families share one elimination."""
+    group, rows = [], 0
+    for table, idx in chunks:
+        values = np.array(table, dtype=complex)
+        group.append((values.real[idx], values.imag[idx]))
+        rows += len(idx)
+        if rows >= _CHUNK:
+            yield group
+            group, rows = [], 0
+    if group:
+        yield group
 
 
 def _det_sum(num, chunks):
     """fsum of det[table[idx[i][j]]] over every matrix of every chunk
     (table, idx), idx an int array (B, k, k).
 
-    In double precision each chunk is one `batched_det` call, bit for bit
-    `num.det` one by one; in extended precision `num.det` takes the
-    matrices in order.  A 0 x 0 matrix counts as num.one.
+    In double precision each group of `_batches` is one `batched_det` call,
+    bit for bit `num.det` one by one; in extended precision `num.det` takes
+    the matrices in order.  A 0 x 0 matrix counts as num.one.
     """
     if isinstance(num, ExtendedOps):
         return num.fsum(num.det([[table[x] for x in row] for row in mat]) if mat else num.one
                         for table, idx in chunks for mat in idx.tolist())
     re_parts, im_parts = [], []
-    for table, idx in chunks:
-        values = np.array(table, dtype=complex)
-        re, im = batched_det(values.real[idx], values.imag[idx])
+    for group in _batches(chunks):
+        re, im = batched_det(*map(np.concatenate, zip(*group)))
         re_parts.append(re)
         im_parts.append(im)
     return complex(fsum(chain.from_iterable(re_parts)), fsum(chain.from_iterable(im_parts)))
 
 
-def det_sum_over_vandermonde(shifts: Sequence, vectors, top: int,
+def det_sum_over_vandermonde(shifts: Sequence, chunks, top: int,
                              prec: PrecisionConfig | None = None):
     """Sum over the exponent vectors of det[w_i^(vec_j)], over the Vandermonde.
 
-    Every determinant reads one table of w_i ** e, 0 <= e <= top (see
-    `_det_sum`).  Raises NearConfluent when the shifts are not separated,
-    and OverflowError when a power that some vector uses overflows.
+    `chunks` yields the vectors as integer arrays (B, len(shifts)).  Every
+    determinant reads one table of w_i ** e, 0 <= e <= top (see `_det_sum`).
+    Raises NearConfluent when the shifts are not separated, and
+    OverflowError when a power that some vector uses overflows.
     """
     require_separated(shifts, "shifts")
     num = ops_for(prec)
@@ -274,16 +324,16 @@ def det_sum_over_vandermonde(shifts: Sequence, vectors, top: int,
         table = [power(w, e) for w in ws for e in range(top + 1)]
         row_start = np.arange(k)[:, None] * (top + 1)
 
-        def chunks():
-            for chunk in _chunks(vectors):
-                vecs = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+        def gathered():
+            for chunk in chunks:
+                vecs = np.asarray(chunk, dtype=np.intp).reshape(len(chunk), k)
                 if vecs.size and not 0 <= vecs.min() <= vecs.max() <= top:
                     raise ValueError("exponents must lie in 0..top")
                 if overflowed and np.isin(vecs, list(overflowed)).any():
                     raise OverflowError("complex exponentiation")
                 yield table, row_start + vecs[:, None, :]
 
-        return _det_sum(num, chunks()) / vandermonde(ws, prec)
+        return _det_sum(num, gathered()) / vandermonde(ws, prec)
 
 
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:
@@ -345,9 +395,10 @@ def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None =
         return num.det(rows)
 
 
-def schur_sum(parts, points: Sequence, prec: PrecisionConfig | None = None):
-    """Sum of `schur_stable(lam, points)` over the partitions `parts`, each
-    of length len(points); bit for bit the per-term sum.
+def schur_sum(chunks, points: Sequence, prec: PrecisionConfig | None = None):
+    """Sum of `schur_stable(lam, points)` over the partitions lam that
+    `chunks` yields as integer arrays (B, len(points)) of parts; bit for bit
+    the per-term sum.
 
     Every Jacobi-Trudi matrix is gathered at the full size k x k from one
     table h_0..h_top (computed again only when a partition needs a higher
@@ -361,10 +412,10 @@ def schur_sum(parts, points: Sequence, prec: PrecisionConfig | None = None):
     with num.guard():
         h = []
 
-        def chunks():
+        def gathered():
             nonlocal h
-            for chunk in _chunks(parts):
-                lams = np.array([lam.parts for lam in chunk], dtype=np.intp)
+            for chunk in chunks:
+                lams = np.asarray(chunk, dtype=np.intp)
                 if lams.shape[1:] != (k,):
                     raise ValueError("partition length must equal the number of points")
                 top = int(lams.max(initial=0)) + k - 1
@@ -373,4 +424,4 @@ def schur_sum(parts, points: Sequence, prec: PrecisionConfig | None = None):
                 # index -1 reads the appended zero: h_d = 0 for d < 0
                 yield h + [num.zero], np.maximum(lams[:, :, None] + offsets, -1)
 
-        return _det_sum(num, chunks())
+        return _det_sum(num, gathered())

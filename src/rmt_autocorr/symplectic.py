@@ -16,7 +16,6 @@ the exact closed form so the cost is independent of N.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,22 +32,30 @@ from .contour import (
 from .errors import PoleHit
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
+    chunk_rows,
     det_sum_over_vandermonde,
-    enumerate_even_partitions,
+    enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
+    even_partition_chunks,
     index_pairs,
     schur_stable,  # not called here; bench/tracer.py patches this binding too
     schur_sum,
     sign_vectors as _epsilon_vectors,
+    weakly_increasing_chunks,
 )
 
 EPS_DENOM_FLOOR = 1e-6  # below this the 2^k closed form has lost too much
 
 
+def parity_index_chunks(k: int, top: int) -> Iterator[np.ndarray]:
+    """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2, as
+    chunks: i_j = j - 1 + 2 b_j over weakly increasing b, in lexicographic order."""
+    for b in weakly_increasing_chunks(k, (top - k + 1) // 2 + 1):
+        yield np.arange(k) + 2 * b
+
+
 def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2:
-    i_j = j - 1 + 2 b_j over weakly increasing b, in lexicographic order."""
-    for b in combinations_with_replacement(range((top - k + 1) // 2 + 1), k):
-        yield tuple(j + 2 * bj for j, bj in enumerate(b))
+    """The vectors of `parity_index_chunks`, one by one."""
+    yield from chunk_rows(parity_index_chunks(k, top))
 
 
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -56,14 +63,14 @@ def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | N
     if N < 0:
         raise ValueError("N must be >= 0")
     top = 2 * N + len(shifts) - 1
-    return det_sum_over_vandermonde(shifts, parity_index_vectors(len(shifts), top), top, prec)
+    return det_sum_over_vandermonde(shifts, parity_index_chunks(len(shifts), top), top, prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Schur route: sum over even partitions in the 2N x k box (confluent-safe)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return schur_sum(enumerate_even_partitions(len(shifts), 2 * N), shifts, prec)
+    return schur_sum(even_partition_chunks(len(shifts), 2 * N), shifts, prec)
 
 
 def _sign_pairs(k: int, diagonal: bool) -> Iterator[tuple[int, int, int, int]]:

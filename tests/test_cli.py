@@ -286,6 +286,18 @@ def test_options_a_command_does_not_read_are_usage_errors(argv):
     assert main(list(argv)) == 2
 
 
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+@pytest.mark.parametrize("option", [("--m", "5"), ("--n", "1")])
+def test_unitary_split_options_are_usage_errors_for_self_dual_families(capsys, command, option):
+    # --m and --n describe the unitary query only; --n 1 even matches the shift count
+    route = ("--method", "eps") if command == "compute" else ("--routes", "eps,schur")
+    for group in ("usp", "so", "ominus"):
+        code, out, err = run_cli(capsys, command, "--group", group, "--N", "2", *option,
+                                 "--shifts", "0.5", *route)
+        assert (code, out) == (2, ""), (group, option)
+        assert f"{option[0]} applies to the unitary family only" in err
+
+
 def test_scaling_digits(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--b", "0.5,1.5", "--N-list", "10,1000",
                            "--digits", "40")

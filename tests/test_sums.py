@@ -12,7 +12,7 @@ from itertools import chain
 
 import pytest
 
-from rmt_autocorr import routes
+from rmt_autocorr import routes, symcore
 from rmt_autocorr.orthogonal import (
     _odd_partitions_exact,
     ominus_autocorr_det,
@@ -101,15 +101,27 @@ def _both(fn, *args):
         return type(exc).__name__
 
 
+def _at_chunk_sizes(monkeypatch, fn, *args):
+    """fn(*args) at the default chunk size and at chunks of 7 rows, where
+    N = 8, k = 4 (495 terms) crosses 70 chunk seams and chained index
+    families meet inside a chunk."""
+    values = [_both(fn, *args)]
+    with monkeypatch.context() as patched:
+        patched.setattr(symcore, "_CHUNK", 7)
+        values.append(_both(fn, *args))
+    return values
+
+
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("prec", [None, EXT], ids=["double", "ext40"])
 @pytest.mark.parametrize("N", [1, 2, 8])
-def test_route_matches_its_per_term_loop(route, prec, N):
+def test_route_matches_its_per_term_loop(route, prec, N, monkeypatch):
     batched, loop = ROUTES[route]
     # the det routes refuse coincident shifts: both sides raise NearConfluent
     for shifts, k in itertools.product((SPREAD, WITH_ZERO, COINCIDENT), range(5)):
         args = (N, shifts[:k], prec)
-        assert _both(batched, *args) == _both(loop, *args), (route, args)
+        assert _at_chunk_sizes(monkeypatch, batched, *args) == [_both(loop, *args)] * 2, \
+            (route, args)
 
 
 def test_k0_sums_are_one():
@@ -123,16 +135,18 @@ def test_k0_sums_are_one():
 @pytest.mark.parametrize("prec", [None, EXT], ids=["double", "ext40"])
 @pytest.mark.parametrize("variant, m", [("M", 2), ("E", 2), ("M", 4), ("E", 4),
                                         ("R", 1), ("L", 1), ("R", 3), ("L", 3)])
-def test_partial_sums_match_their_per_term_loop(variant, m, prec):
-    for n_max, shifts in itertools.product((3, 6, 11), (SPREAD, WITH_ZERO)):
-        value = so_partial_sums(variant, n_max, shifts[:m], prec).value
+def test_partial_sums_match_their_per_term_loop(variant, m, prec, monkeypatch):
+    for n_max, shifts in itertools.product((3, 6, 11, 19), (SPREAD, WITH_ZERO)):
+        values = _at_chunk_sizes(monkeypatch, lambda *a: so_partial_sums(*a).value,
+                                 variant, n_max, shifts[:m], prec)
         expected = det_loop(shifts[:m], partial_index_vectors(variant, m, n_max), prec)
-        assert repr(value) == repr(expected), (variant, n_max, shifts[:m])
+        assert values == [repr(expected)] * 2, (variant, n_max, shifts[:m])
 
 
-@pytest.mark.parametrize("route", [sp_autocorr_schur, sp_autocorr_det])
+@pytest.mark.parametrize("route", [sp_autocorr_schur, sp_autocorr_det, so_autocorr_schur,
+                                   ominus_autocorr_schur, ominus_autocorr_det])
 def test_large_sums_stream_their_terms(route):
-    # k = 4, N = 32: 58,905 terms, eliminated a chunk at a time
+    # k = 4, N = 32: up to 58,905 terms, enumerated and eliminated a chunk at a time
     route(2, SPREAD)   # lazy imports are not the sum's working set
     tracemalloc.start()
     try:
@@ -145,8 +159,9 @@ def test_large_sums_stream_their_terms(route):
 
 def test_only_powers_in_use_can_overflow():
     # (2+0j) ** 2000 overflows; a table up to 2000 must not raise unless a vector uses it
-    assert det_sum_over_vandermonde((2.0,), [(0,), (3,)], 2000) == det_loop((2.0,), [(0,), (3,)], None)
+    # (one chunk of two vectors)
+    assert det_sum_over_vandermonde((2.0,), [[(0,), (3,)]], 2000) == det_loop((2.0,), [(0,), (3,)], None)
     with pytest.raises(OverflowError):
         det_loop((2.0,), [(0,), (2000,)], None)
     with pytest.raises(OverflowError):
-        det_sum_over_vandermonde((2.0,), [(0,), (2000,)], 2000)
+        det_sum_over_vandermonde((2.0,), [[(0,), (2000,)]], 2000)

@@ -19,7 +19,9 @@ from rmt_autocorr import (
     vandermonde,
 )
 from rmt_autocorr import symcore
+from rmt_autocorr.orthogonal import _odd_partition_chunks, _odd_partitions_exact
 from rmt_autocorr.symcore import count_even_partitions, schur_sum
+from rmt_autocorr.symplectic import parity_index_chunks, parity_index_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,105 @@ def test_so_index_sets_examples():
     assert set(enumerate_so_index_sets(2, 1)) == {(0, 3), (0, 1), (1, 2), (2, 3)}
 
 
+# Reference definitions of the index families by itertools, one tuple per term.
+
+def itertools_pair_runs(count, lo, hi):
+    if count < 0:
+        return []
+    return [tuple(itertools.chain.from_iterable((qi + 2 * i, qi + 2 * i + 1)
+                                                for i, qi in enumerate(q)))
+            for q in itertools.combinations_with_replacement(range(lo, hi - 2 * count + 2), count)]
+
+
+def itertools_partial(variant, count, n_max):
+    vecs = {"M": itertools_pair_runs(count // 2, 0, n_max),
+            "E": [(0,) + mid + (n_max,)
+                  for mid in itertools_pair_runs(count // 2 - 1, 1, n_max - 1)],
+            "R": [run + (n_max,) for run in itertools_pair_runs((count - 1) // 2, 0, n_max - 1)],
+            "L": [(0,) + run for run in itertools_pair_runs((count - 1) // 2, 1, n_max)]}[variant]
+    return [v for v in vecs
+            if len(v) == count and all(v[i] < v[i + 1] for i in range(count - 1))]
+
+
+ITERTOOLS_FAMILIES = {
+    "even": (lambda k, n: symcore.even_partition_chunks(k, 2 * n),
+             lambda k, n: list(itertools.combinations_with_replacement(range(2 * n, -1, -2), k)),
+             lambda k, n: math.comb(k + n, k)),
+    "parity": (lambda k, n: parity_index_chunks(k, n),
+               lambda k, n: [tuple(j + 2 * bj for j, bj in enumerate(b)) for b in
+                             itertools.combinations_with_replacement(range((n - k + 1) // 2 + 1), k)],
+               lambda k, n: math.comb(k + (n - k + 1) // 2, k) if n - k >= -1 else int(k == 0)),
+    "odd": (lambda k, n: _odd_partition_chunks(k, n),
+            lambda k, n: list(itertools.combinations_with_replacement(
+                range(n - 1 + n % 2, 0, -2), k)) if n >= 1 else [],
+            lambda k, n: math.comb(k + (n + 1) // 2 - 1, k) if n >= 1 else 0),
+}
+
+
+def rows_of(chunks, k):
+    rows = []
+    for chunk in chunks:
+        assert chunk.dtype == np.intp and chunk.shape[1:] == (k,)
+        assert 1 <= len(chunk) <= symcore._CHUNK
+        rows.extend(map(tuple, chunk.tolist()))
+    return rows
+
+
+@pytest.mark.parametrize("chunk", [1024, 7])
+@pytest.mark.parametrize("k", range(5))
+def test_weakly_increasing_chunks_are_the_itertools_rows(monkeypatch, chunk, k):
+    monkeypatch.setattr(symcore, "_CHUNK", chunk)
+    for size in (-1, 0, 1, 2, 5, 9):
+        got = rows_of(symcore.weakly_increasing_chunks(k, size), k)
+        assert got == list(itertools.combinations_with_replacement(range(size), k))
+        assert len(got) == (math.comb(size + k - 1, k) if size >= 1 else int(k == 0))
+
+
+@pytest.mark.parametrize("chunk", [1024, 7])
+@pytest.mark.parametrize("family", ITERTOOLS_FAMILIES)
+@pytest.mark.parametrize("k", range(5))
+def test_index_families_are_their_itertools_definitions(monkeypatch, chunk, family, k):
+    monkeypatch.setattr(symcore, "_CHUNK", chunk)
+    chunks, itertools_rows, count = ITERTOOLS_FAMILIES[family]
+    for n in range(-1, 9):
+        if family == "even" and n < 0:
+            continue
+        want = itertools_rows(k, n)
+        assert rows_of(chunks(k, n), k) == want, (k, n)
+        assert len(want) == count(k, n), (k, n)
+    # and the tuple generators are views of the same chunks
+    assert list(parity_index_vectors(k, 8)) == ITERTOOLS_FAMILIES["parity"][1](k, 8)
+    assert list(_odd_partitions_exact(k, 3)) == ITERTOOLS_FAMILIES["odd"][1](k, 3)
+    assert [p.parts for p in enumerate_even_partitions(k, 6)] == \
+        ITERTOOLS_FAMILIES["even"][1](k, 3)
+
+
+@pytest.mark.parametrize("chunk", [1024, 7])
+@pytest.mark.parametrize("variant", "MERL")
+@pytest.mark.parametrize("count", range(5))
+def test_partial_index_chunks_are_their_itertools_definitions(monkeypatch, chunk, variant, count):
+    monkeypatch.setattr(symcore, "_CHUNK", chunk)
+    for n_max in range(-2, 12):
+        want = itertools_partial(variant, count, n_max)
+        assert rows_of(symcore.partial_index_chunks(variant, count, n_max), count) == want
+        assert list(symcore.partial_index_vectors(variant, count, n_max)) == want
+    # a count of the wrong parity (odd for M and E, even for R and L) yields nothing
+    if count % 2 != (variant in "RL"):
+        assert list(symcore.partial_index_chunks(variant, count, 11)) == []
+    with pytest.raises(ValueError, match="variant"):
+        list(symcore.partial_index_chunks("X", count, 5))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_so_index_chunks_are_both_partial_families(k):
+    for n_param in (1, 2, 5):
+        top = 2 * n_param + k - 1
+        want = [v for variant in ("EM" if k % 2 == 0 else "LR")
+                for v in itertools_partial(variant, k, top)]
+        assert rows_of(symcore.so_index_chunks(k, n_param), k) == want
+        assert list(enumerate_so_index_sets(k, n_param)) == want
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_so_index_sets_need_a_positive_size(k):
     # the two partial families share vectors only at n_param = 0, where the
@@ -314,7 +415,7 @@ def test_schur_sum_eliminates_one_chunk_in_one_batch(monkeypatch):
         return original(re, im)
 
     monkeypatch.setattr(symcore, "batched_det", counted)
-    value = schur_sum(parts, points)
+    value = schur_sum([[lam.parts for lam in parts]], points)
     assert calls == [(len(parts), 4, 4)]
     terms = [schur_stable(lam, points) for lam in parts]
     expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
