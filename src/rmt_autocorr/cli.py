@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import haar, orthogonal, routes, symplectic, unitary
 from .contour import ContourConfig
-from .errors import RouteError
+from .errors import PoleHit, RouteError
 from .identities import run_identity_suite
 from .precision import PrecisionConfig
 
@@ -172,6 +172,8 @@ def _route_value(spec, shifts, m, method, args, prec):
     if method == "quadrature":
         return haar.weyl_autocorrelation(spec, shifts, m, nodes_per_dim=nodes), None
     if method == "contour":
+        if 0 in shifts:
+            raise PoleHit("contour route needs nonzero shifts")
         al = [_ALPHA_SIGN[fam] * cmath.log(w) for w in shifts]
         cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
         if fam == "unitary":

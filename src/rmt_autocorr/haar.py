@@ -14,19 +14,20 @@ closed-form routes:
   the coefficients are independent and complex; for the self-dual
   families they are 2n real ones (Theorem 2), whose polynomial is
   prod (1 + w^2 - 2 w cos theta).  Any other angle functional gets
-  eigenangles: U(N) those of Haar matrices (QR with phase correction),
-  the self-dual families those of the Jacobi matrix the same real
-  coefficients define (one n x n symmetric eigensolve per sample).
+  eigenangles from the same coefficients: U(N) those of their CMV matrix
+  (Cantero-Moral-Velazquez, LAA 362, 2003), the self-dual families those
+  of the Jacobi matrix the real coefficients define (one eigensolve per
+  sample either way).  Every family has one random model.
 
 Each self-dual family's eigenangle law is written once, as the Jacobi
 exponent of `_JACOBI_A` in the coordinate x = 2 cos(theta), where the Weyl
 density is a real polynomial (Keating-Snaith, CMP 214, 2000); the
 quadrature density and the Jacobi sampler both read that table.
 
-The Haar matrix samplers (QR with sign correction for O(2N), a
-symplectic-structure-preserving Gram-Schmidt for USp(2N)) and
-`eigenangles_of` stay as the reference the coefficient models are tested
-against.
+`eigenangles_of` reads the free eigenangles of any family's group
+elements.  The Haar-matrix samplers the coefficient models are tested
+against (QR of Gaussian matrices, a symplectic Gram-Schmidt) live in
+`tests/haar_reference.py`.
 
 Also hosts per-matrix characteristic-polynomial evaluation and the
 functional-equation residuals.
@@ -289,69 +290,32 @@ def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def _haar_unitary_batch(rng: np.random.Generator, B: int, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_complex_gaussian(rng, (B, n, n)))
-    d = np.einsum("bii->bi", r)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def _haar_orthogonal_batch(rng: np.random.Generator, B: int, n: int,
-                           det_sign: int | None) -> np.ndarray:
-    """Haar on O(n); with det_sign = +-1, Haar on that component.
-
-    Wrong-component samples are moved over by a fixed first-two-row swap
-    (left multiplication by a determinant -1 permutation preserves Haar).
-    """
-    q, r = np.linalg.qr(rng.standard_normal((B, n, n)))
-    d = np.einsum("bii->bi", r)
-    q = q * np.sign(d)[:, None, :]
-    if det_sign is not None:
-        wrong = np.sign(np.linalg.det(q)) != det_sign
-        q[wrong] = q[wrong][:, [1, 0] + list(range(2, n)), :]
-    return q
-
-
-def _j_conjugate(v: np.ndarray, N: int) -> np.ndarray:
-    """-J conj(v) for J = [[0, I], [-I, 0]]: the symplectic partner of v."""
-    return np.concatenate([-np.conj(v[:, N:]), np.conj(v[:, :N])], axis=1)
-
-
-def _haar_symplectic_batch(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
-    """Haar on USp(2N) by structure-preserving Gram-Schmidt.
-
-    Each Gaussian vector is orthogonalized against all accepted columns and
-    their partners -J conj(u); the frame (u_1..u_N, -J conj(u_1..u_N))
-    is unitary and satisfies S^T J S = J.  The construction commutes with
-    left multiplication by USp(2N), so the law is Haar.
-    """
-    dim = 2 * N
-    basis: list[np.ndarray] = []
-    for _ in range(N):
-        v = _complex_gaussian(rng, (B, dim))
-        for _pass in range(2):  # second pass tightens orthogonality
-            for u in basis:
-                v = v - np.einsum("bi,bi->b", np.conj(u), v)[:, None] * u
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-        basis.append(v)
-        basis.append(_j_conjugate(v, N))
-    S = np.empty((B, dim, dim), dtype=complex)
-    for i in range(N):
-        S[:, :, i] = basis[2 * i]
-        S[:, :, N + i] = basis[2 * i + 1]
-    return S
-
-
 def sample_matrix_batch(spec: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    if spec.family == UNITARY:
-        return _haar_unitary_batch(rng, count, spec.size)
-    if spec.family == SYMPLECTIC:
-        return _haar_symplectic_batch(rng, count, spec.size)
-    det_sign = 1 if spec.family == SO_EVEN else -1
-    return _haar_orthogonal_batch(rng, count, 2 * spec.size, det_sign)
+    """`count` CMV matrices C = L M of U(N) from `_verblunsky_unitary` rows.
+
+    Cantero-Moral-Velazquez (LAA 362, 2003): with
+    Theta_t = [[conj(alpha_t), rho_t], [rho_t, -alpha_t]] on rows t, t + 1
+    and rho_t = sqrt(1 - |alpha_t|^2), L = diag(Theta_0, Theta_2, ...) and
+    M = diag(1, Theta_1, Theta_3, ...); alpha_{N-1} lies on the circle and
+    closes its matrix with the 1 x 1 block conj(alpha_{N-1}).  The
+    characteristic polynomial is the Phi_N of `_szego`, so the spectrum is
+    that of a Haar U(N) matrix (Killip-Nenciu, IMRN 2004); the matrix
+    itself is not Haar-distributed.  Raises ValueError for other families.
+    """
+    if spec.family != UNITARY:
+        raise ValueError("the CMV sampler draws U(N) only")
+    N = spec.size
+    alpha = _verblunsky_unitary(rng, count, N)
+    L = np.zeros((count, N, N), dtype=complex)
+    M = np.zeros_like(L)
+    M[:, 0, 0] = 1
+    for t in range(N):
+        block = L if t % 2 == 0 else M
+        block[:, t, t] = np.conj(alpha[:, t])
+        if t < N - 1:  # |alpha_{N-1}| = 1 may round 1 - |alpha|^2 below 0
+            block[:, t, t + 1] = block[:, t + 1, t] = np.sqrt(1 - np.abs(alpha[:, t]) ** 2)
+            block[:, t + 1, t + 1] = -alpha[:, t]
+    return L @ M
 
 
 def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
@@ -460,8 +424,9 @@ def _sample_chunks(rng_seed: int, count: int,
 def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
     """`count` eigenangle vectors from the seeded stream, in sampling chunks.
 
-    U(N) angles come from Haar matrices; the self-dual families draw theirs
-    from the Jacobi model without building a group element.  The free
+    U(N) angles are those of the CMV matrix of the coefficients that
+    `_autocorr_chunk` draws; the self-dual families draw theirs from the
+    Jacobi model without building a group element.  The free
     angles of O^-(2N) follow the USp(2N - 2) law.
     """
     def draw(rng: np.random.Generator, B: int) -> np.ndarray:
@@ -478,8 +443,8 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     from sampled coefficients instead of eigenangles: one Szego recursion
     over the Killip-Nenciu coefficients of every family.
 
-    The self-dual families read the same stream as `_eigenangle_chunks`, so
-    each value is the angle path's up to rounding.
+    Every family reads the same stream as `_eigenangle_chunks`, so each
+    value is the angle path's up to rounding.
     """
     w = np.asarray(shifts, dtype=complex)
     if spec.family == UNITARY:

@@ -49,7 +49,7 @@ def identity1_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
         for x in w:
             sq = sq * x * x
         rhs = (num.one - sq) * vandermonde(shifts, prec)
-        return float(num.absolute(lhs - rhs))
+        return float(abs(lhs - rhs))
 
 
 def lemma1_residual(coeffs: Sequence[complex], shifts: Sequence[complex],
@@ -80,7 +80,7 @@ def lemma1_residual(coeffs: Sequence[complex], shifts: Sequence[complex],
             prod_w = prod_w * x
         sign = num.one if (n - 1) % 2 == 0 else -num.one
         rhs = (c[0] + sign * c[n] * prod_w) * vandermonde(shifts, prec)
-        return float(num.absolute(lhs - rhs))
+        return float(abs(lhs - rhs))
 
 
 def _subset_cache(shifts: Sequence[complex], r: int, prec: PrecisionConfig | None):
@@ -110,7 +110,7 @@ def _subset_sums(cache, x, r: int, num):
     """
     n = cache[0][0] + cache[0][1]
     exponents = {e for d in range(n + 1) for e in (d * d + (r - n) * d, (d - 1) ** 2, (d + 1) ** 2)}
-    if num.absolute(x) == 0:
+    if abs(x) == 0:
         if min(exponents) < 0:
             raise ValueError("x = 0 is not allowed when exponents go negative")
         power = {e: num.one if e == 0 else num.zero for e in exponents}
@@ -165,7 +165,7 @@ def identity3_residual(shifts: Sequence[complex], x: complex,
         # r = n - 1 keeps F_n's exponents >= 0, so x = 0 is allowed here too
         cache = _subset_cache(shifts, n - 1, prec)
         _, statement, prose = _subset_sums(cache, num.scalar(x), n - 1, num)
-        return float(num.absolute(statement if convention == CONVENTION_STATEMENT else prose))
+        return float(abs(statement if convention == CONVENTION_STATEMENT else prose))
 
 
 def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
@@ -181,7 +181,7 @@ def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
             p1 = p1 * x
             p2 = p2 * x * x
         rhs = (p2 if n % 2 else p2 - p1) * vandermonde(shifts, prec)
-        return float(num.absolute(lhs - rhs))
+        return float(abs(lhs - rhs))
 
 
 def symmb_coeff_transform(b: Sequence[complex], w_j: complex,
@@ -204,8 +204,8 @@ def symmb_coeff_transform(b: Sequence[complex], w_j: complex,
         a = [bs[0]]
         for i in range(1, n):
             a.append(bs[i] + wj * a[i - 1])
-        scale = max(float(num.absolute(x)) for x in bs) or 1.0
-        if float(num.absolute(bs[n] + wj * a[n - 1])) > rtol * scale:
+        scale = max(float(abs(x)) for x in bs) or 1.0
+        if float(abs(bs[n] + wj * a[n - 1])) > rtol * scale:
             raise InconsistentCoefficients(
                 "b_n != -w_j a_(n-1): g is not divisible by (1 - w_j w)")
         return a
@@ -307,19 +307,19 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
 
             r = n - 1
             cache = _subset_cache(shifts, r, prec)
-            bump("identity2", float(num.absolute(_subset_sums(cache, num.one, r, num)[0])))
-            bump("fn_zero", float(num.absolute(_subset_sums(cache, num.zero, r, num)[0])))
+            bump("identity2", float(abs(_subset_sums(cache, num.one, r, num)[0])))
+            bump("fn_zero", float(abs(_subset_sums(cache, num.zero, r, num)[0])))
             for a in range(n):
                 for b in range(a + 1, n):
                     root = num.sqrt(num.scalar(shifts[a]) * num.scalar(shifts[b]))
                     for signed_root in (root, -root):
-                        bump("fn_witness", float(num.absolute(
+                        bump("fn_witness", float(abs(
                             _subset_sums(cache, signed_root, r, num)[0])))
             for x in xs:
                 fn, statement, prose = _subset_sums(cache, num.scalar(x), r, num)
-                bump("fn_random", float(num.absolute(fn)))
-                bump("identity3", float(num.absolute(statement)))
-                prose_max = _nan_max(prose_max, float(num.absolute(prose)))
+                bump("fn_random", float(abs(fn)))
+                bump("identity3", float(abs(statement)))
+                prose_max = _nan_max(prose_max, float(abs(prose)))
 
             bump("identity4", identity4_residual(shifts, prec))
 

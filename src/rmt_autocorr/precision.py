@@ -190,10 +190,6 @@ class DoubleOps:
         return cmath.sqrt(z)
 
     @staticmethod
-    def absolute(z):
-        return abs(z)
-
-    @staticmethod
     def fsum(terms):
         ts = [complex(t) for t in terms]
         return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
@@ -232,10 +228,6 @@ class ExtendedOps:
     @staticmethod
     def sqrt(z):
         return mp.sqrt(z)
-
-    @staticmethod
-    def absolute(z):
-        return abs(z)
 
     @staticmethod
     def fsum(terms):

@@ -13,8 +13,8 @@ The index vectors and partitions of those sums are enumerated once, by
 `weakly_increasing_chunks`, as integer arrays of at most _CHUNK rows; each
 family is array arithmetic on those rows, and the sums take the chunks
 as they come.  The tuple and Partition generators of the same families
-(`enumerate_even_partitions`, `partial_index_vectors`,
-`enumerate_so_index_sets`) are flattened views of the same chunks.
+(`enumerate_even_partitions`, `enumerate_so_index_sets`) are flattened
+views of the same chunks; the sums do not call them.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ class Partition:
         if length < self.nonzero_count:
             raise ValueError("cannot pad below the number of nonzero parts")
         return Partition(tuple(p for p in self.parts if p > 0) + (0,) * (length - self.nonzero_count))
-
-
-def _unchecked_partition(parts: tuple[int, ...]) -> Partition:
-    """A Partition of int parts that are valid by construction, built
-    without the checks (they cost more than the sums' per-term work)."""
-    lam = object.__new__(Partition)
-    object.__setattr__(lam, "parts", parts)
-    return lam
 
 
 def conjugate_partition(lam: Partition) -> Partition:
@@ -160,7 +152,7 @@ def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
 
     Yields exactly binomial(k + max_part/2, k) partitions.
     """
-    yield from map(_unchecked_partition, chunk_rows(even_partition_chunks(k, max_part)))
+    yield from map(Partition, chunk_rows(even_partition_chunks(k, max_part)))
 
 
 def count_even_partitions(k: int, max_part: int) -> int:
@@ -193,11 +185,6 @@ def partial_index_chunks(variant: str, count: int, n_max: int) -> Iterator[np.nd
         if last:
             vecs[:, -1] = n_max
         yield vecs
-
-
-def partial_index_vectors(variant: str, count: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `partial_index_chunks`, one by one."""
-    yield from chunk_rows(partial_index_chunks(variant, count, n_max))
 
 
 def so_index_chunks(k: int, n_param: int) -> Iterator[np.ndarray]:

@@ -82,6 +82,20 @@ def test_exit_code_numerical_error(capsys):
     assert json.loads(out)["error"] == "PoleHit"
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--group", "u", "--N", "2", "--m", "1", "--shifts", "0,0.5",
+     "--method", "contour"),
+    ("crosscheck", "--group", "usp", "--N", "2", "--shifts", "0,0.5",
+     "--routes", "schur,contour"),
+])
+def test_contour_route_refuses_a_zero_shift(capsys, argv):
+    # the contour form takes log(w); a zero shift is valid input it cannot reach
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"error", "detail"} and report["error"] == "PoleHit"
+
+
 @pytest.mark.parametrize("query", [
     ("--group", "u", "--N", "2", "--m", "0", "--shifts", "1e200", "--method", "det"),
     ("--group", "usp", "--N", "100000", "--shifts", "0.5", "--method", "eps"),

@@ -27,7 +27,6 @@ from rmt_autocorr import (
 from rmt_autocorr.haar import (
     _JACOBI_A,
     _autocorr_chunk,
-    _haar_orthogonal_batch,
     _jacobi_verblunsky,
     _sample_chunks,
     autocorr_integrand,
@@ -36,6 +35,8 @@ from rmt_autocorr.haar import (
     sample_matrix_batch,
 )
 from rmt_autocorr.routes import canonical_value
+
+from haar_reference import _haar_orthogonal_batch, haar_matrix_batch
 
 ALL_FAMILIES = ["u", "usp", "so", "ominus"]
 
@@ -189,29 +190,30 @@ def test_functional_equation_unit_circle_large_n():
 # ---------------------------------------------------------------------------
 
 def test_sampling_deterministic():
-    spec = group("usp", 2)
-    a = list(sample_eigenangles(spec, 99, 5))
-    b = list(sample_eigenangles(spec, 99, 5))
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    batch = sample_eigenangle_batch(spec, 99, 5)
-    assert np.array_equal(np.stack(a), batch)
+    for fam in ("u", "usp"):
+        spec = group(fam, 2)
+        a = list(sample_eigenangles(spec, 99, 5))
+        b = list(sample_eigenangles(spec, 99, 5))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        batch = sample_eigenangle_batch(spec, 99, 5)
+        assert np.array_equal(np.stack(a), batch)
 
 
 def test_ominus2_samples_have_no_free_angles():
     spec = group("ominus", 1)
     batch = sample_eigenangle_batch(spec, 1, 8)
     assert batch.shape == (8, 0)
-    mats = sample_matrix_batch(spec, np.random.default_rng(1), 16)
+    mats = haar_matrix_batch(spec, np.random.default_rng(1), 16)
     ev = np.sort(np.linalg.eigvals(mats).real, axis=1)
     assert np.allclose(ev[:, 0], -1, atol=1e-12) and np.allclose(ev[:, 1], 1, atol=1e-12)
 
 
 def test_sampled_matrices_live_on_their_groups():
     rng = np.random.default_rng(11)
-    U = sample_matrix_batch(group("u", 4), rng, 12)
+    U = haar_matrix_batch(group("u", 4), rng, 12)
     assert np.allclose(np.einsum("bij,bkj->bik", U, U.conj()), np.eye(4), atol=1e-12)
 
-    S = sample_matrix_batch(group("usp", 3), rng, 12)
+    S = haar_matrix_batch(group("usp", 3), rng, 12)
     J = np.zeros((6, 6))
     J[:3, 3:] = np.eye(3)
     J[3:, :3] = -np.eye(3)
@@ -219,9 +221,12 @@ def test_sampled_matrices_live_on_their_groups():
     assert np.allclose(np.einsum("bji,jk,bkl->bil", S, J, S), J, atol=1e-11)
 
     for fam, sign in (("so", 1.0), ("ominus", -1.0)):
-        Q = sample_matrix_batch(group(fam, 2), rng, 20)
+        Q = haar_matrix_batch(group(fam, 2), rng, 20)
         assert np.allclose(np.einsum("bij,bkj->bik", Q, Q), np.eye(4), atol=1e-12)
         assert np.allclose(np.linalg.det(Q), sign, atol=1e-10)
+
+    C = sample_matrix_batch(group("u", 5), np.random.default_rng(12), 12)
+    assert np.allclose(np.einsum("bij,bkj->bik", C, C.conj()), np.eye(5), atol=1e-12)
 
 
 def test_eigenangle_extraction_on_known_rotation():
@@ -297,7 +302,7 @@ def test_jacobi_model_agrees_with_the_matrix_sampler(fam, N):
     spec = group(fam, N)
     count = 20000
     jacobi = sample_eigenangle_batch(spec, 401 + N, count)
-    matrix = eigenangles_of(spec, sample_matrix_batch(spec, np.random.default_rng(501 + N), count))
+    matrix = eigenangles_of(spec, haar_matrix_batch(spec, np.random.default_rng(501 + N), count))
     for r in (1, 2, 3):
         x = np.cos(r * jacobi).sum(axis=1)
         y = np.cos(r * matrix).sum(axis=1)
@@ -385,7 +390,8 @@ def test_szego_model_reproduces_the_exact_unitary_moment(N, m):
 def test_szego_model_agrees_with_the_matrix_sampler(N):
     spec = group("u", N)
     count = 20000
-    matrix = sample_eigenangle_batch(spec, 951 + N, count)  # QR + eigvals angles
+    matrix = np.concatenate(list(_sample_chunks(  # QR + eigvals angles
+        951 + N, count, lambda rng, B: eigenangles_of(spec, haar_matrix_batch(spec, rng, B)))))
     for shifts, m in (((0.8, 0.8), 1), ((0.6 + 0.3j, -0.5 + 0.5j), 1), ((1.0, 1j), 1),
                       ((0.5,), 0), ((1.2, -0.4j), 2)):
         f = autocorr_integrand(spec, shifts, m)
@@ -393,6 +399,44 @@ def test_szego_model_agrees_with_the_matrix_sampler(N):
         vals = f(matrix)
         mat_se = np.sqrt(np.sum(np.abs(vals - vals.mean()) ** 2) / (count - 1) / count)
         assert abs(coef - vals.mean()) <= 4 * np.hypot(coef_se, mat_se), (shifts, m)
+
+
+# ---------------------------------------------------------------------------
+# The CMV model of the U(N) spectrum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [1, 2, 8, 16])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_cmv_angles_match_the_coefficient_path(N, m):
+    # same seeded stream, two chunks: the integrand at the CMV eigenangles
+    # equals the Szego value of the same coefficients per sample to 1e-12
+    # relative, plus what the eigvals angles inherit: errors of about N u
+    # move a factor w - e^{i theta} or 1 - e^{-i theta} w by |w| N u, a
+    # large relative error when w on the circle is near an eigenvalue
+    spec = group("u", N)
+    u, count, seed = np.finfo(float).eps, 5000, 1201
+    shifts = (1.0, 1j, -1.0, 0.7 - 0.4j)
+    T = sample_eigenangle_batch(spec, seed, count)
+    ref = autocorr_integrand(spec, shifts, m)(T)
+    got = _coefficient_values(spec, shifts, m, seed, count)
+    w = np.array(shifts)
+    inherited = 4 * N * u * np.sum(np.abs(w) / np.abs(w - np.exp(1j * T[:, :, None])), axis=(1, 2))
+    assert np.all(np.abs(got - ref) <= (1e-12 + inherited) * np.abs(ref))
+
+
+def test_cmv_spectrum_has_the_haar_trace_moments():
+    # Diaconis-Shahshahani: E |tr U^j|^2 = min(j, N) under Haar measure on U(N)
+    N, count = 6, 20000
+    T = sample_eigenangle_batch(group("u", N), 1301, count)
+    for j in range(1, 2 * N + 1):
+        x = np.abs(np.exp(1j * j * T).sum(axis=1)) ** 2
+        assert abs(x.mean() - min(j, N)) <= 4 * x.std(ddof=1) / np.sqrt(count), j
+
+
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+def test_cmv_sampler_refuses_the_self_dual_families(fam):
+    with pytest.raises(ValueError, match="U\\(N\\) only"):
+        sample_matrix_batch(group(fam, 2), np.random.default_rng(1), 4)
 
 
 def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):

@@ -25,9 +25,11 @@ from rmt_autocorr import (
     subset_stats,
     weyl_autocorrelation,
 )
-from rmt_autocorr.haar import _haar_orthogonal_batch, autocorr_integrand
+from rmt_autocorr.haar import autocorr_integrand
 from rmt_autocorr.orthogonal import ominus_autocorr_schur
 from rmt_autocorr.symplectic import sp_autocorr_det
+
+from haar_reference import _haar_orthogonal_batch
 
 
 def _random_shifts(rng, k, lo=0.5, hi=1.6, sep=0.25):

@@ -24,11 +24,12 @@ from rmt_autocorr.orthogonal import (
 from rmt_autocorr.precision import PrecisionConfig, ops_for
 from rmt_autocorr.symcore import (
     Partition,
+    chunk_rows,
     conjugate_partition,
     det_sum_over_vandermonde,
     enumerate_even_partitions,
     enumerate_so_index_sets,
-    partial_index_vectors,
+    partial_index_chunks,
     require_separated,
     schur_stable,
     vandermonde,
@@ -139,7 +140,7 @@ def test_partial_sums_match_their_per_term_loop(variant, m, prec, monkeypatch):
     for n_max, shifts in itertools.product((3, 6, 11, 19), (SPREAD, WITH_ZERO)):
         values = _at_chunk_sizes(monkeypatch, lambda *a: so_partial_sums(*a).value,
                                  variant, n_max, shifts[:m], prec)
-        expected = det_loop(shifts[:m], partial_index_vectors(variant, m, n_max), prec)
+        expected = det_loop(shifts[:m], chunk_rows(partial_index_chunks(variant, m, n_max)), prec)
         assert values == [repr(expected)] * 2, (variant, n_max, shifts[:m])
 
 

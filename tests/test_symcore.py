@@ -283,7 +283,7 @@ def test_partial_index_chunks_are_their_itertools_definitions(monkeypatch, chunk
     for n_max in range(-2, 12):
         want = itertools_partial(variant, count, n_max)
         assert rows_of(symcore.partial_index_chunks(variant, count, n_max), count) == want
-        assert list(symcore.partial_index_vectors(variant, count, n_max)) == want
+        assert list(symcore.chunk_rows(symcore.partial_index_chunks(variant, count, n_max))) == want
     # a count of the wrong parity (odd for M and E, even for R and L) yields nothing
     if count % 2 != (variant in "RL"):
         assert list(symcore.partial_index_chunks(variant, count, 11)) == []
