@@ -253,11 +253,16 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
 def _batches(chunks):
     """The gathered (re, im) matrix stacks of consecutive chunks (table, idx),
     grouped until a group holds _CHUNK matrices: the short chunks at the
-    ends of chained index families share one elimination."""
+    ends of chained index families share one elimination.  A table is
+    converted to arrays once, for as long as the chunks pass the same one."""
     group, rows = [], 0
+    table_in_use = None
     for table, idx in chunks:
-        values = np.array(table, dtype=complex)
-        group.append((values.real[idx], values.imag[idx]))
+        if table is not table_in_use:
+            table_in_use = table
+            values = np.array(table, dtype=complex)
+            table_re, table_im = values.real, values.imag
+        group.append((table_re[idx], table_im[idx]))
         rows += len(idx)
         if rows >= _CHUNK:
             yield group
@@ -282,7 +287,10 @@ def _det_sum(num, chunks):
         re, im = batched_det(*map(np.concatenate, zip(*group)))
         re_parts.append(re)
         im_parts.append(im)
-    return complex(fsum(chain.from_iterable(re_parts)), fsum(chain.from_iterable(im_parts)))
+    # fsum reads Python floats far faster than numpy scalars; a batch at a
+    # time keeps the lists short
+    return complex(*(fsum(chain.from_iterable(part.tolist() for part in parts))
+                     for parts in (re_parts, im_parts)))
 
 
 def det_sum_over_vandermonde(shifts: Sequence, chunks, top: int,
@@ -397,7 +405,7 @@ def schur_sum(chunks, points: Sequence, prec: PrecisionConfig | None = None):
     k = len(points)
     offsets = np.arange(k) - np.arange(k)[:, None]   # j - i
     with num.guard():
-        h = []
+        h = []   # h_0..h_top and a zero: index -1 reads h_d = 0 for d < 0
 
         def gathered():
             nonlocal h
@@ -406,9 +414,8 @@ def schur_sum(chunks, points: Sequence, prec: PrecisionConfig | None = None):
                 if lams.shape[1:] != (k,):
                     raise ValueError("partition length must equal the number of points")
                 top = int(lams.max(initial=0)) + k - 1
-                if top >= len(h):
-                    h = complete_homogeneous(top, points, prec)
-                # index -1 reads the appended zero: h_d = 0 for d < 0
-                yield h + [num.zero], np.maximum(lams[:, :, None] + offsets, -1)
+                if top >= len(h) - 1:
+                    h = complete_homogeneous(top, points, prec) + [num.zero]
+                yield h, np.maximum(lams[:, :, None] + offsets, -1)
 
         return _det_sum(num, gathered())

@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rmt_autocorr import symcore
 from rmt_autocorr.precision import PrecisionConfig, _generic_det, batched_det, ops_for
+from rmt_autocorr.symplectic import sp_autocorr_det, sp_autocorr_schur
 
 
 def _scalar_dets(stack):
@@ -61,6 +63,58 @@ def _stacks(rng, n, batch=64):
 def test_batched_det_matches_the_scalar_elimination_bit_for_bit(n):
     rng = np.random.default_rng(20 + n)
     for name, stack in _stacks(rng, n):
+        _assert_bit_identical(stack, name)
+
+
+def test_a_nan_pivot_key_wins_only_in_the_first_row():
+    # max() by abs: a NaN key in row 0 is never replaced; a later NaN key never
+    # replaces the best, not even next to a larger finite key
+    rng = np.random.default_rng(7)
+    shape = (6, 4, 4)
+    stack = _complex(rng.standard_normal(shape), rng.standard_normal(shape))
+    stack[:, :, 0] = [[1.0, np.nan, 5.0, 0.5],
+                      [1.0, 5.0, complex(np.nan, 1.0), 0.5],
+                      [complex(0.0, np.nan), 5.0, 2.0, 0.5],
+                      [np.nan, np.nan, 3.0j, 3.0j],
+                      [0.0, np.nan, 0.0, 0.0],
+                      [0.5, 2.0, np.nan, 4.0]]
+    _assert_bit_identical(stack)
+
+
+def test_one_step_takes_both_quotient_branches():
+    # pivots with |re| >= |im| and |re| < |im| in one batch, then in batches of one branch
+    rng = np.random.default_rng(8)
+    shape = (8, 3, 3)
+    stack = _complex(rng.standard_normal(shape), rng.standard_normal(shape)) / 10
+    stack[:, 0, 0] = [3 + 1j, 1 + 3j, -2 + 2j, 2 - 2.5j, 4, 4j, -1e-3 + 5j, 5 - 1e-3j]
+    assert not (np.abs(stack[:, 0, 0].real) >= np.abs(stack[:, 0, 0].imag)).all()
+    _assert_bit_identical(stack, "mixed")
+    _assert_bit_identical(stack[[0, 4, 7]], "real branch")
+    _assert_bit_identical(stack[[1, 5, 6]], "imag branch")
+
+
+def _gathered_stacks(route):
+    """The (B, 4, 4) stacks that `route(32, ROADMAP points)` eliminates."""
+    stacks = []
+
+    def captured(re, im):
+        stacks.append(_complex(re, im))
+        return batched_det(re, im)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(symcore, "batched_det", captured)
+        route(32, (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j))
+    return stacks
+
+
+def test_batched_det_replays_the_self_dual_sums_at_n32():
+    # the full 1,024-matrix stacks of the sp det and schur sums: the first of
+    # each, and the first det stack whose column-0 pivot is off row 0 in every
+    # matrix (there, and at column 1, every matrix swaps rows)
+    det_stacks, schur_stacks = map(_gathered_stacks, (sp_autocorr_det, sp_autocorr_schur))
+    swapped = next(s for s in det_stacks if np.abs(s[:, :, 0]).argmax(axis=1).all())
+    for name, stack in [("det", det_stacks[0]), ("schur", schur_stacks[0]), ("swaps", swapped)]:
+        assert stack.shape == (1024, 4, 4)
         _assert_bit_identical(stack, name)
 
 

@@ -145,7 +145,7 @@ def test_partial_sums_match_their_per_term_loop(variant, m, prec, monkeypatch):
 
 
 @pytest.mark.parametrize("route", [sp_autocorr_schur, sp_autocorr_det, so_autocorr_schur,
-                                   ominus_autocorr_schur, ominus_autocorr_det])
+                                   so_autocorr_det, ominus_autocorr_schur, ominus_autocorr_det])
 def test_large_sums_stream_their_terms(route):
     # k = 4, N = 32: up to 58,905 terms, enumerated and eliminated a chunk at a time
     route(2, SPREAD)   # lazy imports are not the sum's working set
