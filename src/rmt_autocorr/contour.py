@@ -8,6 +8,18 @@ the kernels below have pole sets like z_i = z_j or z_i = -z_j that are
 cancelled analytically by Vandermonde-squared zeros but would be 0 * inf
 on an aligned grid.
 
+Every integrand here is a product of one-variable factors (shifts,
+denominators, exp factors, diagonal poles) and two-variable factors (the
+Vandermonde squares and the kernels' pair poles).  `trapezoid_sum`, the
+one contraction of a d <= DIM_CAP periodic trapezoid sum that this module
+and the Weyl quadrature of `haar` share, takes the factors unmultiplied:
+one-variable factors join their axis's node weights w_a and two-variable
+factors are M x M tables A_ab, so d = 3 is
+sum(A_01 * w_0 (x) w_1 * ((A_02 * w_2) @ A_12^T)) -- one matrix product
+and M^2 tables instead of M^3 grid points.  An integrand that is one
+opaque function of all d variables is the degenerate case, one factor on
+the full grid contracted axis by axis.
+
 The two lemma checks evaluate both sides (block-ordered permutation sum
 vs n-fold integral, and sign-vector sum vs k-fold integral) from their
 printed definitions and report the residual.  Each contour route is one
@@ -18,6 +30,7 @@ their integrands with the same two builders.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,7 +42,6 @@ from .symcore import (
     index_pairs,
     require_separated,
     sign_vectors,
-    vandermonde,
 )
 
 GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
@@ -37,10 +49,6 @@ GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 # Circles larger than this cross the 2 pi i-periodic pole branches of the
 # exp-kernel integrands (z_i +- z_j = 2 pi i k, k != 0).
 EXP_KERNEL_MAX_RADIUS = 2.8
-
-# Largest contour dimension (M^dim grid points).
-DIM_CAP = 3
-
 
 @dataclass(frozen=True)
 class ContourConfig:
@@ -84,33 +92,90 @@ def _node_circles(dim: int, M: int, center: complex, radius: float) -> list[np.n
     return [center + radius * np.exp(1j * (base + d * rot)) for d in range(dim)]
 
 
+# Largest dimension of a trapezoid sum, contour or Weyl.
+DIM_CAP = 3
+
+
+def _factors_of(value) -> Iterable:
+    """A product given as its factors: a list or iterator is its factors,
+    anything else is one factor."""
+    return value if isinstance(value, (list, Iterator)) else (value,)
+
+
+def trapezoid_sum(nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
+                  integrand) -> complex:
+    """The sum over the product grid of `nodes` of prod_a weights[a][i_a]
+    times the integrand, in d = len(nodes) <= DIM_CAP variables.
+
+    `integrand` is called once with one broadcastable array per variable
+    (nodes[a] along axis a) and returns an array that broadcasts to the
+    grid or a list or iterator of such factors, whose product is the
+    integrand; it does not write to them.  An iterator's factors are
+    multiplied in as they come, so only the tables are kept.  Each factor
+    counts on the axes it varies along: constants scale the sum, one-axis
+    factors multiply their axis's weights w_a, and two-axis factors
+    multiply into that pair's table A_ab (ones where there is none).  Then
+    d = 1 is sum(w_0), d = 2 is w_0 . (A_01 w_1), and d = 3 first folds
+    the third variable into A_01 * ((A_02 * w_2) @ A_12^T) with one matrix
+    product.  A factor on all three axes is multiplied by the tables on the
+    full grid, which w_2 then contracts.  Raises DimensionCap for
+    d > DIM_CAP before calling the integrand.
+    """
+    d = len(nodes)
+    if d > DIM_CAP:
+        raise DimensionCap(f"dimension {d} exceeds the cap {DIM_CAP}")
+    grid = tuple(len(x) for x in nodes)
+    vals = integrand(*(x.reshape((1,) * a + (-1,) + (1,) * (d - a - 1))
+                       for a, x in enumerate(nodes)))
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    for factor in _factors_of(vals):
+        # a broadcast axis has stride 0: the factor does not vary along it
+        full = np.broadcast_to(np.asarray(factor, dtype=complex), grid)
+        axes = tuple(a for a in range(d) if full.strides[a])
+        part = full[tuple(slice(None) if a in axes else 0 for a in range(d))]
+        tables[axes] = tables[axes] * part if axes in tables else part
+    const = tables.pop((), 1.0)
+    w = [weights[a] * tables.pop((a,)) if (a,) in tables else weights[a] for a in range(d)]
+    if d < 2:
+        return complex(const * np.sum(w[0])) if d else complex(const)
+
+    def table(a: int, b: int) -> np.ndarray:
+        return tables.pop((a, b)) if (a, b) in tables else np.ones((grid[a], grid[b]))
+
+    if d == 2:
+        a01 = table(0, 1)
+    elif (0, 1, 2) in tables:
+        full = tables.pop((0, 1, 2))
+        for (a, b), t in tables.items():
+            full = full * np.expand_dims(t, 3 - a - b)
+        a01 = full @ w[2]
+    else:
+        a01 = table(0, 1) * ((table(0, 2) * w[2]) @ table(1, 2).T)
+    return complex(const * ((a01 @ w[1]) @ w[0]))
+
+
 def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
                       enclosed_points: Sequence[complex] = (),
                       vectorized: bool = False) -> complex:
     """(2 pi i)^{-dim} times the dim-fold contour integral of `integrand`.
 
-    `vectorized` selects only the integrand's calling convention: True hands
-    it one broadcastable array per dimension and expects an array that
-    broadcasts to the full grid back (it does not write to that array);
-    False calls integrand(z_1, ..., z_dim) once per grid point, with Python
-    complex arguments.  Both fill the same node grid and reduce it by the
-    same weighted contraction.
+    `vectorized` selects only the integrand's calling convention: True
+    hands it one broadcastable array per dimension and expects, as
+    `trapezoid_sum` does, an array that broadcasts to the full grid or a
+    list or iterator of factors whose product is the integrand; it does
+    not write to them.  The lemma integrands below yield one- and
+    two-variable factors, so they cost M x M tables and, at dim = 3, one
+    M x M matrix product, with no M^dim array.  False calls
+    integrand(z_1, ..., z_dim) once per grid point with Python complex
+    arguments, one factor on the full grid.  Both are summed by
+    `trapezoid_sum` with the node weights z - center.
     """
-    if dim > DIM_CAP:
-        raise DimensionCap(f"dimension {dim} exceeds the cap {DIM_CAP}")
     M = (cfg or DEFAULT_CONTOUR).nodes_per_dim
     center, radius = resolve_geometry(enclosed_points)
     circles = _node_circles(dim, M, center, radius)
-    shaped = [c.reshape((1,) * d + (M,) + (1,) * (dim - d - 1)) for d, c in enumerate(circles)]
     if not vectorized:
         integrand = np.frompyfunc(integrand, dim, 1)
-    # Contracting one axis at a time with the node weights reads the
-    # integrand's grid without a second full-size array (or writing to
-    # it: the result may be a view of the circles).
-    vals = np.broadcast_to(np.asarray(integrand(*shaped), dtype=complex), (M,) * dim)
-    for c in reversed(circles):
-        vals = vals @ (c - center)
-    return complex(vals / M ** dim)
+    return trapezoid_sum(circles, [c - center for c in circles], integrand) / M ** dim
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +191,10 @@ def exp_pole(x):
     return 1.0 / (1.0 - np.exp(-x))
 
 
-def exp_sum(c: complex, zs: Sequence):
-    """exp(c * sum(zs)) as a product of one factor per variable, so that
-    on broadcast grids no full-size temporary exists besides the result."""
-    return math.prod(np.exp(c * z) for z in zs)
+def exp_sum(c: complex, zs: Sequence) -> Iterator:
+    """exp(c * sum(zs)) as its one-variable factors exp(c z), which a
+    kernel's regular part may return (see `_factors_of`)."""
+    return (np.exp(c * z) for z in zs)
 
 
 def assert_unit_residue(f: Callable[[complex], complex]) -> None:
@@ -147,15 +212,14 @@ class BipartiteKernel:
     regular: Callable = field(default=_one)
 
     def __call__(self, a: Sequence[complex], b: Sequence[complex]) -> complex:
-        return complex(self.times(1.0 + 0j, a, b))
+        return complex(math.prod(self.factors(a, b)))
 
-    def times(self, out, a: Sequence, b: Sequence):
-        """out * G(a; b); an array `out` of the full grid shape is scaled in place."""
-        out *= self.regular(tuple(a), tuple(b))
+    def factors(self, a: Sequence, b: Sequence) -> Iterator:
+        """The factors of G(a; b), unmultiplied: F's, then one f(a_i - b_j) per pair."""
+        yield from _factors_of(self.regular(tuple(a), tuple(b)))
         for ai in a:
             for bj in b:
-                out *= self.pole(ai - bj)
-        return out
+                yield self.pole(ai - bj)
 
 
 @dataclass(frozen=True)
@@ -167,14 +231,13 @@ class SymmetricKernel:
     include_diagonal: bool = True
 
     def __call__(self, a: Sequence[complex]) -> complex:
-        return complex(self.times(1.0 + 0j, a))
+        return complex(math.prod(self.factors(a)))
 
-    def times(self, out, a: Sequence):
-        """out * G(a); an array `out` of the full grid shape is scaled in place."""
-        out *= self.regular(tuple(a))
+    def factors(self, a: Sequence) -> Iterator:
+        """The factors of G(a), unmultiplied: F's, then one f(a_i + a_j) per pair."""
+        yield from _factors_of(self.regular(tuple(a)))
         for i, j in index_pairs(len(a), self.include_diagonal):
-            out *= self.pole(a[i] + a[j])
-        return out
+            yield self.pole(a[i] + a[j])
 
 
 @dataclass(frozen=True)
@@ -192,20 +255,20 @@ def unitary_lemma_integrand(kernel: BipartiteKernel, u: Sequence[complex], m: in
 
     (-1)^{n(n-1)/2} / (m! (n-m)!) * G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2
     / prod_{i,j}(z_i - u_j), for circular_integral(n, ..., enclosed_points=u,
-    vectorized=True).  Full-grid products are formed in place, the
-    constant and denominators one variable at a time.
+    vectorized=True).  It yields its factors: the constant, (z_k - z_j)^2
+    per pair, the kernel's factors and one denominator per variable.
     """
     u = [complex(x) for x in u]
     n = len(u)
     const = (-1) ** (n * (n - 1) // 2) / (math.factorial(m) * math.factorial(n - m))
 
     def integrand(*z):
-        val = vandermonde(z)
-        val *= val
-        val = kernel.times(val, z[:m], z[m:])
-        for d, zd in enumerate(z):
-            val *= (const if d == 0 else 1.0) / math.prod(zd - p for p in u)
-        return val
+        yield const
+        for j, k in index_pairs(n, False):
+            yield np.square(z[k] - z[j])
+        yield from kernel.factors(z[:m], z[m:])
+        for zd in z:
+            yield 1.0 / math.prod(zd - p for p in u)
 
     return integrand
 
@@ -215,7 +278,9 @@ def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], vari
 
     (-1)^{k(k-1)/2} 2^k / k! * G(z) Delta(z^2)^2 * numerator
     / prod_{i,j}(z_i - alpha_j)(z_i + alpha_j), numerator prod z_j ("plain")
-    or prod alpha_j ("signed"), for a contour enclosing +-alpha.
+    or prod alpha_j ("signed"), for a contour enclosing +-alpha.  It yields
+    its factors: the constant, (z_k^2 - z_j^2)^2 per pair, the kernel's
+    factors and one numerator over denominator per variable.
     """
     if variant not in ("plain", "signed"):
         raise ValueError("variant must be 'plain' or 'signed'")
@@ -226,13 +291,14 @@ def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], vari
         const *= math.prod(al)
 
     def integrand(*z):
-        val = vandermonde([zd * zd for zd in z])
-        val *= val
-        val = kernel.times(val, z)
-        for d, zd in enumerate(z):
+        yield const
+        sq = [zd * zd for zd in z]
+        for i, j in index_pairs(k, False):
+            yield np.square(sq[j] - sq[i])
+        yield from kernel.factors(z)
+        for zd in z:
             top = zd if variant == "plain" else 1.0
-            val *= (const if d == 0 else 1.0) * top / math.prod((zd - a) * (zd + a) for a in al)
-        return val
+            yield top / math.prod((zd - a) * (zd + a) for a in al)
 
     return integrand
 

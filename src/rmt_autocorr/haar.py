@@ -42,8 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionCap
-from .symcore import vandermonde
+from .contour import trapezoid_sum
+from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,9 +60,6 @@ _ALIASES = {
 }
 
 _SAMPLE_CHUNK = 4096
-
-# Largest free-angle count of the tensor quadrature (M^d grid points).
-DIM_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -108,20 +105,32 @@ def group(family: str, size: int) -> GroupSpec:
 _JACOBI_A = {SYMPLECTIC: 0.5, SO_EVEN: -0.5, O_MINUS: 0.5}
 
 
-def weyl_density(spec: GroupSpec, T: np.ndarray) -> np.ndarray:
-    """Weyl eigenangle density at the (P, d) angle array T, mass 1 on [0, 2 pi)^d.
+def _weyl_factors(spec: GroupSpec, thetas: list) -> list:
+    """The Weyl density's factors at the broadcastable angle arrays `thetas`,
+    one per free angle: its constant, one factor per angle, one per pair.
 
-    U(N): |Delta(e^{i theta})|^2 / (N! (2 pi)^N).  Self-dual families:
-    2^{1/2 - a} Delta(2 cos theta)^2 prod (2 sin theta)^{2a + 1} / (n! (4 pi)^n),
-    the law of `_JACOBI_A` carried over to theta.
+    U(N): 1 / (N! (2 pi)^N) and |e^{i theta_k} - e^{i theta_j}|^2.  Self-dual
+    families: 2^{1/2 - a} / (n! (4 pi)^n), (2 sin theta)^{2a + 1} and
+    (2 cos theta_k - 2 cos theta_j)^2, the law of `_JACOBI_A` carried over
+    to theta.
     """
-    n = T.shape[1]
+    n = len(thetas)
+    pairs = index_pairs(n, False)
     if spec.family == UNITARY:
-        return np.abs(vandermonde(list(np.exp(1j * T).T))) ** 2 / (math.factorial(n) * TWO_PI ** n)
+        e = [np.exp(1j * t) for t in thetas]
+        return ([1.0 / (math.factorial(n) * TWO_PI ** n)]
+                + [np.abs(e[k] - e[j]) ** 2 for j, k in pairs])
     a = _JACOBI_A[spec.family]
-    const = 2.0 ** (0.5 - a) / (math.factorial(n) * (2 * TWO_PI) ** n)
-    return (const * vandermonde(list(2 * np.cos(T).T)).real ** 2
-            * np.prod((2 * np.sin(T)) ** (2 * a + 1), axis=1))
+    x = [2 * np.cos(t) for t in thetas]
+    return ([2.0 ** (0.5 - a) / (math.factorial(n) * (2 * TWO_PI) ** n)]
+            + [(2 * np.sin(t)) ** (2 * a + 1) for t in thetas]
+            + [np.square(x[k] - x[j]) for j, k in pairs])
+
+
+def weyl_density(spec: GroupSpec, T: np.ndarray) -> np.ndarray:
+    """Weyl eigenangle density at the (P, d) angle array T, mass 1 on
+    [0, 2 pi)^d: the product of the `_weyl_factors` of its columns."""
+    return math.prod(_weyl_factors(spec, list(T.T)), start=np.ones(T.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +218,31 @@ def quadrature_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nda
     per-angle degree < nodes_per_dim, which covers every integrand in this
     package, so this is an exact oracle rather than an approximation.
 
-    `integrand` must accept a (P, d) angle array and return (P,) values.
-    Raises DimensionCap when the free-angle count exceeds DIM_CAP.
+    `integrand` must accept a (P, d) angle array and return (P,) values; it
+    is called once at all M^d grid points.  An `autocorr_integrand` of
+    `spec` is not called: it is a product of one factor per angle, and the
+    density one of per-angle and pair factors, so `trapezoid_sum` contracts
+    M-vectors and M x M tables (at d = 3 with one matrix product) and no
+    M^d array is formed.  Raises DimensionCap when the free-angle count
+    exceeds `contour.DIM_CAP`.
     """
     d = spec.free_angles
-    if d > DIM_CAP:
-        raise DimensionCap(f"{d} free angles exceeds the cap of {DIM_CAP}")
-    if d == 0:
-        return complex(np.asarray(integrand(np.zeros((1, 0))))[0])
     M = int(nodes_per_dim)
     if M < 4:
         raise ValueError("nodes_per_dim too small")
+    moment = _moment_of(spec, integrand)
+
+    def factors(*thetas: np.ndarray) -> list:
+        weyl = _weyl_factors(spec, list(thetas))
+        if moment is not None:
+            return weyl + _autocorr_factors(*moment, list(thetas))
+        T = np.empty((M ** d, d))
+        for a, t in enumerate(thetas):
+            T[:, a] = np.broadcast_to(t, (M,) * d).ravel()
+        return weyl + [np.asarray(integrand(T)).reshape((M,) * d)]
+
     theta = TWO_PI * np.arange(M) / M
-    grids = np.meshgrid(*([theta] * d), indexing="ij")
-    T = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(integrand(T))
-    return complex(np.sum(vals * weyl_density(spec, T)) * (TWO_PI / M) ** d)
+    return trapezoid_sum([theta] * d, [np.ones(M)] * d, factors) * (TWO_PI / M) ** d
 
 
 def default_nodes(spec: GroupSpec, shift_count: int) -> int:
@@ -232,43 +250,51 @@ def default_nodes(spec: GroupSpec, shift_count: int) -> int:
     return max(16, 4 * (2 * spec.size + shift_count))
 
 
+def _autocorr_factors(spec: GroupSpec, w: tuple, m: int, thetas: list) -> list:
+    """The factors of `autocorr_integrand` at the broadcastable angle arrays
+    `thetas`, one per free angle: a constant and one factor per angle."""
+    if spec.family == UNITARY:
+        def angle(t):
+            e = np.exp(1j * t)
+            return (math.prod(1 - np.conj(e) * wr for wr in w[:m])
+                    * math.prod(wj - e for wj in w[m:]))
+    else:
+        def angle(t):
+            return math.prod(1 + wj * wj - 2 * wj * np.cos(t) for wj in w)
+    const = math.prod(-(1 - wj) * (1 + wj) for wj in w) if spec.family == O_MINUS else 1.0
+    return [const] + [angle(t) for t in thetas]
+
+
 def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
     """Vectorized integrand of the family's defining Haar average.
 
-    Unitary uses the two-block form: the first m shifts pair with
-    Lambda_{M^dagger}(w), the rest enter through prod_p (w - e^{i th_p})
-    (equal to w^N Lambda_M(1/w), but total at w = 0).  The other families
-    take plain products of Lambda_M(w_j); the determinant -1 coset carries
-    its defining (-1)^k.
+    A product of one factor per eigenangle.  Unitary uses the two-block
+    form: the first m shifts pair with Lambda_{M^dagger}(w), the rest enter
+    through prod_p (w - e^{i th_p}) (equal to w^N Lambda_M(1/w), but total
+    at w = 0).  The other families take plain products of Lambda_M(w_j);
+    the determinant -1 coset carries its defining (-1)^k.
 
     The callable carries `autocorr = (spec, shifts, m)`, by which
-    `monte_carlo_average` samples its values without eigenangles.
+    `monte_carlo_average` samples its values without eigenangles and
+    `quadrature_average` contracts its factors without a grid.
     """
-    w = [complex(x) for x in shifts]
-    fam = spec.family
-    if fam == UNITARY:
-        if not 0 <= m <= len(w):
-            raise ValueError("need 0 <= m <= len(shifts)")
+    w = tuple(complex(x) for x in shifts)
+    if spec.family == UNITARY and not 0 <= m <= len(w):
+        raise ValueError("need 0 <= m <= len(shifts)")
 
-        def integrand(T: np.ndarray) -> np.ndarray:
-            E = np.exp(1j * T)
-            out = np.ones(T.shape[0], dtype=complex)
-            for r in range(m):
-                out *= np.prod(1 - np.conj(E) * w[r], axis=1)
-            for j in range(m, len(w)):
-                out *= np.prod(w[j] - E, axis=1)
-            return out
-    else:
-        def integrand(T: np.ndarray) -> np.ndarray:
-            out = np.ones(T.shape[0], dtype=complex)
-            for wj in w:
-                out = out * char_poly_eval(spec, T, wj)
-            if fam == O_MINUS:
-                out = out * (-1) ** len(w)
-            return out
+    def integrand(T: np.ndarray) -> np.ndarray:
+        return math.prod(_autocorr_factors(spec, w, m, list(T.T)),
+                         start=np.ones(T.shape[0], dtype=complex))
 
-    integrand.autocorr = (spec, tuple(w), m)
+    integrand.autocorr = (spec, w, m)
     return integrand
+
+
+def _moment_of(spec: GroupSpec, integrand) -> tuple | None:
+    """The `autocorr` tag (spec, shifts, m) of an `autocorr_integrand` of
+    `spec`, else None."""
+    moment = getattr(integrand, "autocorr", None)
+    return moment if moment is not None and moment[0] == spec else None
 
 
 def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
@@ -400,9 +426,11 @@ def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
     For the 2n real coefficients of `_jacobi_verblunsky` (alpha_{2n-1} = -1)
     the zeros come in pairs e^{+-i theta}, and
-    Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  At w = 1 and
-    w = -1 each step multiplies by 1 - alpha_t or 1 + (-1)^t alpha_t, so these
-    products carry no cancellation beyond that of each factor.  An empty row
+    Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  For real
+    rows at w = s = +-1, Phi*_t = s^t Phi_t, so each step multiplies by
+    s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)): these shifts
+    take the product of the formed factors, since the recursion's
+    s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.  An empty row
     gives Phi = 1.
     """
     phi = np.ones((alpha.shape[0], len(w)), dtype=complex)
@@ -410,6 +438,12 @@ def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for a in alpha.T[:, :, None]:
         w_phi = w * phi
         phi, phi_star = w_phi - np.conj(a) * phi_star, phi_star - a * w_phi
+    if not np.iscomplexobj(alpha):
+        t = np.arange(alpha.shape[1])
+        for j in np.flatnonzero((w == 1) | (w == -1)):
+            s = w[j].real
+            phi[:, j] = np.prod(s - alpha * s ** t, axis=1)
+            phi_star[:, j] = s ** len(t) * phi[:, j]
     return phi, phi_star
 
 
@@ -480,8 +514,8 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
     """
     if count < 2:
         raise ValueError("need at least two samples for a standard error")
-    moment = getattr(integrand, "autocorr", None)
-    if moment is not None and moment[0] == spec:
+    moment = _moment_of(spec, integrand)
+    if moment is not None:
         vals = np.concatenate(list(_sample_chunks(rng_seed, count,
                                                   functools.partial(_autocorr_chunk, *moment))))
     else:

@@ -229,21 +229,11 @@ def require_separated(points: Sequence[complex], what: str = "points") -> None:
 
 
 def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
-    """prod_{j<k} (x_k - x_j); empty and singleton inputs give 1.
-
-    Numpy-array points (one broadcastable grid per variable, as in the
-    contour and quadrature integrands) give the product on their broadcast
-    grid in double precision, accumulated in place in one array.
-    """
+    """prod_{j<k} (x_k - x_j); empty and singleton inputs give 1."""
     num = ops_for(prec)
     with num.guard():
-        grids = [p.shape for p in points if isinstance(p, np.ndarray)]
-        if grids:
-            pts = list(points)
-            out = np.ones(np.broadcast_shapes(*grids), dtype=complex)
-        else:
-            pts = [num.scalar(p) for p in points]
-            out = num.one
+        pts = [num.scalar(p) for p in points]
+        out = num.one
         for j in range(len(pts)):
             for k in range(j + 1, len(pts)):
                 out *= pts[k] - pts[j]

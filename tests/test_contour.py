@@ -1,5 +1,7 @@
 """Contour engine exactness and the two sum-to-integral lemma checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,14 @@ from rmt_autocorr import (
     ContourTooTight,
     DimensionCap,
     SymmetricKernel,
+    autocorr_contour,
     circular_integral,
     lemma_sym_check,
     lemma_unitary_check,
+    orthogonal_contour,
+    sp_autocorr_contour,
 )
-from rmt_autocorr.contour import assert_unit_residue, require_exp_kernel_radius
+from rmt_autocorr.contour import assert_unit_residue, require_exp_kernel_radius, trapezoid_sum
 
 
 def inv(x):
@@ -146,7 +151,7 @@ def test_signed_variant_distinguishes_odd_kernels():
     assert res.residual <= 1e-7
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_vectorized_path_leaves_the_integrands_result_alone(dim):
     # the result is a view of the node circle (broadcast along the other axes)
     cfg = ContourConfig(nodes_per_dim=32)
@@ -161,3 +166,65 @@ def test_vectorized_path_leaves_the_integrands_result_alone(dim):
     assert abs(vector - scalar) <= 1e-13
     nodes, snapshot = seen[0]
     assert np.array_equal(nodes, snapshot)
+
+
+def _random_factor(rng, grid, axes):
+    """A random complex factor that varies along `axes` of the grid only."""
+    shape = tuple(n if a in axes else 1 for a, n in enumerate(grid))
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trapezoid_sum_equals_the_full_grid_contraction(d):
+    # random sets of constant, one-axis, two-axis and (at d = 3) full-grid
+    # factors, on a grid whose axes differ in length so that a transposed
+    # table cannot pass
+    rng = np.random.default_rng(40 + d)
+    grid = (5, 6, 7)[:d]
+    nodes = [np.linspace(0.0, 1.0, n) for n in grid]
+    spans = [()] + [(a,) for a in range(d)] + [(a, b) for a in range(d) for b in range(a + 1, d)]
+    for trial in range(12):
+        kinds = spans + ([(0, 1, 2)] if d == 3 and trial % 3 == 0 else [])
+        factors = [_random_factor(rng, grid, axes)
+                   for axes in kinds for _ in range(int(rng.integers(0, 3)))]
+        weights = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in grid]
+        full = np.ones(grid, dtype=complex)
+        for f in factors:
+            full = full * f
+        for a, w in enumerate(weights):
+            full = full * w.reshape(tuple(n if b == a else 1 for b, n in enumerate(grid)))
+        expected = full.sum()
+        got = trapezoid_sum(nodes, weights, lambda *_z, f=factors: f)
+        assert abs(got - expected) <= 1e-13 * abs(expected), (trial, len(factors))
+    # one array instead of a list is the one-factor case
+    single = _random_factor(rng, grid, tuple(range(d)))
+    ones = [np.ones(n) for n in grid]
+    assert trapezoid_sum(nodes, ones, lambda *_z: single) == pytest.approx(single.sum(), rel=1e-13)
+
+
+def test_trapezoid_sum_refuses_four_variables_before_evaluating():
+    def refuse(*_z):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(DimensionCap):
+        trapezoid_sum([np.zeros(16)] * 4, [np.ones(16)] * 4, refuse)
+
+
+@pytest.mark.parametrize("route", [
+    lambda al, cfg: autocorr_contour(2, al, 1, cfg),
+    lambda al, cfg: sp_autocorr_contour(2, al, cfg),
+    lambda al, cfg: orthogonal_contour("so", 2, al, cfg),
+    lambda al, cfg: orthogonal_contour("ominus", 2, al, cfg),
+], ids=["unitary", "symplectic", "so", "ominus"])
+def test_three_variable_contour_routes_form_no_full_grid(route):
+    # one 128^3 complex grid is 32 MiB; the factored sum keeps M x M tables
+    cfg = ContourConfig(nodes_per_dim=128)
+    alphas = (0.12 + 0.05j, -0.1 + 0.13j, 0.2 - 0.11j)
+    route(alphas, cfg)   # lazy imports are not the route's working set
+    tracemalloc.start()
+    try:
+        route(alphas, cfg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20

@@ -1,6 +1,7 @@
 """Weyl measures, quadrature, sampling and functional equations."""
 
 import functools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -66,6 +67,22 @@ def test_density_normalization(fam, N):
 def test_quadrature_dimension_cap():
     with pytest.raises(DimensionCap):
         quadrature_average(group("u", 4), lambda T: np.ones(T.shape[0]))
+
+
+@pytest.mark.parametrize("fam,N", [("u", 3), ("usp", 3), ("so", 3), ("ominus", 4)])
+def test_three_angle_quadrature_forms_no_full_grid(fam, N):
+    # three free angles at M = 4 (2N + k) nodes: a moment is contracted from
+    # M-vectors and M x M tables, never an M^3 grid of angles and values
+    spec = group(fam, N)
+    shifts, m = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j), 2 if fam == "u" else 0
+    weyl_autocorrelation(spec, shifts, m)   # lazy imports are not the working set
+    tracemalloc.start()
+    try:
+        weyl_autocorrelation(spec, shifts, m)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -373,6 +390,28 @@ def test_self_dual_values_at_plus_minus_one_keep_their_digits(fam, N):
                               for row in alpha])
         bound = 4 * u * np.sum(1 / np.abs(1 + c * alpha), axis=1) * np.abs(exact)
         assert np.all(np.abs(got - exact) <= bound), (w, np.max(np.abs(got - exact) / bound))
+
+
+@pytest.mark.parametrize("fam,N", [("so", 32), ("so", 64), ("usp", 32)])
+def test_self_dual_values_at_plus_minus_one_match_the_50_digit_recursion(fam, N):
+    # the double recursion's s Phi_t - alpha_t Phi*_t cancels when alpha_t is
+    # near +-1 (4.3e-13 relative on these SO(64) samples); the product of
+    # the formed factors s - alpha_t s^t stays within 1e-14
+    spec = group(fam, N)
+    count, seed = 100, 1401 + N
+    n, a = spec.free_angles, _JACOBI_A[spec.family]
+    alpha = np.concatenate(list(_sample_chunks(
+        seed, count, lambda rng, B: _jacobi_verblunsky(rng, B, n, a)[:, 1:])))
+    for s in (1, -1):
+        got = _coefficient_values(spec, (s,), 0, seed, count)
+        exact = []
+        with mpmath.workdps(50):
+            for row in alpha:
+                phi = phi_star = mpmath.mpf(1)
+                for at in map(mpmath.mpf, row):
+                    phi, phi_star = s * phi - at * phi_star, phi_star - at * s * phi
+                exact.append(float(phi))
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-14, s
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 16])

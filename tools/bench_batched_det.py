@@ -78,15 +78,23 @@ def measure(root):
     return rows
 
 
-def main(before, after):
+def alternate(script, before, after, rounds=ROUNDS):
+    """{"before": [...], "after": [...]}: the JSON that `script --measure ROOT`
+    prints for each root, in `rounds` rounds that alternate which side
+    runs first."""
     runs = {"before": [], "after": []}
-    for i in range(ROUNDS):
+    for i in range(rounds):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         for side in order:
             root = before if side == "before" else after
-            done = subprocess.run([sys.executable, __file__, "--measure", root],
+            done = subprocess.run([sys.executable, script, "--measure", root],
                                   capture_output=True, text=True, check=True)
             runs[side].append(json.loads(done.stdout))
+    return runs
+
+
+def main(before, after):
+    runs = alternate(__file__, before, after)
     rows = []
     for name in runs["before"][0]:
         row = {"row": name}
