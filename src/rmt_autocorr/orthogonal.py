@@ -27,12 +27,7 @@ import numpy as np
 
 from .contour import (
     ContourConfig,
-    SymmetricKernel,
-    circular_integral,
-    exp_pole,
-    exp_sum,
-    require_exp_kernel_contour,
-    sym_lemma_integrand,
+    circular_integral,  # not called here; bench/tracer.py patches this binding too
 )
 from .errors import PoleHit
 from .precision import PrecisionConfig, _generic_det, ops_for
@@ -51,6 +46,7 @@ from .symcore import (
 )
 from .symplectic import (
     parity_index_vectors,  # not called here; bench/tracer.py patches this binding too
+    reflection_contour,
     reflection_sum,
     sp_autocorr_det,
     sp_autocorr_schur,
@@ -133,7 +129,8 @@ def _odd_partition_chunks(length: int, max_part: int) -> Iterator[np.ndarray]:
 
 
 def _odd_partitions_exact(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `_odd_partition_chunks`, one by one."""
+    """The vectors of `_odd_partition_chunks`, one by one.  No route calls
+    it; bench/tracer.py looks it up by name, which keeps it here."""
     yield from chunk_rows(_odd_partition_chunks(length, max_part))
 
 
@@ -260,14 +257,8 @@ def orthogonal_contour(family: str, N: int, alphas: Sequence[complex],
     fam = str(family).lower()
     if fam not in ("so", "ominus"):
         raise ValueError("family must be 'so' or 'ominus'")
-    al = [complex(a) for a in alphas]
-    enclosed = al + [-a for a in al]
-    require_exp_kernel_contour(enclosed, "+-alpha points")
-    kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=False)
     variant = "plain" if fam == "so" else "signed"
-    return np.exp(N * sum(al)) * circular_integral(
-        len(al), sym_lemma_integrand(kernel, al, variant), cfg, enclosed_points=enclosed,
-        vectorized=True)
+    return reflection_contour(N, alphas, cfg, diagonal=False, variant=variant, sign=1)
 
 
 # ---------------------------------------------------------------------------

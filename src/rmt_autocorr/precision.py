@@ -48,7 +48,8 @@ class PrecisionConfig:
 
     @property
     def is_double(self) -> bool:
-        """Always False: double precision is prec=None."""
+        """Always False: double precision is prec=None.  Nothing in the
+        package reads it; bench/tracer.py looks it up by name, which keeps it here."""
         return False
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement, islice
-from math import comb, fsum
+from math import fsum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -150,13 +150,10 @@ def even_partition_chunks(k: int, max_part: int) -> Iterator[np.ndarray]:
 def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
     """The partitions of `even_partition_chunks`, one by one.
 
-    Yields exactly binomial(k + max_part/2, k) partitions.
+    Yields exactly binomial(k + max_part/2, k) partitions.  No route calls
+    it; bench/tracer.py looks it up by name, which keeps it here.
     """
     yield from map(Partition, chunk_rows(even_partition_chunks(k, max_part)))
-
-
-def count_even_partitions(k: int, max_part: int) -> int:
-    return comb(k + max_part // 2, k)
 
 
 def partial_index_chunks(variant: str, count: int, n_max: int) -> Iterator[np.ndarray]:
@@ -206,7 +203,8 @@ def so_index_chunks(k: int, n_param: int) -> Iterator[np.ndarray]:
 
 
 def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `so_index_chunks`, one by one."""
+    """The vectors of `so_index_chunks`, one by one.  No route calls it;
+    bench/tracer.py looks it up by name, which keeps it here."""
     return chunk_rows(so_index_chunks(k, n_param))
 
 

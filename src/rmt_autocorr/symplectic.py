@@ -7,10 +7,11 @@ The average of Lambda(w_1)..Lambda(w_k) equals
 * a 2^k-term sign-vector closed form (the fast route), and
 * a k-fold contour integral at shifts w_j = exp(-alpha_j).
 
-The sign-vector sum, `reflection_sum`, also serves the two orthogonal
-families.  Also hosts the large-N scaling ratio against the sign-vector
-form with (eps_i b_i + eps_j b_j)^(-1) factors, computed entirely through
-the exact closed form so the cost is independent of N.
+The two sides of the sign-vector lemma, `reflection_sum` and
+`reflection_contour`, also serve the two orthogonal families.  Also hosts
+the large-N scaling ratio against the sign-vector form with
+(eps_i b_i + eps_j b_j)^(-1) factors, computed entirely through the exact
+closed form so the cost is independent of N.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def parity_index_chunks(k: int, top: int) -> Iterator[np.ndarray]:
 
 
 def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `parity_index_chunks`, one by one."""
+    """The vectors of `parity_index_chunks`, one by one.  No route calls
+    it; bench/tracer.py looks it up by name, which keeps it here."""
     yield from chunk_rows(parity_index_chunks(k, top))
 
 
@@ -73,14 +75,26 @@ def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     return schur_sum(even_partition_chunks(len(shifts), 2 * N), shifts, prec)
 
 
-def _sign_pairs(k: int, diagonal: bool) -> Iterator[tuple[int, int, int, int]]:
-    """(i, j, a, b) over the reflection-sum pairs and signs a, b = +-1,
-    with a = b on the diagonal."""
-    for i, j in index_pairs(k, diagonal):
-        for a in (1, -1):
-            for b in (1, -1):
-                if i < j or a == b:
-                    yield i, j, a, b
+def _pair_table(pairs: Sequence[tuple[int, int]], value) -> dict:
+    """{(i, j, a, b): value(i, j, a, b)} over the pairs and signs a, b = +-1,
+    with a = b on the diagonal: the pair factors a sign-vector sum reads."""
+    return {(i, j, a, b): value(i, j, a, b)
+            for i, j in pairs for a in (1, -1) for b in ((1, -1) if i < j else (a,))}
+
+
+def _sign_vector_sum(num, k: int, pairs, powers: dict, divisors: dict, signed: bool = False):
+    """The 2^k-term sign-vector sum: the term of eps is prod_j powers[j, eps_j]
+    over the product of divisors[i, j, eps_i, eps_j] on the pairs, times
+    prod eps_j when signed."""
+    terms = []
+    for eps in _epsilon_vectors(k):
+        t = -num.one if signed and math.prod(eps) < 0 else num.one
+        for j in range(k):
+            t = t * powers[j, eps[j]]
+        for i, j in pairs:
+            t = t / divisors[i, j, eps[i], eps[j]]
+        terms.append(t)
+    return num.fsum(terms)
 
 
 def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None,
@@ -97,28 +111,20 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     least = 0 if diagonal else 1
     if N < least:
         raise ValueError(f"N must be >= {least}")
-    ws_d = [complex(w) for w in shifts]
-    if any(w == 0 for w in ws_d):
-        raise PoleHit("sign-vector route needs nonzero shifts")
-    k = len(ws_d)
-    for i, j, a, b in _sign_pairs(k, diagonal):
-        if abs(1 - ws_d[i] ** (-a) * ws_d[j] ** (-b)) < EPS_DENOM_FLOOR:
-            raise PoleHit("reflection-sum denominator vanishes; use the Schur route")
+    k = len(shifts)
     pairs = index_pairs(k, diagonal)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
-        terms = []
-        for eps in _epsilon_vectors(k):
-            t = -num.one if signed and math.prod(eps) < 0 else num.one
-            for j in range(k):
-                t = t * ws[j] ** (eps[j] * N)
-            for i, j in pairs:
-                t = t / (num.one - ws[i] ** (-eps[i]) * ws[j] ** (-eps[j]))
-            terms.append(t)
-        total = num.fsum(terms)
-        for w in ws:
-            total = total * w ** N
+        if any(w == 0 for w in ws):
+            raise PoleHit("sign-vector route needs nonzero shifts")
+        divisors = _pair_table(pairs, lambda i, j, a, b: num.one - ws[i] ** (-a) * ws[j] ** (-b))
+        if any(abs(d) < EPS_DENOM_FLOOR for d in divisors.values()):
+            raise PoleHit("reflection-sum denominator vanishes; use the Schur route")
+        powers = {(j, e): w ** (e * N) for j, w in enumerate(ws) for e in (1, -1)}
+        total = _sign_vector_sum(num, k, pairs, powers, divisors, signed)
+        for j in range(k):
+            total = total * powers[j, 1]
         return total
 
 
@@ -128,20 +134,24 @@ def sp_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | N
     return reflection_sum(N, shifts, prec, diagonal=True, signed=False)
 
 
-def sp_autocorr_contour(N: int, alphas: Sequence[complex],
-                        cfg: ContourConfig | None = None) -> complex:
-    """Contour route at shifts w_j = exp(-alpha_j), circle enclosing +-alpha.
-
-    The plain sign-vector lemma with kernel exp(N sum z) prod_{l<=m}
-    (1 - exp(-z_m - z_l))^(-1), times exp(-N sum alpha).
-    """
+def reflection_contour(N: int, alphas: Sequence[complex], cfg: ContourConfig | None,
+                       diagonal: bool, variant: str, sign: int) -> complex:
+    """exp(sign N sum alpha) times the sign-vector lemma's `variant` contour
+    side on a circle enclosing +-alpha, with kernel exp(N sum z) prod
+    (1 - exp(-z_m - z_l))^(-1) over pairs l <= m (l < m without the diagonal)."""
     al = [complex(a) for a in alphas]
     enclosed = al + [-a for a in al]
     require_exp_kernel_contour(enclosed, "+-alpha points")
-    kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=True)
-    return np.exp(-N * sum(al)) * circular_integral(
-        len(al), sym_lemma_integrand(kernel, al, "plain"), cfg, enclosed_points=enclosed,
+    kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=diagonal)
+    return np.exp(sign * N * sum(al)) * circular_integral(
+        len(al), sym_lemma_integrand(kernel, al, variant), cfg, enclosed_points=enclosed,
         vectorized=True)
+
+
+def sp_autocorr_contour(N: int, alphas: Sequence[complex],
+                        cfg: ContourConfig | None = None) -> complex:
+    """Contour route at shifts w_j = exp(-alpha_j): the plain reflection contour."""
+    return reflection_contour(N, alphas, cfg, diagonal=True, variant="plain", sign=-1)
 
 
 def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None = None):
@@ -154,33 +164,20 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    bs_d = [complex(x) for x in b]
-    k = len(bs_d)
-    if any(x == 0 for x in bs_d):
-        raise PoleHit("scaling ratio needs nonzero b")
-    scale = max(abs(x) for x in bs_d)
-    if any(abs(a * bs_d[i] + c * bs_d[j]) < 1e-12 * scale
-           for i, j, a, c in _sign_pairs(k, diagonal=True)):
-        raise PoleHit("eps_i b_i + eps_j b_j vanishes")
+    k = len(b)
     pairs = index_pairs(k, diagonal=True)
     num = ops_for(prec)
     with num.guard():
         bs = [num.scalar(x) for x in b]
-        exact_terms = []
-        asym_terms = []
-        for eps in _epsilon_vectors(k):
-            te = num.one
-            ta = num.one
-            for j in range(k):
-                w_pow = num.exp(eps[j] * bs[j])
-                te = te * w_pow
-                ta = ta * w_pow
-            for i, j in pairs:
-                x = eps[i] * bs[i] + eps[j] * bs[j]
-                te = te / (-num.expm1(-x / N))
-                ta = ta / x
-            exact_terms.append(te)
-            asym_terms.append(ta)
+        if any(x == 0 for x in bs):
+            raise PoleHit("scaling ratio needs nonzero b")
+        scale = max(abs(x) for x in bs)
+        xs = _pair_table(pairs, lambda i, j, a, c: a * bs[i] + c * bs[j])
+        if any(abs(x) < 1e-12 * scale for x in xs.values()):
+            raise PoleHit("eps_i b_i + eps_j b_j vanishes")
+        powers = {(j, e): num.exp(e * x) for j, x in enumerate(bs) for e in (1, -1)}
+        exact = _sign_vector_sum(num, k, pairs, powers,
+                                 {key: -num.expm1(-x / N) for key, x in xs.items()})
+        asym = _sign_vector_sum(num, k, pairs, powers, xs)
         # the common e^{sum b} prefactors cancel in the ratio
-        n_power = num.scalar(N) ** ((k * k + k) // 2)
-        return num.fsum(exact_terms) / (n_power * num.fsum(asym_terms))
+        return exact / (num.scalar(N) ** ((k * k + k) // 2) * asym)

@@ -217,6 +217,43 @@ def test_contour_method_cli(capsys):
     assert json.loads(out)["value"]["re"] == pytest.approx(expected, abs=1e-6)
 
 
+
+def test_compute_echoes_extended_precision(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--group", "usp", "--N", "1", "--shifts", "2",
+                           "--method", "eps", "--digits", "40")
+    assert code == 0
+    assert '"precision":{"digits":40,"mode":"extended"}' in out
+
+
+@pytest.mark.parametrize("group,N,alpha", [("so", "1", "0.2"), ("ominus", "2", "0.3,0.1i")])
+def test_orthogonal_contour_cli_agrees_with_eps(capsys, group, N, alpha):
+    values = []
+    for method in ("contour", "eps"):
+        code, out, _ = run_cli(capsys, "compute", "--group", group, "--N", N, "--alpha", alpha,
+                               "--method", method)
+        assert code == 0
+        value = json.loads(out)["value"]
+        values.append(complex(value["re"], value["im"]))
+    assert abs(values[0] - values[1]) <= 1e-12 * max(1.0, abs(values[1]))
+
+
+def test_montecarlo_of_a_constant_integrand(capsys):
+    # at w = 0 every sample is 1: a zero standard error and a zero z-score
+    code, out, _ = run_cli(capsys, "montecarlo", "--group", "so", "--N", "1", "--shifts", "0",
+                           "--samples", "200")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["std_error"], report["z_score"], report["pass"]) == (0, 0, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--group", "usp", "--N", "1", "--shifts", ",", "--method", "eps"),
+    ("compute", "--group", "usp", "--N", "1", "--shifts", "abc", "--method", "eps"),
+    ("scaling", "--b", "1", "--N-list", ","),
+])
+def test_empty_or_unparsable_lists_are_usage_errors(argv):
+    assert main(list(argv)) == 2
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "compute", "--group", "usp", "--N", "1",

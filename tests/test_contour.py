@@ -18,7 +18,12 @@ from rmt_autocorr import (
     orthogonal_contour,
     sp_autocorr_contour,
 )
-from rmt_autocorr.contour import assert_unit_residue, require_exp_kernel_radius, trapezoid_sum
+from rmt_autocorr.contour import (
+    assert_unit_residue,
+    require_exp_kernel_radius,
+    sym_lemma_integrand,
+    trapezoid_sum,
+)
 
 
 def inv(x):
@@ -228,3 +233,11 @@ def test_three_variable_contour_routes_form_no_full_grid(route):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sym_lemma_integrand(SymmetricKernel(exp_pole), [0.1], "other"),
+], ids=["unknown-variant"])
+def test_input_guards(call):
+    with pytest.raises(ValueError):
+        call()

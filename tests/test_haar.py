@@ -493,3 +493,19 @@ def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
         for other in (lambda T, f=f: f(T), autocorr_integrand(group(fam, 2), (0.5,))):
             with pytest.raises(AssertionError, match="eigensolver or QR"):
                 monte_carlo_average(spec, other, 3, 5000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: char_poly_eval(group("usp", 2), np.zeros(3), 0.5),  # 3 angles for USp(4)
+    lambda: functional_equation_residual(group("usp", 2), np.zeros(2), 0),
+    lambda: znorm_residual(group("u", 2), np.zeros(2), 0.5),
+    lambda: znorm_residual(group("usp", 2), np.zeros(2), 0),
+    lambda: quadrature_average(group("u", 1), lambda T: np.ones(len(T)), nodes_per_dim=3),
+    lambda: autocorr_integrand(group("u", 2), [0.5], m=2),
+    lambda: monte_carlo_average(group("u", 1), autocorr_integrand(group("u", 1), [0.5]), 1,
+                                count=1),
+], ids=["angle-count", "functional-equation-at-0", "znorm-unitary", "znorm-at-0",
+        "three-nodes", "m-above-n", "one-sample"])
+def test_input_guards(call):
+    with pytest.raises(ValueError):
+        call()

@@ -274,3 +274,11 @@ def test_suite_keeps_nan_residuals():
     assert math.isnan(report.worst())
     assert all(math.isnan(report.max_residuals[key])
                for key in ("identity1", "identity4", "fn_random"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: symmb_coeff_transform([1.0], 0.5),
+], ids=["degree-zero"])
+def test_input_guards(call):
+    with pytest.raises(ValueError):
+        call()

@@ -289,3 +289,12 @@ def test_pairing_determinant_exact():
         assert pairing_determinant(N) == 2 ** (N - 1)
     m = pairing_matrix(3)
     assert m == [[1, 1, 1], [-1, 1, 1], [-1, -1, 1]]
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: so_partial_sums("M", 4, [2.0, 0.5]), PoleHit),  # script-E vanishes: w1 w2 = 1
+    (lambda: orthogonal_contour("usp", 1, [0.1]), ValueError),
+], ids=["script-E-vanishes", "self-dual-family"])
+def test_input_guards(call, error):
+    with pytest.raises(error):
+        call()

@@ -20,7 +20,7 @@ from rmt_autocorr import (
 )
 from rmt_autocorr import symcore
 from rmt_autocorr.orthogonal import _odd_partition_chunks, _odd_partitions_exact
-from rmt_autocorr.symcore import count_even_partitions, schur_sum
+from rmt_autocorr.symcore import det_sum_over_vandermonde, even_partition_chunks, schur_sum
 from rmt_autocorr.symplectic import parity_index_chunks, parity_index_vectors
 
 
@@ -191,7 +191,7 @@ def test_even_partition_examples():
 @pytest.mark.parametrize("k,max_part", [(1, 6), (2, 4), (3, 6), (4, 2)])
 def test_even_partition_count(k, max_part):
     parts = list(enumerate_even_partitions(k, max_part))
-    assert len(parts) == count_even_partitions(k, max_part)
+    assert len(parts) == math.comb(k + max_part // 2, k)
     assert len({p.parts for p in parts}) == len(parts)
     for p in parts:
         assert len(p) == k and all(x % 2 == 0 and x <= max_part for x in p.parts)
@@ -420,3 +420,16 @@ def test_schur_sum_eliminates_one_chunk_in_one_batch(monkeypatch):
     terms = [schur_stable(lam, points) for lam in parts]
     expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     assert repr(value) == repr(expected)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Partition((2, 1)).padded(1),
+    lambda: list(enumerate_split_permutations(2, 3)),
+    lambda: list(even_partition_chunks(2, 3)),
+    lambda: det_sum_over_vandermonde([0.5, 2.0], [np.array([[0, 5]])], 3),  # 5 > top
+    lambda: schur_sum([np.array([[2, 1, 0]])], [0.5, 2.0]),  # 3 parts, 2 points
+], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "exponent-above-top",
+        "parts-unlike-points"])
+def test_input_guards(call):
+    with pytest.raises(ValueError):
+        call()

@@ -14,6 +14,8 @@ from rmt_autocorr import (
     PrecisionConfig,
     group,
     monte_carlo_average,
+    ominus_autocorr_eps,
+    so_autocorr_eps,
     sp_autocorr_contour,
     sp_autocorr_det,
     sp_autocorr_eps,
@@ -22,7 +24,6 @@ from rmt_autocorr import (
     weyl_autocorrelation,
 )
 from rmt_autocorr.haar import autocorr_integrand
-from rmt_autocorr.symcore import count_even_partitions
 from rmt_autocorr.symplectic import parity_index_vectors
 
 
@@ -64,8 +65,7 @@ def test_term_counts():
     from rmt_autocorr.symplectic import _epsilon_vectors
 
     for k, N in ((1, 3), (2, 2), (3, 2)):
-        assert len(list(enumerate_even_partitions(k, 2 * N))) == \
-            count_even_partitions(k, 2 * N) == math.comb(k + N, k)
+        assert len(list(enumerate_even_partitions(k, 2 * N))) == math.comb(k + N, k)
         assert len(set(_epsilon_vectors(k))) == 2 ** k
     # the parity constraint i_j == j - 1 mod 2 survives the enumeration
     for vec in parity_index_vectors(3, 8):
@@ -193,3 +193,22 @@ def test_large_n_ratio_refuses_sizes_below_one(N):
 def test_large_n_ratio_complex_b():
     val = complex(sp_large_n_ratio([0.5 + 0.3j, 1.2], 5000))
     assert abs(val - 1) <= 2e-3
+
+
+def test_reflection_guards_in_extended_precision():
+    ext = PrecisionConfig(40)
+    with pytest.raises(PoleHit):
+        sp_autocorr_eps(2, [2.0, 0.5], ext)  # w1 * w2 = 1 pole
+    with pytest.raises(PoleHit):
+        sp_large_n_ratio([1.0, -1.0], 100, ext)  # b_1 - b_2 = 0
+
+
+@pytest.mark.parametrize("route", [sp_autocorr_eps, so_autocorr_eps, ominus_autocorr_eps])
+@pytest.mark.parametrize("prec", [None, PrecisionConfig(40)], ids=["double", "extended"])
+def test_reflection_denominator_floor(route, prec):
+    # 1 - w_2 / w_1 is 5e-7 below the floor EPS_DENOM_FLOOR = 1e-6 and 2e-6
+    # above it; only refusal or an answer is asserted, since at 2e-6 the
+    # double value has already lost digits
+    with pytest.raises(PoleHit):
+        route(2, [0.7, 0.7 * (1 + 5e-7)], prec)
+    assert cmath.isfinite(complex(route(2, [0.7, 0.7 * (1 + 2e-6)], prec)))

@@ -229,3 +229,13 @@ def test_query_validation():
         UnitaryQuery(0, 0, (1.0,))
     with pytest.raises(ValueError):
         UnitaryQuery(2, 3, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shifted_product_average(1, [0.5], 2),
+    lambda: autocorr_alpha_sum(1, [0.5], 2),
+    lambda: autocorr_contour(1, [0.5], 2),
+], ids=["shifted-product-average", "alpha-sum", "contour"])
+def test_input_guards(call):
+    with pytest.raises(ValueError, match="need 0 <= m <= n"):
+        call()
