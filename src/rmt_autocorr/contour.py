@@ -310,9 +310,11 @@ def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
     lhs = sum over block-increasing sigma of G(u_left; u_right);
     rhs = (-1)^{n(n-1)/2} / (m! (n-m)!) * (2 pi i)^{-n} * contour integral
     of G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2 / prod_{i,j}(z_i - u_j).
+    Raises NearConfluent when two of the points u coincide.
     """
-    assert_unit_residue(kernel.pole)
     u = [complex(x) for x in u]
+    require_separated(u, "u points")
+    assert_unit_residue(kernel.pole)
     lhs = 0j
     for split in enumerate_split_permutations(len(u), m):
         lhs += kernel(tuple(u[i - 1] for i in split.left), tuple(u[i - 1] for i in split.right))
@@ -327,14 +329,16 @@ def lemma_sym_check(kernel: SymmetricKernel, alphas: Sequence[complex], variant:
 
     variant "plain":  lhs = sum_eps G(eps * alpha), integral numerator prod z_j;
     variant "signed": lhs = sum_eps (prod eps) G(eps * alpha), numerator prod alpha_j.
+    Raises NearConfluent when two of the points +-alpha coincide.
     """
+    al = [complex(x) for x in alphas]
+    enclosed = al + [-a for a in al]
+    require_separated(enclosed, "+-alpha points")
     integrand = sym_lemma_integrand(kernel, alphas, variant)
     assert_unit_residue(kernel.pole)
-    al = [complex(x) for x in alphas]
     lhs = 0j
     for eps in sign_vectors(len(al)):
         weight = math.prod(eps) if variant == "signed" else 1
         lhs += weight * kernel(tuple(e * a for e, a in zip(eps, al)))
-    rhs = circular_integral(len(al), integrand, cfg, enclosed_points=al + [-a for a in al],
-                            vectorized=True)
+    rhs = circular_integral(len(al), integrand, cfg, enclosed_points=enclosed, vectorized=True)
     return LemmaCheckResult(lhs, rhs)

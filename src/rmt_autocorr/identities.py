@@ -13,7 +13,7 @@ one actually vanishes instead of resolving the discrepancy by fiat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -27,6 +27,8 @@ from .symcore import min_separation, vandermonde
 CONVENTION_STATEMENT = "statement"   # x^(|D|^2 - 2|D| + 1)
 CONVENTION_PROSE = "prose"           # x^(|D|^2 + 2|D| + 1)
 _MAX_DRAWS = 10_000                  # shift-vector draws per trial before giving up
+_MIN_SEP = 1e-3                      # pairwise separation of the sampled shifts
+_CLOSING_RTOL = 1e-9                 # relative residual of b_n = -w_j a_(n-1) in symmb_coeff_transform
 
 
 def _zero_substituted(w: list, j: int, prec: PrecisionConfig | None, num):
@@ -185,8 +187,7 @@ def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None =
 
 
 def symmb_coeff_transform(b: Sequence[complex], w_j: complex,
-                          prec: PrecisionConfig | None = None,
-                          rtol: float = 1e-9) -> list:
+                          prec: PrecisionConfig | None = None) -> list:
     """Divide g(w) = sum b_i w^i by its linear factor (1 - w_j w).
 
     Returns the coefficients a_0..a_{n-1} with b_0 = a_0,
@@ -205,7 +206,7 @@ def symmb_coeff_transform(b: Sequence[complex], w_j: complex,
         for i in range(1, n):
             a.append(bs[i] + wj * a[i - 1])
         scale = max(float(abs(x)) for x in bs) or 1.0
-        if float(abs(bs[n] + wj * a[n - 1])) > rtol * scale:
+        if float(abs(bs[n] + wj * a[n - 1])) > _CLOSING_RTOL * scale:
             raise InconsistentCoefficients(
                 "b_n != -w_j a_(n-1): g is not divisible by (1 - w_j w)")
         return a
@@ -234,19 +235,10 @@ class IdentitySuiteReport:
         return reduce(_nan_max, self.max_residuals.values())
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "radius": self.radius,
-            "mode": self.mode,
-            "max_residuals": dict(sorted(self.max_residuals.items())),
-            "identity3_losing_convention": self.identity3_losing_convention,
-            "identity3_losing_max": self.identity3_losing_max,
-        }
+        return {**asdict(self), "max_residuals": dict(sorted(self.max_residuals.items()))}
 
 
-def _sample_shifts(rng: np.random.Generator, n: int, radius: float,
-                   min_sep: float = 1e-3) -> list[complex]:
+def _sample_shifts(rng: np.random.Generator, n: int, radius: float) -> list[complex]:
     for _ in range(_MAX_DRAWS):
         z = rng.uniform(-radius, radius, 2 * n)
         pts = z[:n] + 1j * z[n:]
@@ -254,9 +246,9 @@ def _sample_shifts(rng: np.random.Generator, n: int, radius: float,
         if len(pts) < n:
             continue
         pts = pts[:n]
-        if min_separation(pts) >= min_sep:
+        if min_separation(pts) >= _MIN_SEP:
             return [complex(p) for p in pts]
-    raise ValueError(f"no {n} shifts {min_sep} apart in the disk of radius {radius} "
+    raise ValueError(f"no {n} shifts {_MIN_SEP} apart in the disk of radius {radius} "
                      f"after {_MAX_DRAWS} draws")
 
 
@@ -266,7 +258,7 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
     """Randomized residual sweep over every identity check.
 
     Shift vectors are sampled uniformly from the disk of the given radius
-    (pairwise separation >= 1e-3); the x-arguments lie in |x| in
+    (pairwise separation >= _MIN_SEP); the x-arguments lie in |x| in
     [0.2, max(radius, 0.4)].  In double precision the unit disk keeps every
     check at the roundoff floor; larger radii inflate term magnitudes and
     with them the attainable absolute residual.

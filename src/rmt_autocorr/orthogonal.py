@@ -147,7 +147,8 @@ def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     k = len(shifts)
     levels = np.arange(1, k + 1)
     conjugates = chain(_odd_partition_chunks(2 * N, k), even_partition_chunks(2 * N, k - k % 2))
-    return schur_sum(((lp[:, :, None] >= levels).sum(axis=1) for lp in conjugates), shifts, prec)
+    return schur_sum(((lp[:, :, None] >= levels).sum(axis=1) for lp in conjugates), shifts,
+                     2 * N + k - 1, prec)
 
 
 def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):

@@ -238,41 +238,47 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
         return out
 
 
-def _batches(chunks):
-    """The gathered (re, im) matrix stacks of consecutive chunks (table, idx),
-    grouped until a group holds _CHUNK matrices: the short chunks at the
-    ends of chained index families share one elimination.  A table is
-    converted to arrays once, for as long as the chunks pass the same one."""
+def _batches(idx_chunks):
+    """Consecutive index chunks joined until a batch holds _CHUNK matrices:
+    the short chunks at the ends of chained index families share one
+    elimination."""
     group, rows = [], 0
-    table_in_use = None
-    for table, idx in chunks:
-        if table is not table_in_use:
-            table_in_use = table
-            values = np.array(table, dtype=complex)
-            table_re, table_im = values.real, values.imag
-        group.append((table_re[idx], table_im[idx]))
+    for idx in idx_chunks:
+        group.append(idx)
         rows += len(idx)
         if rows >= _CHUNK:
-            yield group
+            yield np.concatenate(group)
             group, rows = [], 0
     if group:
-        yield group
+        yield np.concatenate(group)
 
 
-def _det_sum(num, chunks):
-    """fsum of det[table[idx[i][j]]] over every matrix of every chunk
-    (table, idx), idx an int array (B, k, k).
+def _checked_rows(chunks, k: int, hi: int, what: str) -> Iterator[np.ndarray]:
+    """The chunks as intp arrays (B, k); raises ValueError for another row
+    length or an entry outside 0..hi."""
+    for chunk in chunks:
+        rows = np.asarray(chunk, dtype=np.intp)
+        if rows.shape[1:] != (k,) or rows.size and not 0 <= rows.min() <= rows.max() <= hi:
+            raise ValueError(f"{what} must be rows of {k} entries in 0..{hi}")
+        yield rows
 
-    In double precision each group of `_batches` is one `batched_det` call,
-    bit for bit `num.det` one by one; in extended precision `num.det` takes
-    the matrices in order.  A 0 x 0 matrix counts as num.one.
+
+def _det_sum(num, table, idx_chunks):
+    """fsum of det[table[idx[i][j]]] over every matrix of every index chunk,
+    idx an int array (B, k, k) into the one table of the call.
+
+    In double precision the table is converted to arrays once, and each
+    batch of `_batches` is one gather and one `batched_det` call, bit for
+    bit `num.det` one by one; in extended precision `num.det` takes the
+    matrices in order.  A 0 x 0 matrix counts as num.one.
     """
     if isinstance(num, ExtendedOps):
         return num.fsum(num.det([[table[x] for x in row] for row in mat]) if mat else num.one
-                        for table, idx in chunks for mat in idx.tolist())
+                        for idx in idx_chunks for mat in idx.tolist())
+    values = np.array(table, dtype=complex)
     re_parts, im_parts = [], []
-    for group in _batches(chunks):
-        re, im = batched_det(*map(np.concatenate, zip(*group)))
+    for idx in _batches(idx_chunks):
+        re, im = batched_det(values.real[idx], values.imag[idx])
         re_parts.append(re)
         im_parts.append(im)
     # fsum reads Python floats far faster than numpy scalars; a batch at a
@@ -308,15 +314,12 @@ def det_sum_over_vandermonde(shifts: Sequence, chunks, top: int,
         row_start = np.arange(k)[:, None] * (top + 1)
 
         def gathered():
-            for chunk in chunks:
-                vecs = np.asarray(chunk, dtype=np.intp).reshape(len(chunk), k)
-                if vecs.size and not 0 <= vecs.min() <= vecs.max() <= top:
-                    raise ValueError("exponents must lie in 0..top")
+            for vecs in _checked_rows(chunks, k, top, "exponent vectors"):
                 if overflowed and np.isin(vecs, list(overflowed)).any():
                     raise OverflowError("complex exponentiation")
-                yield table, row_start + vecs[:, None, :]
+                yield row_start + vecs[:, None, :]
 
-        return _det_sum(num, gathered()) / vandermonde(ws, prec)
+        return _det_sum(num, table, gathered()) / vandermonde(ws, prec)
 
 
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:
@@ -368,42 +371,27 @@ def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None =
         with num.guard():
             return num.one
     with num.guard():
-        top = mu.parts[0] + ell - 1
-        h = complete_homogeneous(top, points, prec)
-
-        def h_at(idx: int):
-            return h[idx] if 0 <= idx <= top else num.zero
-
-        rows = [[h_at(mu.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-        return num.det(rows)
+        # h_0..h_top and a zero, read as in `schur_sum`
+        h = complete_homogeneous(mu.parts[0] + ell - 1, points, prec) + [num.zero]
+        return num.det([[h[max(mu.parts[i] - i + j, -1)] for j in range(ell)]
+                        for i in range(ell)])
 
 
-def schur_sum(chunks, points: Sequence, prec: PrecisionConfig | None = None):
+def schur_sum(chunks, points: Sequence, top: int, prec: PrecisionConfig | None = None):
     """Sum of `schur_stable(lam, points)` over the partitions lam that
-    `chunks` yields as integer arrays (B, len(points)) of parts; bit for bit
-    the per-term sum.
+    `chunks` yields as integer arrays (B, k) of parts, k = len(points) and
+    every part at most top - k + 1; bit for bit the per-term sum.
 
     Every Jacobi-Trudi matrix is gathered at the full size k x k from one
-    table h_0..h_top (computed again only when a partition needs a higher
-    degree; see `_det_sum`).  Rows past the length l(lam) read h_{j-i}:
-    zero below the diagonal and h_0 = 1 on it, so the determinant is the
-    l(lam) x l(lam) one.
+    table h_0..h_top, h_d at row i and column j for d = lam_i - i + j and
+    the table's trailing zero for d < 0 (see `_det_sum`).  Rows past the
+    length l(lam) read h_{j-i}: zero below the diagonal and h_0 = 1 on it,
+    so the determinant is the l(lam) x l(lam) one.
     """
     num = ops_for(prec)
     k = len(points)
     offsets = np.arange(k) - np.arange(k)[:, None]   # j - i
     with num.guard():
-        h = []   # h_0..h_top and a zero: index -1 reads h_d = 0 for d < 0
-
-        def gathered():
-            nonlocal h
-            for chunk in chunks:
-                lams = np.asarray(chunk, dtype=np.intp)
-                if lams.shape[1:] != (k,):
-                    raise ValueError("partition length must equal the number of points")
-                top = int(lams.max(initial=0)) + k - 1
-                if top >= len(h) - 1:
-                    h = complete_homogeneous(top, points, prec) + [num.zero]
-                yield h, np.maximum(lams[:, :, None] + offsets, -1)
-
-        return _det_sum(num, gathered())
+        h = complete_homogeneous(top, points, prec) + [num.zero]
+        return _det_sum(num, h, (np.maximum(lams[:, :, None] + offsets, -1)
+                                 for lams in _checked_rows(chunks, k, top - k + 1, "partitions")))

@@ -72,7 +72,8 @@ def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     """Schur route: sum over even partitions in the 2N x k box (confluent-safe)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return schur_sum(even_partition_chunks(len(shifts), 2 * N), shifts, prec)
+    k = len(shifts)
+    return schur_sum(even_partition_chunks(k, 2 * N), shifts, 2 * N + k - 1, prec)
 
 
 def _pair_table(pairs: Sequence[tuple[int, int]], value) -> dict:
@@ -171,7 +172,7 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
         bs = [num.scalar(x) for x in b]
         if any(x == 0 for x in bs):
             raise PoleHit("scaling ratio needs nonzero b")
-        scale = max(abs(x) for x in bs)
+        scale = max((abs(x) for x in bs), default=0.0)   # no shifts: both sums are 1
         xs = _pair_table(pairs, lambda i, j, a, c: a * bs[i] + c * bs[j])
         if any(abs(x) < 1e-12 * scale for x in xs.values()):
             raise PoleHit("eps_i b_i + eps_j b_j vanishes")

@@ -85,6 +85,15 @@ def autocorr_det(query: UnitaryQuery, prec: PrecisionConfig | None = None):
         return det / vandermonde(query.shifts, prec)
 
 
+def _require_split_poles(shifts: Sequence) -> None:
+    """PoleHit for a zero shift, or for two shifts closer than the separation
+    threshold: the split sums divide by 1 - w_l / w_q."""
+    if any(w == 0 for w in shifts):
+        raise PoleHit("combinatorial route needs nonzero shifts")
+    if min_separation(shifts) < separation_threshold(shifts):
+        raise PoleHit("equal shifts across a split; use the Schur route")
+
+
 def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     """Combinatorial route: sum over the binomial(n, m) block splits.
 
@@ -92,10 +101,7 @@ def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     product of (1 - w_left / w_right).  Raises PoleHit for zero shifts or
     equal shifts across any split (which means any equal pair at all).
     """
-    if any(w == 0 for w in query.shifts):
-        raise PoleHit("combinatorial route needs nonzero shifts")
-    if min_separation(query.shifts) < separation_threshold(query.shifts):
-        raise PoleHit("equal shifts across a split; use the Schur route")
+    _require_split_poles(query.shifts)
     num = ops_for(prec)
     with num.guard():
         w = [num.scalar(x) for x in query.shifts]
@@ -140,7 +146,8 @@ def autocorr_alpha_sum(N: int, alphas: Sequence[complex], m: int,
     Evaluates, for shifts on the curve s_j = exp(alpha_j), the explicit
     split-permutation sum with exp(N/2 ...) weights and
     (1 - exp(alpha_q - alpha_l))^(-1) factors.  Serves as an independent
-    cross-check of autocorr_comb / shifted_product_average.
+    cross-check of autocorr_comb / shifted_product_average.  Raises PoleHit
+    where autocorr_comb does at the shifts s_j.
     """
     num = ops_for(prec)
     n = len(alphas)
@@ -148,6 +155,7 @@ def autocorr_alpha_sum(N: int, alphas: Sequence[complex], m: int,
         raise ValueError("need 0 <= m <= n")
     with num.guard():
         al = [num.scalar(a) for a in alphas]
+        _require_split_poles([num.exp(a) for a in al])
         half_n = num.scalar(N) / 2
         pref = num.exp(half_n * (sum(al[m:], num.zero) - sum(al[:m], num.zero)))
         terms = []

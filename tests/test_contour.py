@@ -10,6 +10,7 @@ from rmt_autocorr import (
     ContourConfig,
     ContourTooTight,
     DimensionCap,
+    NearConfluent,
     SymmetricKernel,
     autocorr_contour,
     circular_integral,
@@ -143,6 +144,19 @@ def test_lemma_residuals_shrink_with_nodes():
         if prev is not None:
             assert r <= prev + 1e-12
         prev = r
+
+
+@pytest.mark.parametrize("check", [
+    lambda: lemma_unitary_check(BipartiteKernel(exp_pole), [0.1, 0.1], 1),
+    lambda: lemma_unitary_check(BipartiteKernel(inv), [0.1, 0.1], 1),
+    lambda: lemma_sym_check(SymmetricKernel(exp_pole, include_diagonal=False), [0.1, -0.1], "plain"),
+    lambda: lemma_sym_check(SymmetricKernel(exp_pole), [0.0], "plain"),
+], ids=["unitary-equal-u", "unitary-equal-u-inverse-pole", "sym-alpha-equals-minus-alpha",
+        "sym-alpha-zero"])
+def test_lemma_checks_refuse_coincident_points(check):
+    # the integrand's poles merge there: the sums gave nan or divided by zero
+    with pytest.raises(NearConfluent):
+        check()
 
 
 def test_signed_variant_distinguishes_odd_kernels():

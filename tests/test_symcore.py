@@ -415,9 +415,29 @@ def test_schur_sum_eliminates_one_chunk_in_one_batch(monkeypatch):
         return original(re, im)
 
     monkeypatch.setattr(symcore, "batched_det", counted)
-    value = schur_sum([[lam.parts for lam in parts]], points)
+    value = schur_sum([[lam.parts for lam in parts]], points, 7)  # top: 4 + k - 1
     assert calls == [(len(parts), 4, 4)]
     terms = [schur_stable(lam, points) for lam in parts]
+    expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    assert repr(value) == repr(expected)
+
+
+def test_schur_sum_builds_one_h_table_for_all_chunks(monkeypatch):
+    # the larger part comes in the second chunk, still within top: the one
+    # table h_0..h_top serves both chunks
+    points = (0.9, 0.7 + 0.3j, -0.5 + 0.6j)
+    chunks = [np.array([[0, 0, 0], [1, 1, 0], [2, 1, 1]]), np.array([[4, 2, 0], [2, 2, 2]])]
+    calls = []
+    original = symcore.complete_homogeneous
+
+    def counted(max_degree, pts, prec=None):
+        calls.append(max_degree)
+        return original(max_degree, pts, prec)
+
+    monkeypatch.setattr(symcore, "complete_homogeneous", counted)
+    value = schur_sum(chunks, points, 4 + 3 - 1)
+    assert calls == [6]
+    terms = [schur_stable(Partition(tuple(row)), points) for chunk in chunks for row in chunk.tolist()]
     expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     assert repr(value) == repr(expected)
 
@@ -427,9 +447,10 @@ def test_schur_sum_eliminates_one_chunk_in_one_batch(monkeypatch):
     lambda: list(enumerate_split_permutations(2, 3)),
     lambda: list(even_partition_chunks(2, 3)),
     lambda: det_sum_over_vandermonde([0.5, 2.0], [np.array([[0, 5]])], 3),  # 5 > top
-    lambda: schur_sum([np.array([[2, 1, 0]])], [0.5, 2.0]),  # 3 parts, 2 points
+    lambda: schur_sum([np.array([[2, 1, 0]])], [0.5, 2.0], 3),  # 3 parts, 2 points
+    lambda: schur_sum([np.array([[1, 0]]), np.array([[3, 0]])], [0.5, 2.0], 3),  # 3 > top - k + 1
 ], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "exponent-above-top",
-        "parts-unlike-points"])
+        "parts-unlike-points", "part-above-top"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

@@ -190,6 +190,13 @@ def test_large_n_ratio_refuses_sizes_below_one(N):
         sp_large_n_ratio([1.0], N)
 
 
+@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
+@pytest.mark.parametrize("N", [1, 10])
+def test_large_n_ratio_without_shifts_is_one(N, prec):
+    # both sums are 1 at k = 0, as every route's sum is
+    assert complex(sp_large_n_ratio([], N, prec)) == 1
+
+
 def test_large_n_ratio_complex_b():
     val = complex(sp_large_n_ratio([0.5 + 0.3j, 1.2], 5000))
     assert abs(val - 1) <= 2e-3

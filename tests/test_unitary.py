@@ -201,6 +201,23 @@ def test_alpha_sum_matches_comb_on_unit_circle():
         assert abs(direct - comb) <= 1e-10 * max(1.0, abs(comb))
 
 
+@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
+@pytest.mark.parametrize("delta", [1e-7, 1e-9, 0.0])
+def test_alpha_sum_refuses_where_comb_refuses(delta, prec):
+    # below the separation threshold of s_j = exp(alpha_j) the split sum
+    # divides by 1 - exp(alpha_q - alpha_l) ~ delta; at delta = 1e-9 the
+    # double sum gave 113.02 for 3.000000003
+    with pytest.raises(PoleHit):
+        autocorr_alpha_sum(2, [0.1, 0.1 + delta], 1, prec)
+
+
+def test_alpha_sum_answers_above_the_separation_threshold():
+    alphas = [0.1, 0.1 + 1e-3]
+    exact = complex(shifted_product_average(2, [cmath.exp(a) for a in alphas], 1,
+                                            PrecisionConfig.extended(40)))
+    assert abs(complex(autocorr_alpha_sum(2, alphas, 1)) - exact) <= 1e-10 * abs(exact)
+
+
 def test_contour_route_agreement():
     cfg = ContourConfig(nodes_per_dim=160)
     # m = n = 1: single simple pole, value 1
