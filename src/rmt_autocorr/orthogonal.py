@@ -1,11 +1,11 @@
 """Moments over SO(2N) and the determinant -1 coset of O(2N).
 
-SO(2N) gets four forms (index-constrained determinant sum, conjugate-
-partition Schur sums, a strict-pair sign-vector closed form, a contour
-integral at shifts exp(+alpha)), plus the split of its determinant sum
-into the four partial families -- all-paired (M), end-pinned (E), and
-their odd-count analogues (R, L) -- each with a subset closed form whose
-residual is reported alongside the value.
+SO(2N) gets four forms (index-constrained determinant sum, the same index
+sum as a Schur sum over divided differences, a strict-pair sign-vector
+closed form, a contour integral at shifts exp(+alpha)), plus the split of
+its determinant sum into the four partial families -- all-paired (M),
+end-pinned (E), and their odd-count analogues (R, L) -- each with a subset
+closed form whose residual is reported alongside the value.
 
 The coset average I(O^-(2N), w), defined with its (-1)^k sign, factors as
 prod (w_m^2 - 1) times the symplectic-style sum at size parameter N - 1,
@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .contour import (
     ContourConfig,
@@ -32,17 +30,14 @@ from .contour import (
 from .errors import PoleHit
 from .precision import PrecisionConfig, _generic_det, ops_for
 from .symcore import (
-    chunk_rows,
-    det_sum_over_vandermonde,
+    bialternant_sum,
+    divided_difference_sum,
     enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
     enumerate_so_index_sets,  # not called here; bench/tracer.py patches this binding too
-    even_partition_chunks,
-    partial_index_chunks,
+    partial_family,
     schur_stable,  # not called here; bench/tracer.py patches this binding too
-    schur_sum,
-    so_index_chunks,
+    so_index_families,
     vandermonde,
-    weakly_increasing_chunks,
 )
 from .symplectic import (
     parity_index_vectors,  # not called here; bench/tracer.py patches this binding too
@@ -116,39 +111,27 @@ def _subset_pairs(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 def so_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: the adjacency/pinning-constrained index sum."""
-    top = 2 * N + len(shifts) - 1
-    return det_sum_over_vandermonde(shifts, so_index_chunks(len(shifts), N), top, prec)
-
-
-def _odd_partition_chunks(length: int, max_part: int) -> Iterator[np.ndarray]:
-    """Weakly decreasing all-odd vectors of exactly `length` parts in [1, max_part],
-    as chunks: the largest odd part minus 2 b over weakly increasing b."""
-    if max_part >= 1:
-        for b in weakly_increasing_chunks(length, (max_part + 1) // 2):
-            yield max_part - 1 + max_part % 2 - 2 * b
+    return bialternant_sum(shifts, so_index_families(len(shifts), N), prec)
 
 
 def _odd_partitions_exact(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `_odd_partition_chunks`, one by one.  No route calls
-    it; bench/tracer.py looks it up by name, which keeps it here."""
-    yield from chunk_rows(_odd_partition_chunks(length, max_part))
+    """Weakly decreasing all-odd vectors of exactly `length` parts in
+    [1, max_part]: the largest odd part minus 2 b over weakly increasing b.
+    No route calls it; bench/tracer.py looks it up by name, which keeps it here."""
+    if max_part >= 1:
+        for b in combinations_with_replacement(range((max_part + 1) // 2), length):
+            yield tuple(max_part - 1 + max_part % 2 - 2 * x for x in b)
 
 
 def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
-    """Schur route: conjugate-partition sums (confluent-safe).
+    """Schur route (confluent-safe): the determinant route's index sum over
+    divided differences.
 
-    Sum of S_lambda over lambda whose conjugate lambda' has parts <= k and
-    is either all-odd with exactly 2N nonzero parts, or all-even with at
-    most 2N parts; lambda_i = #{j : lambda'_j >= i}, i = 1..k, is lambda
-    padded to length k.
+    It is the sum of S_lambda over lambda whose conjugate lambda' has parts
+    <= k and is either all-odd with exactly 2N nonzero parts, or all-even
+    with at most 2N parts.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    k = len(shifts)
-    levels = np.arange(1, k + 1)
-    conjugates = chain(_odd_partition_chunks(2 * N, k), even_partition_chunks(2 * N, k - k % 2))
-    return schur_sum(((lp[:, :, None] >= levels).sum(axis=1) for lp in conjugates), shifts,
-                     2 * N + k - 1, prec)
+    return divided_difference_sum(shifts, so_index_families(len(shifts), N), prec)
 
 
 def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
@@ -185,8 +168,9 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         raise ValueError(f"variant {variant} needs an even number of shifts")
     if variant in ("R", "L") and m % 2 == 0:
         raise ValueError(f"variant {variant} needs an odd number of shifts")
-    value = det_sum_over_vandermonde(shifts, partial_index_chunks(variant, m, n_max), n_max,
-                                     prec)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    value = bialternant_sum(shifts, partial_family(variant, m, n_max), prec)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]

@@ -5,32 +5,34 @@ routes: integer partitions with explicit length, the block-ordered
 permutations and sign vectors indexing the combinatorial sums, the one
 Vandermonde product, two Schur polynomial evaluators -- the
 bialternant ratio (fails near coincident points) and a confluent-safe
-complete-homogeneous determinant -- and the two determinant sums of the
-self-dual routes (`schur_sum`, `det_sum_over_vandermonde`), each built on
-one table per call and batched elimination.
+complete-homogeneous determinant -- and the determinant sums of the
+self-dual routes.
 
-The index vectors and partitions of those sums are enumerated once, by
-`weakly_increasing_chunks`, as integer arrays of at most _CHUNK rows; each
-family is array arithmetic on those rows, and the sums take the chunks
-as they come.  The tuple and Partition generators of the same families
-(`enumerate_even_partitions`, `enumerate_so_index_sets`) are flattened
-views of the same chunks; the sums do not call them.
+Each self-dual sum runs over the exponent vectors of an `IndexFamily`:
+pinned columns, and blocks of columns e + step v over weakly increasing
+v_1 <= ... <= v_p.  `_exterior_sum` adds up det[table[r][vec_j]] over a
+family without enumerating it: it carries the minors of the columns so
+far, summed over the earlier v, and extends them by Laplace expansion
+along each new column -- about size * k * 2^(k-1) products for k
+one-column blocks.  `bialternant_sum` reads the powers w_r^e and divides
+by the Vandermonde; `divided_difference_sum` reads the divided
+differences x^e[w_1..w_{r+1}] and divides by nothing, so it is
+confluent-safe.  `IndexFamily.vectors` and the tuple and Partition
+generators (`enumerate_even_partitions`, `enumerate_so_index_sets`) are
+per-term views of the families, by itertools; the sums do not call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, islice
-from math import fsum
-from typing import Iterator, Sequence
-
-import numpy as np
+from itertools import accumulate, chain, combinations, combinations_with_replacement
+from operator import add, mul, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NearConfluent
-from .precision import ExtendedOps, PrecisionConfig, batched_det, ops_for
+from .precision import PrecisionConfig, ops_for
 
 SEPARATION_RTOL = 1e-6  # relative pairwise-separation floor for bialternant-type routes
-_CHUNK = 1024  # matrices per batched elimination: bounds the working set of the sums
 
 
 @dataclass(frozen=True)
@@ -116,55 +118,58 @@ def index_pairs(k: int, diagonal: bool) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i if diagonal else i + 1, k)]
 
 
-def weakly_increasing_chunks(k: int, size: int) -> Iterator[np.ndarray]:
-    """The weakly increasing k-vectors over range(size) in lexicographic
-    order, as (B, k) intp arrays of 1 <= B <= _CHUNK rows.
+class IndexFamily(NamedTuple):
+    """The exponent vectors of one self-dual determinant sum.
 
-    This is the one enumeration of the self-dual sums: each index family
-    below is array arithmetic on these rows.  k = 0 gives one empty row.
+    A vector is the pinned `head`, then for each block of `blocks` the
+    columns e + step * v_c, e in the block, then the pinned `tail`, over
+    weakly increasing v_1 <= ... <= v_p in range(size).  Without blocks
+    the family is the one vector head + tail.
     """
-    if k == 0:
-        yield np.zeros((1, 0), dtype=np.intp)
-        return
-    rows = combinations_with_replacement(range(size), k)
-    while (flat := np.fromiter(chain.from_iterable(islice(rows, _CHUNK)), dtype=np.intp)).size:
-        yield flat.reshape(-1, k)
 
+    head: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
+    step: int
+    size: int
+    tail: tuple[int, ...] = ()
 
-def chunk_rows(chunks) -> Iterator[tuple[int, ...]]:
-    """The rows of a chunk iterable as tuples of Python ints."""
-    return (row for chunk in chunks for row in map(tuple, chunk.tolist()))
+    def vectors(self) -> Iterator[tuple[int, ...]]:
+        """The vectors one by one, in lexicographic order of v."""
+        for v in combinations_with_replacement(range(self.size), len(self.blocks)):
+            yield self.head + tuple(e + self.step * x for block, x in zip(self.blocks, v)
+                                    for e in block) + self.tail
 
-
-def even_partition_chunks(k: int, max_part: int) -> Iterator[np.ndarray]:
-    """Partitions of length k (zero-padded) with all parts even and <= max_part,
-    as chunks of rows max_part - 2 b over weakly increasing b."""
-    if max_part % 2:
-        raise ValueError("max_part must be even")
-    for b in weakly_increasing_chunks(k, max_part // 2 + 1):
-        b *= -2   # in place: the SO(2N) conjugates are the widest rows, 2N parts
-        b += max_part
-        yield b
+    @property
+    def top(self) -> int:
+        """The largest exponent a vector reads; -1 where none does."""
+        if self.blocks and self.size < 1:
+            return -1
+        ends = tuple(e + self.step * (self.size - 1) for block in self.blocks for e in block)
+        return max(self.head + ends + self.tail, default=-1)
 
 
 def enumerate_even_partitions(k: int, max_part: int) -> Iterator[Partition]:
-    """The partitions of `even_partition_chunks`, one by one.
+    """Partitions of length k (zero-padded) with all parts even and <= max_part,
+    max_part - 2 b over weakly increasing b: binomial(k + max_part/2, k) of them.
 
-    Yields exactly binomial(k + max_part/2, k) partitions.  No route calls
-    it; bench/tracer.py looks it up by name, which keeps it here.
+    No route calls it; bench/tracer.py looks it up by name, which keeps it here.
     """
-    yield from map(Partition, chunk_rows(even_partition_chunks(k, max_part)))
+    if max_part % 2:
+        raise ValueError("max_part must be even")
+    for b in combinations_with_replacement(range(max_part // 2 + 1), k):
+        yield Partition(tuple(max_part - 2 * x for x in b))
 
 
-def partial_index_chunks(variant: str, count: int, n_max: int) -> Iterator[np.ndarray]:
-    """Strictly increasing `count`-vectors in {0..n_max} of one partial family,
-    as chunks.
+def partial_family(variant: str, count: int, n_max: int) -> tuple[IndexFamily, ...]:
+    """One partial family of strictly increasing `count`-vectors in {0..n_max},
+    as a tuple of at most one family.
 
     M: adjacent pairs (p, p+1) throughout; E: pinned at 0 and n_max with the
     interior paired; R: pinned at n_max only; L: pinned at 0 only.  Between
     the pins, in [lo, hi], the pairs start at p_i = q_i + 2i over weakly
-    increasing q, in lexicographic order.  A count of the wrong parity gives
-    no vector, and so do both pins at n_max < 1, where they would not increase.
+    increasing q: the two-column blocks (lo + 2i + q, lo + 2i + q + 1).  A
+    count of the wrong parity gives no family, and so do both pins at
+    n_max < 1, where they would not increase.
     """
     if variant not in ("M", "E", "R", "L"):
         raise ValueError("variant must be one of M, E, R, L")
@@ -172,40 +177,35 @@ def partial_index_chunks(variant: str, count: int, n_max: int) -> Iterator[np.nd
     last = int(variant in ("E", "R"))    # last column pinned at n_max
     paired = count - first - last
     if paired < 0 or paired % 2 or (first and last and n_max < 1):
-        return
+        return ()
     pairs = paired // 2
     lo, hi = first, n_max - last
-    for q in weakly_increasing_chunks(pairs, hi - lo - 2 * pairs + 2):
-        vecs = np.zeros((len(q), count), dtype=np.intp)
-        vecs[:, first:first + paired:2] = lo + q + 2 * np.arange(pairs)
-        vecs[:, first + 1:first + paired:2] = vecs[:, first:first + paired:2] + 1
-        if last:
-            vecs[:, -1] = n_max
-        yield vecs
+    return (IndexFamily((0,) * first, tuple((lo + 2 * i, lo + 2 * i + 1) for i in range(pairs)),
+                        1, hi - lo - 2 * pairs + 2, (n_max,) * last),)
 
 
-def so_index_chunks(k: int, n_param: int) -> Iterator[np.ndarray]:
-    """Index vectors of the even-orthogonal determinant sum, n_param >= 1, as chunks.
+def so_index_families(k: int, n_param: int) -> tuple[IndexFamily, ...]:
+    """Index families of the even-orthogonal determinant sum, n_param >= 1.
 
     Strictly increasing vectors in {0, ..., 2*n_param + k - 1} whose entries
     either pair up adjacently (i = j, j+1) throughout, or are pinned at the
     ends (first 0 / last 2*n_param + k - 1) with the interior paired; which
     ends are pinned depends on the parity of k.  Both branches (partial
-    families E and M for even k, L and R for odd k) are produced; for
+    families E and M for even k, L and R for odd k) are returned; for
     n_param >= 1 they never share a vector.  With no shifts (k = 0) the one
     vector is the empty one.
     """
     if n_param < 1:
         raise ValueError("n_param must be >= 1")
     top = 2 * n_param + k - 1
-    return chain.from_iterable(partial_index_chunks(variant, k, top)
-                               for variant in (("E", "M") if k % 2 == 0 else ("L", "R")))
+    return sum((partial_family(variant, k, top)
+                for variant in (("E", "M") if k % 2 == 0 else ("L", "R"))), ())
 
 
 def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `so_index_chunks`, one by one.  No route calls it;
+    """The vectors of `so_index_families`, one by one.  No route calls it;
     bench/tracer.py looks it up by name, which keeps it here."""
-    return chunk_rows(so_index_chunks(k, n_param))
+    return chain.from_iterable(family.vectors() for family in so_index_families(k, n_param))
 
 
 def min_separation(points: Sequence[complex]) -> float:
@@ -236,90 +236,6 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
             for k in range(j + 1, len(pts)):
                 out *= pts[k] - pts[j]
         return out
-
-
-def _batches(idx_chunks):
-    """Consecutive index chunks joined until a batch holds _CHUNK matrices:
-    the short chunks at the ends of chained index families share one
-    elimination."""
-    group, rows = [], 0
-    for idx in idx_chunks:
-        group.append(idx)
-        rows += len(idx)
-        if rows >= _CHUNK:
-            yield np.concatenate(group)
-            group, rows = [], 0
-    if group:
-        yield np.concatenate(group)
-
-
-def _checked_rows(chunks, k: int, hi: int, what: str) -> Iterator[np.ndarray]:
-    """The chunks as intp arrays (B, k); raises ValueError for another row
-    length or an entry outside 0..hi."""
-    for chunk in chunks:
-        rows = np.asarray(chunk, dtype=np.intp)
-        if rows.shape[1:] != (k,) or rows.size and not 0 <= rows.min() <= rows.max() <= hi:
-            raise ValueError(f"{what} must be rows of {k} entries in 0..{hi}")
-        yield rows
-
-
-def _det_sum(num, table, idx_chunks):
-    """fsum of det[table[idx[i][j]]] over every matrix of every index chunk,
-    idx an int array (B, k, k) into the one table of the call.
-
-    In double precision the table is converted to arrays once, and each
-    batch of `_batches` is one gather and one `batched_det` call, bit for
-    bit `num.det` one by one; in extended precision `num.det` takes the
-    matrices in order.  A 0 x 0 matrix counts as num.one.
-    """
-    if isinstance(num, ExtendedOps):
-        return num.fsum(num.det([[table[x] for x in row] for row in mat]) if mat else num.one
-                        for idx in idx_chunks for mat in idx.tolist())
-    values = np.array(table, dtype=complex)
-    re_parts, im_parts = [], []
-    for idx in _batches(idx_chunks):
-        re, im = batched_det(values.real[idx], values.imag[idx])
-        re_parts.append(re)
-        im_parts.append(im)
-    # fsum reads Python floats far faster than numpy scalars; a batch at a
-    # time keeps the lists short
-    return complex(*(fsum(chain.from_iterable(part.tolist() for part in parts))
-                     for parts in (re_parts, im_parts)))
-
-
-def det_sum_over_vandermonde(shifts: Sequence, chunks, top: int,
-                             prec: PrecisionConfig | None = None):
-    """Sum over the exponent vectors of det[w_i^(vec_j)], over the Vandermonde.
-
-    `chunks` yields the vectors as integer arrays (B, len(shifts)).  Every
-    determinant reads one table of w_i ** e, 0 <= e <= top (see `_det_sum`).
-    Raises NearConfluent when the shifts are not separated, and
-    OverflowError when a power that some vector uses overflows.
-    """
-    require_separated(shifts, "shifts")
-    num = ops_for(prec)
-    k = len(shifts)
-    with num.guard():
-        ws = [num.scalar(w) for w in shifts]
-        overflowed = set()
-
-        def power(w, e):
-            try:
-                return w ** e
-            except OverflowError:  # an error only if a vector uses e
-                overflowed.add(e)
-                return num.zero
-
-        table = [power(w, e) for w in ws for e in range(top + 1)]
-        row_start = np.arange(k)[:, None] * (top + 1)
-
-        def gathered():
-            for vecs in _checked_rows(chunks, k, top, "exponent vectors"):
-                if overflowed and np.isin(vecs, list(overflowed)).any():
-                    raise OverflowError("complex exponentiation")
-                yield row_start + vecs[:, None, :]
-
-        return _det_sum(num, table, gathered()) / vandermonde(ws, prec)
 
 
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:
@@ -371,27 +287,96 @@ def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None =
         with num.guard():
             return num.one
     with num.guard():
-        # h_0..h_top and a zero, read as in `schur_sum`
+        # h_0..h_top and a zero: h_d at d = mu_i - i + j, the zero for d < 0
         h = complete_homogeneous(mu.parts[0] + ell - 1, points, prec) + [num.zero]
         return num.det([[h[max(mu.parts[i] - i + j, -1)] for j in range(ell)]
                         for i in range(ell)])
 
 
-def schur_sum(chunks, points: Sequence, top: int, prec: PrecisionConfig | None = None):
-    """Sum of `schur_stable(lam, points)` over the partitions lam that
-    `chunks` yields as integer arrays (B, k) of parts, k = len(points) and
-    every part at most top - k + 1; bit for bit the per-term sum.
+def _extend(minors: dict, column: list) -> dict:
+    """The minors of the columns so far, extended by one column.
 
-    Every Jacobi-Trudi matrix is gathered at the full size k x k from one
-    table h_0..h_top, h_d at row i and column j for d = lam_i - i + j and
-    the table's trailing zero for d < 0 (see `_det_sum`).  Rows past the
-    length l(lam) read h_{j-i}: zero below the diagonal and h_0 = 1 on it,
-    so the determinant is the l(lam) x l(lam) one.
+    `minors[rows]` lists per v the minor on the sorted row tuple `rows`, and
+    `column[r]` the new column's entry in row r.  On one row more, the new
+    minor is the Laplace expansion along the new column: the sum over i of
+    (-1)^(c - i) column[rows[i]] minors[rows without rows[i]], c + 1 rows.
+    """
+    c = len(next(iter(minors)))
+    out = {}
+    for rows in combinations(range(len(column)), c + 1):
+        acc = list(map(mul, column[rows[c]], minors[rows[:c]]))
+        for i in range(c - 1, -1, -1):
+            term = map(mul, column[rows[i]], minors[rows[:i] + rows[i + 1:]])
+            acc = list(map(sub if (c - i) % 2 else add, acc, term))
+        out[rows] = acc
+    return out
+
+
+def _exterior_sum(num, table, family: IndexFamily):
+    """Sum over the family's vectors of det[table[r][vec_j]], r < len(table).
+
+    The determinant is multilinear in its columns, so the sum over
+    v_1 <= ... <= v_c of the minors of the first blocks' columns is carried
+    as one list over v_c per row set: before each block after the first,
+    the lists are summed up to v (v_(c-1) <= v_c), and each column of the
+    block extends them by `_extend`.  Pinned columns extend lists of one
+    value.  A family of c one-column blocks over `size` values of v takes
+    about size * c * 2^(c-1) products.
+    """
+    if family.blocks and family.size < 1:
+        return num.zero
+    minors = {(): [num.one]}
+    for e in family.head:
+        minors = _extend(minors, [[row[e]] for row in table])
+    if family.blocks:
+        n, step = family.size, family.step
+        minors = {rows: m * n for rows, m in minors.items()}
+        for c, block in enumerate(family.blocks):
+            if c:
+                minors = {rows: list(accumulate(m)) for rows, m in minors.items()}
+            for e in block:
+                minors = _extend(minors, [row[e:e + step * n:step] for row in table])
+        minors = {rows: [num.fsum(m)] for rows, m in minors.items()}
+    for e in family.tail:
+        minors = _extend(minors, [[row[e]] for row in table])
+    return minors[tuple(range(len(table)))][0]
+
+
+def bialternant_sum(shifts: Sequence, families: Sequence[IndexFamily],
+                    prec: PrecisionConfig | None = None):
+    """Sum over the families' exponent vectors of det[w_r^(vec_j)], over the
+    Vandermonde.
+
+    Every determinant reads one table of w_r ** e, 0 <= e <= the largest
+    exponent a vector reads (see `_exterior_sum`).  Raises NearConfluent
+    when the shifts are not separated, and OverflowError when a power that
+    some vector reads overflows.
+    """
+    require_separated(shifts, "shifts")
+    num = ops_for(prec)
+    with num.guard():
+        ws = [num.scalar(w) for w in shifts]
+        top = max((family.top for family in families), default=-1)
+        table = [[w ** e for e in range(top + 1)] for w in ws]
+        return (num.fsum(_exterior_sum(num, table, family) for family in families)
+                / vandermonde(ws, prec))
+
+
+def divided_difference_sum(points: Sequence, families: Sequence[IndexFamily],
+                           prec: PrecisionConfig | None = None):
+    """`bialternant_sum` without the division: the same sum over the
+    table of divided differences x^e[w_1..w_(r+1)] = h_(e-r)(w_1..w_(r+1)).
+
+    The powers are that table times a lower triangular matrix of
+    determinant V = prod_{i<j} (w_j - w_i) (Newton's interpolation form), so
+    det[x^(vec_j)[w_1..w_(r+1)]] = det[w_r^(vec_j)] / V, which is s_lam for
+    the exponents vec = lam_j + k - j in increasing order: the sum is a
+    Schur sum.  Its table is `complete_homogeneous` of the prefixes, so it
+    is confluent-safe.
     """
     num = ops_for(prec)
-    k = len(points)
-    offsets = np.arange(k) - np.arange(k)[:, None]   # j - i
     with num.guard():
-        h = complete_homogeneous(top, points, prec) + [num.zero]
-        return _det_sum(num, h, (np.maximum(lams[:, :, None] + offsets, -1)
-                                 for lams in _checked_rows(chunks, k, top - k + 1, "partitions")))
+        top = max((family.top for family in families), default=-1)
+        table = [[num.zero] * r + complete_homogeneous(top - r, points[:r + 1], prec)
+                 for r in range(len(points))]
+        return num.fsum(_exterior_sum(num, table, family) for family in families)

@@ -4,6 +4,7 @@ The average of Lambda(w_1)..Lambda(w_k) equals
 
 * a parity-constrained sum of k x k power determinants over a Vandermonde,
 * a sum of Schur polynomials over even partitions inside a 2N x k box,
+  the same index sum over divided differences (see `symcore`),
 * a 2^k-term sign-vector closed form (the fast route), and
 * a k-fold contour integral at shifts w_j = exp(-alpha_j).
 
@@ -33,47 +34,44 @@ from .contour import (
 from .errors import PoleHit
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
-    chunk_rows,
-    det_sum_over_vandermonde,
+    IndexFamily,
+    bialternant_sum,
+    divided_difference_sum,
     enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
-    even_partition_chunks,
     index_pairs,
     schur_stable,  # not called here; bench/tracer.py patches this binding too
-    schur_sum,
     sign_vectors as _epsilon_vectors,
-    weakly_increasing_chunks,
 )
 
 EPS_DENOM_FLOOR = 1e-6  # below this the 2^k closed form has lost too much
 
 
-def parity_index_chunks(k: int, top: int) -> Iterator[np.ndarray]:
-    """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2, as
-    chunks: i_j = j - 1 + 2 b_j over weakly increasing b, in lexicographic order."""
-    for b in weakly_increasing_chunks(k, (top - k + 1) // 2 + 1):
-        yield np.arange(k) + 2 * b
+def parity_family(k: int, top: int) -> IndexFamily:
+    """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2:
+    i_j = j - 1 + 2 b_j over weakly increasing b, k one-column blocks."""
+    return IndexFamily((), tuple((c,) for c in range(k)), 2, (top - k + 1) // 2 + 1)
 
 
 def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of `parity_index_chunks`, one by one.  No route calls
-    it; bench/tracer.py looks it up by name, which keeps it here."""
-    yield from chunk_rows(parity_index_chunks(k, top))
+    """The vectors of `parity_family`, one by one.  No route calls it;
+    bench/tracer.py looks it up by name, which keeps it here."""
+    return parity_family(k, top).vectors()
 
 
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: alternating-parity index sum over the Vandermonde."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    top = 2 * N + len(shifts) - 1
-    return det_sum_over_vandermonde(shifts, parity_index_chunks(len(shifts), top), top, prec)
+    return bialternant_sum(shifts, [parity_family(len(shifts), 2 * N + len(shifts) - 1)], prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
-    """Schur route: sum over even partitions in the 2N x k box (confluent-safe)."""
+    """Schur route: sum over even partitions in the 2N x k box (confluent-safe),
+    the same index sum over divided differences."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    k = len(shifts)
-    return schur_sum(even_partition_chunks(k, 2 * N), shifts, 2 * N + k - 1, prec)
+    return divided_difference_sum(shifts, [parity_family(len(shifts), 2 * N + len(shifts) - 1)],
+                                  prec)
 
 
 def _pair_table(pairs: Sequence[tuple[int, int]], value) -> dict:

@@ -1,18 +1,22 @@
-"""The batched Schur and determinant sums against per-term loops, repr for repr.
+"""The self-dual determinant and Schur sums against per-term loops.
 
-Each reference below is the plain loop the batched sums replace: one
-`schur_stable` or one `num.det` per partition or index vector, summed by
-`num.fsum`.  Values must agree in every bit (repr), at double and at 40
-digits.
+Each reference below is the plain loop over the terms the sums add up:
+one `schur_stable` or one `num.det` per partition or index vector, summed
+by `num.fsum`.  At 60 digits the sums equal their loops to 1e-50; in
+double and at 40 digits they are within 1e-12 and 1e-30 of the 60-digit
+values.  Both sides fail the same way where the loop fails.
 """
 
+import cmath
+import functools
 import itertools
+import time
 import tracemalloc
 from itertools import chain
 
 import pytest
 
-from rmt_autocorr import routes, symcore
+from rmt_autocorr import routes
 from rmt_autocorr.orthogonal import (
     _odd_partitions_exact,
     ominus_autocorr_det,
@@ -24,19 +28,20 @@ from rmt_autocorr.orthogonal import (
 from rmt_autocorr.precision import PrecisionConfig, ops_for
 from rmt_autocorr.symcore import (
     Partition,
-    chunk_rows,
     conjugate_partition,
-    det_sum_over_vandermonde,
     enumerate_even_partitions,
     enumerate_so_index_sets,
-    partial_index_chunks,
     require_separated,
     schur_stable,
     vandermonde,
 )
 from rmt_autocorr.symplectic import parity_index_vectors, sp_autocorr_det, sp_autocorr_schur
 
+from test_symcore import itertools_partial
+
 EXT = PrecisionConfig.extended(40)
+REF = PrecisionConfig.extended(60)
+TOL = {None: 1e-12, EXT: 1e-30, REF: 1e-50}
 SPREAD = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
 WITH_ZERO = (0.0, 0.6 - 0.2j, -0.8j, 1.1 + 0.5j)
 COINCIDENT = (0.8 + 0.1j, 0.8 + 0.1j, -0.6 + 0.3j, 0.8 + 0.1j)
@@ -95,34 +100,45 @@ ROUTES = {
 }
 
 
-def _both(fn, *args):
+def _value(fn, *args):
     try:
-        return repr(fn(*args))
+        return fn(*args)
     except Exception as exc:  # the routes must fail the same way the loops do
         return type(exc).__name__
 
 
-def _at_chunk_sizes(monkeypatch, fn, *args):
-    """fn(*args) at the default chunk size and at chunks of 7 rows, where
-    N = 8, k = 4 (495 terms) crosses 70 chunk seams and chained index
-    families meet inside a chunk."""
-    values = [_both(fn, *args)]
-    with monkeypatch.context() as patched:
-        patched.setattr(symcore, "_CHUNK", 7)
-        values.append(_both(fn, *args))
-    return values
+@functools.lru_cache(maxsize=None)
+def _loop_at_60_digits(route, N, shifts):
+    return _value(ROUTES[route][1], N, shifts, REF)
+
+
+def _assert_within(got, expected, tol, where):
+    """|got - expected| <= tol, relative above magnitude 1; an error name
+    must be the same name."""
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected, where
+    else:
+        assert abs(got - expected) <= tol * max(1, abs(expected)), (where, got, expected)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("prec", [None, EXT, REF], ids=["double", "ext40", "ext60"])
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_route_matches_its_per_term_loop(route, prec, N):
+    # the det routes refuse coincident shifts: both sides raise NearConfluent
+    for shifts, k in itertools.product((SPREAD, WITH_ZERO, COINCIDENT), range(5)):
+        _assert_within(_value(ROUTES[route][0], N, shifts[:k], prec),
+                       _loop_at_60_digits(route, N, shifts[:k]), TOL[prec], (route, N, shifts[:k]))
 
 
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("prec", [None, EXT], ids=["double", "ext40"])
-@pytest.mark.parametrize("N", [1, 2, 8])
-def test_route_matches_its_per_term_loop(route, prec, N, monkeypatch):
-    batched, loop = ROUTES[route]
-    # the det routes refuse coincident shifts: both sides raise NearConfluent
-    for shifts, k in itertools.product((SPREAD, WITH_ZERO, COINCIDENT), range(5)):
-        args = (N, shifts[:k], prec)
-        assert _at_chunk_sizes(monkeypatch, batched, *args) == [_both(loop, *args)] * 2, \
-            (route, args)
+def test_route_keeps_its_digits_at_n32(route, prec):
+    # 58,905 terms at k = 4 for USp: the 60-digit sum is the reference
+    fn = ROUTES[route][0]
+    for shifts, k in itertools.product((SPREAD, WITH_ZERO, COINCIDENT), range(1, 5)):
+        _assert_within(_value(fn, 32, shifts[:k], prec), _value(fn, 32, shifts[:k], REF),
+                       TOL[prec], (route, shifts[:k]))
 
 
 def test_k0_sums_are_one():
@@ -133,21 +149,23 @@ def test_k0_sums_are_one():
                 assert route(3, (), 0, prec) == 1, (family, name, prec)
 
 
-@pytest.mark.parametrize("prec", [None, EXT], ids=["double", "ext40"])
+@pytest.mark.parametrize("prec", [None, EXT, REF], ids=["double", "ext40", "ext60"])
 @pytest.mark.parametrize("variant, m", [("M", 2), ("E", 2), ("M", 4), ("E", 4),
                                         ("R", 1), ("L", 1), ("R", 3), ("L", 3)])
-def test_partial_sums_match_their_per_term_loop(variant, m, prec, monkeypatch):
-    for n_max, shifts in itertools.product((3, 6, 11, 19), (SPREAD, WITH_ZERO)):
-        values = _at_chunk_sizes(monkeypatch, lambda *a: so_partial_sums(*a).value,
-                                 variant, n_max, shifts[:m], prec)
-        expected = det_loop(shifts[:m], chunk_rows(partial_index_chunks(variant, m, n_max)), prec)
-        assert values == [repr(expected)] * 2, (variant, n_max, shifts[:m])
+def test_partial_sums_match_their_per_term_loop(variant, m, prec):
+    # n_max 0 to 2 leave E without a vector at m = 2 and m = 4; coincident
+    # shifts raise NearConfluent on both sides (from m = 2)
+    for n_max, shifts in itertools.product((0, 1, 2, 3, 6, 11, 19),
+                                           (SPREAD, WITH_ZERO, COINCIDENT)):
+        expected = _value(det_loop, shifts[:m], itertools_partial(variant, m, n_max), REF)
+        _assert_within(_value(lambda: so_partial_sums(variant, n_max, shifts[:m], prec).value),
+                       expected, TOL[prec], (variant, n_max, shifts[:m]))
 
 
 @pytest.mark.parametrize("route", [sp_autocorr_schur, sp_autocorr_det, so_autocorr_schur,
                                    so_autocorr_det, ominus_autocorr_schur, ominus_autocorr_det])
 def test_large_sums_stream_their_terms(route):
-    # k = 4, N = 32: up to 58,905 terms, enumerated and eliminated a chunk at a time
+    # k = 4, N = 32: up to 58,905 terms, none of them formed
     route(2, SPREAD)   # lazy imports are not the sum's working set
     tracemalloc.start()
     try:
@@ -158,11 +176,31 @@ def test_large_sums_stream_their_terms(route):
     assert peak <= 3 * 2 ** 20
 
 
+INSIDE = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 0.6 - 0.4j)
+ON_CIRCLE = tuple(cmath.exp(1j * t) for t in (0.3, 1.1, 2.0, -2.5))
+
+
+@pytest.mark.parametrize("family", ["symplectic", "so", "ominus"])
+@pytest.mark.parametrize("name", ["det", "schur"])
+def test_sums_at_n256_agree_with_the_sign_vector_form(family, name):
+    # about 1.9e8 terms for USp; the CLI's crosscheck tolerance, in under 0.1 s
+    route = routes.ROUTES[family][name]
+    for shifts in (INSIDE, ON_CIRCLE):
+        start = time.perf_counter()
+        value = route(256, shifts, 0, None)
+        seconds = time.perf_counter() - start
+        _assert_within(value, complex(routes.ROUTES[family]["eps"](256, shifts, 0, REF)), 1e-9,
+                       shifts)
+        assert seconds < 0.1, seconds
+
+
 def test_only_powers_in_use_can_overflow():
-    # (2+0j) ** 2000 overflows; a table up to 2000 must not raise unless a vector uses it
-    # (one chunk of two vectors)
-    assert det_sum_over_vandermonde((2.0,), [[(0,), (3,)]], 2000) == det_loop((2.0,), [(0,), (3,)], None)
+    # (2+0j) ** 2000 overflows: L at n_max = 2000 reads only w^0, R reads w^2000
+    assert so_partial_sums("L", 2000, (2.0,)).value == 1
     with pytest.raises(OverflowError):
-        det_loop((2.0,), [(0,), (2000,)], None)
-    with pytest.raises(OverflowError):
-        det_sum_over_vandermonde((2.0,), [[(0,), (2000,)]], 2000)
+        det_loop((2.0,), [(2000,)], None)
+    for overflowing in (lambda: so_partial_sums("R", 2000, (2.0,)),
+                        lambda: sp_autocorr_det(1000, (2.0,)),
+                        lambda: so_autocorr_det(1000, (2.0,))):
+        with pytest.raises(OverflowError):
+            overflowing()

@@ -18,10 +18,15 @@ from rmt_autocorr import (
     schur_stable,
     vandermonde,
 )
-from rmt_autocorr import symcore
-from rmt_autocorr.orthogonal import _odd_partition_chunks, _odd_partitions_exact
-from rmt_autocorr.symcore import det_sum_over_vandermonde, even_partition_chunks, schur_sum
-from rmt_autocorr.symplectic import parity_index_chunks, parity_index_vectors
+from rmt_autocorr.orthogonal import _odd_partitions_exact, so_partial_sums
+from rmt_autocorr.precision import PrecisionConfig, _generic_det, ops_for
+from rmt_autocorr.symcore import (
+    IndexFamily,
+    _exterior_sum,
+    partial_family,
+    so_index_families,
+)
+from rmt_autocorr.symplectic import parity_index_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -223,81 +228,52 @@ def itertools_partial(variant, count, n_max):
 
 
 ITERTOOLS_FAMILIES = {
-    "even": (lambda k, n: symcore.even_partition_chunks(k, 2 * n),
+    "even": (lambda k, n: [p.parts for p in enumerate_even_partitions(k, 2 * n)],
              lambda k, n: list(itertools.combinations_with_replacement(range(2 * n, -1, -2), k)),
              lambda k, n: math.comb(k + n, k)),
-    "parity": (lambda k, n: parity_index_chunks(k, n),
+    "parity": (lambda k, n: list(parity_index_vectors(k, n)),
                lambda k, n: [tuple(j + 2 * bj for j, bj in enumerate(b)) for b in
                              itertools.combinations_with_replacement(range((n - k + 1) // 2 + 1), k)],
                lambda k, n: math.comb(k + (n - k + 1) // 2, k) if n - k >= -1 else int(k == 0)),
-    "odd": (lambda k, n: _odd_partition_chunks(k, n),
+    "odd": (lambda k, n: list(_odd_partitions_exact(k, n)),
             lambda k, n: list(itertools.combinations_with_replacement(
                 range(n - 1 + n % 2, 0, -2), k)) if n >= 1 else [],
             lambda k, n: math.comb(k + (n + 1) // 2 - 1, k) if n >= 1 else 0),
 }
 
 
-def rows_of(chunks, k):
-    rows = []
-    for chunk in chunks:
-        assert chunk.dtype == np.intp and chunk.shape[1:] == (k,)
-        assert 1 <= len(chunk) <= symcore._CHUNK
-        rows.extend(map(tuple, chunk.tolist()))
-    return rows
-
-
-@pytest.mark.parametrize("chunk", [1024, 7])
-@pytest.mark.parametrize("k", range(5))
-def test_weakly_increasing_chunks_are_the_itertools_rows(monkeypatch, chunk, k):
-    monkeypatch.setattr(symcore, "_CHUNK", chunk)
-    for size in (-1, 0, 1, 2, 5, 9):
-        got = rows_of(symcore.weakly_increasing_chunks(k, size), k)
-        assert got == list(itertools.combinations_with_replacement(range(size), k))
-        assert len(got) == (math.comb(size + k - 1, k) if size >= 1 else int(k == 0))
-
-
-@pytest.mark.parametrize("chunk", [1024, 7])
 @pytest.mark.parametrize("family", ITERTOOLS_FAMILIES)
 @pytest.mark.parametrize("k", range(5))
-def test_index_families_are_their_itertools_definitions(monkeypatch, chunk, family, k):
-    monkeypatch.setattr(symcore, "_CHUNK", chunk)
-    chunks, itertools_rows, count = ITERTOOLS_FAMILIES[family]
+def test_index_families_are_their_itertools_definitions(family, k):
+    vectors, itertools_rows, count = ITERTOOLS_FAMILIES[family]
     for n in range(-1, 9):
         if family == "even" and n < 0:
             continue
         want = itertools_rows(k, n)
-        assert rows_of(chunks(k, n), k) == want, (k, n)
+        assert vectors(k, n) == want, (k, n)
         assert len(want) == count(k, n), (k, n)
-    # and the tuple generators are views of the same chunks
-    assert list(parity_index_vectors(k, 8)) == ITERTOOLS_FAMILIES["parity"][1](k, 8)
-    assert list(_odd_partitions_exact(k, 3)) == ITERTOOLS_FAMILIES["odd"][1](k, 3)
-    assert [p.parts for p in enumerate_even_partitions(k, 6)] == \
-        ITERTOOLS_FAMILIES["even"][1](k, 3)
 
 
-@pytest.mark.parametrize("chunk", [1024, 7])
 @pytest.mark.parametrize("variant", "MERL")
 @pytest.mark.parametrize("count", range(5))
-def test_partial_index_chunks_are_their_itertools_definitions(monkeypatch, chunk, variant, count):
-    monkeypatch.setattr(symcore, "_CHUNK", chunk)
+def test_partial_families_are_their_itertools_definitions(variant, count):
     for n_max in range(-2, 12):
         want = itertools_partial(variant, count, n_max)
-        assert rows_of(symcore.partial_index_chunks(variant, count, n_max), count) == want
-        assert list(symcore.chunk_rows(symcore.partial_index_chunks(variant, count, n_max))) == want
-    # a count of the wrong parity (odd for M and E, even for R and L) yields nothing
+        assert [v for f in partial_family(variant, count, n_max) for v in f.vectors()] == want
+    # a count of the wrong parity (odd for M and E, even for R and L) gives no family
     if count % 2 != (variant in "RL"):
-        assert list(symcore.partial_index_chunks(variant, count, 11)) == []
+        assert partial_family(variant, count, 11) == ()
     with pytest.raises(ValueError, match="variant"):
-        list(symcore.partial_index_chunks("X", count, 5))
+        partial_family("X", count, 5)
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_so_index_chunks_are_both_partial_families(k):
+def test_so_index_families_are_both_partial_families(k):
     for n_param in (1, 2, 5):
         top = 2 * n_param + k - 1
         want = [v for variant in ("EM" if k % 2 == 0 else "LR")
                 for v in itertools_partial(variant, k, top)]
-        assert rows_of(symcore.so_index_chunks(k, n_param), k) == want
+        assert [v for f in so_index_families(k, n_param) for v in f.vectors()] == want
         assert list(enumerate_so_index_sets(k, n_param)) == want
 
 
@@ -401,56 +377,37 @@ def test_schur_length_mismatch_rejected():
         schur_bialternant(Partition((1, 0, 0)), [1.0, 2.0])
 
 
-def test_schur_sum_eliminates_one_chunk_in_one_batch(monkeypatch):
-    # lengths l(lam) = 0..k in one chunk: one k x k elimination, and the
-    # per-term sum in every bit
-    points = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
-    parts = [Partition(p) for p in [(0, 0, 0, 0), (3, 0, 0, 0), (2, 1, 0, 0),
-                                    (4, 2, 2, 0), (2, 2, 1, 1), (1, 0, 0, 0)]]
-    calls = []
-    original = symcore.batched_det
-
-    def counted(re, im):
-        calls.append(re.shape)
-        return original(re, im)
-
-    monkeypatch.setattr(symcore, "batched_det", counted)
-    value = schur_sum([[lam.parts for lam in parts]], points, 7)  # top: 4 + k - 1
-    assert calls == [(len(parts), 4, 4)]
-    terms = [schur_stable(lam, points) for lam in parts]
-    expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    assert repr(value) == repr(expected)
+EXTERIOR_FAMILIES = {
+    "usp": IndexFamily((), ((0,), (1,), (2,), (3,)), 2, 4),     # one-column blocks
+    "pinned-ends": IndexFamily((0,), ((1, 2),), 1, 5, (9,)),    # E
+    "pairs": IndexFamily((), ((0, 1), (2, 3)), 1, 4),          # M
+    "mixed": IndexFamily((), ((0,), (2, 3)), 3, 3, (10,)),     # widths 1 and 2, step 3
+    "one-v": IndexFamily((1, 4), ((5,),), 1, 1, (7,)),
+    "no-blocks": IndexFamily((0, 2, 5, 9), (), 1, 0),          # the one vector head + tail
+    "empty": IndexFamily((0,), ((1, 2),), 1, 0, (9,)),         # size 0: no vector
+}
 
 
-def test_schur_sum_builds_one_h_table_for_all_chunks(monkeypatch):
-    # the larger part comes in the second chunk, still within top: the one
-    # table h_0..h_top serves both chunks
-    points = (0.9, 0.7 + 0.3j, -0.5 + 0.6j)
-    chunks = [np.array([[0, 0, 0], [1, 1, 0], [2, 1, 1]]), np.array([[4, 2, 0], [2, 2, 2]])]
-    calls = []
-    original = symcore.complete_homogeneous
-
-    def counted(max_degree, pts, prec=None):
-        calls.append(max_degree)
-        return original(max_degree, pts, prec)
-
-    monkeypatch.setattr(symcore, "complete_homogeneous", counted)
-    value = schur_sum(chunks, points, 4 + 3 - 1)
-    assert calls == [6]
-    terms = [schur_stable(Partition(tuple(row)), points) for chunk in chunks for row in chunk.tolist()]
-    expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    assert repr(value) == repr(expected)
+@pytest.mark.parametrize("name", EXTERIOR_FAMILIES)
+def test_exterior_sum_is_the_sum_of_its_determinants(name):
+    family = EXTERIOR_FAMILIES[name]
+    # a random table, so no identity of powers or divided differences helps
+    rng = np.random.default_rng(5)
+    num = ops_for(PrecisionConfig(60))
+    with num.guard():
+        table = [[num.scalar(complex(*rng.normal(size=2))) for _ in range(11)] for _ in range(4)]
+        expected = num.fsum(_generic_det([[row[e] for e in vec] for row in table], abs)
+                            for vec in family.vectors())
+        assert abs(_exterior_sum(num, table, family) - expected) <= 1e-50 * max(1, abs(expected))
+    assert family.top == max((e for vec in family.vectors() for e in vec), default=-1)
 
 
 @pytest.mark.parametrize("call", [
     lambda: Partition((2, 1)).padded(1),
     lambda: list(enumerate_split_permutations(2, 3)),
-    lambda: list(even_partition_chunks(2, 3)),
-    lambda: det_sum_over_vandermonde([0.5, 2.0], [np.array([[0, 5]])], 3),  # 5 > top
-    lambda: schur_sum([np.array([[2, 1, 0]])], [0.5, 2.0], 3),  # 3 parts, 2 points
-    lambda: schur_sum([np.array([[1, 0]]), np.array([[3, 0]])], [0.5, 2.0], 3),  # 3 > top - k + 1
-], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "exponent-above-top",
-        "parts-unlike-points", "part-above-top"])
+    lambda: list(enumerate_even_partitions(2, 3)),
+    lambda: so_partial_sums("R", -1, [0.5]),
+], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "n-max-below-zero"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

@@ -25,7 +25,7 @@ import sys
 import tracemalloc
 from functools import partial
 
-from bench_batched_det import ROUNDS, _fastest, alternate
+from bench_self_dual_sums import ROUNDS, _fastest, alternate
 
 CALLS = 10
 POINTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
