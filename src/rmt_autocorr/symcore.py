@@ -321,8 +321,13 @@ def _exterior_sum(num, table, family: IndexFamily):
     the lists are summed up to v (v_(c-1) <= v_c), and each column of the
     block extends them by `_extend`.  Pinned columns extend lists of one
     value.  A family of c one-column blocks over `size` values of v takes
-    about size * c * 2^(c-1) products.
+    about size * c * 2^(c-1) products.  Raises ValueError unless a vector
+    has one column per table row and the table reaches the family's top.
     """
+    if len(family.head) + sum(map(len, family.blocks)) + len(family.tail) != len(table):
+        raise ValueError("a vector must have one column per table row")
+    if table and min(map(len, table)) <= family.top:
+        raise ValueError("the table stops below the family's largest exponent")
     if family.blocks and family.size < 1:
         return num.zero
     minors = {(): [num.one]}

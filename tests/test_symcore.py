@@ -23,10 +23,12 @@ from rmt_autocorr.precision import PrecisionConfig, _generic_det, ops_for
 from rmt_autocorr.symcore import (
     IndexFamily,
     _exterior_sum,
+    bialternant_sum,
+    divided_difference_sum,
     partial_family,
     so_index_families,
 )
-from rmt_autocorr.symplectic import parity_index_vectors
+from rmt_autocorr.symplectic import parity_family, parity_index_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +244,79 @@ ITERTOOLS_FAMILIES = {
 }
 
 
+REF = PrecisionConfig(60)
+
+
+def seeded_points(seed, k):
+    rng = np.random.default_rng(seed)
+    return [complex(*rng.normal(size=2)) for _ in range(k)]
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-50 * max(1, abs(want))
+
+
+def assert_exterior_sum_is_per_term(family, seed):
+    # a random table, so no identity of powers or divided differences helps
+    rng = np.random.default_rng(seed)
+    num = ops_for(REF)
+    rows = len(family.head) + sum(map(len, family.blocks)) + len(family.tail)
+    with num.guard():
+        table = [[num.scalar(complex(*rng.normal(size=2))) for _ in range(family.top + 1)]
+                 for _ in range(rows)]
+        expected = num.fsum(_generic_det([[row[e] for e in vec] for row in table], abs)
+                            for vec in family.vectors())
+        assert_close(_exterior_sum(num, table, family), expected)
+
+
+def schur_terms(partitions, points):
+    num = ops_for(REF)
+    with num.guard():
+        return num.fsum(schur_stable(Partition(lam), points, REF) for lam in partitions)
+
+
+def det_terms(vectors, points):
+    num = ops_for(REF)
+    with num.guard():
+        ws = [num.scalar(w) for w in points]
+        return (num.fsum(num.det([[w ** e for e in vec] for w in ws]) for vec in vectors)
+                / vandermonde(ws, REF))
+
+
+# Each view's sum by the recurrence against its per-term loop, at the sizes n
+# given: the even and odd partitions are the exponent vectors lam_(k-j) + j of
+# one-column blocks at step 2, summed over divided differences (Schur sums);
+# the parity vectors are summed over powers (a bialternant sum).
+SUMMED_FAMILIES = {
+    "even": (range(4), lambda k, n, pts: (
+        divided_difference_sum(pts, [parity_family(k, 2 * n + k - 1)], REF),
+        schur_terms((p.parts for p in enumerate_even_partitions(k, 2 * n)), pts))),
+    "parity": (range(-1, 8), lambda k, n, pts: (
+        bialternant_sum(pts, [parity_family(k, n)], REF),
+        det_terms(parity_index_vectors(k, n), pts))),
+    "odd": (range(1, 7), lambda k, n, pts: (
+        divided_difference_sum(pts, [IndexFamily((), tuple((c + 1,) for c in range(k)),
+                                                 2, (n + 1) // 2)], REF),
+        schur_terms(_odd_partitions_exact(k, n), pts))),
+}
+
+
+@pytest.mark.parametrize("seed", [1024, 7])
+@pytest.mark.parametrize("k", range(5))
+def test_weakly_increasing_chunks_are_the_itertools_rows(seed, k):
+    # k one-column blocks at one column, step 1: the weakly increasing rows themselves
+    for size in (-1, 0, 1, 2, 5, 9):
+        family = IndexFamily((), ((0,),) * k, 1, size)
+        got = list(family.vectors())
+        assert got == list(itertools.combinations_with_replacement(range(size), k))
+        assert len(got) == (math.comb(size + k - 1, k) if size >= 1 else int(k == 0))
+        assert_exterior_sum_is_per_term(family, seed)
+
+
+@pytest.mark.parametrize("seed", [1024, 7])
 @pytest.mark.parametrize("family", ITERTOOLS_FAMILIES)
 @pytest.mark.parametrize("k", range(5))
-def test_index_families_are_their_itertools_definitions(family, k):
+def test_index_families_are_their_itertools_definitions(seed, family, k):
     vectors, itertools_rows, count = ITERTOOLS_FAMILIES[family]
     for n in range(-1, 9):
         if family == "even" and n < 0:
@@ -252,23 +324,33 @@ def test_index_families_are_their_itertools_definitions(family, k):
         want = itertools_rows(k, n)
         assert vectors(k, n) == want, (k, n)
         assert len(want) == count(k, n), (k, n)
+    sizes, sums = SUMMED_FAMILIES[family]
+    points = seeded_points(seed, k)
+    for n in sizes:
+        assert_close(*sums(k, n, points))
 
 
+@pytest.mark.parametrize("seed", [1024, 7])
 @pytest.mark.parametrize("variant", "MERL")
 @pytest.mark.parametrize("count", range(5))
-def test_partial_families_are_their_itertools_definitions(variant, count):
+def test_partial_index_chunks_are_their_itertools_definitions(seed, variant, count):
     for n_max in range(-2, 12):
         want = itertools_partial(variant, count, n_max)
         assert [v for f in partial_family(variant, count, n_max) for v in f.vectors()] == want
     # a count of the wrong parity (odd for M and E, even for R and L) gives no family
     if count % 2 != (variant in "RL"):
         assert partial_family(variant, count, 11) == ()
+    else:
+        points = seeded_points(seed, count)
+        for n_max in range(7):
+            assert_close(so_partial_sums(variant, n_max, points, REF).value,
+                         det_terms(itertools_partial(variant, count, n_max), points))
     with pytest.raises(ValueError, match="variant"):
         partial_family("X", count, 5)
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_so_index_families_are_both_partial_families(k):
+def test_so_index_chunks_are_both_partial_families(k):
     for n_param in (1, 2, 5):
         top = 2 * n_param + k - 1
         want = [v for variant in ("EM" if k % 2 == 0 else "LR")
@@ -391,23 +473,24 @@ EXTERIOR_FAMILIES = {
 @pytest.mark.parametrize("name", EXTERIOR_FAMILIES)
 def test_exterior_sum_is_the_sum_of_its_determinants(name):
     family = EXTERIOR_FAMILIES[name]
-    # a random table, so no identity of powers or divided differences helps
-    rng = np.random.default_rng(5)
-    num = ops_for(PrecisionConfig(60))
-    with num.guard():
-        table = [[num.scalar(complex(*rng.normal(size=2))) for _ in range(11)] for _ in range(4)]
-        expected = num.fsum(_generic_det([[row[e] for e in vec] for row in table], abs)
-                            for vec in family.vectors())
-        assert abs(_exterior_sum(num, table, family) - expected) <= 1e-50 * max(1, abs(expected))
+    assert_exterior_sum_is_per_term(family, 5)
     assert family.top == max((e for vec in family.vectors() for e in vec), default=-1)
+
+
+def table_of_width(width, rows=2):
+    return [[1.0 + r + e for e in range(width)] for r in range(rows)]
 
 
 @pytest.mark.parametrize("call", [
     lambda: Partition((2, 1)).padded(1),
     lambda: list(enumerate_split_permutations(2, 3)),
     lambda: list(enumerate_even_partitions(2, 3)),
+    lambda: _exterior_sum(ops_for(None), table_of_width(4), IndexFamily((0,), (), 1, 0, (5,))),
+    lambda: divided_difference_sum([0.5, 2.0], [parity_family(3, 6)]),  # 3 columns, 2 points
+    lambda: _exterior_sum(ops_for(None), table_of_width(4), IndexFamily((), ((0,), (1,)), 1, 4)),
     lambda: so_partial_sums("R", -1, [0.5]),
-], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "n-max-below-zero"])
+], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "exponent-above-top",
+        "parts-unlike-points", "part-above-top", "n-max-below-zero"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()
