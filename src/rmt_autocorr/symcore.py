@@ -4,9 +4,9 @@ This is the symmetric-function substrate shared by all the autocorrelation
 routes: integer partitions with explicit length, the block-ordered
 permutations and sign vectors indexing the combinatorial sums, the one
 Vandermonde product, two Schur polynomial evaluators -- the
-bialternant ratio (fails near coincident points) and a confluent-safe
-complete-homogeneous determinant -- and the determinant sums of the
-self-dual routes.
+bialternant, one power determinant over the Vandermonde (fails near
+coincident points), and a confluent-safe complete-homogeneous
+determinant -- and the determinant sums of the self-dual routes.
 
 Each self-dual sum runs over the exponent vectors of an `IndexFamily`:
 pinned columns, and blocks of columns e + step v over weakly increasing
@@ -25,7 +25,7 @@ per-term views of the families, by itertools; the sums do not call them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -238,38 +238,46 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
         return out
 
 
+def _homogeneous_rows(num, max_degree: int, points: Sequence) -> Iterator[list]:
+    """h_0..h_max_degree of each prefix of the points, the empty one first, by
+    h_k(x_1..x_m) = h_k(x_1..x_(m-1)) + x_m h_(k-1)(x_1..x_m): one list,
+    updated in place after each point, so copy a row to keep it."""
+    h = [num.one] + [num.zero] * max_degree
+    yield h
+    for x in map(num.scalar, points):
+        for k in range(1, max_degree + 1):
+            h[k] = h[k] + x * h[k - 1]
+        yield h
+
+
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:
-    """h_0, ..., h_max_degree of the given points, by the one-variable-at-a-
-    time recurrence h_k(x_1..x_m) = h_k(x_1..x_{m-1}) + x_m h_{k-1}(x_1..x_m)."""
+    """h_0, ..., h_max_degree of the points: the last row of `_homogeneous_rows`."""
     num = ops_for(prec)
     with num.guard():
-        h = [num.one] + [num.zero] * max_degree
-        for p in points:
-            x = num.scalar(p)
-            for k in range(1, max_degree + 1):
-                h[k] = h[k] + x * h[k - 1]
+        for h in _homogeneous_rows(num, max_degree, points):
+            pass
         return h
 
 
-def schur_bialternant(mu: Partition, points: Sequence, prec: PrecisionConfig | None = None):
-    """Schur polynomial as the ratio det[x_i^(mu_j + n - j)] / det[x_i^(n - j)].
-
-    Requires len(mu) == len(points) and pairwise separation above the
-    configured threshold; raises NearConfluent otherwise (the ratio is 0/0
-    at coincident points -- use schur_stable there).
-    """
-    if len(mu) != len(points):
-        raise ValueError("partition length must equal the number of points")
-    n = len(points)
-    if n == 0:
-        return ops_for(prec).one
+def _bialternant(exponents: Sequence[int], points: Sequence, prec: PrecisionConfig | None):
+    """det[x_i^(e_j)] / vandermonde(points) over increasing exponents e;
+    NearConfluent unless the points are separated (it is 0/0 where they meet)."""
     require_separated(points)
     num = ops_for(prec)
     with num.guard():
         pts = [num.scalar(p) for p in points]
-        numerator = num.det([[x ** (mu.parts[j] + n - 1 - j) for j in range(n)] for x in pts])
-        denominator = num.det([[x ** (n - 1 - j) for j in range(n)] for x in pts])
-        return numerator / denominator
+        return num.det([[x ** e for e in exponents] for x in pts]) / vandermonde(pts, prec)
+
+
+def schur_bialternant(mu: Partition, points: Sequence, prec: PrecisionConfig | None = None):
+    """Schur polynomial as the bialternant over the exponents mu_j + n - j.
+
+    Requires len(mu) == len(points) and pairwise separation above the
+    configured threshold; raises NearConfluent otherwise (use schur_stable).
+    """
+    if len(mu) != len(points):
+        raise ValueError("partition length must equal the number of points")
+    return _bialternant([p + i for i, p in enumerate(reversed(mu.parts))], points, prec)
 
 
 def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None = None):
@@ -376,12 +384,12 @@ def divided_difference_sum(points: Sequence, families: Sequence[IndexFamily],
     determinant V = prod_{i<j} (w_j - w_i) (Newton's interpolation form), so
     det[x^(vec_j)[w_1..w_(r+1)]] = det[w_r^(vec_j)] / V, which is s_lam for
     the exponents vec = lam_j + k - j in increasing order: the sum is a
-    Schur sum.  Its table is `complete_homogeneous` of the prefixes, so it
-    is confluent-safe.
+    Schur sum.  Row r of its table is h of the prefix w_1..w_(r+1), all
+    rows from one pass of `_homogeneous_rows`, so it is confluent-safe.
     """
     num = ops_for(prec)
     with num.guard():
         top = max((family.top for family in families), default=-1)
-        table = [[num.zero] * r + complete_homogeneous(top - r, points[:r + 1], prec)
-                 for r in range(len(points))]
+        rows = islice(_homogeneous_rows(num, top, points), 1, None)
+        table = [([num.zero] * r + h)[:top + 1] for r, h in enumerate(rows)]
         return num.fsum(_exterior_sum(num, table, family) for family in families)

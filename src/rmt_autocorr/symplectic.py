@@ -58,18 +58,23 @@ def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
     return parity_family(k, top).vectors()
 
 
+def _require_size(N: int, diagonal: bool) -> None:
+    """N >= 0 with the diagonal (USp(2N)), N >= 1 without it (SO(2N), O^-(2N))."""
+    least = 0 if diagonal else 1
+    if N < least:
+        raise ValueError(f"N must be >= {least}")
+
+
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: alternating-parity index sum over the Vandermonde."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _require_size(N, diagonal=True)
     return bialternant_sum(shifts, [parity_family(len(shifts), 2 * N + len(shifts) - 1)], prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Schur route: sum over even partitions in the 2N x k box (confluent-safe),
     the same index sum over divided differences."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _require_size(N, diagonal=True)
     return divided_difference_sum(shifts, [parity_family(len(shifts), 2 * N + len(shifts) - 1)],
                                   prec)
 
@@ -104,12 +109,9 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     (1 - w_i^(-eps_i) w_j^(-eps_j)), pairs i <= j with the diagonal and
     i < j without, times prod eps_j when signed.  Raises PoleHit for a
     zero shift or when a denominator is within the floor of zero for some
-    sign choice, and ValueError below the family's sizes: N >= 0 with the
-    diagonal (USp(2N)), N >= 1 without it (SO(2N), O^-(2N)).
+    sign choice, and ValueError below the family's sizes (`_require_size`).
     """
-    least = 0 if diagonal else 1
-    if N < least:
-        raise ValueError(f"N must be >= {least}")
+    _require_size(N, diagonal)
     k = len(shifts)
     pairs = index_pairs(k, diagonal)
     num = ops_for(prec)
@@ -137,7 +139,9 @@ def reflection_contour(N: int, alphas: Sequence[complex], cfg: ContourConfig | N
                        diagonal: bool, variant: str, sign: int) -> complex:
     """exp(sign N sum alpha) times the sign-vector lemma's `variant` contour
     side on a circle enclosing +-alpha, with kernel exp(N sum z) prod
-    (1 - exp(-z_m - z_l))^(-1) over pairs l <= m (l < m without the diagonal)."""
+    (1 - exp(-z_m - z_l))^(-1) over pairs l <= m (l < m without the diagonal).
+    Raises ValueError below the family's sizes (`_require_size`)."""
+    _require_size(N, diagonal)
     al = [complex(a) for a in alphas]
     enclosed = al + [-a for a in al]
     require_exp_kernel_contour(enclosed, "+-alpha points")
@@ -160,6 +164,8 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     (eps_i b_i + eps_j b_j)^(-1) pair factors; the ratio tends to 1.  Both
     sides are evaluated through the closed forms (exp(b_j) directly, and
     expm1 for the denominators), so N = 10^4 costs the same as N = 10.
+    Raises PoleHit for a zero b_j, and where a pair factor x = eps_i b_i +
+    eps_j b_j or 1 - exp(-x / N) vanishes relative to its size.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -174,9 +180,11 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
         xs = _pair_table(pairs, lambda i, j, a, c: a * bs[i] + c * bs[j])
         if any(abs(x) < 1e-12 * scale for x in xs.values()):
             raise PoleHit("eps_i b_i + eps_j b_j vanishes")
+        divisors = {key: -num.expm1(-x / N) for key, x in xs.items()}
+        if any(abs(d) < 1e-12 * abs(xs[key] / N) for key, d in divisors.items()):
+            raise PoleHit("1 - exp(-(eps_i b_i + eps_j b_j) / N) vanishes")
         powers = {(j, e): num.exp(e * x) for j, x in enumerate(bs) for e in (1, -1)}
-        exact = _sign_vector_sum(num, k, pairs, powers,
-                                 {key: -num.expm1(-x / N) for key, x in xs.items()})
+        exact = _sign_vector_sum(num, k, pairs, powers, divisors)
         asym = _sign_vector_sum(num, k, pairs, powers, xs)
         # the common e^{sum b} prefactors cancel in the ratio
         return exact / (num.scalar(N) ** ((k * k + k) // 2) * asym)

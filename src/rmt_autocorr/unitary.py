@@ -4,8 +4,8 @@ I_{m,n}(N; w_1..w_m; w_{m+1}..w_n) is the Haar average of m adjoint
 characteristic polynomials at the first block of shifts times n-m direct
 ones at the second block (with their w^N prefactors absorbed).  It equals
 
-* a rectangular-partition Schur polynomial (canonical, confluent-safe),
-* an n x n power-column determinant over a Vandermonde,
+* a rectangular-partition Schur polynomial (confluent-safe),
+* its bialternant: n x n power columns over the Vandermonde,
 * a block-ordered permutation sum with (1 - w_l / w_q)^(-1) factors,
 * an n-fold contour integral in exponentiated shifts w_j = exp(-alpha_j).
 
@@ -31,12 +31,11 @@ from .errors import PoleHit
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
     Partition,
+    _bialternant,
     enumerate_split_permutations,
     min_separation,
-    require_separated,
     schur_stable,
     separation_threshold,
-    vandermonde,
 )
 
 
@@ -74,15 +73,10 @@ def autocorr_schur(query: UnitaryQuery, prec: PrecisionConfig | None = None):
 
 
 def autocorr_det(query: UnitaryQuery, prec: PrecisionConfig | None = None):
-    """Determinant route: power columns {0..m-1, N+m..N+n-1} over Vandermonde."""
-    require_separated(query.shifts, "shifts")
-    num = ops_for(prec)
+    """Determinant route: the bialternant of the rectangular Schur polynomial,
+    power columns {0..m-1, N+m..N+n-1} over the Vandermonde."""
     n, m, N = query.n, query.m, query.N
-    exponents = list(range(m)) + list(range(N + m, N + n))
-    with num.guard():
-        w = [num.scalar(x) for x in query.shifts]
-        det = num.det([[wi ** e for e in exponents] for wi in w])
-        return det / vandermonde(query.shifts, prec)
+    return _bialternant([*range(m), *range(N + m, N + n)], query.shifts, prec)
 
 
 def _require_split_poles(shifts: Sequence) -> None:
@@ -176,11 +170,9 @@ def autocorr_contour(N: int, alphas: Sequence[complex], m: int,
 
     The unitary lemma with kernel G(a; b) = exp(-N sum b) prod
     (1 - exp(b_j - a_i))^(-1), integrated on a shared circle enclosing
-    the alphas.
+    the alphas.  Raises ValueError where UnitaryQuery does: N < 1, m outside 0..n.
     """
-    al = [complex(a) for a in alphas]
-    if not 0 <= m <= len(al):
-        raise ValueError("need 0 <= m <= n")
+    al = list(UnitaryQuery(N, m, alphas).shifts)
     require_exp_kernel_contour(al, "alpha points")
     kernel = BipartiteKernel(exp_pole, lambda _a, b: exp_sum(-N, b))
     return circular_integral(len(al), unitary_lemma_integrand(kernel, al, m), cfg,

@@ -190,6 +190,12 @@ def test_scaling_cli(capsys):
     assert errs[-1] <= 5e-3
     assert main(["scaling", "--k", "2", "--b", "1", "--N-list", "10"]) == 2
     assert main(["scaling", "--b", "1,-1", "--N-list", "10"]) == 3  # pole
+    capsys.readouterr()
+    # b = pi i at N = 1: the exact sum's divisor 1 - exp(-2b/N) vanishes
+    code, out, _ = run_cli(capsys, "scaling", "--b", "3.141592653589793i", "--N-list", "1")
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"error", "detail"} and report["error"] == "PoleHit"
 
 
 def test_alpha_input_conventions(capsys):

@@ -1,9 +1,15 @@
 """The route table's canonical values."""
 
+import cmath
+import functools
+
 import pytest
 
 from rmt_autocorr import PrecisionConfig
+from rmt_autocorr.orthogonal import orthogonal_contour
 from rmt_autocorr.routes import ROUTES, canonical_value
+from rmt_autocorr.symplectic import sp_autocorr_contour
+from rmt_autocorr.unitary import autocorr_contour
 
 SHIFTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
 
@@ -21,13 +27,25 @@ def test_canonical_value_keeps_its_digits(family, N, m, reference):
 
 
 # At the smallest size of each family the moment at shifts (a, b) is known:
-# USp(0) is the trivial group; SO(2) averages (1 - 2w cos t + w^2) over t;
-# O^-(2) is prod (w^2 - 1) times USp(0).  SO(0) and O^-(0) are not sizes here.
+# U(1) at m = 0 is a b; USp(0) is the trivial group; SO(2) averages
+# (1 - 2w cos t + w^2) over t; O^-(2) is prod (w^2 - 1) times USp(0).  U(0),
+# SO(0) and O^-(0) are not sizes here.  The contour routes take alphas near
+# zero, at shifts w = exp(-alpha) for U(N) and USp, exp(+alpha) for SO and O^-.
+ALPHAS = (0.1 + 0.05j, -0.12 + 0.1j)
+CONTOURS = {
+    "unitary": (lambda N, alphas: autocorr_contour(N, alphas, 0), -1),
+    "symplectic": (sp_autocorr_contour, -1),
+    "so": (functools.partial(orthogonal_contour, "so"), 1),
+    "ominus": (functools.partial(orthogonal_contour, "ominus"), 1),
+}
+
+
 @pytest.mark.parametrize("family,smallest,moment", [
     ("symplectic", 0, lambda a, b: 1),
     ("so", 1, lambda a, b: (1 + a * a) * (1 + b * b) + 2 * a * b),
     ("ominus", 1, lambda a, b: (a * a - 1) * (b * b - 1)),
-], ids=["usp", "so", "ominus"])
+    ("unitary", 1, lambda a, b: a * b),
+], ids=["usp", "so", "ominus", "u"])
 def test_self_dual_routes_refuse_sizes_below_the_family(family, smallest, moment):
     shifts = (0.5, 0.3j)
     for route in ROUTES[family].values():
@@ -35,3 +53,9 @@ def test_self_dual_routes_refuse_sizes_below_the_family(family, smallest, moment
             route(smallest - 1, shifts, 0, None)
         assert complex(route(smallest, shifts, 0, None)) == pytest.approx(moment(*shifts),
                                                                            abs=1e-14)
+    contour, sign = CONTOURS[family]
+    for N in (-1, smallest - 1):
+        with pytest.raises(ValueError, match=f"must be >= {smallest}"):
+            contour(N, ALPHAS)
+    w = [cmath.exp(sign * a) for a in ALPHAS]
+    assert complex(contour(smallest, ALPHAS)) == pytest.approx(moment(*w), abs=1e-12)

@@ -23,7 +23,9 @@ from rmt_autocorr.precision import PrecisionConfig, _generic_det, ops_for
 from rmt_autocorr.symcore import (
     IndexFamily,
     _exterior_sum,
+    _homogeneous_rows,
     bialternant_sum,
+    complete_homogeneous,
     divided_difference_sum,
     partial_family,
     so_index_families,
@@ -393,6 +395,34 @@ def test_bialternant_examples():
 def test_bialternant_near_confluent_raises():
     with pytest.raises(NearConfluent):
         schur_bialternant(Partition((2, 0)), [1.0, 1.0 + 1e-9])
+
+
+def _prefix_pass(max_degree, points, num):
+    """h_0..h_max_degree of the points by their own pass of the recurrence."""
+    h = [num.one] + [num.zero] * max_degree
+    for p in points:
+        x = num.scalar(p)
+        for d in range(1, max_degree + 1):
+            h[d] = h[d] + x * h[d - 1]
+    return h
+
+
+@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
+@pytest.mark.parametrize("points", [(0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j),
+                                    (0.7 + 0.3j, 1.1, 1.1, -0.5 + 0.6j)],
+                         ids=["separated", "coincident"])
+@pytest.mark.parametrize("N", [1, 8, 32])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_one_pass_rows_are_the_per_prefix_passes(prec, points, N, k):
+    # the divided-difference table of a USp sum, row r = h of w_1..w_(r+1),
+    # from one pass equals k passes, one per prefix, bit for bit
+    pts, top = points[:k], 2 * N + k - 1
+    num = ops_for(prec)
+    with num.guard():
+        rows = [list(h) for h in _homogeneous_rows(num, top, pts)][1:]
+        for r in range(k):
+            assert rows[r][:top + 1 - r] == _prefix_pass(top - r, pts[:r + 1], num)
+            assert rows[r][:top + 1 - r] == complete_homogeneous(top - r, pts[:r + 1], prec)
 
 
 def test_schur_stable_confluent_values():

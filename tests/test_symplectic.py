@@ -184,6 +184,17 @@ def test_large_n_ratio():
         sp_large_n_ratio([0.0], 100)
 
 
+@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
+def test_large_n_ratio_refuses_a_vanishing_exact_divisor(prec):
+    # b = pi i at N = 1: 1 - exp(-2b/N) = 0, the diagonal pole of the exact sum
+    with pytest.raises(PoleHit):
+        sp_large_n_ratio([math.pi * 1j], 1, prec)
+    with pytest.raises(PoleHit):
+        sp_large_n_ratio([0.5, 2 * math.pi * 1j - 0.5], 1, prec)
+    # a small b / N still answers: the divisor is about b / N itself
+    assert abs(complex(sp_large_n_ratio([1e-3], 10 ** 6, prec)) - 1) <= 2e-6
+
+
 @pytest.mark.parametrize("N", [0, -3])
 def test_large_n_ratio_refuses_sizes_below_one(N):
     with pytest.raises(ValueError, match="N must be >= 1"):

@@ -24,6 +24,7 @@ from rmt_autocorr import (
     weyl_autocorrelation,
 )
 from rmt_autocorr.haar import autocorr_integrand
+from rmt_autocorr.routes import ROUTES
 
 
 def _random_shifts(rng, n, lo=0.5, hi=2.0, sep=0.3):
@@ -50,6 +51,20 @@ def test_det_route_examples():
     assert complex(autocorr_det(UnitaryQuery(4, 3, (0.5, 1.5, 2j)))) == pytest.approx(1.0)
     with pytest.raises(NearConfluent):
         autocorr_det(UnitaryQuery(2, 1, (1.0, 1.0 + 1e-9)))
+
+
+@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
+def test_det_route_refusals_and_no_shifts(prec):
+    det = ROUTES["unitary"]["det"]
+    assert det(3, (), 0, prec) == 1
+    with pytest.raises(NearConfluent):
+        det(2, (1.0, 1.0 + 1e-9), 1, prec)
+    with pytest.raises(NearConfluent):
+        det(4, (0.5j, 0.7, 0.5j), 0, prec)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        det(0, (0.5, 0.3j), 1, prec)
+    with pytest.raises(ValueError, match="0 <= m <= n"):
+        det(2, (0.5, 0.3j), 3, prec)
 
 
 def test_comb_route_examples():
