@@ -24,12 +24,18 @@ The two lemma checks evaluate both sides (block-ordered permutation sum
 vs n-fold integral, and sign-vector sum vs k-fold integral) from their
 printed definitions and report the residual.  Each contour route is one
 of the two lemmas applied to an exp-pole kernel, so the routes build
-their integrands with the same two builders.
+their integrands with the same two builders.  With the package's
+`exp_pole`, f(x) = 1/(1 - e^{-x}), a kernel forms each pair table
+f(z_i +- z_j) as 1/(1 - u_i u_j) from the per-variable exponentials
+u = e^{-+z}: one outer product, a subtraction and a reciprocal, with no
+complex exp on the M x M grid.  Any other pole is called on z_i +- z_j.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -55,6 +61,12 @@ class ContourConfig:
     nodes_per_dim: int = 128
 
     def __post_init__(self) -> None:
+        # the circles lay ceil(M) nodes but the sum divides by M^d: a
+        # fractional M is silently wrong
+        try:
+            operator.index(self.nodes_per_dim)
+        except TypeError:
+            raise ValueError("nodes_per_dim must be an integer") from None
         if self.nodes_per_dim < 16:
             raise ValueError("nodes_per_dim must be >= 16")
 
@@ -191,6 +203,19 @@ def exp_pole(x):
     return 1.0 / (1.0 - np.exp(-x))
 
 
+def _pair_poles(pole: Callable, xs: Sequence, ys: Sequence,
+                pairs: Iterable[tuple[int, int]]) -> Iterator:
+    """f(x_i + y_j) for each (i, j) of `pairs`.  For `exp_pole` that is
+    1 / (1 - e^{-x_i} e^{-y_j}): one exp per variable and, per pair, an
+    outer product, a subtraction and a reciprocal, so an M x M table costs
+    no complex exp.  Any other pole is called on x_i + y_j."""
+    if pole is not exp_pole:
+        return (pole(xs[i] + ys[j]) for i, j in pairs)
+    ex = [np.exp(-x) for x in xs]
+    ey = ex if ys is xs else [np.exp(-y) for y in ys]
+    return (1.0 / (1.0 - ex[i] * ey[j]) for i, j in pairs)
+
+
 def exp_sum(c: complex, zs: Sequence) -> Iterator:
     """exp(c * sum(zs)) as its one-variable factors exp(c z), which a
     kernel's regular part may return (see `_factors_of`)."""
@@ -217,9 +242,8 @@ class BipartiteKernel:
     def factors(self, a: Sequence, b: Sequence) -> Iterator:
         """The factors of G(a; b), unmultiplied: F's, then one f(a_i - b_j) per pair."""
         yield from _factors_of(self.regular(tuple(a), tuple(b)))
-        for ai in a:
-            for bj in b:
-                yield self.pole(ai - bj)
+        yield from _pair_poles(self.pole, a, [-bj for bj in b],
+                               itertools.product(range(len(a)), range(len(b))))
 
 
 @dataclass(frozen=True)
@@ -236,8 +260,7 @@ class SymmetricKernel:
     def factors(self, a: Sequence) -> Iterator:
         """The factors of G(a), unmultiplied: F's, then one f(a_i + a_j) per pair."""
         yield from _factors_of(self.regular(tuple(a)))
-        for i, j in index_pairs(len(a), self.include_diagonal):
-            yield self.pole(a[i] + a[j])
+        yield from _pair_poles(self.pole, a, a, index_pairs(len(a), self.include_diagonal))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,11 +21,15 @@ from rmt_autocorr import (
     sp_autocorr_contour,
 )
 from rmt_autocorr.contour import (
+    _node_circles,
     assert_unit_residue,
     require_exp_kernel_radius,
+    resolve_geometry,
     sym_lemma_integrand,
     trapezoid_sum,
 )
+from rmt_autocorr.contour import exp_pole as package_exp_pole
+from rmt_autocorr.symcore import index_pairs
 
 
 def inv(x):
@@ -38,6 +43,10 @@ def exp_pole(x):
 def test_config_validation():
     with pytest.raises(ValueError):
         ContourConfig(nodes_per_dim=8)
+    # 128.5 laid 129 nodes and divided by 128.5^d: 2.5180 against 2.4891
+    with pytest.raises(ValueError):
+        sp_autocorr_contour(2, [0.1], ContourConfig(nodes_per_dim=128.5))
+    assert ContourConfig(nodes_per_dim=np.int64(32)).nodes_per_dim == 32
 
 
 def test_cauchy_kernel():
@@ -97,8 +106,13 @@ def test_unit_residue_guard():
         assert_unit_residue(np.exp)
 
 
+# the package's exp_pole takes the kernels' factored pair tables; the
+# tests' own exp_pole is a generic pole
+POLES = [inv, exp_pole, pytest.param(package_exp_pole, id="package_exp_pole")]
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
-@pytest.mark.parametrize("pole", [inv, exp_pole])
+@pytest.mark.parametrize("pole", POLES)
 def test_lemma_unitary_n2(m, pole):
     u = [0.11, -0.07 + 0.09j]
     res = lemma_unitary_check(BipartiteKernel(pole), u, m,
@@ -118,7 +132,7 @@ def test_lemma_unitary_with_regular_part():
 @pytest.mark.parametrize("variant,diagonal", [
     ("plain", True), ("plain", False), ("signed", False),
 ])
-@pytest.mark.parametrize("pole", [inv, exp_pole])
+@pytest.mark.parametrize("pole", POLES)
 @pytest.mark.parametrize("k", [1, 2])
 def test_lemma_sym(variant, diagonal, pole, k):
     alphas = [0.12, -0.08 + 0.1j][:k]
@@ -229,24 +243,103 @@ def test_trapezoid_sum_refuses_four_variables_before_evaluating():
         trapezoid_sum([np.zeros(16)] * 4, [np.ones(16)] * 4, refuse)
 
 
-@pytest.mark.parametrize("route", [
+ROUTE_ALPHAS = (0.12 + 0.05j, -0.1 + 0.13j, 0.2 - 0.11j)
+contour_routes = pytest.mark.parametrize("route", [
     lambda al, cfg: autocorr_contour(2, al, 1, cfg),
     lambda al, cfg: sp_autocorr_contour(2, al, cfg),
     lambda al, cfg: orthogonal_contour("so", 2, al, cfg),
     lambda al, cfg: orthogonal_contour("ominus", 2, al, cfg),
 ], ids=["unitary", "symplectic", "so", "ominus"])
-def test_three_variable_contour_routes_form_no_full_grid(route):
-    # one 128^3 complex grid is 32 MiB; the factored sum keeps M x M tables
-    cfg = ContourConfig(nodes_per_dim=128)
-    alphas = (0.12 + 0.05j, -0.1 + 0.13j, 0.2 - 0.11j)
+
+
+def _route_peak(route, alphas, cfg):
     route(alphas, cfg)   # lazy imports are not the route's working set
     tracemalloc.start()
     try:
         route(alphas, cfg)
-        _size, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+
+
+@contour_routes
+def test_three_variable_contour_routes_form_no_full_grid(route):
+    # one 128^3 complex grid is 32 MiB; the factored sum keeps M x M tables
+    assert _route_peak(route, ROUTE_ALPHAS, ContourConfig(nodes_per_dim=128)) <= 4 * 2 ** 20
+
+
+@contour_routes
+def test_two_variable_contour_routes_keep_few_tables(route):
+    # a 256 x 256 complex table is 1 MiB; a complex exp on a pair table
+    # holds one more of them (4.0 MiB)
+    assert _route_peak(route, ROUTE_ALPHAS[:2], ContourConfig(nodes_per_dim=256)) <= 3.5 * 2 ** 20
+
+
+@contour_routes
+@pytest.mark.parametrize("n", [2, 3])
+def test_contour_routes_exponentiate_vectors_only(route, n, monkeypatch):
+    # exp(-(z_i +- z_j)) = e^{-z_i} e^{-+z_j}: the pair tables are outer
+    # products, so no exp sees more than one circle's M nodes
+    M = 64
+    sizes = []
+    np_exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return np_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    route(ROUTE_ALPHAS[:n], ContourConfig(nodes_per_dim=M))
+    assert sizes and max(sizes) <= M
+
+
+_pole_40_digits = np.frompyfunc(
+    lambda x, y: complex(1 / (1 - mpmath.exp(-(mpmath.mpc(x) + mpmath.mpc(y))))), 2, 1)
+
+
+def _assert_pole_table(got, x, y):
+    """`got` is f(x + y) = 1/(1 - e^{-(x+y)}) to within 8u(1 + |f|) relative
+    of its 40-digit value: the rounding of e^{-(x+y)} (unit u), which 1 - e^{-s}
+    amplifies by |e^{-s} f| = |f - 1| next to the pole.  The direct formula
+    meets the same bound."""
+    with mpmath.workdps(40):
+        ref = _pole_40_digits(x, y).astype(complex)
+    bound = 8 * np.finfo(float).eps / 2 * np.abs(ref) * (1 + np.abs(ref))
+    for table in (got, 1.0 / (1.0 - np.exp(-(x + y)))):
+        assert np.all(np.abs(table - ref) <= bound)
+
+
+def _route_nodes(n, enclosed, M=64):
+    """A route's node circles around `enclosed`, circle a along axis a."""
+    circles = _node_circles(n, M, *resolve_geometry(enclosed))
+    return [c.reshape((1,) * a + (-1,) + (1,) * (n - a - 1)) for a, c in enumerate(circles)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exp_pole_pair_tables_are_the_pole_to_rounding(n):
+    # on a route's nodes a pair sum comes close to the pole, where f is
+    # large and neither form is good to 1e-14 of the other
+    alphas = list(ROUTE_ALPHAS[:n])
+    no_regular = lambda *_args: []   # noqa: E731 -- only the pole tables
+    z = _route_nodes(n, alphas)
+    for m in range(1, n):
+        got = list(BipartiteKernel(package_exp_pole, no_regular).factors(z[:m], z[m:]))
+        want = [(a, -b) for a in z[:m] for b in z[m:]]
+        assert len(got) == len(want)
+        for table, (x, y) in zip(got, want):
+            _assert_pole_table(table, x, y)
+    z = _route_nodes(n, alphas + [-a for a in alphas])
+    tables = {}
+    for diagonal in (True, False):
+        got = list(SymmetricKernel(package_exp_pole, no_regular, diagonal).factors(z))
+        pairs = index_pairs(n, diagonal)
+        assert len(got) == len(pairs)
+        for table, (i, j) in zip(got, pairs):
+            if (i, j) in tables:   # the same table without the diagonal
+                assert np.array_equal(table, tables[i, j])
+            else:
+                _assert_pole_table(table, z[i], z[j])
+                tables[i, j] = table
 
 
 @pytest.mark.parametrize("call", [

@@ -6,7 +6,8 @@ Each root is a source checkout; its package is imported from <root>/src in
 a process of its own, the two sides alternating for `ROUNDS` rounds, and a
 row keeps each side's fastest time.  Rows:
 - the four contour routes (U(N) at m = 1, USp, SO, O^-) at N = 2 on three
-  alphas with 128 nodes and on two with 256 nodes;
+  alphas with 128 nodes and on two with 128, 160 and 256 nodes, the
+  geometries of the benchmark's `checks` contour cells;
 - `weyl_autocorrelation` with three free angles per family (U(3) at m = 2,
   USp(6), SO(6), O^-(8)) at the four ROADMAP points, default nodes.
 Accuracy is the relative error against the family's closed form at 60
@@ -49,7 +50,7 @@ def cases():
     from rmt_autocorr.contour import ContourConfig
 
     out = []
-    for n, nodes in ((3, 128), (2, 256)):
+    for n, nodes in ((3, 128), (2, 128), (2, 160), (2, 256)):
         cfg, al = ContourConfig(nodes_per_dim=nodes), ALPHAS[:n]
         calls = {"unitary": (partial(unitary.autocorr_contour, 2, al, 1, cfg), 1, -1),
                  "symplectic": (partial(symplectic.sp_autocorr_contour, 2, al, cfg), 0, -1),
