@@ -56,17 +56,23 @@ GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 # exp-kernel integrands (z_i +- z_j = 2 pi i k, k != 0).
 EXP_KERNEL_MAX_RADIUS = 2.8
 
+
+def require_node_count(nodes_per_dim) -> int:
+    """nodes_per_dim as an int; ValueError for a non-integer.  A rule that
+    lays int(M) or ceil(M) nodes but weights them by 1/M is silently wrong
+    at a fractional M."""
+    try:
+        return operator.index(nodes_per_dim)
+    except TypeError:
+        raise ValueError("nodes_per_dim must be an integer") from None
+
+
 @dataclass(frozen=True)
 class ContourConfig:
     nodes_per_dim: int = 128
 
     def __post_init__(self) -> None:
-        # the circles lay ceil(M) nodes but the sum divides by M^d: a
-        # fractional M is silently wrong
-        try:
-            operator.index(self.nodes_per_dim)
-        except TypeError:
-            raise ValueError("nodes_per_dim must be an integer") from None
+        require_node_count(self.nodes_per_dim)
         if self.nodes_per_dim < 16:
             raise ValueError("nodes_per_dim must be >= 16")
 

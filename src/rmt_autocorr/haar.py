@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .contour import trapezoid_sum
+from .contour import require_node_count, trapezoid_sum
 from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
@@ -224,10 +224,10 @@ def quadrature_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nda
     density one of per-angle and pair factors, so `trapezoid_sum` contracts
     M-vectors and M x M tables (at d = 3 with one matrix product) and no
     M^d array is formed.  Raises DimensionCap when the free-angle count
-    exceeds `contour.DIM_CAP`.
+    exceeds `contour.DIM_CAP`, and ValueError for a non-integer node count.
     """
     d = spec.free_angles
-    M = int(nodes_per_dim)
+    M = require_node_count(nodes_per_dim)
     if M < 4:
         raise ValueError("nodes_per_dim too small")
     moment = _moment_of(spec, integrand)

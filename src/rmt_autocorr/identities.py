@@ -1,7 +1,7 @@
 """Executable forms of the supporting determinant/subset identities.
 
 Each check evaluates both sides of one printed identity independently
-(nothing shared beyond the Vandermonde and the subset statistics) and
+(nothing shared beyond the Vandermonde and the subset sign exponent) and
 returns the absolute difference, so a transcription error on either side
 shows up as a nonzero residual rather than cancelling silently.
 
@@ -13,15 +13,17 @@ one actually vanishes instead of resolving the discrepancy by fiat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import reduce
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistentCoefficients
 from .precision import PrecisionConfig, ops_for
-from .orthogonal import _subset_pairs, subset_stats
+from .orthogonal import _sign_exponent, _subset_pairs
 from .symcore import min_separation, vandermonde
 
 CONVENTION_STATEMENT = "statement"   # x^(|D|^2 - 2|D| + 1)
@@ -86,50 +88,81 @@ def lemma1_residual(coeffs: Sequence[complex], shifts: Sequence[complex],
 
 
 def _subset_cache(shifts: Sequence[complex], r: int, prec: PrecisionConfig | None):
-    """Per-subset data of one shift vector, reused at every x: |C|, |D|, the
-    cross products w_a w_b (a in C, b in D), and (-1)^S Delta(C) Delta(D)
-    times w_C^r and, for |C| even only (else None), times w_C^(n-2)."""
+    """The three signed subset sums of one shift vector as Laurent
+    polynomials in x, for `_subset_sums` to evaluate at every x: F_n(w; x; r)
+    and the |C|-even sum of identity 3 (with w_C^(n-2)) under the statement
+    and the prose exponent, each as `_laurent`'s (lo, E, O).
+
+    Each subset pair's prod (X - w_a w_b), which (C, D) shares with (D, C),
+    is expanded in X = x^2 once and added, times (-1)^S Delta(C) Delta(D)
+    w_C^r (or w_C^(n-2)), into the slot of its exponent of x: d^2 + (r - n) d
+    at |D| = d for F_n, and (d - 1)^2 (statement) and (d + 1)^2 (prose) for
+    identity 3.  The Deltas and the cross products come from one difference
+    and one product table."""
     num = ops_for(prec)
     n = len(shifts)
     w = [num.scalar(x) for x in shifts]
-    cache = []
+    diff = [[wj - wi for wj in w] for wi in w]
+    cross = [[wa * wb for wb in w] for wa in w]
+    sums = ({}, {}, {})   # {power of x: coefficient} of F_n, statement, prose
+    polys = {}            # prod (X - w_a w_b), constant term first, by C
     for C, D in _subset_pairs(n):
-        st = subset_stats(C, D, shifts, prec)
-        base = (-num.one if st.S % 2 else num.one) * st.delta_A * st.delta_B
-        cache.append((len(C), len(D), [w[a] * w[b] for a in C for b in D], base * st.w_A ** r,
-                      None if len(C) % 2 else base * st.w_A ** (n - 2)))
-    return cache
+        base = math.prod((diff[i][j] for part in (C, D) for i, j in combinations(part, 2)),
+                         start=-num.one if _sign_exponent(C, D)[0] % 2 else num.one)
+        poly = polys.pop(D, None)   # (D, C) has the same product
+        if poly is None:
+            poly = [num.one]
+            for p in (cross[a][b] for a in C for b in D):
+                poly = [s - p * t for s, t in zip([num.zero] + poly, poly + [num.zero])]
+            polys[C] = poly
+        w_C = math.prod((w[a] for a in C), start=num.one)
+        d = len(D)
+        _add(sums[0], d * d + (r - n) * d, base * w_C ** r, poly)
+        if len(C) % 2 == 0:
+            coef = base * w_C ** (n - 2)
+            _add(sums[1], (d - 1) ** 2, coef, poly)
+            _add(sums[2], (d + 1) ** 2, coef, poly)
+    return tuple(_laurent(terms, num) for terms in sums)
+
+
+def _add(terms: dict, e: int, coef, poly: list) -> None:
+    """terms += coef x^e poly(x^2), terms keyed by the power of x."""
+    for k, t in enumerate(poly):
+        terms[e + 2 * k] = terms.get(e + 2 * k, 0) + coef * t
+
+
+def _laurent(terms: dict, num) -> tuple:
+    """(lo, E, O) with sum_p terms[p] x^p = x^lo (E(x^2) + x O(x^2)), E and
+    O constant term first; O is empty when every power has lo's parity."""
+    lo, hi = min(terms), max(terms)
+    E, O = ([terms.get(p, num.zero) for p in range(first, hi + 1, 2)] for first in (lo, lo + 1))
+    return lo, E, O if any((p - lo) % 2 for p in terms) else []
+
+
+def _horner(coeffs: list, X):
+    """sum_k coeffs[k] X^k over a nonempty coefficient list."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * X + c
+    return acc
 
 
 def _subset_sums(cache, x, r: int, num):
     """F_n(w; x; r) and the |C|-even sums of identity 3 under the statement
-    and the prose exponent, at one x.
-
-    Each subset pair's prod (x^2 - w_a w_b) is formed once and shared by the
-    three sums, and x^e once per distinct exponent, with 0^0 = 1 at x = 0.
-    The exponents of |D| = d are d^2 + (r - n) d for F_n, and (d - 1)^2
-    (statement) and (d + 1)^2 (prose) for identity 3.
+    and the prose exponent, at one x: each of `_subset_cache`'s polynomials
+    x^lo (E(x^2) + x O(x^2)) by Horner's rule in x^2, with 0^0 = 1 at x = 0.
+    r is the one the cache was built with.  Raises ValueError at x = 0 when
+    an exponent is negative.
     """
-    n = cache[0][0] + cache[0][1]
-    exponents = {e for d in range(n + 1) for e in (d * d + (r - n) * d, (d - 1) ** 2, (d + 1) ** 2)}
-    if abs(x) == 0:
-        if min(exponents) < 0:
-            raise ValueError("x = 0 is not allowed when exponents go negative")
-        power = {e: num.one if e == 0 else num.zero for e in exponents}
-    else:
-        power = {e: x ** e if e >= 0 else num.one / x ** (-e) for e in exponents}
+    if x == 0 and min(lo for lo, _, _ in cache) < 0:
+        raise ValueError("x = 0 is not allowed when exponents go negative")
     xx = x * x
-    fn, statement, prose = [], [], []
-    for c, d, pairs, coef_r, coef_even in cache:
-        t = num.one
-        for p in pairs:
-            t = t * (xx - p)
-        fn.append(t * coef_r * power[d * d + (r - n) * d])
-        if coef_even is not None:
-            t = t * coef_even
-            statement.append(t * power[(d - 1) ** 2])
-            prose.append(t * power[(d + 1) ** 2])
-    return num.fsum(fn), num.fsum(statement), num.fsum(prose)
+
+    def value(lo, E, O):
+        v = _horner(E, xx) + x * _horner(O, xx) if O else _horner(E, xx)
+        return v if lo == 0 else v * x ** lo if lo > 0 else v / x ** -lo
+
+    return tuple(value(*poly) for poly in cache)
 
 
 def identity2_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:

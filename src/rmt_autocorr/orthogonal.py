@@ -11,8 +11,9 @@ The coset average I(O^-(2N), w), defined with its (-1)^k sign, factors as
 prod (w_m^2 - 1) times the symplectic-style sum at size parameter N - 1,
 and has a signed sign-vector closed form (note the extra prod eps_j).
 
-The subset statistics record (w_A, S, W, E, D, Delta, script-E) feeds both
-the closed forms here and the standalone identity checks.
+The subset statistics record (w_A, S, W, E, D, Delta, script-E) feeds the
+closed forms here; its sign exponent S (`_sign_exponent`) also signs the
+subset sums of the standalone identity checks.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ class SubsetStats:
     cal_E_A: complex
 
 
+def _sign_exponent(A: Sequence[int], B: Sequence[int]) -> tuple[int, int]:
+    """(S, W) of the subset pair: W = #{a in A, b in B: a > b} and
+    S = |A||B| + |A|(|A|+1)/2 + W."""
+    W = sum(1 for a in A for b in B if a > b)
+    return len(A) * len(B) + len(A) * (len(A) + 1) // 2 + W, W
+
+
 def subset_stats(A: Sequence[int], B: Sequence[int], shifts: Sequence[complex],
                  prec: PrecisionConfig | None = None) -> SubsetStats:
     m = len(shifts)
@@ -84,8 +92,7 @@ def subset_stats(A: Sequence[int], B: Sequence[int], shifts: Sequence[complex],
     with num.guard():
         w = [num.scalar(x) for x in shifts]
         w_A = [w[a] for a in A]
-        W = sum(1 for a in A for b in B if a > b)
-        S = len(A) * len(B) + len(A) * (len(A) + 1) // 2 + W
+        S, W = _sign_exponent(A, B)
         return SubsetStats(
             w_A=math.prod(w_A, start=num.one),
             S=S,

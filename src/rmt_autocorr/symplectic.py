@@ -164,8 +164,9 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     (eps_i b_i + eps_j b_j)^(-1) pair factors; the ratio tends to 1.  Both
     sides are evaluated through the closed forms (exp(b_j) directly, and
     expm1 for the denominators), so N = 10^4 costs the same as N = 10.
-    Raises PoleHit for a zero b_j, and where a pair factor x = eps_i b_i +
-    eps_j b_j or 1 - exp(-x / N) vanishes relative to its size.
+    Raises PoleHit for a zero b_j, where a pair factor x = eps_i b_i +
+    eps_j b_j or 1 - exp(-x / N) vanishes relative to its size, and where
+    the asymptotic sum cancels to below 1e-12 of the sum of its terms' moduli.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -186,5 +187,10 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
         powers = {(j, e): num.exp(e * x) for j, x in enumerate(bs) for e in (1, -1)}
         exact = _sign_vector_sum(num, k, pairs, powers, divisors)
         asym = _sign_vector_sum(num, k, pairs, powers, xs)
+        # sum |term| of the asymptotic sum: the same sum over the moduli
+        size = _sign_vector_sum(num, k, pairs, {key: abs(p) for key, p in powers.items()},
+                                {key: abs(x) for key, x in xs.items()})
+        if abs(asym) < 1e-12 * abs(size):
+            raise PoleHit("the asymptotic sign-vector sum cancels")
         # the common e^{sum b} prefactors cancel in the ratio
         return exact / (num.scalar(N) ** ((k * k + k) // 2) * asym)

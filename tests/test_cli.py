@@ -198,6 +198,15 @@ def test_scaling_cli(capsys):
     assert set(report) == {"error", "detail"} and report["error"] == "PoleHit"
 
 
+def test_scaling_refuses_a_cancelling_asymptotic_sum(capsys):
+    # b = pi i: e^b = e^(-b) = -1 and the two terms -1/(2b) and -1/(-2b) of the
+    # asymptotic sum cancel to rounding; the ratio read -1.28e16 at N = 2
+    code, out, _ = run_cli(capsys, "scaling", "--b", "3.141592653589793i", "--N-list", "2")
+    assert code == 3
+    report = json.loads(out)
+    assert report["error"] == "PoleHit" and "asymptotic" in report["detail"]
+
+
 def test_alpha_input_conventions(capsys):
     # usp: w = exp(-alpha)
     code, out, _ = run_cli(capsys, "compute", "--group", "usp", "--N", "1",

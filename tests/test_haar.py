@@ -121,6 +121,18 @@ def test_quadrature_refuses_node_counts_that_alias(fam, N, shifts, m):
     assert weyl_autocorrelation(spec, shifts, m, nodes_per_dim=M + 1) == pytest.approx(exact, rel=1e-12)
 
 
+def test_quadrature_refuses_non_integer_node_counts():
+    # 6.9 clears USp(4)'s alias bound 2N + k = 6, but int(6.9) = 6 nodes alias
+    # (1.4413 against 1.6681); an integer-valued numpy count is fine
+    spec, shifts = group("usp", 2), (0.5, 0.3)
+    with pytest.raises(ValueError, match="integer"):
+        weyl_autocorrelation(spec, shifts, nodes_per_dim=6.9)
+    with pytest.raises(ValueError, match="integer"):
+        quadrature_average(spec, lambda T: np.ones(len(T)), nodes_per_dim=16.0)
+    value = weyl_autocorrelation(spec, shifts, nodes_per_dim=np.int64(7))
+    assert value == pytest.approx(complex(sp_autocorr_eps(2, shifts)), rel=1e-12)
+
+
 def test_symplectic_quadrature_hand_integral():
     # integral of (5 - 4 cos t)(2/pi) sin^2 t over (0, pi) equals 5
     spec = group("usp", 1)

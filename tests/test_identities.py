@@ -20,6 +20,7 @@ from rmt_autocorr import (
     run_identity_suite,
     symmb_coeff_transform,
 )
+from rmt_autocorr import identities
 from rmt_autocorr.identities import (
     CONVENTION_PROSE,
     CONVENTION_STATEMENT,
@@ -238,6 +239,28 @@ def test_suite_double_precision():
     assert d["trials"] == 60 and set(d["max_residuals"]) == {
         "identity1", "lemma1", "identity2", "fn_zero", "fn_witness",
         "fn_random", "identity3", "identity4"}
+
+
+@pytest.mark.parametrize("prec, trials", [(None, 8), (PrecisionConfig.extended(40), 2)])
+def test_suite_evaluates_every_x(monkeypatch, prec, trials):
+    # per trial: one cache, and the sums at 1, 0, the n(n - 1) witnesses
+    # +-sqrt(w_a w_b) and every random x; a faster sweep must not check fewer points
+    calls = []   # [n, _subset_sums calls] per _subset_cache call
+    build, evaluate = identities._subset_cache, identities._subset_sums
+
+    def cache(shifts, r, prec):
+        calls.append([len(shifts), 0])
+        return build(shifts, r, prec)
+
+    def sums(*args):
+        calls[-1][1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(identities, "_subset_cache", cache)
+    monkeypatch.setattr(identities, "_subset_sums", sums)
+    run_identity_suite(trials, 5, prec, n_min=2, n_max=5, random_x_count=7)
+    assert len(calls) == trials
+    assert all(count == 2 + n * (n - 1) + 7 for n, count in calls)
 
 
 def test_suite_extended_precision():
