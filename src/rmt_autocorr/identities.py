@@ -1,9 +1,10 @@
 """Executable forms of the supporting determinant/subset identities.
 
 Each check evaluates both sides of one printed identity independently
-(nothing shared beyond the Vandermonde and the subset sign exponent) and
-returns the absolute difference, so a transcription error on either side
-shows up as a nonzero residual rather than cancelling silently.
+and returns the absolute difference, so a transcription error on either
+side shows up as a nonzero residual rather than cancelling silently.  The
+subset sums share one subset-pair walk (`orthogonal._subset_terms`) with
+the SO(2N) closed forms; beyond it and the Vandermonde, nothing is shared.
 
 The x-exponent of the |C|-even identity is printed two ways in its
 source material (|D|^2 - 2|D| + 1 in the statement, |D|^2 + 2|D| + 1 in
@@ -13,17 +14,15 @@ one actually vanishes instead of resolving the discrepancy by fiat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistentCoefficients
 from .precision import PrecisionConfig, ops_for
-from .orthogonal import _sign_exponent, _subset_pairs
+from .orthogonal import _subset_terms
 from .symcore import min_separation, vandermonde
 
 CONVENTION_STATEMENT = "statement"   # x^(|D|^2 - 2|D| + 1)
@@ -89,33 +88,26 @@ def lemma1_residual(coeffs: Sequence[complex], shifts: Sequence[complex],
 
 def _subset_cache(shifts: Sequence[complex], r: int, prec: PrecisionConfig | None):
     """The three signed subset sums of one shift vector as Laurent
-    polynomials in x, for `_subset_sums` to evaluate at every x: F_n(w; x; r)
-    and the |C|-even sum of identity 3 (with w_C^(n-2)) under the statement
-    and the prose exponent, each as `_laurent`'s (lo, E, O).
+    polynomials in x, each in `_laurent`'s (lo, step, coeffs) form for
+    `_laurent_at`: F_n(w; x; r) and the |C|-even sum of identity 3 (with
+    w_C^(n-2)) under the statement and the prose exponent.
 
     Each subset pair's prod (X - w_a w_b), which (C, D) shares with (D, C),
     is expanded in X = x^2 once and added, times (-1)^S Delta(C) Delta(D)
     w_C^r (or w_C^(n-2)), into the slot of its exponent of x: d^2 + (r - n) d
     at |D| = d for F_n, and (d - 1)^2 (statement) and (d + 1)^2 (prose) for
-    identity 3.  The Deltas and the cross products come from one difference
-    and one product table."""
+    identity 3.  The pairs' factors come from `_subset_terms`."""
     num = ops_for(prec)
     n = len(shifts)
-    w = [num.scalar(x) for x in shifts]
-    diff = [[wj - wi for wj in w] for wi in w]
-    cross = [[wa * wb for wb in w] for wa in w]
     sums = ({}, {}, {})   # {power of x: coefficient} of F_n, statement, prose
     polys = {}            # prod (X - w_a w_b), constant term first, by C
-    for C, D in _subset_pairs(n):
-        base = math.prod((diff[i][j] for part in (C, D) for i, j in combinations(part, 2)),
-                         start=-num.one if _sign_exponent(C, D)[0] % 2 else num.one)
+    for C, D, base, w_C, cross in _subset_terms([num.scalar(x) for x in shifts], num):
         poly = polys.pop(D, None)   # (D, C) has the same product
         if poly is None:
             poly = [num.one]
-            for p in (cross[a][b] for a in C for b in D):
+            for p in cross:
                 poly = [s - p * t for s, t in zip([num.zero] + poly, poly + [num.zero])]
             polys[C] = poly
-        w_C = math.prod((w[a] for a in C), start=num.one)
         d = len(D)
         _add(sums[0], d * d + (r - n) * d, base * w_C ** r, poly)
         if len(C) % 2 == 0:
@@ -132,37 +124,24 @@ def _add(terms: dict, e: int, coef, poly: list) -> None:
 
 
 def _laurent(terms: dict, num) -> tuple:
-    """(lo, E, O) with sum_p terms[p] x^p = x^lo (E(x^2) + x O(x^2)), E and
-    O constant term first; O is empty when every power has lo's parity."""
-    lo, hi = min(terms), max(terms)
-    E, O = ([terms.get(p, num.zero) for p in range(first, hi + 1, 2)] for first in (lo, lo + 1))
-    return lo, E, O if any((p - lo) % 2 for p in terms) else []
+    """(lo, step, coeffs) with sum_p terms[p] x^p = x^lo sum_k coeffs[k]
+    x^(step k): step 2 when every power has lo's parity, else 1."""
+    lo = min(terms)
+    step = 1 if any((p - lo) % 2 for p in terms) else 2
+    return lo, step, [terms.get(p, num.zero) for p in range(lo, max(terms) + 1, step)]
 
 
-def _horner(coeffs: list, X):
-    """sum_k coeffs[k] X^k over a nonempty coefficient list."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * X + c
-    return acc
-
-
-def _subset_sums(cache, x, r: int, num):
-    """F_n(w; x; r) and the |C|-even sums of identity 3 under the statement
-    and the prose exponent, at one x: each of `_subset_cache`'s polynomials
-    x^lo (E(x^2) + x O(x^2)) by Horner's rule in x^2, with 0^0 = 1 at x = 0.
-    r is the one the cache was built with.  Raises ValueError at x = 0 when
-    an exponent is negative.
-    """
-    if x == 0 and min(lo for lo, _, _ in cache) < 0:
+def _laurent_at(poly: tuple, x):
+    """A (lo, step, coeffs) polynomial at x by Horner's rule in x^step, with
+    0^0 = 1; raises ValueError at x = 0 when lo is negative."""
+    lo, step, coeffs = poly
+    if x == 0 and lo < 0:
         raise ValueError("x = 0 is not allowed when exponents go negative")
-    xx = x * x
-
-    def value(lo, E, O):
-        v = _horner(E, xx) + x * _horner(O, xx) if O else _horner(E, xx)
-        return v if lo == 0 else v * x ** lo if lo > 0 else v / x ** -lo
-
-    return tuple(value(*poly) for poly in cache)
+    X = x * x if step == 2 else x
+    v = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        v = v * X + c
+    return v if lo == 0 else v * x ** lo if lo > 0 else v / x ** -lo
 
 
 def identity2_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
@@ -177,12 +156,16 @@ def fn_eval(shifts: Sequence[complex], x: complex, r: int,
     """The two-block polynomial F_n(w; x; r); identically zero at r = n - 1.
 
     Subset sum of (-1)^S w_C^r Delta(C) Delta(D) prod (x^2 - w_a w_b)
-    x^(|D|^2 + (r - n)|D|), with 0^0 = 1 at x = 0.
+    x^(|D|^2 + (r - n)|D|), with 0^0 = 1 at x = 0.  Raises ValueError where
+    a negative power of x or of w_C would divide by zero.
     """
     num = ops_for(prec)
     with num.guard():
-        cache = _subset_cache(shifts, r, prec)
-        return _subset_sums(cache, num.scalar(x), r, num)[0]
+        try:
+            fn = _subset_cache(shifts, r, prec)[0]
+        except ZeroDivisionError as exc:   # w_C ** r at w_C = 0
+            raise ValueError("a zero shift is not allowed when r < 0") from exc
+        return _laurent_at(fn, num.scalar(x))
 
 
 def identity3_residual(shifts: Sequence[complex], x: complex,
@@ -197,10 +180,10 @@ def identity3_residual(shifts: Sequence[complex], x: complex,
     num = ops_for(prec)
     n = len(shifts)
     with num.guard():
-        # r = n - 1 keeps F_n's exponents >= 0, so x = 0 is allowed here too
-        cache = _subset_cache(shifts, n - 1, prec)
-        _, statement, prose = _subset_sums(cache, num.scalar(x), n - 1, num)
-        return float(abs(statement if convention == CONVENTION_STATEMENT else prose))
+        # r shapes only F_n, which is not read here; r = n - 1 >= 1 keeps w_C^r finite
+        _, statement, prose = _subset_cache(shifts, n - 1, prec)
+        poly = statement if convention == CONVENTION_STATEMENT else prose
+        return float(abs(_laurent_at(poly, num.scalar(x))))
 
 
 def identity4_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:
@@ -330,21 +313,18 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
             bump("identity1", identity1_residual(shifts, prec))
             bump("lemma1", lemma1_residual(coeffs, shifts, prec))
 
-            r = n - 1
-            cache = _subset_cache(shifts, r, prec)
-            bump("identity2", float(abs(_subset_sums(cache, num.one, r, num)[0])))
-            bump("fn_zero", float(abs(_subset_sums(cache, num.zero, r, num)[0])))
+            fn, statement, prose = _subset_cache(shifts, n - 1, prec)
+            bump("identity2", float(abs(_laurent_at(fn, num.one))))
+            bump("fn_zero", float(abs(_laurent_at(fn, num.zero))))
             for a in range(n):
                 for b in range(a + 1, n):
                     root = num.sqrt(num.scalar(shifts[a]) * num.scalar(shifts[b]))
                     for signed_root in (root, -root):
-                        bump("fn_witness", float(abs(
-                            _subset_sums(cache, signed_root, r, num)[0])))
-            for x in xs:
-                fn, statement, prose = _subset_sums(cache, num.scalar(x), r, num)
-                bump("fn_random", float(abs(fn)))
-                bump("identity3", float(abs(statement)))
-                prose_max = _nan_max(prose_max, float(abs(prose)))
+                        bump("fn_witness", float(abs(_laurent_at(fn, signed_root))))
+            for x in map(num.scalar, xs):
+                bump("fn_random", float(abs(_laurent_at(fn, x))))
+                bump("identity3", float(abs(_laurent_at(statement, x))))
+                prose_max = _nan_max(prose_max, float(abs(_laurent_at(prose, x))))
 
             bump("identity4", identity4_residual(shifts, prec))
 

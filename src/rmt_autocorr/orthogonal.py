@@ -11,9 +11,9 @@ The coset average I(O^-(2N), w), defined with its (-1)^k sign, factors as
 prod (w_m^2 - 1) times the symplectic-style sum at size parameter N - 1,
 and has a signed sign-vector closed form (note the extra prod eps_j).
 
-The subset statistics record (w_A, S, W, E, D, Delta, script-E) feeds the
-closed forms here; its sign exponent S (`_sign_exponent`) also signs the
-subset sums of the standalone identity checks.
+One subset-pair walk (`_subset_terms`) feeds the closed forms here and the
+subset sums of the standalone identity checks; the subset statistics record
+(w_A, S, W, E, D, Delta, script-E) is the per-pair reference for the tests.
 """
 
 from __future__ import annotations
@@ -105,11 +105,21 @@ def subset_stats(A: Sequence[int], B: Sequence[int], shifts: Sequence[complex],
         )
 
 
-def _subset_pairs(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _subset_terms(w: list, num) -> Iterator[tuple]:
+    """(C, D, (-1)^S Delta(C) Delta(D), w_C, [w_a w_b for a in C, b in D])
+    for every ordered subset pair of the working-precision shifts w, C read
+    off the bits of a mask from 0 to 2^m - 1; the Deltas and the cross
+    products come from one difference and one product table."""
+    m = len(w)
+    diff = [[wj - wi for wj in w] for wi in w]
+    cross = [[wa * wb for wb in w] for wa in w]
     for mask in range(2 ** m):
-        A = tuple(i for i in range(m) if (mask >> i) & 1)
-        B = tuple(i for i in range(m) if not (mask >> i) & 1)
-        yield A, B
+        C = tuple(i for i in range(m) if (mask >> i) & 1)
+        D = tuple(i for i in range(m) if not (mask >> i) & 1)
+        base = math.prod((diff[i][j] for part in (C, D) for i, j in combinations(part, 2)),
+                         start=-num.one if _sign_exponent(C, D)[0] % 2 else num.one)
+        yield (C, D, base, math.prod((w[a] for a in C), start=num.one),
+               [cross[a][b] for a in C for b in D])
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +176,9 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
     """One of the four partial determinant sums and its closed form.
 
     M and E take an even number of shifts, R and L an odd number.  The
-    closed form is the parity-restricted subset sum with script-E and
-    Vandermonde normalization; residuals at the working precision are the
-    point of returning both.
+    closed form is the parity-restricted subset sum of (-1)^(S + |C|)
+    Delta(C) Delta(D) w_C^n_max prod (1 - w_a w_b) over script-E Delta;
+    residuals at the working precision are the point of returning both.
     """
     m = len(shifts)
     if variant in ("M", "E") and m % 2:
@@ -185,13 +195,10 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         cal_e_full = math.prod((num.one - x * y for x, y in combinations(ws, 2)), start=num.one)
         if abs(complex(cal_e_full)) == 0.0:
             raise PoleHit("script-E normalization vanishes (w_i w_j = 1)")
-        terms = []
-        for A, B in _subset_pairs(m):
-            if (len(B) % 2 == 0) != want_even:
-                continue
-            st = subset_stats(A, B, shifts, prec)
-            sgn = -1 if (st.S - len(A)) % 2 else 1
-            terms.append(sgn * st.w_A ** n_max * st.E * st.delta_A * st.delta_B)
+        terms = [(-base if len(C) % 2 else base) * w_C ** n_max
+                 * math.prod((num.one - p for p in cross), start=num.one)
+                 for C, D, base, w_C, cross in _subset_terms(ws, num)
+                 if (len(D) % 2 == 0) == want_even]
         closed = num.fsum(terms) / (cal_e_full * vandermonde(ws, prec))
         return PartialSumResult(value, closed)
 

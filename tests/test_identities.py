@@ -24,8 +24,8 @@ from rmt_autocorr import identities
 from rmt_autocorr.identities import (
     CONVENTION_PROSE,
     CONVENTION_STATEMENT,
+    _laurent_at,
     _subset_cache,
-    _subset_sums,
 )
 from rmt_autocorr.precision import ops_for
 
@@ -184,15 +184,17 @@ def test_subset_sums_match_the_printed_definitions(n, digits):
         identity3 = [_printed_subset_sum(w, x, n - 2, e, True)
                      for e in (lambda d: (d - 1) ** 2, lambda d: (d + 1) ** 2)]
         for r, cache in caches.items():
+            wanted = list(zip(cache[1:], identity3))
             if x == 0 and r < n - 1:   # F_n has x^(-1) at |D| = 1
                 with pytest.raises(ValueError), num.guard():
-                    _subset_sums(cache, num.scalar(x), r, num)
-                continue
-            wanted = [_printed_subset_sum(w, x, r, lambda d: d * d + (r - n) * d, False), *identity3]
-            with num.guard():
-                got = _subset_sums(cache, num.scalar(x), r, num)
-            with mp.workdps(60):
-                for value, (total, scale) in zip(got, wanted):
+                    _laurent_at(cache[0], num.scalar(x))
+            else:
+                wanted.append((cache[0], _printed_subset_sum(w, x, r, lambda d: d * d + (r - n) * d,
+                                                             False)))
+            for poly, (total, scale) in wanted:
+                with num.guard():
+                    value = _laurent_at(poly, num.scalar(x))
+                with mp.workdps(60):
                     assert abs(mp.mpc(value) - total) <= tol * scale
 
 
@@ -243,24 +245,27 @@ def test_suite_double_precision():
 
 @pytest.mark.parametrize("prec, trials", [(None, 8), (PrecisionConfig.extended(40), 2)])
 def test_suite_evaluates_every_x(monkeypatch, prec, trials):
-    # per trial: one cache, and the sums at 1, 0, the n(n - 1) witnesses
-    # +-sqrt(w_a w_b) and every random x; a faster sweep must not check fewer points
-    calls = []   # [n, _subset_sums calls] per _subset_cache call
-    build, evaluate = identities._subset_cache, identities._subset_sums
+    # per trial: one cache; F_n at 1, 0, the n(n - 1) witnesses +-sqrt(w_a w_b)
+    # and every random x, and each identity-3 polynomial at every random x;
+    # a faster sweep must not check fewer points
+    calls = []   # [n, the cache's polynomials, their _laurent_at calls] per _subset_cache call
+    build, evaluate = identities._subset_cache, identities._laurent_at
 
     def cache(shifts, r, prec):
-        calls.append([len(shifts), 0])
-        return build(shifts, r, prec)
+        polys = build(shifts, r, prec)
+        calls.append([len(shifts), polys, [0, 0, 0]])
+        return polys
 
-    def sums(*args):
-        calls[-1][1] += 1
-        return evaluate(*args)
+    def at(poly, x):
+        _n, polys, counts = calls[-1]
+        counts[next(i for i, p in enumerate(polys) if p is poly)] += 1
+        return evaluate(poly, x)
 
     monkeypatch.setattr(identities, "_subset_cache", cache)
-    monkeypatch.setattr(identities, "_subset_sums", sums)
+    monkeypatch.setattr(identities, "_laurent_at", at)
     run_identity_suite(trials, 5, prec, n_min=2, n_max=5, random_x_count=7)
     assert len(calls) == trials
-    assert all(count == 2 + n * (n - 1) + 7 for n, count in calls)
+    assert all(counts == [2 + n * (n - 1) + 7, 7, 7] for n, _polys, counts in calls)
 
 
 def test_suite_extended_precision():
@@ -301,7 +306,10 @@ def test_suite_keeps_nan_residuals():
 
 @pytest.mark.parametrize("call", [
     lambda: symmb_coeff_transform([1.0], 0.5),
-], ids=["degree-zero"])
+    # w_C^r at w_C = 0 and r < 0
+    lambda: fn_eval([0, 0.5], 1.0, -1),
+    lambda: fn_eval([0, 0.5], 1.0, -1, PrecisionConfig.extended(40)),
+], ids=["degree-zero", "fn-zero-shift-negative-r-double", "fn-zero-shift-negative-r-ext40"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

@@ -5,11 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from rmt_autocorr import (
     ContourConfig,
     NearConfluent,
     PoleHit,
+    PrecisionConfig,
     full_o2n_average,
     group,
     monte_carlo_average,
@@ -131,6 +133,38 @@ def test_partial_sums_decompose_so(N, k):
     assert abs(total - exact) <= 1e-10 * max(1.0, abs(exact))
     for p in parts:
         assert p.residual <= 1e-10 * max(1.0, abs(complex(p.value)))
+
+
+@pytest.mark.parametrize("digits, tol", [(None, 1e-13), (40, 1e-35)], ids=["double", "ext40"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_partial_sum_closed_forms_match_subset_stats(k, digits, tol):
+    # the closed form against a 60-digit sum of subset_stats terms over
+    # script-E Delta, relative to the sum of the terms' moduli
+    prec = None if digits is None else PrecisionConfig.extended(digits)
+    ref = PrecisionConfig.extended(60)
+    spread = _random_shifts(np.random.default_rng(300 + k), k)
+    variants = ("M", "E") if k % 2 == 0 else ("R", "L")
+    for w, variant, n_max in itertools.product((spread, [0.0] + spread[1:]), variants,
+                                                (0, 1, 2, 5)):
+        terms = []
+        for A in itertools.chain.from_iterable(itertools.combinations(range(k), size)
+                                               for size in range(k + 1)):
+            B = [i for i in range(k) if i not in A]
+            if (len(B) % 2 == 0) == (variant in ("M", "R")):
+                st = subset_stats(A, B, w, ref)
+                with mp.workdps(60):
+                    terms.append((-1) ** (st.S - len(A)) * st.w_A ** n_max * st.E
+                                 * st.delta_A * st.delta_B)
+        closed = so_partial_sums(variant, n_max, w, prec).closed_form
+        with mp.workdps(60):
+            if all(t == 0 for t in terms):
+                assert closed == 0, (variant, n_max, w)
+                continue
+            ws = [mp.mpc(x) for x in w]
+            norm = mp.fprod(1 - x * y for x, y in itertools.combinations(ws, 2)) * mp.fprod(
+                y - x for x, y in itertools.combinations(ws, 2))
+            err = abs(mp.mpc(closed) - mp.fsum(terms) / norm)
+            assert err <= tol * mp.fsum(abs(t) for t in terms) / abs(norm), (variant, n_max, w)
 
 
 def test_partial_sums_parity_validation():
