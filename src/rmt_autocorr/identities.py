@@ -133,15 +133,20 @@ def _laurent(terms: dict, num) -> tuple:
 
 def _laurent_at(poly: tuple, x):
     """A (lo, step, coeffs) polynomial at x by Horner's rule in x^step, with
-    0^0 = 1; raises ValueError at x = 0 when lo is negative."""
+    0^0 = 1; raises ValueError when lo is negative and x^(-lo) is 0, at
+    x = 0 or where the power underflows."""
     lo, step, coeffs = poly
-    if x == 0 and lo < 0:
-        raise ValueError("x = 0 is not allowed when exponents go negative")
     X = x * x if step == 2 else x
     v = coeffs[-1]
     for c in coeffs[-2::-1]:
         v = v * X + c
-    return v if lo == 0 else v * x ** lo if lo > 0 else v / x ** -lo
+    if lo >= 0:
+        return v * x ** lo if lo else v
+    divisor = x ** -lo
+    if divisor == 0:
+        raise ValueError(f"x^{-lo} is 0 (x = 0, or the power underflows): "
+                         "not allowed when exponents go negative")
+    return v / divisor
 
 
 def identity2_residual(shifts: Sequence[complex], prec: PrecisionConfig | None = None) -> float:

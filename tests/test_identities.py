@@ -309,7 +309,10 @@ def test_suite_keeps_nan_residuals():
     # w_C^r at w_C = 0 and r < 0
     lambda: fn_eval([0, 0.5], 1.0, -1),
     lambda: fn_eval([0, 0.5], 1.0, -1, PrecisionConfig.extended(40)),
-], ids=["degree-zero", "fn-zero-shift-negative-r-double", "fn-zero-shift-negative-r-ext40"])
+    # F_2 at r = -1 divides by x^2, which underflows to 0 at x = 1e-200 in double
+    lambda: fn_eval([0.3, 0.5], 1e-200, -1),
+], ids=["degree-zero", "fn-zero-shift-negative-r-double", "fn-zero-shift-negative-r-ext40",
+        "fn-underflowing-x-negative-power-double"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

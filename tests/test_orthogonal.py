@@ -153,8 +153,8 @@ def test_partial_sum_closed_forms_match_subset_stats(k, digits, tol):
             if (len(B) % 2 == 0) == (variant in ("M", "R")):
                 st = subset_stats(A, B, w, ref)
                 with mp.workdps(60):
-                    terms.append((-1) ** (st.S - len(A)) * st.w_A ** n_max * st.E
-                                 * st.delta_A * st.delta_B)
+                    w_A, E, delta_A, delta_B = map(mp.mpc, (st.w_A, st.E, st.delta_A, st.delta_B))
+                    terms.append((-1) ** (st.S - len(A)) * w_A ** n_max * E * delta_A * delta_B)
         closed = so_partial_sums(variant, n_max, w, prec).closed_form
         with mp.workdps(60):
             if all(t == 0 for t in terms):
