@@ -32,7 +32,6 @@ from .errors import PoleHit
 from .precision import PrecisionConfig, _generic_det, ops_for
 from .symcore import (
     bialternant_sum,
-    divided_difference_sum,
     enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
     enumerate_so_index_sets,  # not called here; bench/tracer.py patches this binding too
     partial_family,
@@ -41,6 +40,7 @@ from .symcore import (
     vandermonde,
 )
 from .symplectic import (
+    folded_schur_sum,
     parity_index_vectors,  # not called here; bench/tracer.py patches this binding too
     reflection_contour,
     reflection_sum,
@@ -148,7 +148,7 @@ def so_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
     <= k and is either all-odd with exactly 2N nonzero parts, or all-even
     with at most 2N parts.
     """
-    return divided_difference_sum(shifts, so_index_families(len(shifts), N), prec)
+    return folded_schur_sum(N, shifts, so_index_families(len(shifts), N), prec)
 
 
 def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):

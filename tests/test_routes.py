@@ -8,10 +8,30 @@ import pytest
 from rmt_autocorr import PrecisionConfig
 from rmt_autocorr.orthogonal import orthogonal_contour
 from rmt_autocorr.routes import ROUTES, canonical_value
-from rmt_autocorr.symplectic import sp_autocorr_contour
+from rmt_autocorr.symcore import divided_difference_sum
+from rmt_autocorr.symplectic import parity_family, sp_autocorr_contour
 from rmt_autocorr.unitary import autocorr_contour
 
 SHIFTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
+# A 1e-7 pair near |w| = 1.05, where `eps` and `det` refuse, so the USp
+# canonical value is the Schur sum's; it lost every digit at N = 256 before
+# it folded |w| > 1 into the unit disk.  The reference is the unfolded Schur
+# sum at 100 digits.
+PAIR = 1.05 * cmath.exp(0.7j)
+NEAR_PAIRS = {
+    "unfolded-pair-plus-1e-7": (PAIR, PAIR + 1e-7, 0.9 * cmath.exp(2j), 1.02 * cmath.exp(-1j)),
+    "unfolded-pair-times-1+1e-7": (PAIR, PAIR * (1 + 1e-7), 0.7 + 0.3j, -0.5 + 0.6j),
+}
+
+
+def _reference(family, N, m, reference):
+    """(shifts, value) of a row: a route at 60 digits on SHIFTS, or a
+    NEAR_PAIRS cell's unfolded USp Schur sum at 100 digits."""
+    if reference in NEAR_PAIRS:
+        shifts = NEAR_PAIRS[reference]
+        families = [parity_family(len(shifts), 2 * N + len(shifts) - 1)]
+        return shifts, divided_difference_sum(shifts, families, PrecisionConfig.extended(100))
+    return SHIFTS, ROUTES[family][reference](N, SHIFTS, m, PrecisionConfig.extended(60))
 
 
 @pytest.mark.parametrize("family,N,m,reference", [
@@ -19,11 +39,13 @@ SHIFTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
     ("symplectic", 32, 0, "eps"),   # 58,905 Schur terms, off by 3e-9
     ("so", 32, 0, "eps"),
     ("ominus", 32, 0, "eps"),
+    ("symplectic", 256, 0, "unfolded-pair-plus-1e-7"),     # was off by 1.4e7
+    ("symplectic", 256, 0, "unfolded-pair-times-1+1e-7"),  # was off by 3.2e11
 ])
 def test_canonical_value_keeps_its_digits(family, N, m, reference):
-    exact = complex(ROUTES[family][reference](N, SHIFTS, m, PrecisionConfig.extended(60)))
-    value = complex(canonical_value(family, N, SHIFTS, m))
-    assert abs(value - exact) <= 1e-9 * abs(exact)
+    shifts, exact = _reference(family, N, m, reference)
+    value = complex(canonical_value(family, N, shifts, m))
+    assert abs(value - complex(exact)) <= 1e-12 * abs(complex(exact))
 
 
 # At the smallest size of each family the moment at shifts (a, b) is known:

@@ -178,6 +178,9 @@ def test_large_sums_stream_their_terms(route):
 
 INSIDE = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 0.6 - 0.4j)
 ON_CIRCLE = tuple(cmath.exp(1j * t) for t in (0.3, 1.1, 2.0, -2.5))
+# 0.5 < |w| < 1.5, three shifts outside the unit disk, where the Schur sums
+# lose every digit at N = 256 unless they fold |w| > 1 into the disk
+ANNULUS = (1.2 + 0.5j, -0.4 + 0.7j, -1.1 - 0.6j, 0.5 - 1.3j)
 
 
 @pytest.mark.parametrize("family", ["symplectic", "so", "ominus"])
@@ -185,7 +188,7 @@ ON_CIRCLE = tuple(cmath.exp(1j * t) for t in (0.3, 1.1, 2.0, -2.5))
 def test_sums_at_n256_agree_with_the_sign_vector_form(family, name):
     # about 1.9e8 terms for USp; the CLI's crosscheck tolerance, in under 0.1 s
     route = routes.ROUTES[family][name]
-    for shifts in (INSIDE, ON_CIRCLE):
+    for shifts in (INSIDE, ON_CIRCLE, ANNULUS):
         start = time.perf_counter()
         value = route(256, shifts, 0, None)
         seconds = time.perf_counter() - start

@@ -1,51 +1,46 @@
 """Before/after rows of the contour routes and the three-angle Weyl quadrature.
 
     python3 tools/bench_quadrature.py BEFORE_ROOT AFTER_ROOT > BENCH_quadrature.json
+    python3 tools/bench_quadrature.py --measure ROOT
 
-Each root is a source checkout; its package is imported from <root>/src in
-a process of its own, the two sides alternating for `ROUNDS` rounds, and a
-row keeps each side's fastest time.  Rows:
+The command lines are `bench_common`'s.  Rows:
 - the four contour routes (U(N) at m = 1, USp, SO, O^-) at N = 2 on three
   alphas with 128 nodes and on two with 128, 160 and 256 nodes, the
   geometries of the benchmark's `checks` contour cells;
 - `weyl_autocorrelation` with three free angles per family (U(3) at m = 2,
   USp(6), SO(6), O^-(8)) at the four ROADMAP points, default nodes.
-Accuracy is the relative error against the family's closed form at 60
+The error is the relative error against the family's closed form at 60
 digits (U(N): `det`, the others: `eps`), at the double shifts the route
-integrates (w = exp(-alpha) for U(N) and USp, exp(alpha) for SO and O^-).
-Memory is the tracemalloc peak of one call after a warm-up call.
+integrates (w = exp(-alpha) for U(N) and USp, exp(alpha) for SO and O^-),
+bound 1e-12.  The extra is the tracemalloc peak of one call after the
+timed calls.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
-import os
-import platform
 import sys
 import tracemalloc
 from functools import partial
 
-from bench_self_dual_sums import ROUNDS, _fastest, alternate
+from bench_common import POINTS, main, timed
 
-CALLS = 10
-POINTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
 ALPHAS = (0.12 + 0.05j, -0.1 + 0.13j, 0.2 - 0.11j)
+BOUND = 1e-12
 FAMILIES = ("unitary", "symplectic", "so", "ominus")
 
 
-def _peak(fn):
-    fn()   # lazy imports and caches are not the call's working set
+def _peak_mib(fn):
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
     finally:
         tracemalloc.stop()
 
 
 def cases():
-    """(row name, call, family, N, m, shifts) of every row, in a fresh import."""
+    """(row name, call, family, N, m, shifts) of every row."""
     from rmt_autocorr import haar, orthogonal, symplectic, unitary
     from rmt_autocorr.contour import ContourConfig
 
@@ -69,8 +64,8 @@ def cases():
 
 
 def measure(root):
-    """{row name: (seconds, accuracy, peak bytes)} of the package under root/src."""
-    sys.path.insert(0, os.path.join(root, "src"))
+    """{row: [seconds, relative error, bound, peak MiB]} of the package under
+    root/src."""
     from rmt_autocorr.precision import PrecisionConfig
     from rmt_autocorr.routes import ROUTES
 
@@ -79,37 +74,14 @@ def measure(root):
     for name, call, family, N, m, shifts in cases():
         ref = complex(ROUTES[family]["det" if family == "unitary" else "eps"](
             N, shifts, m, ref_prec))
-        peak = _peak(call)
-        rows[name] = (_fastest(call, CALLS), abs(complex(call()) - ref) / abs(ref), peak)
+        seconds, value = timed(call)
+        rows[name] = [seconds, abs(complex(value) - ref) / abs(ref), BOUND, _peak_mib(call)]
     return rows
 
 
-def main(before, after):
-    runs = alternate(__file__, before, after)
-    rows = []
-    for name in runs["before"][0]:
-        row = {"row": name}
-        for side, measured in runs.items():
-            row[f"{side}_ms"] = round(1e3 * min(m[name][0] for m in measured), 4)
-            accuracies = sorted({m[name][1] for m in measured})
-            row[f"{side}_rel_err"] = accuracies[0] if len(accuracies) == 1 else accuracies
-            row[f"{side}_peak_mib"] = round(max(m[name][2] for m in measured) / 2 ** 20, 3)
-        row["speedup"] = round(row["before_ms"] / row["after_ms"], 2)
-        rows.append(row)
-    print(json.dumps({
-        "command": "python3 tools/bench_quadrature.py BEFORE_ROOT AFTER_ROOT",
-        "hardware": f"{platform.machine()}, {os.cpu_count()} cores, "
-                    f"Python {platform.python_version()}",
-        "time": f"fastest of {ROUNDS} alternating rounds per side; each round the fastest "
-                f"of {CALLS} calls",
-        "accuracy": "relative error against the 60-digit det (U(N)) or eps (USp, SO, O^-) "
-                    "closed form at the double shifts the route integrates",
-        "memory": "tracemalloc peak of one call after a warm-up call, largest over rounds",
-        "rows": rows}, indent=1))
-
-
 if __name__ == "__main__":
-    if sys.argv[1] == "--measure":
-        print(json.dumps(measure(sys.argv[2])))
-    else:
-        main(*sys.argv[1:3])
+    sys.exit(main(__file__, measure,
+                  "relative error against the 60-digit det (U(N)) or eps (USp, SO, O^-) "
+                  "closed form at the double shifts the route integrates",
+                  {"peak_mib": "tracemalloc peak of one call after the timed calls, MiB, "
+                               "largest over rounds"}))
