@@ -136,8 +136,13 @@ def folded_schur_sum(N: int, shifts: Sequence[complex], families: Sequence[Index
     into the unit disk: on USp(2N) and SO(2N), Lambda_A(w) = w^(2N)
     Lambda_A(1/w), so the sum is taken at 1/w_j and multiplied by w_j^(2N).
     Unfolded, the sum cancels off the disk: at N = 256 on 0.5 < |w| < 1.5
-    it loses every digit in double.  The side of the circle is read in
-    double, as `abs` of a decimal scalar costs a square root."""
+    it loses every digit in double.  The fold has a cost: the rounding of
+    1/w_j and of w_j^(2N) moves the value by about 2N eps relative, as in
+    `det`, also on cells the unfolded sum got right (one shift at |w| = 1.26
+    and N = 1000: 1.3e-13 folded, 1e-15 unfolded).  Where w_j^(2N) is
+    beyond the double range, OverflowError is raised, as `det` does.  The
+    side of the circle is read in double, as `abs` of a decimal scalar
+    costs a square root."""
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]

@@ -89,3 +89,15 @@ def test_a_b_run_folds_each_side_and_records_a_failing_before(tmp_path):
     for root in (before_root, after_root):
         with open(os.path.join(root, "calls")) as f:
             assert int(f.read()) == len(seconds)
+
+
+def test_a_b_run_stops_on_a_side_that_crashes(tmp_path):
+    # a tree without rounds.json: the tool raises FileNotFoundError, which
+    # exits 1 like a broken bound but prints no rows
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    after_root = _tree(tmp_path / "after", [{"a": [1e-3, 0.0, 1e-12]}])
+    done = _run(_tool(tmp_path), str(broken), after_root)
+    assert done.returncode != 0 and done.stdout == ""
+    assert "FileNotFoundError" in done.stderr and "CalledProcessError" in done.stderr
+    assert "JSONDecodeError" not in done.stderr

@@ -1,8 +1,8 @@
 """The before/after harness of the tools that write BENCH_*.json.
 
-A tool is its rows: `measure(root, *args)` returns {row: [seconds, error,
-bound, *extras]} for the package under <root>/src, and the tool hands it to
-`main` under its `__main__` check.  Then
+A tool is its rows: `measure(root)` returns {row: [seconds, error, bound,
+*extras]} for the package under <root>/src, and the tool hands it to `main`
+under its `__main__` check.  Then
 
     python3 tools/bench_X.py BEFORE_ROOT AFTER_ROOT > BENCH_X.json
 
@@ -12,10 +12,11 @@ side's fastest time, largest error and largest extras over the rounds,
 the bound, and the speedup.  A side whose rows break their bound is still
 recorded, so a BEFORE tree that was wrong shows as wrong.
 
-    python3 tools/bench_X.py --measure ROOT [ARG ...]
+    python3 tools/bench_X.py --measure ROOT
 
 prints the rows of one side as JSON and exits 1 when a row's error is not
-<= its bound (a NaN error fails too).
+<= its bound (a NaN error fails too).  A run that crashes exits 1 as well,
+but prints no rows.
 """
 
 from __future__ import annotations
@@ -50,14 +51,16 @@ def timed(call):
 def alternate(script, before, after) -> dict:
     """{"before": [...], "after": [...]}: the rows that `script --measure
     ROOT` prints for each root, in `ROUNDS` rounds that alternate which side
-    runs first.  Exit 1, a side whose rows break their bound, is recorded;
-    any other failure raises CalledProcessError."""
+    runs first.  A side whose rows break their bound (exit 1) is recorded;
+    a run that prints no rows or exits otherwise passes its stderr on and
+    raises CalledProcessError."""
     roots, runs = {"before": before, "after": after}, {"before": [], "after": []}
     for i in range(ROUNDS):
         for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
             done = subprocess.run([sys.executable, script, "--measure", roots[side]],
                                   capture_output=True, text=True)
-            if done.returncode not in (0, 1):
+            if done.returncode not in (0, 1) or not done.stdout:
+                sys.stderr.write(done.stderr)
                 raise subprocess.CalledProcessError(done.returncode, done.args, done.stdout,
                                                     done.stderr)
             runs[side].append(json.loads(done.stdout))
@@ -86,7 +89,7 @@ def fold(runs: dict, extras=()) -> list:
 
 
 def main(script, measure, accuracy: str, extras: dict | None = None) -> int:
-    """The command line of a tool: `--measure ROOT [ARG ...]` or
+    """The command line of a tool: `--measure ROOT` or
     `BEFORE_ROOT AFTER_ROOT`.  `accuracy` says what a row's error is, and
     `extras` names the values after the bound, in order, each with what it
     is; both go into the report's header."""
@@ -94,7 +97,7 @@ def main(script, measure, accuracy: str, extras: dict | None = None) -> int:
     args = sys.argv[1:]
     if args[0] == "--measure":
         sys.path.insert(0, os.path.join(args[1], "src"))
-        rows = measure(args[1], *args[2:])
+        rows = measure(args[1])
         print(json.dumps(rows))
         bad = [row for row, (_seconds, error, bound, *_extras) in rows.items()
                if not error <= bound]

@@ -1,11 +1,10 @@
 """Before/after rows of the six self-dual determinant and Schur sums.
 
     python3 tools/bench_self_dual_sums.py BEFORE_ROOT AFTER_ROOT > BENCH_self_dual_sums.json
-    python3 tools/bench_self_dual_sums.py --measure ROOT [N ...]
+    python3 tools/bench_self_dual_sums.py --measure ROOT
 
-The command lines are `bench_common`'s; `--measure` keeps the rows at the
-given N (default: all).  Rows: the schur and det sums of USp(2N), SO(2N)
-and O^-(2N) at k = 4
+The command lines are `bench_common`'s.  Rows: the schur and det sums of
+USp(2N), SO(2N) and O^-(2N) at k = 4
 - on the ROADMAP points 0.9, 0.7+0.3i, -0.5+0.6i, 1.2-0.4i at N = 2, 8 and
   32 in double and at 40 digits, and at N = 256 and 1000 in double;
 - on the annulus points `ANNULUS` (0.5 < |w| < 1.5, three of them outside
@@ -29,7 +28,7 @@ CASES = ([(N, "", POINTS, digits) for N in (2, 8, 32) for digits in (None, 40)]
          + [(N, " annulus", ANNULUS, None) for N in (128, 256)])
 
 
-def measure(root, *sizes):
+def measure(root):
     """{row: [seconds, relative error, bound]} of the package under root/src."""
     from rmt_autocorr.precision import PrecisionConfig
     from rmt_autocorr.routes import ROUTES
@@ -37,8 +36,6 @@ def measure(root, *sizes):
     ref_prec = PrecisionConfig.extended(60)
     rows = {}
     for N, point_set, points, digits in CASES:
-        if sizes and str(N) not in sizes:
-            continue
         prec = None if digits is None else PrecisionConfig.extended(digits)
         for family, route in SUMS:
             seconds, value = timed(lambda fn=ROUTES[family][route]: fn(N, points, 0, prec))
