@@ -25,7 +25,7 @@ import sys
 import time
 from typing import Sequence
 
-from . import haar, orthogonal, routes, symplectic, unitary
+from . import haar, routes, symplectic
 from .contour import ContourConfig
 from .errors import PoleHit, RouteError
 from .identities import run_identity_suite
@@ -38,8 +38,6 @@ EXIT_FAIL = 4
 
 _METHODS_BY_FAMILY = {family: (*table, "contour", "quadrature", "montecarlo")
                       for family, table in routes.ROUTES.items()}
-# w = exp(sign * alpha): the exponentiated convention of each family's contour form
-_ALPHA_SIGN = {"unitary": -1, "symplectic": -1, "so": 1, "ominus": 1}
 
 
 class UsageError(ValueError):
@@ -123,7 +121,7 @@ def _resolve_precision(args) -> PrecisionConfig | None:
 def _query_spec(args):
     spec = haar.GroupSpec(args.group, args.N)
     if args.alpha is not None:
-        sign = _ALPHA_SIGN[spec.family]
+        _route, sign = routes.CONTOUR[spec.family]
         shifts = [cmath.exp(sign * a) for a in parse_complex_list(args.alpha)]
     else:
         shifts = parse_complex_list(args.shifts)
@@ -174,13 +172,9 @@ def _route_value(spec, shifts, m, method, args, prec):
     if method == "contour":
         if 0 in shifts:
             raise PoleHit("contour route needs nonzero shifts")
-        al = [_ALPHA_SIGN[fam] * cmath.log(w) for w in shifts]
+        route, sign = routes.CONTOUR[fam]
         cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
-        if fam == "unitary":
-            return unitary.autocorr_contour(spec.size, al, m, cfg), None
-        if fam == "symplectic":
-            return symplectic.sp_autocorr_contour(spec.size, al, cfg), None
-        return orthogonal.orthogonal_contour(fam, spec.size, al, cfg), None
+        return route(spec.size, [sign * cmath.log(w) for w in shifts], m, cfg), None
     # method == "montecarlo"
     if args.samples < 100:
         raise UsageError("--samples must be >= 100")

@@ -1,12 +1,13 @@
-"""The closed-form route table: ROUTES[family][name](N, shifts, m, prec).
-
-The split point m matters for the unitary family only.  CANONICAL[family]
-is the order in which canonical_value tries a family's routes: each but
-the last may refuse with a RouteError, and the last is total.
+"""The route tables: ROUTES[family][name](N, shifts, m, prec) are the sums,
+and CONTOUR[family] = (route, sign) is the contour form, route(N, alphas, m,
+cfg) at shifts w = exp(sign * alpha).  The split point m matters for U(N)
+only.  CANONICAL[family] is the order in which canonical_value tries the
+sums: each but the last may refuse with a RouteError, and the last is total.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from . import orthogonal, symplectic, unitary
@@ -37,10 +38,15 @@ ROUTES = {
                "eps": _self_dual(orthogonal.ominus_autocorr_eps)},
 }
 
-# The determinant and 2^k closed forms are cheap at every N and keep their
-# digits where the Schur sums lose them (Jacobi-Trudi cancellation off the
-# unit circle for U(N), binomial(k + N, k) terms for the others); the
-# Schur sum is the confluent-safe fallback.
+CONTOUR = {"unitary": (unitary.autocorr_contour, -1),
+           "symplectic": (_self_dual(symplectic.sp_autocorr_contour), -1),
+           "so": (_self_dual(partial(orthogonal.orthogonal_contour, "so")), 1),
+           "ominus": (_self_dual(partial(orthogonal.orthogonal_contour, "ominus")), 1)}
+
+# `det` keeps the digits that the U(N) Schur sum loses off the unit circle.
+# `eps` comes first for speed alone, 8-40x faster than `schur` at N = 256,
+# k = 4, but near w = 1 it is off by up to 1e14 and does not refuse (ROADMAP
+# item 1).  The Schur sum is the confluent-safe fallback.
 CANONICAL = {"unitary": ("det", "schur"), "symplectic": ("eps", "schur"),
              "so": ("eps", "schur"), "ominus": ("eps", "schur")}
 

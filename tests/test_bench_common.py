@@ -63,6 +63,14 @@ def test_measure_exits_1_when_a_row_breaks_its_bound(tmp_path, error, code):
     assert ("probe" in done.stderr) == bool(code)
 
 
+@pytest.mark.parametrize("args", [(), ("--measure",)], ids=["none", "one"])
+def test_a_wrong_argument_count_prints_the_usage_and_exits_2(tmp_path, args):
+    done = _run(_tool(tmp_path), *args)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == ["usage: python3 tools/bench_fake.py --measure ROOT",
+                                        "       python3 tools/bench_fake.py BEFORE_ROOT AFTER_ROOT"]
+
+
 def test_a_b_run_folds_each_side_and_records_a_failing_before(tmp_path):
     # bench_common.ROUNDS = 5 rounds a side; before: row "a" breaks its bound
     # in every round, and "b" is NaN in one

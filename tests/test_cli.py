@@ -336,6 +336,8 @@ def test_canonical_json_formatting():
     assert canonical_json([True, None, "x"]) == '[true,null,"x"]'
     with pytest.raises(ValueError):
         canonical_json(float("nan"))
+    with pytest.raises(TypeError):
+        canonical_json({1, 2})
 
 
 def test_shifts_and_alpha_are_mutually_exclusive():

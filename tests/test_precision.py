@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import operator
 import os
 import subprocess
 import sys
@@ -125,11 +126,18 @@ def test_conversion_from_mpmath_is_exact(dps):
     rng = np.random.default_rng(dps)
     with mp.workdps(dps):
         values = [mp.mpf(1) / 3, -mp.pi * mp.mpf(10) ** -50, mp.mpf(2) ** 300 / 7,
-                  mp.mpc(mp.sqrt(2), -mp.e), mp.mpc(*rng.normal(size=2)) / 3]
+                  mp.mpc(mp.sqrt(2), -mp.e), mp.mpc(*rng.normal(size=2)) / 3,
+                  mp.inf, mp.mpc(-mp.inf, mp.inf)]
         for v in values:
             # the binary value as a Decimal, and back through _mpc_ at the same precision
             s = num.scalar(v)
             assert mp.mpmathify(s) == v and mp.mpc(s) == mp.mpc(v)
+
+
+def test_repr_of_an_mpmath_nan_and_a_numpy_integer():
+    num = ops_for(PrecisionConfig(40))
+    assert repr(num.scalar(mp.mpc(mp.nan, -1))) == "DecimalComplex('NaN', '-1')"
+    assert repr(num.scalar(np.int64(3))) == "DecimalComplex('3', '0')"
 
 
 def test_division_by_zero_raises():
@@ -161,6 +169,10 @@ def test_scalar_mixes_with_builtin_numbers_on_either_side():
         negative_zero = num.scalar(-1) * num.zero
         assert str(negative_zero.real) == "-0"
         assert str(complex(negative_zero)) == "0j" and str(float(negative_zero)) == "0.0"
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow,
+               operator.lt):   # NotImplemented on both sides: a TypeError, as for complex
+        for args in ((z, object()), (object(), z)):
+            pytest.raises(TypeError, op, *args)
     with pytest.raises(AttributeError):
         z.real = Decimal(1)
 
@@ -172,6 +184,7 @@ def test_abs_is_a_real_that_orders_and_converts():
         assert r == 5 and float(r) == 5.0 and r.imag == 0
         assert 1e-12 * r < 1e-11 < r and r <= 5.0 and r >= num.scalar(5) and not r > 5
         assert max([abs(num.scalar(1j)), r, abs(num.scalar(-2.0))]) is r
+        assert abs(num.scalar(-3j)) == 3 and bool(num.scalar(-3j)) and not bool(num.zero)
         with pytest.raises(TypeError):
             num.scalar(1j) < 1
         with pytest.raises(TypeError):

@@ -1,16 +1,13 @@
 """The route table's canonical values."""
 
 import cmath
-import functools
 
 import pytest
 
 from rmt_autocorr import PrecisionConfig
-from rmt_autocorr.orthogonal import orthogonal_contour
-from rmt_autocorr.routes import ROUTES, canonical_value
+from rmt_autocorr.routes import CONTOUR, ROUTES, canonical_value
 from rmt_autocorr.symcore import divided_difference_sum
-from rmt_autocorr.symplectic import parity_family, sp_autocorr_contour
-from rmt_autocorr.unitary import autocorr_contour
+from rmt_autocorr.symplectic import parity_family
 
 SHIFTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
 # A 1e-7 pair near |w| = 1.05, where `eps` and `det` refuse, so the USp
@@ -52,14 +49,8 @@ def test_canonical_value_keeps_its_digits(family, N, m, reference):
 # U(1) at m = 0 is a b; USp(0) is the trivial group; SO(2) averages
 # (1 - 2w cos t + w^2) over t; O^-(2) is prod (w^2 - 1) times USp(0).  U(0),
 # SO(0) and O^-(0) are not sizes here.  The contour routes take alphas near
-# zero, at shifts w = exp(-alpha) for U(N) and USp, exp(+alpha) for SO and O^-.
+# zero, at shifts w = exp(sign * alpha).
 ALPHAS = (0.1 + 0.05j, -0.12 + 0.1j)
-CONTOURS = {
-    "unitary": (lambda N, alphas: autocorr_contour(N, alphas, 0), -1),
-    "symplectic": (sp_autocorr_contour, -1),
-    "so": (functools.partial(orthogonal_contour, "so"), 1),
-    "ominus": (functools.partial(orthogonal_contour, "ominus"), 1),
-}
 
 
 @pytest.mark.parametrize("family,smallest,moment", [
@@ -75,9 +66,9 @@ def test_self_dual_routes_refuse_sizes_below_the_family(family, smallest, moment
             route(smallest - 1, shifts, 0, None)
         assert complex(route(smallest, shifts, 0, None)) == pytest.approx(moment(*shifts),
                                                                            abs=1e-14)
-    contour, sign = CONTOURS[family]
+    contour, sign = CONTOUR[family]
     for N in (-1, smallest - 1):
         with pytest.raises(ValueError, match=f"must be >= {smallest}"):
-            contour(N, ALPHAS)
+            contour(N, ALPHAS, 0, None)
     w = [cmath.exp(sign * a) for a in ALPHAS]
-    assert complex(contour(smallest, ALPHAS)) == pytest.approx(moment(*w), abs=1e-12)
+    assert complex(contour(smallest, ALPHAS, 0, None)) == pytest.approx(moment(*w), abs=1e-12)

@@ -90,11 +90,17 @@ def fold(runs: dict, extras=()) -> list:
 
 def main(script, measure, accuracy: str, extras: dict | None = None) -> int:
     """The command line of a tool: `--measure ROOT` or
-    `BEFORE_ROOT AFTER_ROOT`.  `accuracy` says what a row's error is, and
+    `BEFORE_ROOT AFTER_ROOT`; any other argument count prints the usage and
+    returns 2.  `accuracy` says what a row's error is, and
     `extras` names the values after the bound, in order, each with what it
     is; both go into the report's header."""
     extras = extras or {}
     args = sys.argv[1:]
+    name = os.path.basename(script)
+    if len(args) != 2:
+        print(f"usage: python3 tools/{name} --measure ROOT\n"
+              f"       python3 tools/{name} BEFORE_ROOT AFTER_ROOT", file=sys.stderr)
+        return 2
     if args[0] == "--measure":
         sys.path.insert(0, os.path.join(args[1], "src"))
         rows = measure(args[1])
@@ -105,7 +111,6 @@ def main(script, measure, accuracy: str, extras: dict | None = None) -> int:
             print(f"error not within its bound: {bad}", file=sys.stderr)
         return 1 if bad else 0
     before, after = args
-    name = os.path.basename(script)
     print(json.dumps({
         "command": f"python3 tools/{name} BEFORE_ROOT AFTER_ROOT",
         "hardware": f"{platform.machine()}, {os.cpu_count()} cores, "
