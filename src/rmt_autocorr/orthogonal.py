@@ -208,8 +208,8 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
 # ---------------------------------------------------------------------------
 
 def _times_coset_factor(sp_route, N: int, shifts: Sequence[complex], prec):
-    """prod (w_m^2 - 1) times a symplectic route at size parameter N - 1,
-    all in the working precision."""
+    """prod (w_m - 1)(w_m + 1) times a symplectic route at size parameter
+    N - 1, all in the working precision; w*w - 1 would cancel near w = +-1."""
     if N < 1:
         raise ValueError("N must be >= 1")
     num = ops_for(prec)
@@ -217,7 +217,7 @@ def _times_coset_factor(sp_route, N: int, shifts: Sequence[complex], prec):
         value = sp_route(N - 1, shifts, prec)
         for w in shifts:
             ws = num.scalar(w)
-            value = value * (ws * ws - num.one)
+            value = value * ((ws - num.one) * (ws + num.one))
         return value
 
 

@@ -44,11 +44,10 @@ CONTOUR = {"unitary": (unitary.autocorr_contour, -1),
            "ominus": (_self_dual(partial(orthogonal.orthogonal_contour, "ominus")), 1)}
 
 # `det` keeps the digits that the U(N) Schur sum loses off the unit circle.
-# `eps` comes first for speed alone, 8-40x faster than `schur` at N = 256,
-# k = 4, but near w = 1 it is off by up to 1e14 and does not refuse (ROADMAP
-# item 1).  The Schur sum is the confluent-safe fallback.
-CANONICAL = {"unitary": ("det", "schur"), "symplectic": ("eps", "schur"),
-             "so": ("eps", "schur"), "ominus": ("eps", "schur")}
+# The self-dual value is the folded Schur sum alone: it is confluent-safe,
+# where `eps` cancels near w = 1 without refusing.
+CANONICAL = {"unitary": ("det", "schur"), "symplectic": ("schur",),
+             "so": ("schur",), "ominus": ("schur",)}
 
 
 def canonical_value(family: str, N: int, shifts: Sequence[complex], m: int = 0,

@@ -158,6 +158,15 @@ def test_montecarlo_cli_and_determinism(capsys):
                  "--samples", "50"]) == 2
 
 
+def test_montecarlo_exact_value_near_one(capsys):
+    # every shift within 2e-3 of 1, where the USp `eps` sum printed -1.47e19;
+    # the sampled mean is heavy-tailed there, so only `exact` is asserted
+    _, out, _ = run_cli(capsys, "montecarlo", "--group", "usp", "--N", "8",
+                        "--shifts", "1.001,1.002,0.999,1.0005", "--samples", "1000")
+    exact, moment = json.loads(out)["exact"], 3398584.4101577
+    assert abs(complex(exact["re"], exact["im"]) - moment) <= 1e-12 * moment
+
+
 @pytest.mark.parametrize("option", [("--method", "montecarlo", "--samples", "0"),
                                     ("--method", "contour", "--nodes", "0")])
 def test_zero_samples_or_nodes_is_a_usage_error(option):

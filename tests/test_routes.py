@@ -5,29 +5,41 @@ import cmath
 import pytest
 
 from rmt_autocorr import PrecisionConfig
-from rmt_autocorr.routes import CONTOUR, ROUTES, canonical_value
+from rmt_autocorr.routes import CONTOUR, ROUTES, canonical_value, full_o2n_average
 from rmt_autocorr.symcore import divided_difference_sum
 from rmt_autocorr.symplectic import parity_family
 
 SHIFTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
-# A 1e-7 pair near |w| = 1.05, where `eps` and `det` refuse, so the USp
-# canonical value is the Schur sum's; it lost every digit at N = 256 before
-# it folded |w| > 1 into the unit disk.  The reference is the unfolded Schur
-# sum at 100 digits.
+# A 1e-7 pair near |w| = 1.05, where `eps` and `det` refuse; the USp Schur
+# sum lost every digit there at N = 256 before it folded |w| > 1 into the
+# unit disk.  The reference is the unfolded Schur sum at 100 digits.
 PAIR = 1.05 * cmath.exp(0.7j)
 NEAR_PAIRS = {
     "unfolded-pair-plus-1e-7": (PAIR, PAIR + 1e-7, 0.9 * cmath.exp(2j), 1.02 * cmath.exp(-1j)),
     "unfolded-pair-times-1+1e-7": (PAIR, PAIR * (1 + 1e-7), 0.7 + 0.3j, -0.5 + 0.6j),
 }
+# The paper's regime: the central cells w_j = exp(s b_j / N), all near 1,
+# where the double `eps` sum cancels without refusing (off by up to 1.2e14
+# for USp and O^-, 780 for SO).  The reference is `eps` at 60 digits.
+CENTRAL_B = (0.3, 0.5 + 0.2j, 0.7 - 0.1j, 0.9)
+CENTRAL_S = {f"central-s={s:g}": s for s in (0.01, 0.1, 1, 10)}
+
+
+def _central(N, s):
+    return tuple(cmath.exp(s * b / N) for b in CENTRAL_B)
 
 
 def _reference(family, N, m, reference):
-    """(shifts, value) of a row: a route at 60 digits on SHIFTS, or a
-    NEAR_PAIRS cell's unfolded USp Schur sum at 100 digits."""
+    """(shifts, value) of a row: a route at 60 digits on SHIFTS, a NEAR_PAIRS
+    cell's unfolded USp Schur sum at 100 digits, or a central cell's `eps`
+    at 60 digits."""
     if reference in NEAR_PAIRS:
         shifts = NEAR_PAIRS[reference]
         families = [parity_family(len(shifts), 2 * N + len(shifts) - 1)]
         return shifts, divided_difference_sum(shifts, families, PrecisionConfig.extended(100))
+    if reference in CENTRAL_S:
+        shifts = _central(N, CENTRAL_S[reference])
+        return shifts, ROUTES[family]["eps"](N, shifts, m, PrecisionConfig.extended(60))
     return SHIFTS, ROUTES[family][reference](N, SHIFTS, m, PrecisionConfig.extended(60))
 
 
@@ -38,11 +50,23 @@ def _reference(family, N, m, reference):
     ("ominus", 32, 0, "eps"),
     ("symplectic", 256, 0, "unfolded-pair-plus-1e-7"),     # was off by 1.4e7
     ("symplectic", 256, 0, "unfolded-pair-times-1+1e-7"),  # was off by 3.2e11
-])
+] + [(family, N, 0, cell) for family in ("symplectic", "so", "ominus")
+     for N in (8, 32, 256) for cell in CENTRAL_S])
 def test_canonical_value_keeps_its_digits(family, N, m, reference):
     shifts, exact = _reference(family, N, m, reference)
     value = complex(canonical_value(family, N, shifts, m))
     assert abs(value - complex(exact)) <= 1e-12 * abs(complex(exact))
+
+
+@pytest.mark.parametrize("N", [8, 32, 256])
+def test_full_o2n_average_keeps_its_digits_near_one(N):
+    # the central cell at s = 0.01, where the average of the double `eps`
+    # sums is off by 20, 94 and 2.0e3 relative
+    shifts, ref = _central(N, 0.01), PrecisionConfig.extended(60)
+    so = complex(ROUTES["so"]["eps"](N, shifts, 0, ref))
+    ominus = complex(ROUTES["ominus"]["eps"](N, shifts, 0, ref))
+    exact = (so + ominus * (-1) ** len(shifts)) / 2
+    assert abs(complex(full_o2n_average(N, shifts)) - exact) <= 1e-12 * abs(exact)
 
 
 # At the smallest size of each family the moment at shifts (a, b) is known:

@@ -11,9 +11,9 @@ The command lines are `bench_common`'s.  Rows:
   USp(6), SO(6), O^-(8)) at the four ROADMAP points, default nodes.
 The error is the relative error against the family's closed form at 60
 digits (U(N): `det`, the others: `eps`), at the double shifts the route
-integrates (w = exp(-alpha) for U(N) and USp, exp(alpha) for SO and O^-),
-bound 1e-12.  The extra is the tracemalloc peak of one call after the
-timed calls.
+integrates (w = exp(sign * alpha), the route and its sign from
+`routes.CONTOUR`), bound 1e-12.  The extra is the tracemalloc peak of one
+call after the timed calls.
 """
 
 from __future__ import annotations
@@ -41,19 +41,18 @@ def _peak_mib(fn):
 
 def cases():
     """(row name, call, family, N, m, shifts) of every row."""
-    from rmt_autocorr import haar, orthogonal, symplectic, unitary
+    from rmt_autocorr import haar
     from rmt_autocorr.contour import ContourConfig
+    from rmt_autocorr.routes import CONTOUR
 
     out = []
     for n, nodes in ((3, 128), (2, 128), (2, 160), (2, 256)):
         cfg, al = ContourConfig(nodes_per_dim=nodes), ALPHAS[:n]
-        calls = {"unitary": (partial(unitary.autocorr_contour, 2, al, 1, cfg), 1, -1),
-                 "symplectic": (partial(symplectic.sp_autocorr_contour, 2, al, cfg), 0, -1),
-                 "so": (partial(orthogonal.orthogonal_contour, "so", 2, al, cfg), 0, 1),
-                 "ominus": (partial(orthogonal.orthogonal_contour, "ominus", 2, al, cfg), 0, 1)}
-        for family, (call, m, sign) in calls.items():
+        for family, (route, sign) in CONTOUR.items():
+            m = 1 if family == "unitary" else 0
             shifts = tuple(cmath.exp(sign * a) for a in al)
-            out.append((f"contour {family} N=2 n={n} nodes={nodes}", call, family, 2, m, shifts))
+            out.append((f"contour {family} N=2 n={n} nodes={nodes}",
+                        partial(route, 2, al, m, cfg), family, 2, m, shifts))
     for family in FAMILIES:
         N = 4 if family == "ominus" else 3
         m = 2 if family == "unitary" else 0
