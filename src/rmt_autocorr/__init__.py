@@ -53,6 +53,7 @@ from .orthogonal import (
     SubsetStats,
     ominus_autocorr_det,
     ominus_autocorr_eps,
+    ominus_autocorr_schur,
     orthogonal_contour,
     pairing_determinant,
     pairing_matrix,
@@ -66,7 +67,6 @@ from .precision import PrecisionConfig
 from .routes import full_o2n_average
 from .symcore import (
     Partition,
-    SplitPermutation,
     conjugate_partition,
     enumerate_even_partitions,
     enumerate_so_index_sets,

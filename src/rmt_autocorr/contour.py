@@ -345,8 +345,8 @@ def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
     require_separated(u, "u points")
     assert_unit_residue(kernel.pole)
     lhs = 0j
-    for split in enumerate_split_permutations(len(u), m):
-        lhs += kernel(tuple(u[i - 1] for i in split.left), tuple(u[i - 1] for i in split.right))
+    for left, right in enumerate_split_permutations(len(u), m):
+        lhs += kernel(tuple(u[i] for i in left), tuple(u[i] for i in right))
     rhs = circular_integral(len(u), unitary_lemma_integrand(kernel, u, m), cfg,
                             enclosed_points=u, vectorized=True)
     return LemmaCheckResult(lhs, rhs)

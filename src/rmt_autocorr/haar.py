@@ -520,6 +520,8 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
                                                   functools.partial(_autocorr_chunk, *moment))))
     else:
         vals = np.asarray(integrand(sample_eigenangle_batch(spec, rng_seed, count)))
+    if np.all(vals == vals[0]):  # a constant, whose rounded mean and spread are noise
+        return complex(vals[0]), 0.0
     mean = complex(vals.mean())
     spread = float(np.sum(np.abs(vals - mean) ** 2) / (count - 1))
     return mean, math.sqrt(spread / count)

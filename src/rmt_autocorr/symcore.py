@@ -1,8 +1,8 @@
-"""Partitions, split permutations, Vandermonde products and Schur evaluation.
+"""Partitions, block splits, Vandermonde products and Schur evaluation.
 
 This is the symmetric-function substrate shared by all the autocorrelation
-routes: integer partitions with explicit length, the block-ordered
-permutations and sign vectors indexing the combinatorial sums, the one
+routes: integer partitions with explicit length, the block splits of the
+shift indices and the sign vectors indexing the combinatorial sums, the one
 Vandermonde product, two Schur polynomial evaluators -- the
 bialternant, one power determinant over the Vandermonde (fails near
 coincident points), and a confluent-safe complete-homogeneous
@@ -78,33 +78,14 @@ def conjugate_partition(lam: Partition) -> Partition:
     return Partition(tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)))
 
 
-@dataclass(frozen=True)
-class SplitPermutation:
-    """A permutation increasing on its first m slots and on the rest.
-
-    ``left`` and ``right`` are the (1-based, strictly increasing) images of
-    the two blocks; ``sign`` is the parity of the one-line word left||right.
-    """
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    sign: int
-
-
-def enumerate_split_permutations(n: int, m: int) -> Iterator[SplitPermutation]:
-    """All binomial(n, m) block-increasing permutations of {1..n}.
-
-    The sign is (-1)^inversions of left||right; since both blocks are
-    internally sorted, inversions are exactly the cross pairs l > r.
-    """
+def enumerate_split_permutations(
+        n: int, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All binomial(n, m) block splits of range(n): the increasing index
+    tuples (left, right), m indices on the left, in lexicographic order of left."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    universe = range(1, n + 1)
-    for left in combinations(universe, m):
-        left_set = set(left)
-        right = tuple(i for i in universe if i not in left_set)
-        inversions = sum(1 for l in left for r in right if l > r)
-        yield SplitPermutation(left, right, -1 if inversions % 2 else 1)
+    for left in combinations(range(n), m):
+        yield left, tuple(i for i in range(n) if i not in left)
 
 
 def sign_vectors(k: int) -> Iterator[tuple[int, ...]]:

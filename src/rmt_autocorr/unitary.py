@@ -6,7 +6,7 @@ ones at the second block (with their w^N prefactors absorbed).  It equals
 
 * a rectangular-partition Schur polynomial (confluent-safe),
 * its bialternant: n x n power columns over the Vandermonde,
-* a block-ordered permutation sum with (1 - w_l / w_q)^(-1) factors,
+* a block-split sum with (1 - w_l / w_q)^(-1) factors,
 * an n-fold contour integral in exponentiated shifts w_j = exp(-alpha_j).
 
 The determinant and combinatorial forms raise typed errors near their
@@ -92,21 +92,27 @@ def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     """Combinatorial route: sum over the binomial(n, m) block splits.
 
     Each term is (prod of right-block shifts)^N over the cross-block
-    product of (1 - w_left / w_right).  Raises PoleHit for zero shifts or
-    equal shifts across any split (which means any equal pair at all).
+    product of (1 - w_left / w_right), read from tables of w_q^N and
+    1 - w_l / w_q built once, with only what some split reads (no power
+    at m = n, no divisor at m = 0 or m = n).  Raises PoleHit for zero
+    shifts or equal shifts across any split (which means any equal pair
+    at all).
     """
     _require_split_poles(query.shifts)
+    n, m = query.n, query.m
     num = ops_for(prec)
     with num.guard():
         w = [num.scalar(x) for x in query.shifts]
+        powers = [x ** query.N for x in w] if m < n else []
+        divisors = [[num.one - a / b for b in w] for a in w] if 0 < m < n else []
         terms = []
-        for split in enumerate_split_permutations(query.n, query.m):
+        for left, right in enumerate_split_permutations(n, m):
             t = num.one
-            for q in split.right:
-                t = t * w[q - 1] ** query.N
-            for l in split.left:
-                for q in split.right:
-                    t = t / (num.one - w[l - 1] / w[q - 1])
+            for q in right:
+                t = t * powers[q]
+            for l in left:
+                for q in right:
+                    t = t / divisors[l][q]
             terms.append(t)
         return num.fsum(terms)
 
@@ -138,10 +144,11 @@ def autocorr_alpha_sum(N: int, alphas: Sequence[complex], m: int,
     """Exponential-coordinate form of the shifted-product average.
 
     Evaluates, for shifts on the curve s_j = exp(alpha_j), the explicit
-    split-permutation sum with exp(N/2 ...) weights and
-    (1 - exp(alpha_q - alpha_l))^(-1) factors.  Serves as an independent
-    cross-check of autocorr_comb / shifted_product_average.  Raises PoleHit
-    where autocorr_comb does at the shifts s_j.
+    block-split sum with exp(N/2 ...) weights and
+    (1 - exp(alpha_q - alpha_l))^(-1) factors, the divisors tabled once as
+    in autocorr_comb.  Serves as an independent cross-check of
+    autocorr_comb / shifted_product_average.  Raises PoleHit where
+    autocorr_comb does at the shifts s_j.
     """
     num = ops_for(prec)
     n = len(alphas)
@@ -152,14 +159,14 @@ def autocorr_alpha_sum(N: int, alphas: Sequence[complex], m: int,
         _require_split_poles([num.exp(a) for a in al])
         half_n = num.scalar(N) / 2
         pref = num.exp(half_n * (sum(al[m:], num.zero) - sum(al[:m], num.zero)))
+        divisors = [[num.one - num.exp(b - a) for b in al] for a in al] if 0 < m < n else []
         terms = []
-        for split in enumerate_split_permutations(n, m):
-            left = [al[i - 1] for i in split.left]
-            right = [al[i - 1] for i in split.right]
-            t = num.exp(half_n * (sum(left, num.zero) - sum(right, num.zero)))
-            for a in left:
-                for b in right:
-                    t = t / (num.one - num.exp(b - a))
+        for left, right in enumerate_split_permutations(n, m):
+            t = num.exp(half_n * (sum((al[l] for l in left), num.zero)
+                                  - sum((al[q] for q in right), num.zero)))
+            for l in left:
+                for q in right:
+                    t = t / divisors[l][q]
             terms.append(t)
         return pref * num.fsum(terms)
 

@@ -39,7 +39,7 @@ def test_compute_fixtures(capsys):
     assert json.loads(out)["value"]["re"] == 1.0
 
     code, out, _ = run_cli(capsys, "compute", "--group", "u", "--N", "2", "--m", "1",
-                           "--n", "2", "--shifts", "1,1", "--method", "schur")
+                           "--shifts", "1,1", "--method", "schur")
     assert code == 0
     report = json.loads(out)
     assert report["value"]["re"] == 3.0
@@ -58,7 +58,7 @@ def test_exit_code_usage():
     assert main(["compute", "--group", "u", "--N", "2", "--shifts", "1,1",
                  "--method", "schur"]) == 2  # missing --m
     assert main(["compute", "--group", "u", "--N", "2", "--m", "1", "--n", "3",
-                 "--shifts", "1,1", "--method", "schur"]) == 2  # n mismatch
+                 "--shifts", "1,1", "--method", "schur"]) == 2  # --n is not an option
     assert main(["compute", "--group", "usp", "--N", "1", "--shifts", "2",
                  "--method", "comb"]) == 2  # comb is unitary-only
     assert main(["compute", "--group", "usp", "--N", "1", "--shifts", "2",
@@ -189,15 +189,14 @@ def test_identity_suite_settings_it_cannot_sample_are_usage_errors(option):
 
 
 def test_scaling_cli(capsys):
-    code, out, _ = run_cli(capsys, "scaling", "--k", "1", "--b", "1",
-                           "--N-list", "10,100,1000,10000")
+    code, out, _ = run_cli(capsys, "scaling", "--b", "1", "--N-list", "10,100,1000,10000")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "N,ratio_re,ratio_im,abs_err"
     errs = [float(line.split(",")[3]) for line in lines[1:]]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] <= 5e-3
-    assert main(["scaling", "--k", "2", "--b", "1", "--N-list", "10"]) == 2
+    assert main(["scaling", "--k", "2", "--b", "1", "--N-list", "10"]) == 2  # --k is not an option
     assert main(["scaling", "--b", "1,-1", "--N-list", "10"]) == 3  # pole
     capsys.readouterr()
     # b = pi i at N = 1: the exact sum's divisor 1 - exp(-2b/N) vanishes
@@ -265,6 +264,17 @@ def test_montecarlo_of_a_constant_integrand(capsys):
     # at w = 0 every sample is 1: a zero standard error and a zero z-score
     code, out, _ = run_cli(capsys, "montecarlo", "--group", "so", "--N", "1", "--shifts", "0",
                            "--samples", "200")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["std_error"], report["z_score"], report["pass"]) == (0, 0, True)
+
+
+@pytest.mark.parametrize("shifts", ["0.3+0.2i", "37.3+91.1i", "1234.5+0.7i", "0.3+0.2i,1.7-0.4i"])
+def test_montecarlo_of_a_constant_integrand_off_zero(capsys, shifts):
+    # O^-(2) has no free angle: every sample is the same number, which the
+    # mean and spread of the samples would round
+    code, out, _ = run_cli(capsys, "montecarlo", "--group", "ominus", "--N", "1",
+                           "--shifts", shifts, "--samples", "1000")
     assert code == 0
     report = json.loads(out)
     assert (report["std_error"], report["z_score"], report["pass"]) == (0, 0, True)
@@ -364,9 +374,9 @@ def test_options_a_command_does_not_read_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("command", ["compute", "crosscheck"])
-@pytest.mark.parametrize("option", [("--m", "5"), ("--n", "1")])
+@pytest.mark.parametrize("option", [("--m", "5")])
 def test_unitary_split_options_are_usage_errors_for_self_dual_families(capsys, command, option):
-    # --m and --n describe the unitary query only; --n 1 even matches the shift count
+    # --m describes the unitary query only
     route = ("--method", "eps") if command == "compute" else ("--routes", "eps,schur")
     for group in ("usp", "so", "ominus"):
         code, out, err = run_cli(capsys, command, "--group", group, "--N", "2", *option,

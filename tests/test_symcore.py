@@ -1,4 +1,4 @@
-"""Partitions, split permutations, Vandermonde and Schur evaluation."""
+"""Partitions, block splits, Vandermonde and Schur evaluation."""
 
 import itertools
 import math
@@ -156,33 +156,27 @@ def test_vandermonde_antisymmetry_and_zero():
 
 
 # ---------------------------------------------------------------------------
-# Split permutations
+# Block splits
 # ---------------------------------------------------------------------------
 
 def _brute_split_perms(n, m):
-    out = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        if all(perm[i] < perm[i + 1] for i in range(m - 1)) and \
-           all(perm[i] < perm[i + 1] for i in range(m, n - 1)):
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-            out[perm] = -1 if inv % 2 else 1
-    return out
+    return {(perm[:m], perm[m:]) for perm in itertools.permutations(range(n))
+            if list(perm[:m]) == sorted(perm[:m]) and list(perm[m:]) == sorted(perm[m:])}
 
 
 def test_split_permutation_examples():
-    items = list(enumerate_split_permutations(2, 1))
-    assert {(s.left, s.right, s.sign) for s in items} == \
-        {((1,), (2,), 1), ((2,), (1,), -1)}
+    assert list(enumerate_split_permutations(2, 1)) == [((0,), (1,)), ((1,), (0,))]
     assert len(list(enumerate_split_permutations(4, 2))) == 6
-    only = list(enumerate_split_permutations(3, 0))
-    assert len(only) == 1 and only[0].sign == 1 and only[0].right == (1, 2, 3)
+    assert list(enumerate_split_permutations(3, 0)) == [((), (0, 1, 2))]
+    assert list(enumerate_split_permutations(3, 3)) == [((0, 1, 2), ())]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_split_permutations_match_brute_force(n):
     for m in range(n + 1):
-        items = {s.left + s.right: s.sign for s in enumerate_split_permutations(n, m)}
-        assert items == _brute_split_perms(n, m)
+        items = list(enumerate_split_permutations(n, m))
+        assert items == sorted(items)  # lexicographic in the left block
+        assert set(items) == _brute_split_perms(n, m)
         assert len(items) == math.comb(n, m)
 
 

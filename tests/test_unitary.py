@@ -73,8 +73,9 @@ def test_comb_route_examples():
     # m = 0: single term (w1 w2)^N
     assert complex(autocorr_comb(UnitaryQuery(3, 0, (2.0, 0.5j)))) == \
         pytest.approx((2.0 * 0.5j) ** 3)
-    # m = n: single empty-product term
+    # m = n: single empty-product term, and no w^N formed (3^(10^6) would overflow)
     assert complex(autocorr_comb(UnitaryQuery(5, 2, (2.0, 0.5j)))) == pytest.approx(1.0)
+    assert autocorr_comb(UnitaryQuery(10**6, 2, (2.0, 3.0))) == 1
     with pytest.raises(PoleHit):
         autocorr_comb(UnitaryQuery(2, 1, (0.0, 1.0)))
     with pytest.raises(PoleHit):
@@ -224,6 +225,13 @@ def test_alpha_sum_refuses_where_comb_refuses(delta, prec):
     # double sum gave 113.02 for 3.000000003
     with pytest.raises(PoleHit):
         autocorr_alpha_sum(2, [0.1, 0.1 + delta], 1, prec)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_alpha_sum_forms_no_divisor_without_a_cross_pair(m):
+    # one block is empty, so no split reads 1 - e^(alpha_b - alpha_a),
+    # whose e^800 would overflow
+    assert autocorr_alpha_sum(1, [-400.0, 400.0], m) == 1
 
 
 def test_alpha_sum_answers_above_the_separation_threshold():
