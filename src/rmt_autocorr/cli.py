@@ -6,10 +6,10 @@ residual sweep), ``montecarlo`` (sampled mean vs exact value with a
 z-score), ``scaling`` (large-N ratio table as CSV).
 
 Exit codes: 0 success / all checks passed, 2 usage error (a non-finite
-input among them), 3 numerical route error (NearConfluent, PoleHit,
-DimensionCap, ContourTooTight, an OverflowError of the arithmetic, or an
-inf or NaN in the report), 4 a cross-check, identity or Monte Carlo gate
-failed.
+input or an unwritable --out among them), 3 numerical route error
+(NearConfluent, PoleHit, DimensionCap, ContourTooTight, an OverflowError
+of the arithmetic, or an inf or NaN in the report), 4 a cross-check,
+identity or Monte Carlo gate failed.
 
 Output is deterministic given the full argument list: JSON objects are
 emitted with sorted keys and 17-significant-digit floats, so re-serializing
@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 import time
 from typing import Sequence
 
 from . import haar, routes, symplectic
 from .contour import ContourConfig
-from .errors import PoleHit, RouteError
+from .errors import PoleHit, RouteError, require_count
 from .identities import run_identity_suite
 from .precision import PrecisionConfig
 
@@ -85,8 +86,11 @@ def canonical_json(obj) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text + "\n")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +120,15 @@ def parse_complex_list(text: str) -> list[complex]:
 
 def _resolve_precision(args) -> PrecisionConfig | None:
     return None if args.digits is None else PrecisionConfig(args.digits)
+
+
+def _tolerance(args, default: float) -> float:
+    """--tol, or `default` when it is not given; a non-finite --tol is a usage error."""
+    if args.tol is None:
+        return default
+    if not math.isfinite(args.tol):
+        raise UsageError(f"non-finite --tol {args.tol!r}")
+    return args.tol
 
 
 def _query_spec(args):
@@ -173,8 +186,7 @@ def _route_value(spec, shifts, m, method, args, prec):
         cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
         return route(spec.size, [sign * cmath.log(w) for w in shifts], m, cfg), None
     # method == "montecarlo"
-    if args.samples < 100:
-        raise UsageError("--samples must be >= 100")
+    require_count(args.samples, 100, "--samples")
     integrand = haar.autocorr_integrand(spec, shifts, m)
     return haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
 
@@ -212,7 +224,7 @@ def cmd_crosscheck(args) -> int:
         raise UsageError("crosscheck needs at least two distinct routes")
     for r in requested:
         _check_method(spec.family, r)
-    tol = args.tol if args.tol is not None else (prec.agreement_tol if prec else 1e-9)
+    tol = _tolerance(args, prec.agreement_tol if prec else 1e-9)
     values: dict[str, complex] = {}
     timings: dict[str, float] = {}
     for r in requested:
@@ -244,10 +256,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_identity_suite(args) -> int:
     prec = _resolve_precision(args)
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        tol = 1e-10 if prec is None else 10.0 ** (-(prec.digits - 10))
+    tol = _tolerance(args, 1e-10 if prec is None else 10.0 ** (-(prec.digits - 10)))
     report = run_identity_suite(args.trials, args.seed, prec,
                                 n_min=args.n_min, n_max=args.n_max,
                                 radius=args.radius, random_x_count=args.x_count)
@@ -376,13 +385,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except (RouteError, OverflowError, NonFiniteValue) as exc:
-        _emit(canonical_json({"error": type(exc).__name__, "detail": str(exc)}),
-              getattr(args, "out", None))
-        print(f"numerical route error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ROUTE
-    except ValueError as exc:
+        try:
+            return args.func(args)
+        except (RouteError, OverflowError, NonFiniteValue) as exc:
+            _emit(canonical_json({"error": type(exc).__name__, "detail": str(exc)}),
+                  getattr(args, "out", None))
+            print(f"numerical route error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_ROUTE
+    except ValueError as exc:  # also an unwritable --out for the route-error report
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContourTooTight, DimensionCap
+from .errors import ContourTooTight, DimensionCap, require_count
 from .symcore import (
     enumerate_split_permutations,
     index_pairs,
@@ -57,24 +56,13 @@ GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 EXP_KERNEL_MAX_RADIUS = 2.8
 
 
-def require_node_count(nodes_per_dim) -> int:
-    """nodes_per_dim as an int; ValueError for a non-integer.  A rule that
-    lays int(M) or ceil(M) nodes but weights them by 1/M is silently wrong
-    at a fractional M."""
-    try:
-        return operator.index(nodes_per_dim)
-    except TypeError:
-        raise ValueError("nodes_per_dim must be an integer") from None
-
-
 @dataclass(frozen=True)
 class ContourConfig:
     nodes_per_dim: int = 128
 
     def __post_init__(self) -> None:
-        require_node_count(self.nodes_per_dim)
-        if self.nodes_per_dim < 16:
-            raise ValueError("nodes_per_dim must be >= 16")
+        object.__setattr__(self, "nodes_per_dim",
+                           require_count(self.nodes_per_dim, 16, "nodes_per_dim"))
 
 
 DEFAULT_CONTOUR = ContourConfig()

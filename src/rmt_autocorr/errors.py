@@ -1,9 +1,25 @@
-"""Typed errors raised by the numerical routes.
+"""Typed errors raised by the numerical routes, and the one count check.
 
 Every route that can fail for a *numerical* reason (as opposed to a usage
 error) raises one of these, so callers can fall back to a confluent-safe
-route or report a machine-readable error name.
+route or report a machine-readable error name.  `require_count` checks
+every size, split point and node, sample or digit count; this module
+imports nothing of the package, so every module can call it.
 """
+
+import operator
+
+
+def require_count(value, least: int, what: str) -> int:
+    """`value` as an int; ValueError naming `what` for a non-integer (2.5
+    would be a real power w^2.5 or a truncated partition) or one below `least`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+    if count < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return count
 
 
 class RouteError(Exception):

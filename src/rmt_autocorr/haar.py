@@ -42,7 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .contour import require_node_count, trapezoid_sum
+from .contour import trapezoid_sum
+from .errors import require_count
 from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
@@ -53,10 +54,9 @@ SO_EVEN = "so"
 O_MINUS = "ominus"
 
 _ALIASES = {
-    "u": UNITARY, "un": UNITARY, "unitary": UNITARY,
-    "usp": SYMPLECTIC, "sp": SYMPLECTIC, "symplectic": SYMPLECTIC,
-    "so": SO_EVEN, "so_even": SO_EVEN, "specialorthogonaleven": SO_EVEN,
-    "ominus": O_MINUS, "o-": O_MINUS, "orthogonalminus": O_MINUS,
+    "u": UNITARY, "unitary": UNITARY,
+    "usp": SYMPLECTIC, "symplectic": SYMPLECTIC,
+    "so": SO_EVEN, "ominus": O_MINUS,
 }
 
 _SAMPLE_CHUNK = 4096
@@ -78,8 +78,7 @@ class GroupSpec:
         if fam is None:
             raise ValueError(f"unknown group family {self.family!r}")
         object.__setattr__(self, "family", fam)
-        if self.size < 1:
-            raise ValueError("size parameter must be >= 1")
+        object.__setattr__(self, "size", require_count(self.size, 1, "size"))
 
     @property
     def matrix_dim(self) -> int:
@@ -224,12 +223,10 @@ def quadrature_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nda
     density one of per-angle and pair factors, so `trapezoid_sum` contracts
     M-vectors and M x M tables (at d = 3 with one matrix product) and no
     M^d array is formed.  Raises DimensionCap when the free-angle count
-    exceeds `contour.DIM_CAP`, and ValueError for a non-integer node count.
+    exceeds `contour.DIM_CAP`, and ValueError for a node count not an integer >= 4.
     """
     d = spec.free_angles
-    M = require_node_count(nodes_per_dim)
-    if M < 4:
-        raise ValueError("nodes_per_dim too small")
+    M = require_count(nodes_per_dim, 4, "nodes_per_dim")
     moment = _moment_of(spec, integrand)
 
     def factors(*thetas: np.ndarray) -> list:
@@ -279,7 +276,8 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
     `quadrature_average` contracts its factors without a grid.
     """
     w = tuple(complex(x) for x in shifts)
-    if spec.family == UNITARY and not 0 <= m <= len(w):
+    m = require_count(m, 0, "m")
+    if spec.family == UNITARY and m > len(w):
         raise ValueError("need 0 <= m <= len(shifts)")
 
     def integrand(T: np.ndarray) -> np.ndarray:
@@ -512,8 +510,7 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
     group matrix and no eigensolve.  Other functionals get the angles of
     `sample_eigenangle_batch`.
     """
-    if count < 2:
-        raise ValueError("need at least two samples for a standard error")
+    count = require_count(count, 2, "count")  # two samples for a standard error
     moment = _moment_of(spec, integrand)
     if moment is not None:
         vals = np.concatenate(list(_sample_chunks(rng_seed, count,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistentCoefficients
+from .errors import InconsistentCoefficients, require_count
 from .precision import PrecisionConfig, ops_for
 from .orthogonal import _subset_terms
 from .symcore import min_separation, vandermonde
@@ -284,14 +284,11 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
     check at the roundoff floor; larger radii inflate term magnitudes and
     with them the attainable absolute residual.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n_min < 2:
-        raise ValueError("n_min must be >= 2")
-    if n_max < n_min:
-        raise ValueError("n_max must be >= n_min")
-    if random_x_count < 1:
-        raise ValueError("random_x_count must be >= 1: identity 3 is checked at the random x")
+    trials = require_count(trials, 1, "trials")
+    n_min = require_count(n_min, 2, "n_min")
+    n_max = require_count(n_max, n_min, "n_max")
+    # identity 3 is checked at the random x only
+    random_x_count = require_count(random_x_count, 1, "random_x_count")
     if not 0 < radius < float("inf"):
         raise ValueError("radius must be positive and finite")
     num = ops_for(prec)

@@ -28,7 +28,7 @@ from .contour import (
     ContourConfig,
     circular_integral,  # not called here; bench/tracer.py patches this binding too
 )
-from .errors import PoleHit
+from .errors import PoleHit, require_count
 from .precision import PrecisionConfig, _generic_det, ops_for
 from .symcore import (
     bialternant_sum,
@@ -185,8 +185,7 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
         raise ValueError(f"variant {variant} needs an even number of shifts")
     if variant in ("R", "L") and m % 2 == 0:
         raise ValueError(f"variant {variant} needs an odd number of shifts")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = require_count(n_max, 0, "n_max")
     value = bialternant_sum(shifts, partial_family(variant, m, n_max), prec)
     num = ops_for(prec)
     with num.guard():
@@ -210,8 +209,7 @@ def so_partial_sums(variant: str, n_max: int, shifts: Sequence[complex],
 def _times_coset_factor(sp_route, N: int, shifts: Sequence[complex], prec):
     """prod (w_m - 1)(w_m + 1) times a symplectic route at size parameter
     N - 1, all in the working precision; w*w - 1 would cancel near w = +-1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = require_count(N, 1, "N")
     num = ops_for(prec)
     with num.guard():
         value = sp_route(N - 1, shifts, prec)

@@ -32,6 +32,8 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, 
 from functools import total_ordering
 from operator import attrgetter
 
+from .errors import require_count
+
 
 @dataclass(frozen=True)
 class PrecisionConfig:
@@ -46,8 +48,7 @@ class PrecisionConfig:
     digits: int = 40
 
     def __post_init__(self) -> None:
-        if self.digits < 30:
-            raise ValueError("extended precision requires digits >= 30")
+        object.__setattr__(self, "digits", require_count(self.digits, 30, "digits"))
 
     @classmethod
     def extended(cls, digits: int = 40) -> "PrecisionConfig":

@@ -29,7 +29,7 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import NearConfluent
+from .errors import NearConfluent, require_count
 from .precision import PrecisionConfig, ops_for
 
 SEPARATION_RTOL = 1e-6  # relative pairwise-separation floor for bialternant-type routes
@@ -46,12 +46,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        for i, p in enumerate(self.parts):
-            if p < 0:
-                raise ValueError("partition parts must be nonnegative")
-            if i and self.parts[i - 1] < p:
-                raise ValueError("partition parts must be weakly decreasing")
+        parts = tuple(require_count(p, 0, "partition parts") for p in self.parts)
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError("partition parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -176,9 +174,7 @@ def so_index_families(k: int, n_param: int) -> tuple[IndexFamily, ...]:
     n_param >= 1 they never share a vector.  With no shifts (k = 0) the one
     vector is the empty one.
     """
-    if n_param < 1:
-        raise ValueError("n_param must be >= 1")
-    top = 2 * n_param + k - 1
+    top = 2 * require_count(n_param, 1, "n_param") + k - 1
     return sum((partial_family(variant, k, top)
                 for variant in (("E", "M") if k % 2 == 0 else ("L", "R"))), ())
 

@@ -32,7 +32,7 @@ from .contour import (
     require_exp_kernel_contour,
     sym_lemma_integrand,
 )
-from .errors import PoleHit
+from .errors import PoleHit, require_count
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
     IndexFamily,
@@ -59,23 +59,21 @@ def parity_index_vectors(k: int, top: int) -> Iterator[tuple[int, ...]]:
     return parity_family(k, top).vectors()
 
 
-def _require_size(N: int, diagonal: bool) -> None:
-    """N >= 0 with the diagonal (USp(2N)), N >= 1 without it (SO(2N), O^-(2N))."""
-    least = 0 if diagonal else 1
-    if N < least:
-        raise ValueError(f"N must be >= {least}")
+def _require_size(N: int, diagonal: bool) -> int:
+    """N as an int, >= 0 with the diagonal (USp(2N)), >= 1 without it (SO(2N), O^-(2N))."""
+    return require_count(N, 0 if diagonal else 1, "N")
 
 
 def sp_autocorr_det(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Determinant route: alternating-parity index sum over the Vandermonde."""
-    _require_size(N, diagonal=True)
+    N = _require_size(N, diagonal=True)
     return bialternant_sum(shifts, [parity_family(len(shifts), 2 * N + len(shifts) - 1)], prec)
 
 
 def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None = None):
     """Schur route: sum over even partitions in the 2N x k box (confluent-safe),
     the same index sum over divided differences."""
-    _require_size(N, diagonal=True)
+    N = _require_size(N, diagonal=True)
     return folded_schur_sum(N, shifts, [parity_family(len(shifts), 2 * N + len(shifts) - 1)],
                             prec)
 
@@ -110,9 +108,9 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     (1 - w_i^(-eps_i) w_j^(-eps_j)), pairs i <= j with the diagonal and
     i < j without, times prod eps_j when signed.  Raises PoleHit for a
     zero shift or when a denominator is within the floor of zero for some
-    sign choice, and ValueError below the family's sizes (`_require_size`).
+    sign choice, and ValueError for an N not among the family's sizes (`_require_size`).
     """
-    _require_size(N, diagonal)
+    N = _require_size(N, diagonal)
     k = len(shifts)
     pairs = index_pairs(k, diagonal)
     num = ops_for(prec)
@@ -166,8 +164,8 @@ def reflection_contour(N: int, alphas: Sequence[complex], cfg: ContourConfig | N
     """exp(sign N sum alpha) times the sign-vector lemma's `variant` contour
     side on a circle enclosing +-alpha, with kernel exp(N sum z) prod
     (1 - exp(-z_m - z_l))^(-1) over pairs l <= m (l < m without the diagonal).
-    Raises ValueError below the family's sizes (`_require_size`)."""
-    _require_size(N, diagonal)
+    Raises ValueError for an N not among the family's sizes (`_require_size`)."""
+    N = _require_size(N, diagonal)
     al = [complex(a) for a in alphas]
     enclosed = al + [-a for a in al]
     require_exp_kernel_contour(enclosed, "+-alpha points")
@@ -194,8 +192,7 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     eps_j b_j or 1 - exp(-x / N) vanishes relative to its size, and where
     the asymptotic sum cancels to below 1e-12 of the sum of its terms' moduli.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = require_count(N, 1, "N")
     k = len(b)
     pairs = index_pairs(k, diagonal=True)
     num = ops_for(prec)

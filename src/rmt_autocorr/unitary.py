@@ -27,7 +27,7 @@ from .contour import (
     require_exp_kernel_contour,
     unitary_lemma_integrand,
 )
-from .errors import PoleHit
+from .errors import PoleHit, require_count
 from .precision import PrecisionConfig, ops_for
 from .symcore import (
     Partition,
@@ -49,9 +49,9 @@ class UnitaryQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shifts", tuple(complex(w) for w in self.shifts))
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not 0 <= self.m <= len(self.shifts):
+        object.__setattr__(self, "N", require_count(self.N, 1, "N"))
+        object.__setattr__(self, "m", require_count(self.m, 0, "m"))
+        if self.m > self.n:
             raise ValueError("need 0 <= m <= n")
 
     @property
@@ -124,16 +124,13 @@ def shifted_product_average(N: int, shifts: Sequence[complex], m: int,
     Reindexes into the prefactored moment: prod_{i<=m} s_i^{-N} times
     I_{n-m,n}(N; s_{m+1}..s_n; s_1..s_m), delegating to the Schur route.
     """
-    s = [complex(x) for x in shifts]
-    n = len(s)
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    query = UnitaryQuery(N, m, shifts)  # ValueError for N < 1 or m outside 0..n
+    N, m, s = query.N, query.m, query.shifts
     if any(x == 0 for x in s[:m]):
         raise PoleHit("inverted shifts s_1..s_m must be nonzero")
     num = ops_for(prec)
     with num.guard():
-        reordered = tuple(s[m:]) + tuple(s[:m])
-        value = autocorr_schur(UnitaryQuery(N, n - m, reordered), prec)
+        value = autocorr_schur(UnitaryQuery(N, query.n - m, s[m:] + s[:m]), prec)
         for x in s[:m]:
             value = value * num.scalar(x) ** (-N)
         return value
@@ -148,12 +145,11 @@ def autocorr_alpha_sum(N: int, alphas: Sequence[complex], m: int,
     (1 - exp(alpha_q - alpha_l))^(-1) factors, the divisors tabled once as
     in autocorr_comb.  Serves as an independent cross-check of
     autocorr_comb / shifted_product_average.  Raises PoleHit where
-    autocorr_comb does at the shifts s_j.
+    autocorr_comb does at the shifts s_j, and ValueError where UnitaryQuery does.
     """
     num = ops_for(prec)
-    n = len(alphas)
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    query = UnitaryQuery(N, m, alphas)
+    N, m, n = query.N, query.m, query.n
     with num.guard():
         al = [num.scalar(a) for a in alphas]
         _require_split_poles([num.exp(a) for a in al])

@@ -296,6 +296,29 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("query", [
+    ("--N", "1", "--shifts", "2", "--method", "eps"),
+    ("--N", "2", "--shifts", "0.5,0.5", "--method", "det"),  # NearConfluent: exit 3 otherwise
+], ids=["report", "route-error"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys, query, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, _, err = run_cli(capsys, "compute", "--group", "usp", *query, "--out", str(target))
+    assert code == 2
+    assert err.startswith("usage error: cannot write --out") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ("crosscheck", "--group", "usp", "--N", "2", "--shifts", "0.5,0.3", "--routes", "eps,schur"),
+    ("identity-suite", "--trials", "2"),
+], ids=["crosscheck", "identity-suite"])
+def test_non_finite_tolerance_is_a_usage_error(capsys, command, tol):
+    code, out, err = run_cli(capsys, *command, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: non-finite --tol")
+
+
 def test_crosscheck_failure_exit_code(capsys):
     # an unreachable tolerance turns route disagreement into exit 4
     code, out, _ = run_cli(capsys, "crosscheck", "--group", "usp", "--N", "2",

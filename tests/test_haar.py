@@ -52,6 +52,21 @@ def test_group_spec_validation():
         GroupSpec("u", 0)
 
 
+@pytest.mark.parametrize("name,family", [
+    ("u", "unitary"), ("unitary", "unitary"), ("usp", "symplectic"),
+    ("symplectic", "symplectic"), ("so", "so"), ("ominus", "ominus"),
+    ("un", None), ("sp", None), ("so_even", None), ("specialorthogonaleven", None),
+    ("o-", None), ("orthogonalminus", None),
+])
+def test_group_spec_spellings(name, family):
+    # the CLI help's four names and the family names; no other spelling
+    if family is None:
+        with pytest.raises(ValueError, match="unknown group family"):
+            GroupSpec(name, 1)
+    else:
+        assert GroupSpec(name.upper(), 1).family == family
+
+
 # ---------------------------------------------------------------------------
 # Densities and quadrature
 # ---------------------------------------------------------------------------

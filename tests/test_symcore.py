@@ -513,8 +513,11 @@ def table_of_width(width, rows=2):
     lambda: divided_difference_sum([0.5, 2.0], [parity_family(3, 6)]),  # 3 columns, 2 points
     lambda: _exterior_sum(ops_for(None), table_of_width(4), IndexFamily((), ((0,), (1,)), 1, 4)),
     lambda: so_partial_sums("R", -1, [0.5]),
+    lambda: Partition((2.5, 1)),
+    lambda: so_index_families(2, 1.5),
 ], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "exponent-above-top",
-        "parts-unlike-points", "part-above-top", "n-max-below-zero"])
+        "parts-unlike-points", "part-above-top", "n-max-below-zero", "fractional-part",
+        "fractional-n-param"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()
