@@ -14,21 +14,27 @@ Vandermonde squares and the kernels' pair poles).  `trapezoid_sum`, the
 one contraction of a d <= DIM_CAP periodic trapezoid sum that this module
 and the Weyl quadrature of `haar` share, takes the factors unmultiplied:
 one-variable factors join their axis's node weights w_a and two-variable
-factors are M x M tables A_ab, so d = 3 is
+factors make up M x M tables A_ab, so d = 3 is
 sum(A_01 * w_0 (x) w_1 * ((A_02 * w_2) @ A_12^T)) -- one matrix product
-and M^2 tables instead of M^3 grid points.  An integrand that is one
-opaque function of all d variables is the degenerate case, one factor on
-the full grid contracted axis by axis.
+and M^2 tables instead of M^3 grid points.  The integrands below give
+each two-variable factor as a `Pair(f, x, y)`, the function and its two
+per-axis node arrays, and no table: `trapezoid_sum` builds the tables
+a row block of about BLOCK entries at a time and contracts each block at
+once, so the only whole table is A_12 at d = 3, which the matrix product
+needs.  An integrand that is one opaque function of all d variables is
+the degenerate case, one factor on the full grid, sliced by the same row
+blocks.
 
 The two lemma checks evaluate both sides (block-ordered permutation sum
 vs n-fold integral, and sign-vector sum vs k-fold integral) from their
 printed definitions and report the residual.  Each contour route is one
 of the two lemmas applied to an exp-pole kernel, so the routes build
 their integrands with the same two builders.  With the package's
-`exp_pole`, f(x) = 1/(1 - e^{-x}), a kernel forms each pair table
-f(z_i +- z_j) as 1/(1 - u_i u_j) from the per-variable exponentials
-u = e^{-+z}: one outer product, a subtraction and a reciprocal, with no
-complex exp on the M x M grid.  Any other pole is called on z_i +- z_j.
+`exp_pole`, f(x) = 1/(1 - e^{-x}), a kernel gives each pair factor
+f(z_i +- z_j) as the Pair 1/(1 - u v) of the per-variable exponentials
+u = e^{-+z}: a product, a subtraction and a reciprocal per table entry,
+with no complex exp on the M x M grid.  Any other pole is called on
+z_i +- z_j.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,11 +107,58 @@ def _node_circles(dim: int, M: int, center: complex, radius: float) -> list[np.n
 # Largest dimension of a trapezoid sum, contour or Weyl.
 DIM_CAP = 3
 
+# Entries of one row block of a pair table: 4,096 complex numbers (64 KiB),
+# so that no temporary of the contraction reaches glibc's 128 KiB mmap
+# threshold and a call maps and unmaps no memory.
+BLOCK = 4096
+
+
+class Pair(NamedTuple):
+    """The factor f(x, y) of x and y, not yet evaluated.  Where x and y vary
+    along two axes of a grid, `trapezoid_sum` calls f on row blocks of
+    them and never forms the whole table."""
+
+    f: Callable
+    x: object
+    y: object
+
+
+def _value(factor):
+    """A factor's value: a Pair evaluated, anything else itself."""
+    return factor.f(factor.x, factor.y) if isinstance(factor, Pair) else factor
+
 
 def _factors_of(value) -> Iterable:
     """A product given as its factors: a list or iterator is its factors,
     anything else is one factor."""
     return value if isinstance(value, (list, Iterator)) else (value,)
+
+
+def _axes(shape: tuple[int, ...], grid: tuple[int, ...]) -> tuple[int, ...]:
+    """The axes of `grid` along which an array of `shape` varies.  Raises
+    ValueError for a shape that does not broadcast to the grid."""
+    axes = []
+    for a, n in enumerate(shape, len(grid) - len(shape)):
+        if n != 1:
+            if a < 0 or n != grid[a]:
+                raise ValueError(f"a factor of shape {shape} does not broadcast to {grid}")
+            axes.append(a)
+    return tuple(axes)
+
+
+def _pair_rows(pair: Pair, grid: tuple[int, ...]):
+    """((a, b), rows) for a Pair whose x and y vary along one axis each,
+    a < b: rows(s) is its table at rows s of axis a and every node of axis
+    b.  None for any other Pair."""
+    ax, ay = _axes(np.shape(pair.x), grid), _axes(np.shape(pair.y), grid)
+    if len(ax) != 1 or len(ay) != 1 or ax == ay:
+        return None
+    f, x, y = pair.f, np.ravel(pair.x), np.ravel(pair.y)
+    if ax < ay:
+        col, row = x[:, None], y[None, :]
+        return ax + ay, lambda s: f(col[s], row)
+    col, row = y[:, None], x[None, :]
+    return ay + ax, lambda s: f(row, col[s])
 
 
 def trapezoid_sum(nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
@@ -114,18 +167,27 @@ def trapezoid_sum(nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
     times the integrand, in d = len(nodes) <= DIM_CAP variables.
 
     `integrand` is called once with one broadcastable array per variable
-    (nodes[a] along axis a) and returns an array that broadcasts to the
-    grid or a list or iterator of such factors, whose product is the
-    integrand; it does not write to them.  An iterator's factors are
-    multiplied in as they come, so only the tables are kept.  Each factor
-    counts on the axes it varies along: constants scale the sum, one-axis
-    factors multiply their axis's weights w_a, and two-axis factors
-    multiply into that pair's table A_ab (ones where there is none).  Then
-    d = 1 is sum(w_0), d = 2 is w_0 . (A_01 w_1), and d = 3 first folds
-    the third variable into A_01 * ((A_02 * w_2) @ A_12^T) with one matrix
-    product.  A factor on all three axes is multiplied by the tables on the
-    full grid, which w_2 then contracts.  Raises DimensionCap for
-    d > DIM_CAP before calling the integrand.
+    (nodes[a] along axis a) and returns a factor or a list or iterator of
+    factors, whose product is the integrand; it does not write to them.  A
+    factor is an array that broadcasts to the grid, or a `Pair` (f, x, y):
+    x and y broadcastable arrays and f(x, y) the factor, which f computes
+    elementwise with broadcasting.  Each factor counts on the axes it
+    varies along: constants scale the sum, one-axis factors multiply their
+    axis's weights w_a, and the others multiply into the table of their
+    axes, A_01, A_02, A_12 or A_012 (ones where there is none).  Then d = 1
+    is sum(w_0), d = 2 is w_0 . (A_01 w_1), and d = 3 folds the third
+    variable into A_01 * ((A_02 * w_2) @ A_12^T), or into
+    A_01 * ((A_012 * A_12) @ (A_02 * w_2)) row by row where a full-grid
+    factor is given.
+
+    No table but A_12 is built whole: the rows of axis 0 are taken in
+    blocks of about BLOCK entries, and a block's rows of each table (a
+    Pair called on those rows of its arguments, an array sliced) are
+    built and contracted at once.  A_12, every row of which the matrix
+    product reads, is filled a block at a time into one array.  A Pair
+    whose x and y do not vary along two axes is called once and counts as
+    an array.  Raises DimensionCap for d > DIM_CAP before calling the
+    integrand.
     """
     d = len(nodes)
     if d > DIM_CAP:
@@ -133,31 +195,58 @@ def trapezoid_sum(nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
     grid = tuple(len(x) for x in nodes)
     vals = integrand(*(x.reshape((1,) * a + (-1,) + (1,) * (d - a - 1))
                        for a, x in enumerate(nodes)))
-    tables: dict[tuple[int, ...], np.ndarray] = {}
+    const, w = 1.0, list(weights)
+    # axes -> the row builders of that table's factors
+    tables: dict[tuple[int, ...], list[Callable]] = {}
     for factor in _factors_of(vals):
-        # a broadcast axis has stride 0: the factor does not vary along it
-        full = np.broadcast_to(np.asarray(factor, dtype=complex), grid)
-        axes = tuple(a for a in range(d) if full.strides[a])
-        part = full[tuple(slice(None) if a in axes else 0 for a in range(d))]
-        tables[axes] = tables[axes] * part if axes in tables else part
-    const = tables.pop((), 1.0)
-    w = [weights[a] * tables.pop((a,)) if (a,) in tables else weights[a] for a in range(d)]
+        if isinstance(factor, Pair):
+            lazy = _pair_rows(factor, grid)
+            if lazy is not None:
+                tables.setdefault(lazy[0], []).append(lazy[1])
+                continue
+            factor = _value(factor)
+        factor = np.asarray(factor, dtype=complex)
+        axes = _axes(factor.shape, grid)
+        part = factor.reshape([grid[a] for a in axes])
+        if len(axes) > 1:
+            tables.setdefault(axes, []).append(part.__getitem__)
+        elif axes:
+            w[axes[0]] = w[axes[0]] * part
+        else:
+            const = const * part
     if d < 2:
         return complex(const * np.sum(w[0])) if d else complex(const)
 
-    def table(a: int, b: int) -> np.ndarray:
-        return tables.pop((a, b)) if (a, b) in tables else np.ones((grid[a], grid[b]))
+    def rows(axes: tuple[int, ...], s: slice) -> np.ndarray:
+        """Rows s of table A_axes: the product of its factors there."""
+        out = None
+        for part in tables.get(axes, ()):
+            out = part(s) if out is None else out * part(s)
+        if out is None:
+            return np.ones((len(range(grid[axes[0]])[s]),) + tuple(grid[a] for a in axes[1:]))
+        return out
 
-    if d == 2:
-        a01 = table(0, 1)
-    elif (0, 1, 2) in tables:
-        full = tables.pop((0, 1, 2))
-        for (a, b), t in tables.items():
-            full = full * np.expand_dims(t, 3 - a - b)
-        a01 = full @ w[2]
-    else:
-        a01 = table(0, 1) * ((table(0, 2) * w[2]) @ table(1, 2).T)
-    return complex(const * ((a01 @ w[1]) @ w[0]))
+    def steps(n_rows: int, row: int) -> Iterator[slice]:
+        """Blocks of n_rows rows of `row` entries each, about BLOCK entries a block."""
+        step = max(1, BLOCK // row)
+        return (slice(r, r + step) for r in range(0, n_rows, step))
+
+    if d == 3:
+        a12 = np.empty(grid[1:], dtype=complex)
+        for s in steps(grid[1], grid[2]):
+            a12[s] = rows((1, 2), s)
+    row_sums = np.empty(grid[0], dtype=complex)
+    for s in steps(grid[0], math.prod(grid[1:]) if (0, 1, 2) in tables else max(grid[1:])):
+        a01 = rows((0, 1), s)
+        if d == 3:
+            a02 = rows((0, 2), s) * w[2]
+            if (0, 1, 2) in tables:
+                full = rows((0, 1, 2), s) * a12
+                a01 = a01 * np.matmul(full, a02[:, :, None])[..., 0]
+            else:
+                a01 = a01 * (a02 @ a12.T)
+        row_sums[s] = a01 @ w[1]
+    return complex(const * (row_sums @ w[0]))
 
 
 def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
@@ -167,11 +256,12 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
 
     `vectorized` selects only the integrand's calling convention: True
     hands it one broadcastable array per dimension and expects, as
-    `trapezoid_sum` does, an array that broadcasts to the full grid or a
-    list or iterator of factors whose product is the integrand; it does
-    not write to them.  The lemma integrands below yield one- and
-    two-variable factors, so they cost M x M tables and, at dim = 3, one
-    M x M matrix product, with no M^dim array.  False calls
+    `trapezoid_sum` does, a factor (an array that broadcasts to the full
+    grid, or a `Pair`) or a list or iterator of factors whose product is
+    the integrand; it does not write to them.  The lemma integrands below
+    yield one-variable factors and Pairs, so they cost row blocks of
+    M x M tables and, at dim = 3, one whole table and one M x M matrix
+    product, with no M^dim array.  False calls
     integrand(z_1, ..., z_dim) once per grid point with Python complex
     arguments, one factor on the full grid.  Both are summed by
     `trapezoid_sum` with the node weights z - center.
@@ -197,17 +287,27 @@ def exp_pole(x):
     return 1.0 / (1.0 - np.exp(-x))
 
 
+def _exp_pole_pair(u, v):
+    """exp_pole(x + y) at u = e^{-x}, v = e^{-y}."""
+    return 1.0 / (1.0 - u * v)
+
+
 def _pair_poles(pole: Callable, xs: Sequence, ys: Sequence,
-                pairs: Iterable[tuple[int, int]]) -> Iterator:
-    """f(x_i + y_j) for each (i, j) of `pairs`.  For `exp_pole` that is
-    1 / (1 - e^{-x_i} e^{-y_j}): one exp per variable and, per pair, an
-    outer product, a subtraction and a reciprocal, so an M x M table costs
-    no complex exp.  Any other pole is called on x_i + y_j."""
+                pairs: Iterable[tuple[int, int]]) -> Iterator[Pair]:
+    """f(x_i + y_j) for each (i, j) of `pairs`, as Pairs.  For `exp_pole`
+    that is 1 / (1 - e^{-x_i} e^{-y_j}): one exp per variable and, per
+    table entry, a product, a subtraction and a reciprocal, so a table
+    costs no complex exp.  Any other pole is called on x_i + y_j."""
     if pole is not exp_pole:
-        return (pole(xs[i] + ys[j]) for i, j in pairs)
+        return (Pair(lambda x, y: pole(x + y), xs[i], ys[j]) for i, j in pairs)
     ex = [np.exp(-x) for x in xs]
     ey = ex if ys is xs else [np.exp(-y) for y in ys]
-    return (1.0 / (1.0 - ex[i] * ey[j]) for i, j in pairs)
+    return (Pair(_exp_pole_pair, ex[i], ey[j]) for i, j in pairs)
+
+
+def _square_difference(x, y):
+    """(y - x)^2: a factor of a Vandermonde square."""
+    return np.square(y - x)
 
 
 def exp_sum(c: complex, zs: Sequence) -> Iterator:
@@ -231,10 +331,10 @@ class BipartiteKernel:
     regular: Callable = field(default=_one)
 
     def __call__(self, a: Sequence[complex], b: Sequence[complex]) -> complex:
-        return complex(math.prod(self.factors(a, b)))
+        return complex(math.prod(map(_value, self.factors(a, b))))
 
     def factors(self, a: Sequence, b: Sequence) -> Iterator:
-        """The factors of G(a; b), unmultiplied: F's, then one f(a_i - b_j) per pair."""
+        """The factors of G(a; b), unmultiplied: F's, then the Pair f(a_i - b_j) per pair."""
         yield from _factors_of(self.regular(tuple(a), tuple(b)))
         yield from _pair_poles(self.pole, a, [-bj for bj in b],
                                itertools.product(range(len(a)), range(len(b))))
@@ -249,10 +349,10 @@ class SymmetricKernel:
     include_diagonal: bool = True
 
     def __call__(self, a: Sequence[complex]) -> complex:
-        return complex(math.prod(self.factors(a)))
+        return complex(math.prod(map(_value, self.factors(a))))
 
     def factors(self, a: Sequence) -> Iterator:
-        """The factors of G(a), unmultiplied: F's, then one f(a_i + a_j) per pair."""
+        """The factors of G(a), unmultiplied: F's, then the Pair f(a_i + a_j) per pair."""
         yield from _factors_of(self.regular(tuple(a)))
         yield from _pair_poles(self.pole, a, a, index_pairs(len(a), self.include_diagonal))
 
@@ -272,8 +372,9 @@ def unitary_lemma_integrand(kernel: BipartiteKernel, u: Sequence[complex], m: in
 
     (-1)^{n(n-1)/2} / (m! (n-m)!) * G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2
     / prod_{i,j}(z_i - u_j), for circular_integral(n, ..., enclosed_points=u,
-    vectorized=True).  It yields its factors: the constant, (z_k - z_j)^2
-    per pair, the kernel's factors and one denominator per variable.
+    vectorized=True).  It yields its factors: the constant, the Pair
+    (z_k - z_j)^2 per pair, the kernel's factors and one denominator per
+    variable.
     """
     u = [complex(x) for x in u]
     n = len(u)
@@ -282,7 +383,7 @@ def unitary_lemma_integrand(kernel: BipartiteKernel, u: Sequence[complex], m: in
     def integrand(*z):
         yield const
         for j, k in index_pairs(n, False):
-            yield np.square(z[k] - z[j])
+            yield Pair(_square_difference, z[j], z[k])
         yield from kernel.factors(z[:m], z[m:])
         for zd in z:
             yield 1.0 / math.prod(zd - p for p in u)
@@ -296,8 +397,8 @@ def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], vari
     (-1)^{k(k-1)/2} 2^k / k! * G(z) Delta(z^2)^2 * numerator
     / prod_{i,j}(z_i - alpha_j)(z_i + alpha_j), numerator prod z_j ("plain")
     or prod alpha_j ("signed"), for a contour enclosing +-alpha.  It yields
-    its factors: the constant, (z_k^2 - z_j^2)^2 per pair, the kernel's
-    factors and one numerator over denominator per variable.
+    its factors: the constant, the Pair (z_k^2 - z_j^2)^2 per pair, the
+    kernel's factors and one numerator over denominator per variable.
     """
     if variant not in ("plain", "signed"):
         raise ValueError("variant must be 'plain' or 'signed'")
@@ -311,7 +412,7 @@ def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], vari
         yield const
         sq = [zd * zd for zd in z]
         for i, j in index_pairs(k, False):
-            yield np.square(sq[j] - sq[i])
+            yield Pair(_square_difference, sq[i], sq[j])
         yield from kernel.factors(z)
         for zd in z:
             top = zd if variant == "plain" else 1.0

@@ -10,9 +10,10 @@ imports nothing of the package, so every module can call it.
 import operator
 
 
-def require_count(value, least: int, what: str) -> int:
+def require_count(value, least: float, what: str) -> int:
     """`value` as an int; ValueError naming `what` for a non-integer (2.5
-    would be a real power w^2.5 or a truncated partition) or one below `least`."""
+    would be a real power w^2.5 or a truncated partition) or one below
+    `least` (-math.inf: any integer)."""
     try:
         count = operator.index(value)
     except TypeError:

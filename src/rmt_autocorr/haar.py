@@ -36,6 +36,7 @@ functional-equation residuals.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -491,13 +492,14 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
 
 
 def sample_eigenangles(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
-    """Stream of `count` eigenangle vectors, reproducible from the seed."""
-    for angles in _eigenangle_chunks(spec, rng_seed, count):
-        yield from angles
+    """Stream of `count` >= 1 eigenangle vectors, reproducible from the seed."""
+    count = require_count(count, 1, "count")
+    return itertools.chain.from_iterable(_eigenangle_chunks(spec, rng_seed, count))
 
 
 def sample_eigenangle_batch(spec: GroupSpec, rng_seed: int, count: int) -> np.ndarray:
-    """All `count` eigenangle vectors at once (same stream as the generator)."""
+    """All `count` >= 1 eigenangle vectors at once (same stream as the generator)."""
+    count = require_count(count, 1, "count")
     return np.concatenate(list(_eigenangle_chunks(spec, rng_seed, count)), axis=0)
 
 

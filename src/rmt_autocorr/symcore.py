@@ -24,6 +24,7 @@ per-term views of the families, by itertools; the sums do not call them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from operator import add, mul, sub
@@ -148,10 +149,13 @@ def partial_family(variant: str, count: int, n_max: int) -> tuple[IndexFamily, .
     the pins, in [lo, hi], the pairs start at p_i = q_i + 2i over weakly
     increasing q: the two-column blocks (lo + 2i + q, lo + 2i + q + 1).  A
     count of the wrong parity gives no family, and so do both pins at
-    n_max < 1, where they would not increase.
+    n_max < 1, where they would not increase.  ValueError for a count or
+    n_max that is not an integer, or a count below 0.
     """
     if variant not in ("M", "E", "R", "L"):
         raise ValueError("variant must be one of M, E, R, L")
+    count = require_count(count, 0, "count")
+    n_max = require_count(n_max, -math.inf, "n_max")   # {0..n_max} is empty below 0
     first = int(variant in ("E", "L"))   # column 0 pinned at 0
     last = int(variant in ("E", "R"))    # last column pinned at n_max
     paired = count - first - last

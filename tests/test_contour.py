@@ -15,12 +15,14 @@ from rmt_autocorr import (
     SymmetricKernel,
     autocorr_contour,
     circular_integral,
+    contour,
     lemma_sym_check,
     lemma_unitary_check,
     orthogonal_contour,
     sp_autocorr_contour,
 )
 from rmt_autocorr.contour import (
+    Pair,
     _node_circles,
     assert_unit_residue,
     require_exp_kernel_radius,
@@ -235,6 +237,52 @@ def test_trapezoid_sum_equals_the_full_grid_contraction(d):
     assert trapezoid_sum(nodes, ones, lambda *_z: single) == pytest.approx(single.sum(), rel=1e-13)
 
 
+def _skewed(x, y):
+    """A pair function that is not symmetric in its arguments, so that a
+    Pair tabled with x and y swapped cannot pass."""
+    return x - 2.0 * y + x * y * y
+
+
+@pytest.mark.parametrize("block", [1, 28, 100])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trapezoid_sum_row_blocks_are_the_full_grid_contraction(d, block, monkeypatch):
+    # one row a block, and blocks that leave a shorter last one: 28 entries
+    # are 4 rows of 6 or 7 (of 5 or 6 rows), 100 are 2 rows of the 42-entry
+    # full grid (of 5); every kind of factor: Pairs on every ordered axis
+    # pair, the same axis included, 2-axis arrays and (at d = 3) full-grid
+    # arrays
+    monkeypatch.setattr(contour, "BLOCK", block)
+    rng = np.random.default_rng(70 + d)
+    grid = (5, 6, 7)[:d]
+    nodes = [np.linspace(0.0, 1.0, n) for n in grid]
+    largest = []
+
+    def spied(x, y):
+        out = _skewed(x, y)
+        largest.append(np.size(out) if np.ndim(x) == np.ndim(y) == 2 else 0)
+        return out
+
+    pair_axes = [(a, b) for a in range(d) for b in range(d)]
+    for trial in range(6):
+        factors = [_random_factor(rng, grid, ()), *(_random_factor(rng, grid, (a,)) for a in range(d))]
+        factors += [Pair(spied, _random_factor(rng, grid, (a,)), _random_factor(rng, grid, (b,)))
+                    for a, b in pair_axes]
+        factors += [_random_factor(rng, grid, (a, b)) for a, b in pair_axes if a < b]
+        if d == 3 and trial % 2:
+            factors.append(_random_factor(rng, grid, (0, 1, 2)))
+        weights = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in grid]
+        full = np.ones(grid, dtype=complex)
+        for f in factors:
+            full = full * (_skewed(f.x, f.y) if isinstance(f, Pair) else f)
+        for a, w in enumerate(weights):
+            full = full * w.reshape(tuple(n if b == a else 1 for b, n in enumerate(grid)))
+        expected = full.sum()
+        got = trapezoid_sum(nodes, weights, lambda *_z, f=factors: iter(f))
+        assert abs(got - expected) <= 1e-13 * abs(expected), (trial, len(factors))
+    # a two-axis Pair is called on row blocks, never on its whole table
+    assert max(largest) <= max(block, *grid)
+
+
 def test_trapezoid_sum_refuses_four_variables_before_evaluating():
     def refuse(*_z):
         raise AssertionError("integrand called")
@@ -264,15 +312,16 @@ def _route_peak(route, alphas, cfg):
 
 @contour_routes
 def test_three_variable_contour_routes_form_no_full_grid(route):
-    # one 128^3 complex grid is 32 MiB; the factored sum keeps M x M tables
-    assert _route_peak(route, ROUTE_ALPHAS, ContourConfig(nodes_per_dim=128)) <= 4 * 2 ** 20
+    # one 128^3 complex grid is 32 MiB and a 128 x 128 table 0.25 MiB: the
+    # row blocks hold only the (1, 2) table whole
+    assert _route_peak(route, ROUTE_ALPHAS, ContourConfig(nodes_per_dim=128)) < 2 ** 20
 
 
 @contour_routes
 def test_two_variable_contour_routes_keep_few_tables(route):
-    # a 256 x 256 complex table is 1 MiB; a complex exp on a pair table
-    # holds one more of them (4.0 MiB)
-    assert _route_peak(route, ROUTE_ALPHAS[:2], ContourConfig(nodes_per_dim=256)) <= 3.5 * 2 ** 20
+    # a 256 x 256 complex table is 1 MiB: the row blocks hold none of them
+    # whole
+    assert _route_peak(route, ROUTE_ALPHAS[:2], ContourConfig(nodes_per_dim=256)) < 0.5 * 2 ** 20
 
 
 @contour_routes
@@ -323,7 +372,8 @@ def test_exp_pole_pair_tables_are_the_pole_to_rounding(n):
     no_regular = lambda *_args: []   # noqa: E731 -- only the pole tables
     z = _route_nodes(n, alphas)
     for m in range(1, n):
-        got = list(BipartiteKernel(package_exp_pole, no_regular).factors(z[:m], z[m:]))
+        got = [pair.f(pair.x, pair.y)
+               for pair in BipartiteKernel(package_exp_pole, no_regular).factors(z[:m], z[m:])]
         want = [(a, -b) for a in z[:m] for b in z[m:]]
         assert len(got) == len(want)
         for table, (x, y) in zip(got, want):
@@ -331,7 +381,8 @@ def test_exp_pole_pair_tables_are_the_pole_to_rounding(n):
     z = _route_nodes(n, alphas + [-a for a in alphas])
     tables = {}
     for diagonal in (True, False):
-        got = list(SymmetricKernel(package_exp_pole, no_regular, diagonal).factors(z))
+        got = [pair.f(pair.x, pair.y)
+               for pair in SymmetricKernel(package_exp_pole, no_regular, diagonal).factors(z)]
         pairs = index_pairs(n, diagonal)
         assert len(got) == len(pairs)
         for table, (i, j) in zip(got, pairs):

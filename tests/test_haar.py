@@ -531,8 +531,17 @@ def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
     lambda: autocorr_integrand(group("u", 2), [0.5], m=2),
     lambda: monte_carlo_average(group("u", 1), autocorr_integrand(group("u", 1), [0.5]), 1,
                                 count=1),
+    # numpy's "need at least one array to concatenate" for 0 and -3, a
+    # bare TypeError for 2.5
+    lambda: sample_eigenangle_batch(group("usp", 2), 1, 0),
+    lambda: sample_eigenangle_batch(group("usp", 2), 1, -3),
+    lambda: sample_eigenangle_batch(group("u", 2), 1, 2.5),
+    lambda: sample_eigenangles(group("usp", 2), 1, 0),
+    lambda: sample_eigenangles(group("usp", 2), 1, -3),
+    lambda: sample_eigenangles(group("u", 2), 1, 2.5),
 ], ids=["angle-count", "functional-equation-at-0", "znorm-unitary", "znorm-at-0",
-        "three-nodes", "m-above-n", "one-sample"])
+        "three-nodes", "m-above-n", "one-sample", "batch-of-none", "batch-below-zero",
+        "fractional-batch", "stream-of-none", "stream-below-zero", "fractional-stream"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

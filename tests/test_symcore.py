@@ -515,9 +515,13 @@ def table_of_width(width, rows=2):
     lambda: so_partial_sums("R", -1, [0.5]),
     lambda: Partition((2.5, 1)),
     lambda: so_index_families(2, 1.5),
+    lambda: partial_family("M", 2, 5.5),   # was an IndexFamily of size 5.5
+    lambda: partial_family("M", 2.0, 5),
+    lambda: partial_family("R", -1, 5),
 ], ids=["padded-below-length", "split-m-above-n", "odd-max-part", "exponent-above-top",
         "parts-unlike-points", "part-above-top", "n-max-below-zero", "fractional-part",
-        "fractional-n-param"])
+        "fractional-n-param", "partial-fractional-n-max", "partial-fractional-count",
+        "partial-count-below-zero"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

@@ -1,19 +1,24 @@
-"""Before/after rows of the contour routes and the three-angle Weyl quadrature.
+"""Before/after rows of the contour routes, a lemma check and the
+three-angle Weyl quadrature.
 
     python3 tools/bench_quadrature.py BEFORE_ROOT AFTER_ROOT > BENCH_quadrature.json
     python3 tools/bench_quadrature.py --measure ROOT
 
 The command lines are `bench_common`'s.  Rows:
 - the four contour routes (U(N) at m = 1, USp, SO, O^-) at N = 2 on three
-  alphas with 128 nodes and on two with 128, 160 and 256 nodes, the
-  geometries of the benchmark's `checks` contour cells;
+  alphas with 128 nodes, on two with 128, 160 and 256 nodes and on one
+  with 128 and 256 nodes, the geometries of the benchmark's `checks`
+  contour cells;
+- `lemma_sym_check` with the package's `exp_pole`, strict pairs and the
+  plain variant on two alphas with 128 nodes, as in `checks`;
 - `weyl_autocorrelation` with three free angles per family (U(3) at m = 2,
   USp(6), SO(6), O^-(8)) at the four ROADMAP points, default nodes.
-The error is the relative error against the family's closed form at 60
-digits (U(N): `det`, the others: `eps`), at the double shifts the route
-integrates (w = exp(sign * alpha), the route and its sign from
-`routes.CONTOUR`), bound 1e-12.  The extra is the tracemalloc peak of one
-call after the timed calls.
+A route's error is the relative error against the family's closed form
+at 60 digits (U(N): `det`, the others: `eps`), at the double shifts the
+route integrates (w = exp(sign * alpha), the route and its sign from
+`routes.CONTOUR`); the lemma's is its residual over its sign-vector sum.
+The bound is 1e-12.  The extra is the tracemalloc peak of one call after
+the timed calls.
 """
 
 from __future__ import annotations
@@ -39,48 +44,63 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
+def _closed_form_error(family, N, m, shifts, value) -> float:
+    from rmt_autocorr.precision import PrecisionConfig
+    from rmt_autocorr.routes import ROUTES
+
+    ref = complex(ROUTES[family]["det" if family == "unitary" else "eps"](
+        N, shifts, m, PrecisionConfig.extended(60)))
+    return abs(complex(value) - ref) / abs(ref)
+
+
+def _lemma_error(result) -> float:
+    return result.residual / abs(result.lhs)
+
+
 def cases():
-    """(row name, call, family, N, m, shifts) of every row."""
+    """(row name, call, error) of every row: error(value) is the relative
+    error of the value the call returned."""
     from rmt_autocorr import haar
-    from rmt_autocorr.contour import ContourConfig
+    from rmt_autocorr.contour import ContourConfig, SymmetricKernel, exp_pole, lemma_sym_check
     from rmt_autocorr.routes import CONTOUR
 
     out = []
-    for n, nodes in ((3, 128), (2, 128), (2, 160), (2, 256)):
+    for n, nodes in ((3, 128), (2, 128), (2, 160), (2, 256), (1, 128), (1, 256)):
         cfg, al = ContourConfig(nodes_per_dim=nodes), ALPHAS[:n]
         for family, (route, sign) in CONTOUR.items():
             m = 1 if family == "unitary" else 0
             shifts = tuple(cmath.exp(sign * a) for a in al)
             out.append((f"contour {family} N=2 n={n} nodes={nodes}",
-                        partial(route, 2, al, m, cfg), family, 2, m, shifts))
+                        partial(route, 2, al, m, cfg),
+                        partial(_closed_form_error, family, 2, m, shifts)))
+    kernel = SymmetricKernel(exp_pole, include_diagonal=False)
+    out.append(("lemma_sym exp_pole diag=False plain k=2 nodes=128",
+                partial(lemma_sym_check, kernel, ALPHAS[:2], "plain", ContourConfig(128)),
+                _lemma_error))
     for family in FAMILIES:
         N = 4 if family == "ominus" else 3
         m = 2 if family == "unitary" else 0
         spec = haar.group(family, N)
         out.append((f"weyl {family} N={N} angles=3 k=4",
-                    partial(haar.weyl_autocorrelation, spec, POINTS, m), family, N, m, POINTS))
+                    partial(haar.weyl_autocorrelation, spec, POINTS, m),
+                    partial(_closed_form_error, family, N, m, POINTS)))
     return out
 
 
 def measure(root):
     """{row: [seconds, relative error, bound, peak MiB]} of the package under
     root/src."""
-    from rmt_autocorr.precision import PrecisionConfig
-    from rmt_autocorr.routes import ROUTES
-
-    ref_prec = PrecisionConfig.extended(60)
     rows = {}
-    for name, call, family, N, m, shifts in cases():
-        ref = complex(ROUTES[family]["det" if family == "unitary" else "eps"](
-            N, shifts, m, ref_prec))
+    for name, call, error in cases():
         seconds, value = timed(call)
-        rows[name] = [seconds, abs(complex(value) - ref) / abs(ref), BOUND, _peak_mib(call)]
+        rows[name] = [seconds, error(value), BOUND, _peak_mib(call)]
     return rows
 
 
 if __name__ == "__main__":
     sys.exit(main(__file__, measure,
                   "relative error against the 60-digit det (U(N)) or eps (USp, SO, O^-) "
-                  "closed form at the double shifts the route integrates",
+                  "closed form at the double shifts the route integrates; the lemma row's "
+                  "residual over its sign-vector sum",
                   {"peak_mib": "tracemalloc peak of one call after the timed calls, MiB, "
                                "largest over rounds"}))
