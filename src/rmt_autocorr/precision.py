@@ -4,9 +4,10 @@ All closed-form routes and identity checks run either on plain Python
 complex numbers (the default) or on `DecimalComplex` scalars, pairs of
 `decimal.Decimal` parts rounded to a configured number of decimal digits
 (the C `decimal` module, libmpdec).  A :class:`PrecisionConfig` (None for
-doubles) travels with every call; ``ops_for(prec)`` hands back the
-matching operation set.  Code written against the operation set is
-precision-agnostic.
+doubles) travels with every call, and is itself the extended operation
+set: ``ops_for(prec)`` returns it, or `DoubleOps` for None.  Code written
+against the operation set is precision-agnostic, and a shift's value
+enters it through the set's `scalar` alone (exactly, when extended).
 
 An extended result is a `DecimalComplex` whose parts were rounded by the
 decimal context current when they were computed; the routes compute
@@ -33,41 +34,6 @@ from functools import total_ordering
 from operator import attrgetter
 
 from .errors import require_count
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Extended arithmetic for the exact evaluation routes, at `digits`
-    decimal digits (>= 30); machine doubles are prec=None.
-
-    An extended result is a `DecimalComplex` (two Decimal parts) rounded
-    to digits + 2 significant digits.  Arithmetic on it at that precision
-    goes inside ``ops_for(prec).guard()``, and ``mpmath.mp.mpc(v)``
-    converts it exactly up to one rounding at mpmath's precision."""
-
-    digits: int = 40
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", require_count(self.digits, 30, "digits"))
-
-    @classmethod
-    def extended(cls, digits: int = 40) -> "PrecisionConfig":
-        return cls(digits)
-
-    @property
-    def mode(self) -> str:
-        return "extended"
-
-    @property
-    def agreement_tol(self) -> float:
-        """Tolerance of cross-checks at this precision."""
-        return 10.0 ** (-(self.digits - 15))
-
-    @property
-    def is_double(self) -> bool:
-        """Always False: double precision is prec=None.  Nothing in the
-        package reads it; bench/tracer.py looks it up by name, which keeps it here."""
-        return False
 
 
 def _generic_det(rows, absfn):
@@ -163,9 +129,9 @@ def _from_mpf(t) -> Decimal:
 @total_ordering
 class DecimalComplex:
     """An immutable complex number of two `decimal.Decimal` parts (build
-    one from any number with `ExtendedOps.scalar`).
+    one from any number with `PrecisionConfig.scalar`).
 
-    Arithmetic rounds in the current decimal context (`ExtendedOps.guard`
+    Arithmetic rounds in the current decimal context (`PrecisionConfig.guard`
     sets it), and mixes exactly with int, float, complex and Decimal on
     either side; integer powers of any sign are supported.  Real values
     (`abs` returns one) also order, compare with floats and convert to
@@ -347,17 +313,43 @@ def _via_mpmath(name: str, z) -> DecimalComplex:
     return DecimalComplex(ctx.plus(_from_mpf(re)), ctx.plus(_from_mpf(im)))
 
 
-class ExtendedOps:
-    """`DecimalComplex` operation set at a fixed number of decimal digits.
+@dataclass(frozen=True)
+class PrecisionConfig:
+    """Extended arithmetic at `digits` decimal digits (>= 30), and its
+    operation set: ``ops_for(prec)`` returns the config (doubles are None).
 
     `guard()` rounds to digits + 2 significant digits (mpmath's 40 digits
-    were 136 bits, about 40.9) with the exponent range wide open.  Division
+    were 136 bits, about 40.9) with the exponent range wide open; division
     by zero raises ZeroDivisionError, and decimal's invalid-operation and
-    overflow signals stay trapped."""
+    overflow signals stay trapped.  `scalar` converts any number exactly,
+    and ``mpmath.mp.mpc(v)`` converts a result exactly up to one rounding
+    at mpmath's precision."""
 
-    def __init__(self, digits: int):
-        self.digits = digits
-        self._context = Context(prec=digits + 2, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    digits: int = 40
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digits", require_count(self.digits, 30, "digits"))
+        # not a field: equality, hashing and repr read the digits alone
+        object.__setattr__(self, "_context", Context(prec=self.digits + 2, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+    @classmethod
+    def extended(cls, digits: int = 40) -> "PrecisionConfig":
+        return cls(digits)
+
+    @property
+    def mode(self) -> str:
+        return "extended"
+
+    @property
+    def agreement_tol(self) -> float:
+        """Tolerance of cross-checks at this precision."""
+        return 10.0 ** (-(self.digits - 15))
+
+    @property
+    def is_double(self) -> bool:
+        """Always False: double precision is prec=None.  Nothing in the
+        package reads it; bench/tracer.py looks it up by name, which keeps it here."""
+        return False
 
     def guard(self):
         return localcontext(self._context)
@@ -409,11 +401,12 @@ class ExtendedOps:
                             lambda z: z._re * z._re + z._im * z._im)
 
 
+# bench/tracer.py patches `det` and `fsum` on the extended set under this name.
+ExtendedOps = PrecisionConfig
+
 _DOUBLE_OPS = DoubleOps()
 
 
 def ops_for(prec: PrecisionConfig | None):
-    """Operation set matching a precision config (None means double)."""
-    if prec is None:
-        return _DOUBLE_OPS
-    return ExtendedOps(prec.digits)
+    """The operation set of a precision config: the config itself (None: doubles)."""
+    return _DOUBLE_OPS if prec is None else prec

@@ -16,7 +16,7 @@ from .precision import PrecisionConfig, ops_for
 
 
 def _unitary(route):
-    return lambda N, shifts, m, prec: route(unitary.UnitaryQuery(N, m, tuple(shifts)), prec)
+    return lambda N, shifts, m, prec: route(unitary.UnitaryQuery(N, m, shifts), prec)
 
 
 def _self_dual(route):

@@ -107,8 +107,8 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     The term of eps is prod_j w_j^(eps_j N) over the pair product of
     (1 - w_i^(-eps_i) w_j^(-eps_j)), pairs i <= j with the diagonal and
     i < j without, times prod eps_j when signed.  Raises PoleHit for a
-    zero shift or when a denominator is within the floor of zero for some
-    sign choice, and ValueError for an N not among the family's sizes (`_require_size`).
+    zero shift or when a denominator (read in double) is within the floor
+    of zero for some sign choice, and ValueError for an N not among the family's sizes (`_require_size`).
     """
     N = _require_size(N, diagonal)
     k = len(shifts)
@@ -119,7 +119,7 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
         if any(w == 0 for w in ws):
             raise PoleHit("sign-vector route needs nonzero shifts")
         divisors = _pair_table(pairs, lambda i, j, a, b: num.one - ws[i] ** (-a) * ws[j] ** (-b))
-        if any(abs(d) < EPS_DENOM_FLOOR for d in divisors.values()):
+        if any(abs(complex(d)) < EPS_DENOM_FLOOR for d in divisors.values()):
             raise PoleHit("reflection-sum denominator vanishes; use the Schur route")
         powers = {(j, e): w ** (e * N) for j, w in enumerate(ws) for e in (1, -1)}
         total = _sign_vector_sum(num, k, pairs, powers, divisors, signed)

@@ -41,14 +41,15 @@ from .symcore import (
 
 @dataclass(frozen=True)
 class UnitaryQuery:
-    """Shifted-moment query: size N, split point m, and the n shifts."""
+    """Shifted-moment query: size N, split point m, and the n shifts as
+    given (a route reads them through its `scalar`, keeping their digits)."""
 
     N: int
     m: int
     shifts: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shifts", tuple(complex(w) for w in self.shifts))
+        object.__setattr__(self, "shifts", tuple(self.shifts))
         object.__setattr__(self, "N", require_count(self.N, 1, "N"))
         object.__setattr__(self, "m", require_count(self.m, 0, "m"))
         if self.m > self.n:
@@ -175,7 +176,7 @@ def autocorr_contour(N: int, alphas: Sequence[complex], m: int,
     (1 - exp(b_j - a_i))^(-1), integrated on a shared circle enclosing
     the alphas.  Raises ValueError where UnitaryQuery does: N < 1, m outside 0..n.
     """
-    al = list(UnitaryQuery(N, m, alphas).shifts)
+    al = [complex(a) for a in UnitaryQuery(N, m, alphas).shifts]
     require_exp_kernel_contour(al, "alpha points")
     kernel = BipartiteKernel(exp_pole, lambda _a, b: exp_sum(-N, b))
     return circular_integral(len(al), unitary_lemma_integrand(kernel, al, m), cfg,

@@ -393,9 +393,11 @@ def test_exp_pole_pair_tables_are_the_pole_to_rounding(n):
                 tables[i, j] = table
 
 
-@pytest.mark.parametrize("call", [
-    lambda: sym_lemma_integrand(SymmetricKernel(exp_pole), [0.1], "other"),
-], ids=["unknown-variant"])
-def test_input_guards(call):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("call,match", [
+    (lambda: sym_lemma_integrand(SymmetricKernel(exp_pole), [0.1], "other"), "variant must be"),
+    (lambda: trapezoid_sum([np.zeros(16)], [np.ones(16)], lambda z: np.ones(3)),
+     "does not broadcast"),
+], ids=["unknown-variant", "factor-does-not-broadcast"])
+def test_input_guards(call, match):
+    with pytest.raises(ValueError, match=match):
         call()

@@ -25,6 +25,10 @@ def test_precision_config_sets_only_the_digits():
     with pytest.raises(ValueError):
         PrecisionConfig(29)
     assert ops_for(prec).digits == 40
+    # the config is its own operation set, under both names
+    assert ExtendedOps is PrecisionConfig
+    assert all(ops_for(p) is p for p in (prec, PrecisionConfig(30), PrecisionConfig(80)))
+    assert prec == PrecisionConfig(40) and repr(prec) == "PrecisionConfig(digits=40)"
 
 
 def test_extended_one_and_zero_are_constants():

@@ -4,7 +4,7 @@ import cmath
 
 import pytest
 
-from rmt_autocorr import PrecisionConfig
+from rmt_autocorr import NearConfluent, PrecisionConfig
 from rmt_autocorr.routes import CONTOUR, ROUTES, canonical_value, full_o2n_average
 from rmt_autocorr.symcore import divided_difference_sum
 from rmt_autocorr.symplectic import parity_family
@@ -56,6 +56,17 @@ def test_canonical_value_keeps_its_digits(family, N, m, reference):
     shifts, exact = _reference(family, N, m, reference)
     value = complex(canonical_value(family, N, shifts, m))
     assert abs(value - complex(exact)) <= 1e-12 * abs(complex(exact))
+
+
+def test_canonical_value_falls_back_when_det_refuses():
+    # a 1e-9 pair: the U(N) `det` route raises NearConfluent, and the
+    # canonical value is the Schur route's
+    shifts = (0.5, 0.5 + 1e-9)
+    with pytest.raises(NearConfluent):
+        ROUTES["unitary"]["det"](4, shifts, 1, None)
+    value = canonical_value("unitary", 4, shifts, 1)
+    assert value == ROUTES["unitary"]["schur"](4, shifts, 1, None)
+    assert value == pytest.approx(0.31250000125, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [8, 32, 256])

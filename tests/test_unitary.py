@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from rmt_autocorr import (
     weyl_autocorrelation,
 )
 from rmt_autocorr.haar import autocorr_integrand
+from rmt_autocorr.precision import ops_for
 from rmt_autocorr.routes import ROUTES
+from rmt_autocorr.symcore import Partition, schur_stable
 
 
 def _random_shifts(rng, n, lo=0.5, hi=2.0, sep=0.3):
@@ -110,6 +113,22 @@ def test_route_agreement_extended_precision():
         scale = max(1.0, abs(complex(a)))
         assert float(abs(a - b)) <= 1e-25 * scale
         assert float(abs(a - c)) <= 1e-25 * scale
+
+
+def test_extended_shifts_keep_their_digits():
+    # 31-digit shifts: rounded to doubles, w is off by 5.6e-17 relative
+    exact = ops_for(PrecisionConfig(60)).scalar
+    w = exact(Decimal("0.1000000000000000000000000000001"))
+    v = exact(Decimal("-0.3000000000000000000000000000007"))
+    p40, p60 = PrecisionConfig(40), PrecisionConfig(60)
+    shifts = (w, 0.7, v)
+    schur = schur_stable(Partition((3, 3, 0)), shifts, p60)   # N = 3, m = 1
+    for route in (autocorr_schur, autocorr_det, autocorr_comb):
+        with ops_for(p60).guard():
+            assert abs(route(UnitaryQuery(1, 0, (w,)), p40) - w) <= 1e-39 * abs(w)
+            high = route(UnitaryQuery(3, 1, shifts), p60)
+            assert abs(high - schur) <= 1e-55 * abs(schur)
+            assert abs(route(UnitaryQuery(3, 1, shifts), p40) - high) <= 1e-35 * abs(high)
 
 
 def test_full_symmetry_under_all_permutations():
