@@ -11,6 +11,9 @@ input or an unwritable --out among them), 3 numerical route error
 of the arithmetic, or an inf or NaN in the report), 4 a cross-check,
 identity or Monte Carlo gate failed.
 
+The closed-form routes need no numpy, so this module imports `haar` and
+`identities`, which do, only in the commands that run them.
+
 Output is deterministic given the full argument list: JSON objects are
 emitted with sorted keys and 17-significant-digit floats, so re-serializing
 a parsed report reproduces it byte for byte.
@@ -26,10 +29,9 @@ import sys
 import time
 from typing import Sequence
 
-from . import haar, routes, symplectic
+from . import routes, symplectic
 from .contour import ContourConfig
 from .errors import PoleHit, RouteError, require_count
-from .identities import run_identity_suite
 from .precision import PrecisionConfig
 
 EXIT_OK = 0
@@ -132,7 +134,7 @@ def _tolerance(args, default: float) -> float:
 
 
 def _query_spec(args):
-    spec = haar.GroupSpec(args.group, args.N)
+    spec = routes.GroupSpec(args.group, args.N)
     if args.alpha is not None:
         _route, sign = routes.CONTOUR[spec.family]
         shifts = [cmath.exp(sign * a) for a in parse_complex_list(args.alpha)]
@@ -177,14 +179,16 @@ def _route_value(spec, shifts, m, method, args, prec):
         raise UsageError("--digits applies to the closed-form routes, scaling and the "
                          "identity suite; integration routes run in double precision")
     nodes = getattr(args, "nodes", None)
-    if method == "quadrature":
-        return haar.weyl_autocorrelation(spec, shifts, m, nodes_per_dim=nodes), None
     if method == "contour":
         if 0 in shifts:
             raise PoleHit("contour route needs nonzero shifts")
         route, sign = routes.CONTOUR[fam]
         cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
         return route(spec.size, [sign * cmath.log(w) for w in shifts], m, cfg), None
+    from . import haar
+
+    if method == "quadrature":
+        return haar.weyl_autocorrelation(spec, shifts, m, nodes_per_dim=nodes), None
     # method == "montecarlo"
     require_count(args.samples, 100, "--samples")
     integrand = haar.autocorr_integrand(spec, shifts, m)
@@ -255,6 +259,8 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_identity_suite(args) -> int:
+    from .identities import run_identity_suite
+
     prec = _resolve_precision(args)
     tol = _tolerance(args, 1e-10 if prec is None else 10.0 ** (-(prec.digits - 10)))
     report = run_identity_suite(args.trials, args.seed, prec,

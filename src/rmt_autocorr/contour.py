@@ -35,6 +35,10 @@ f(z_i +- z_j) as the Pair 1/(1 - u v) of the per-variable exponentials
 u = e^{-+z}: a product, a subtraction and a reciprocal per table entry,
 with no complex exp on the M x M grid.  Any other pole is called on
 z_i +- z_j.
+
+numpy is imported inside the functions that build arrays, so the closed
+forms, which import this module for its kernels and guards, load it only
+when a contour or Weyl sum runs.
 """
 
 from __future__ import annotations
@@ -43,9 +47,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import ContourTooTight, DimensionCap, require_count
 from .symcore import (
@@ -54,6 +56,9 @@ from .symcore import (
     require_separated,
     sign_vectors,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -99,6 +104,8 @@ def require_exp_kernel_contour(enclosed: Sequence[complex], what: str) -> None:
 
 
 def _node_circles(dim: int, M: int, center: complex, radius: float) -> list[np.ndarray]:
+    import numpy as np
+
     base = 2.0 * np.pi * np.arange(M) / M
     rot = GOLDEN_FRACTION * (2.0 * np.pi / M)
     return [center + radius * np.exp(1j * (base + d * rot)) for d in range(dim)]
@@ -150,6 +157,8 @@ def _pair_rows(pair: Pair, grid: tuple[int, ...]):
     """((a, b), rows) for a Pair whose x and y vary along one axis each,
     a < b: rows(s) is its table at rows s of axis a and every node of axis
     b.  None for any other Pair."""
+    import numpy as np
+
     ax, ay = _axes(np.shape(pair.x), grid), _axes(np.shape(pair.y), grid)
     if len(ax) != 1 or len(ay) != 1 or ax == ay:
         return None
@@ -189,6 +198,8 @@ def trapezoid_sum(nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
     an array.  Raises DimensionCap for d > DIM_CAP before calling the
     integrand.
     """
+    import numpy as np
+
     d = len(nodes)
     if d > DIM_CAP:
         raise DimensionCap(f"dimension {d} exceeds the cap {DIM_CAP}")
@@ -266,6 +277,8 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
     arguments, one factor on the full grid.  Both are summed by
     `trapezoid_sum` with the node weights z - center.
     """
+    import numpy as np
+
     M = (cfg or DEFAULT_CONTOUR).nodes_per_dim
     center, radius = resolve_geometry(enclosed_points)
     circles = _node_circles(dim, M, center, radius)
@@ -284,6 +297,8 @@ def _one(*_args) -> complex:
 
 def exp_pole(x):
     """1 / (1 - e^{-x}): the pole factor of every contour route (residue 1 at 0)."""
+    import numpy as np
+
     return 1.0 / (1.0 - np.exp(-x))
 
 
@@ -298,6 +313,8 @@ def _pair_poles(pole: Callable, xs: Sequence, ys: Sequence,
     that is 1 / (1 - e^{-x_i} e^{-y_j}): one exp per variable and, per
     table entry, a product, a subtraction and a reciprocal, so a table
     costs no complex exp.  Any other pole is called on x_i + y_j."""
+    import numpy as np
+
     if pole is not exp_pole:
         return (Pair(lambda x, y: pole(x + y), xs[i], ys[j]) for i, j in pairs)
     ex = [np.exp(-x) for x in xs]
@@ -307,12 +324,16 @@ def _pair_poles(pole: Callable, xs: Sequence, ys: Sequence,
 
 def _square_difference(x, y):
     """(y - x)^2: a factor of a Vandermonde square."""
+    import numpy as np
+
     return np.square(y - x)
 
 
 def exp_sum(c: complex, zs: Sequence) -> Iterator:
     """exp(c * sum(zs)) as its one-variable factors exp(c z), which a
     kernel's regular part may return (see `_factors_of`)."""
+    import numpy as np
+
     return (np.exp(c * z) for z in zs)
 
 

@@ -38,56 +38,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .contour import trapezoid_sum
 from .errors import require_count
+from .routes import O_MINUS, SO_EVEN, SYMPLECTIC, UNITARY, GroupSpec
 from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
 
-UNITARY = "unitary"
-SYMPLECTIC = "symplectic"
-SO_EVEN = "so"
-O_MINUS = "ominus"
-
-_ALIASES = {
-    "u": UNITARY, "unitary": UNITARY,
-    "usp": SYMPLECTIC, "symplectic": SYMPLECTIC,
-    "so": SO_EVEN, "ominus": O_MINUS,
-}
-
 _SAMPLE_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A compact group family with its size parameter N.
-
-    The matrix dimension is N for the unitary family and 2N for the
-    symplectic and orthogonal families.
-    """
-
-    family: str
-    size: int
-
-    def __post_init__(self) -> None:
-        fam = _ALIASES.get(str(self.family).lower())
-        if fam is None:
-            raise ValueError(f"unknown group family {self.family!r}")
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "size", require_count(self.size, 1, "size"))
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.size if self.family == UNITARY else 2 * self.size
-
-    @property
-    def free_angles(self) -> int:
-        return self.size - 1 if self.family == O_MINUS else self.size
 
 
 def group(family: str, size: int) -> GroupSpec:

@@ -301,6 +301,22 @@ def _to_scalar(z) -> DecimalComplex:
     return _promote(complex(z))
 
 
+def require_finite(values) -> None:
+    """ValueError for an inf or NaN among `values`.  Every route checks its
+    shifts here: a non-finite one is a usage error, not a RouteError.  A
+    value that is not finite as a double is read again exactly, so a
+    40-digit value beyond the double range passes."""
+    try:
+        if all(map(cmath.isfinite, values)):
+            return
+    except (OverflowError, TypeError):   # an int beyond the double range, a non-number
+        pass
+    for v in values:
+        z = _to_scalar(v)
+        if not (z._re.is_finite() and z._im.is_finite()):
+            raise ValueError(f"non-finite shift {v!r}")
+
+
 def _via_mpmath(name: str, z) -> DecimalComplex:
     """mpmath's `name` function of z at the current context's digits,
     rounded back into that context.  mpmath is imported on first use only."""

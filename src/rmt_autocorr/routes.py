@@ -1,18 +1,59 @@
-"""The route tables: ROUTES[family][name](N, shifts, m, prec) are the sums,
-and CONTOUR[family] = (route, sign) is the contour form, route(N, alphas, m,
+"""The group families and the route tables.  `GroupSpec` names a family
+and its size; ROUTES[family][name](N, shifts, m, prec) are the sums, and
+CONTOUR[family] = (route, sign) is the contour form, route(N, alphas, m,
 cfg) at shifts w = exp(sign * alpha).  The split point m matters for U(N)
 only.  CANONICAL[family] is the order in which canonical_value tries the
 sums: each but the last may refuse with a RouteError, and the last is total.
+Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 from . import orthogonal, symplectic, unitary
-from .errors import RouteError
+from .errors import RouteError, require_count
 from .precision import PrecisionConfig, ops_for
+
+UNITARY = "unitary"
+SYMPLECTIC = "symplectic"
+SO_EVEN = "so"
+O_MINUS = "ominus"
+
+_ALIASES = {
+    "u": UNITARY, "unitary": UNITARY,
+    "usp": SYMPLECTIC, "symplectic": SYMPLECTIC,
+    "so": SO_EVEN, "ominus": O_MINUS,
+}
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """A compact group family with its size parameter N.
+
+    The matrix dimension is N for the unitary family and 2N for the
+    symplectic and orthogonal families.
+    """
+
+    family: str
+    size: int
+
+    def __post_init__(self) -> None:
+        fam = _ALIASES.get(str(self.family).lower())
+        if fam is None:
+            raise ValueError(f"unknown group family {self.family!r}")
+        object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "size", require_count(self.size, 1, "size"))
+
+    @property
+    def matrix_dim(self) -> int:
+        return self.size if self.family == UNITARY else 2 * self.size
+
+    @property
+    def free_angles(self) -> int:
+        return self.size - 1 if self.family == O_MINUS else self.size
 
 
 def _unitary(route):

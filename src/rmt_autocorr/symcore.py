@@ -31,7 +31,7 @@ from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NearConfluent, require_count
-from .precision import PrecisionConfig, ops_for
+from .precision import PrecisionConfig, ops_for, require_finite
 
 SEPARATION_RTOL = 1e-6  # relative pairwise-separation floor for bialternant-type routes
 
@@ -342,10 +342,11 @@ def bialternant_sum(shifts: Sequence, families: Sequence[IndexFamily],
     Vandermonde.
 
     Every determinant reads one table of w_r ** e, 0 <= e <= the largest
-    exponent a vector reads (see `_exterior_sum`).  Raises NearConfluent
-    when the shifts are not separated, and OverflowError when a power that
-    some vector reads overflows.
+    exponent a vector reads (see `_exterior_sum`).  Raises ValueError for
+    a non-finite shift, NearConfluent when the shifts are not separated,
+    and OverflowError when a power that some vector reads overflows.
     """
+    require_finite(shifts)
     require_separated(shifts, "shifts")
     num = ops_for(prec)
     with num.guard():

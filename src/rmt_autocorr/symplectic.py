@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .contour import (
     ContourConfig,
     SymmetricKernel,
@@ -33,7 +31,7 @@ from .contour import (
     sym_lemma_integrand,
 )
 from .errors import PoleHit, require_count
-from .precision import PrecisionConfig, ops_for
+from .precision import PrecisionConfig, ops_for, require_finite
 from .symcore import (
     IndexFamily,
     bialternant_sum,
@@ -108,9 +106,11 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     (1 - w_i^(-eps_i) w_j^(-eps_j)), pairs i <= j with the diagonal and
     i < j without, times prod eps_j when signed.  Raises PoleHit for a
     zero shift or when a denominator (read in double) is within the floor
-    of zero for some sign choice, and ValueError for an N not among the family's sizes (`_require_size`).
+    of zero for some sign choice, and ValueError for a non-finite shift or
+    an N not among the family's sizes (`_require_size`).
     """
     N = _require_size(N, diagonal)
+    require_finite(shifts)
     k = len(shifts)
     pairs = index_pairs(k, diagonal)
     num = ops_for(prec)
@@ -140,7 +140,8 @@ def folded_schur_sum(N: int, shifts: Sequence[complex], families: Sequence[Index
     and N = 1000: 1.3e-13 folded, 1e-15 unfolded).  Where w_j^(2N) is
     beyond the double range, OverflowError is raised, as `det` does.  The
     side of the circle is read in double, as `abs` of a decimal scalar
-    costs a square root."""
+    costs a square root.  Raises ValueError for a non-finite shift."""
+    require_finite(shifts)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
@@ -165,6 +166,8 @@ def reflection_contour(N: int, alphas: Sequence[complex], cfg: ContourConfig | N
     side on a circle enclosing +-alpha, with kernel exp(N sum z) prod
     (1 - exp(-z_m - z_l))^(-1) over pairs l <= m (l < m without the diagonal).
     Raises ValueError for an N not among the family's sizes (`_require_size`)."""
+    import numpy as np
+
     N = _require_size(N, diagonal)
     al = [complex(a) for a in alphas]
     enclosed = al + [-a for a in al]

@@ -28,7 +28,7 @@ from .contour import (
     unitary_lemma_integrand,
 )
 from .errors import PoleHit, require_count
-from .precision import PrecisionConfig, ops_for
+from .precision import PrecisionConfig, ops_for, require_finite
 from .symcore import (
     Partition,
     _bialternant,
@@ -42,7 +42,8 @@ from .symcore import (
 @dataclass(frozen=True)
 class UnitaryQuery:
     """Shifted-moment query: size N, split point m, and the n shifts as
-    given (a route reads them through its `scalar`, keeping their digits)."""
+    given (a route reads them through its `scalar`, keeping their digits).
+    ValueError for N < 1, m outside 0..n or a non-finite shift."""
 
     N: int
     m: int
@@ -54,6 +55,7 @@ class UnitaryQuery:
         object.__setattr__(self, "m", require_count(self.m, 0, "m"))
         if self.m > self.n:
             raise ValueError("need 0 <= m <= n")
+        require_finite(self.shifts)
 
     @property
     def n(self) -> int:

@@ -107,3 +107,15 @@ def test_self_dual_routes_refuse_sizes_below_the_family(family, smallest, moment
             contour(N, ALPHAS, 0, None)
     w = [cmath.exp(sign * a) for a in ALPHAS]
     assert complex(contour(smallest, ALPHAS, 0, None)) == pytest.approx(moment(*w), abs=1e-12)
+
+
+@pytest.mark.parametrize("digits", [None, 40], ids=["double", "40-digits"])
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.5, float("-inf"))],
+                         ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("family,name", [(f, n) for f, table in ROUTES.items() for n in table])
+def test_every_route_refuses_a_non_finite_shift(family, name, bad, digits):
+    # before the check a NaN came back, or OverflowError, decimal.InvalidOperation
+    # or MemoryError was raised, by route and precision
+    prec = None if digits is None else PrecisionConfig(digits)
+    with pytest.raises(ValueError, match="non-finite shift"):
+        ROUTES[family][name](2, (0.5, bad), 1, prec)

@@ -88,12 +88,14 @@ def fold(runs: dict, extras=()) -> list:
     return rows
 
 
-def main(script, measure, accuracy: str, extras: dict | None = None) -> int:
+def main(script, measure, accuracy: str, extras: dict | None = None,
+         timing: str | None = None) -> int:
     """The command line of a tool: `--measure ROOT` or
     `BEFORE_ROOT AFTER_ROOT`; any other argument count prints the usage and
-    returns 2.  `accuracy` says what a row's error is, and
-    `extras` names the values after the bound, in order, each with what it
-    is; both go into the report's header."""
+    returns 2.  `accuracy` says what a row's error is, `extras` names the
+    values after the bound, in order, each with what it is, and `timing` how
+    a row is timed (None: by `timed`); all three go into the report's
+    header."""
     extras = extras or {}
     args = sys.argv[1:]
     name = os.path.basename(script)
@@ -115,9 +117,9 @@ def main(script, measure, accuracy: str, extras: dict | None = None) -> int:
         "command": f"python3 tools/{name} BEFORE_ROOT AFTER_ROOT",
         "hardware": f"{platform.machine()}, {os.cpu_count()} cores, "
                     f"Python {platform.python_version()}",
-        "time": f"fastest of {ROUNDS} alternating rounds per side; each round the "
-                "fastest of the first call and 50 more (first call under 10 ms), 10 more "
-                "(under 0.1 s) or none",
+        "time": timing or f"fastest of {ROUNDS} alternating rounds per side; each round "
+                          "the fastest of the first call and 50 more (first call under "
+                          "10 ms), 10 more (under 0.1 s) or none",
         "accuracy": accuracy, **extras,
         "rows": fold(alternate(script, before, after), extras)}, indent=1))
     return 0
