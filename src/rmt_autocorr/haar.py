@@ -13,8 +13,11 @@ closed-form routes:
   prod (w - e^{i theta}) and prod (1 - e^{-i theta} w) directly.  For U(N)
   the coefficients are independent and complex; for the self-dual
   families they are 2n real ones (Theorem 2), whose polynomial is
-  prod (1 + w^2 - 2 w cos theta).  Any other angle functional gets
-  eigenangles from the same coefficients: U(N) those of their CMV matrix
+  prod (1 + w^2 - 2 w cos theta).  The coefficients are drawn into one
+  contiguous row of samples per coefficient, and the recursion keeps one
+  row per shift, so its array operations run over the samples.  Any
+  other angle functional gets eigenangles from the same coefficients:
+  U(N) those of their CMV matrix
   (Cantero-Moral-Velazquez, LAA 362, 2003), the self-dual families those
   of the Jacobi matrix the real coefficients define (one eigensolve per
   sample either way).  Every family has one random model.
@@ -322,7 +325,8 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
 
 def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np.ndarray:
     """B rows of real Verblunsky coefficients alpha_{-1}, alpha_0..alpha_{2n-1}
-    of the Jacobi ensemble, shape (B, 2n + 1).
+    of the Jacobi ensemble, shape (B, 2n + 1): the transpose of one
+    contiguous row of B samples per coefficient, the layout `_szego` reads.
 
     Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b:
     alpha_0..alpha_{2n-2} are independent Beta draws and
@@ -332,14 +336,18 @@ def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np
     Delta(x)^2 prod (4 - x^2)^a on [-2, 2]: the Weyl law of USp(2n) for
     a = 1/2 and of SO(2n) for a = -1/2.
     """
-    alpha = np.full((B, 2 * n + 1), -1.0)  # alpha[:, t + 1] is alpha_t
+    alpha = np.empty((2 * n + 1, B))  # alpha[t + 1] is alpha_t
+    alpha[0] = alpha[-1] = -1.0
     if n:
         k = np.arange(2 * n - 1)
         even = k % 2 == 0
         p = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + 2 * a + 2)
         q = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 1) / 2)
-        alpha[:, 1:-1] = 1 - 2 * rng.beta(p, q, size=(B, 2 * n - 1))
-    return alpha
+        draws = rng.beta(p, q, size=(B, 2 * n - 1))
+        draws *= -2
+        draws += 1  # 1 - 2 Beta, bit for bit
+        alpha[1:-1] = draws.T
+    return alpha.T
 
 
 def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
@@ -366,45 +374,60 @@ def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
 
 
 def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
-    """B rows of Verblunsky coefficients alpha_0..alpha_{N-1} of CUE(N).
+    """B rows of Verblunsky coefficients alpha_0..alpha_{N-1} of CUE(N),
+    shape (B, N): the transpose of one contiguous row of B samples per
+    coefficient, the layout `_szego` reads.
 
     Killip-Nenciu (IMRN 2004), Theorem 1 with beta = 2: independent, with
     uniform phase, |alpha_t|^2 ~ Beta(1, N - t - 1) for t < N - 1 and
     alpha_{N-1} on the unit circle.  The zeros of the Phi_N they define
     are then the eigenvalues of a Haar U(N) matrix.
     """
-    radius2 = np.ones((B, N))
-    radius2[:, :-1] = rng.beta(1.0, N - 1.0 - np.arange(N - 1), size=(B, N - 1))
-    return np.sqrt(radius2) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=(B, N)))
+    radius2 = rng.beta(1.0, N - 1.0 - np.arange(N - 1), size=(B, N - 1))
+    theta = rng.uniform(0.0, TWO_PI, size=(B, N)).T
+    alpha = np.empty((N, B), dtype=complex)  # alpha[t] is alpha_t
+    np.cos(theta, out=alpha.real)  # e^{i theta} without the complex exp
+    np.sin(theta, out=alpha.imag)
+    alpha[:-1] *= np.sqrt(radius2.T)
+    return alpha.T
 
 
 def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phi_N(w) = prod (w - e^{i theta}) and Phi*_N(w) = prod (1 - e^{-i theta} w)
-    of each coefficient row at each shift, both of shape (B, k).
+    of each coefficient column at each shift, both of shape (k, B).
 
+    `alpha` has one contiguous row of B samples per coefficient, and Phi
+    and Phi* one per shift, updated in place in buffers made once, so each
+    step's array operations run their inner loops over the B samples.
     Szego recursion (Simon, OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
     Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
     Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
     For the 2n real coefficients of `_jacobi_verblunsky` (alpha_{2n-1} = -1)
     the zeros come in pairs e^{+-i theta}, and
     Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  For real
-    rows at w = s = +-1, Phi*_t = s^t Phi_t, so each step multiplies by
-    s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)): these shifts
+    coefficients at w = s = +-1, Phi*_t = s^t Phi_t, so each step multiplies
+    by s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)): these shifts
     take the product of the formed factors, since the recursion's
-    s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.  An empty row
-    gives Phi = 1.
+    s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.  No
+    coefficient rows give Phi = 1.
     """
-    phi = np.ones((alpha.shape[0], len(w)), dtype=complex)
+    phi = np.ones((len(w), alpha.shape[1]), dtype=complex)
     phi_star = phi.copy()
-    for a in alpha.T[:, :, None]:
-        w_phi = w * phi
-        phi, phi_star = w_phi - np.conj(a) * phi_star, phi_star - a * w_phi
-    if not np.iscomplexobj(alpha):
-        t = np.arange(alpha.shape[1])
+    w_phi = np.empty_like(phi)
+    column = w[:, None]
+    real = not np.iscomplexobj(alpha)
+    for a, conj_a in zip(alpha, alpha if real else np.conj(alpha)):
+        np.multiply(column, phi, out=w_phi)
+        np.multiply(conj_a, phi_star, out=phi)
+        np.subtract(w_phi, phi, out=phi)
+        np.multiply(a, w_phi, out=w_phi)
+        np.subtract(phi_star, w_phi, out=phi_star)
+    if real:
+        t = np.arange(len(alpha))[:, None]
         for j in np.flatnonzero((w == 1) | (w == -1)):
             s = w[j].real
-            phi[:, j] = np.prod(s - alpha * s ** t, axis=1)
-            phi_star[:, j] = s ** len(t) * phi[:, j]
+            phi[j] = np.prod(s - alpha * s ** t, axis=0)
+            phi_star[j] = s ** len(t) * phi[j]
     return phi, phi_star
 
 
@@ -439,17 +462,22 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     over the Killip-Nenciu coefficients of every family.
 
     Every family reads the same stream as `_eigenangle_chunks`, so each
-    value is the angle path's up to rounding.
+    value is the angle path's up to rounding.  The recursion reads the
+    coefficients as rows, and the value is the product of the k rows of
+    Phi* (the first m shifts) and Phi.  A value beyond the double range is
+    inf or nan, without a warning: the caller's report refuses it.
     """
     w = np.asarray(shifts, dtype=complex)
     if spec.family == UNITARY:
-        alpha = _verblunsky_unitary(rng, B, spec.size)
+        alpha = _verblunsky_unitary(rng, B, spec.size).T
     else:
-        alpha = _jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family])[:, 1:]
-    phi, phi_star = _szego(alpha, w)
-    vals = np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
-    if spec.family == O_MINUS:
-        vals = vals * np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
+        alpha = _jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family]).T[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, phi_star = _szego(alpha, w)
+        phi[:m] = phi_star[:m]
+        vals = phi.prod(axis=0)
+        if spec.family == O_MINUS:
+            vals *= np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
     return vals
 
 
@@ -484,5 +512,10 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
     if np.all(vals == vals[0]):  # a constant, whose rounded mean and spread are noise
         return complex(vals[0]), 0.0
     mean = complex(vals.mean())
-    spread = float(np.sum(np.abs(vals - mean) ** 2) / (count - 1))
-    return mean, math.sqrt(spread / count)
+    dev = np.abs(vals - mean)
+    with np.errstate(over="ignore"):
+        squares = np.sum(dev ** 2)
+    if np.isfinite(squares) or not np.isfinite(scale := dev.max()):
+        return mean, math.sqrt(float(squares / (count - 1)) / count)
+    # finite deviations whose squares pass the double range: scale them first
+    return mean, float(scale * math.sqrt(np.sum((dev / scale) ** 2) / (count - 1) / count))

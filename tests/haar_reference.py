@@ -1,5 +1,6 @@
 """Haar-matrix samplers: the reference the package's Verblunsky models are
-tested against.
+tested against, and the sample-major Szego recursion its row-major one is
+held to.
 
 Independent of the Killip-Nenciu coefficient models in `rmt_autocorr.haar`:
 a complex Gaussian matrix orthonormalized by QR with phase correction is
@@ -79,3 +80,37 @@ def haar_matrix_batch(spec: GroupSpec, rng: np.random.Generator, count: int) -> 
         return _haar_symplectic_batch(rng, count, spec.size)
     det_sign = 1 if spec.family == SO_EVEN else -1
     return _haar_orthogonal_batch(rng, count, 2 * spec.size, det_sign)
+
+
+# ---------------------------------------------------------------------------
+# The Szego recursion on (B, k) arrays, one row per sample
+# ---------------------------------------------------------------------------
+
+def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_N(w) = prod (w - e^{i theta}) and Phi*_N(w) = prod (1 - e^{-i theta} w)
+    of each coefficient row at each shift, both of shape (B, k).
+
+    Szego recursion (Simon, OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
+    Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
+    Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
+    For the 2n real coefficients of `_jacobi_verblunsky` (alpha_{2n-1} = -1)
+    the zeros come in pairs e^{+-i theta}, and
+    Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  For real
+    rows at w = s = +-1, Phi*_t = s^t Phi_t, so each step multiplies by
+    s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)): these shifts
+    take the product of the formed factors, since the recursion's
+    s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.  An empty row
+    gives Phi = 1.
+    """
+    phi = np.ones((alpha.shape[0], len(w)), dtype=complex)
+    phi_star = phi.copy()
+    for a in alpha.T[:, :, None]:
+        w_phi = w * phi
+        phi, phi_star = w_phi - np.conj(a) * phi_star, phi_star - a * w_phi
+    if not np.iscomplexobj(alpha):
+        t = np.arange(alpha.shape[1])
+        for j in np.flatnonzero((w == 1) | (w == -1)):
+            s = w[j].real
+            phi[:, j] = np.prod(s - alpha * s ** t, axis=1)
+            phi_star[:, j] = s ** len(t) * phi[:, j]
+    return phi, phi_star

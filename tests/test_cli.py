@@ -167,6 +167,30 @@ def test_montecarlo_exact_value_near_one(capsys):
     assert abs(complex(exact["re"], exact["im"]) - moment) <= 1e-12 * moment
 
 
+def test_montecarlo_standard_error_past_the_range_of_squares(capsys):
+    # USp(600) at w = 2 is about 2^600: the samples and their standard error
+    # are doubles, their squared deviations are not; no warning either
+    # (warnings are errors in this suite)
+    import numpy as np
+
+    from rmt_autocorr import haar
+
+    code, out, err = run_cli(capsys, "montecarlo", "--group", "usp", "--N", "300",
+                             "--shifts", "2", "--samples", "100", "--seed", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    chunk = haar._autocorr_chunk(haar.group("usp", 300), (2 + 0j,), 0,
+                                 np.random.default_rng(1), 100)
+    scaled = chunk.real * 2.0 ** -600  # exact: every sample is real and positive
+    se = 2.0 ** 600 * np.sqrt(np.sum((scaled - scaled.mean()) ** 2) / 99 / 100)
+    assert abs(report["std_error"] - se) <= 1e-14 * se
+    assert report["pass"] is True
+    # samples past the double range: still a route error, still no warning
+    code, _, err = run_cli(capsys, "montecarlo", "--group", "usp", "--N", "400",
+                           "--shifts", "3", "--samples", "100")
+    assert code == 3 and err.startswith("numerical route error")
+
+
 @pytest.mark.parametrize("option", [("--method", "montecarlo", "--samples", "0"),
                                     ("--method", "contour", "--nodes", "0")])
 def test_zero_samples_or_nodes_is_a_usage_error(option):

@@ -30,6 +30,7 @@ from rmt_autocorr.haar import (
     _autocorr_chunk,
     _jacobi_verblunsky,
     _sample_chunks,
+    _verblunsky_unitary,
     autocorr_integrand,
     eigenangles_of,
     sample_eigenangle_batch,
@@ -37,7 +38,7 @@ from rmt_autocorr.haar import (
 )
 from rmt_autocorr.routes import canonical_value
 
-from haar_reference import _haar_orthogonal_batch, haar_matrix_batch
+from haar_reference import _haar_orthogonal_batch, _szego, haar_matrix_batch
 
 ALL_FAMILIES = ["u", "usp", "so", "ominus"]
 
@@ -439,6 +440,46 @@ def test_self_dual_values_at_plus_minus_one_match_the_50_digit_recursion(fam, N)
                     phi, phi_star = s * phi - at * phi_star, phi_star - at * s * phi
                 exact.append(float(phi))
         assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-14, s
+
+
+# 0, +-1 (the product-of-factors path of real coefficients), |w| > 1, complex
+SZEGO_SHIFTS = (0.0, 1.0, -1.0, 1.7 - 0.6j, 0.6 + 0.3j, -0.5 + 0.4j, 1.3j, 0.9)
+
+
+def _sample_major_values(spec, shifts, m, rng, B):
+    """`_autocorr_chunk`'s values by the reference `_szego` on (B, k) arrays,
+    from the same seeded coefficients."""
+    w = np.asarray(shifts, dtype=complex)
+    if spec.family == "unitary":
+        alpha = _verblunsky_unitary(rng, B, spec.size)
+    else:
+        alpha = _jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family])[:, 1:]
+    phi, phi_star = _szego(alpha, w)
+    vals = np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
+    if spec.family == "ominus":
+        vals = vals * np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
+    return vals
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+@pytest.mark.parametrize("N", [1, 2, 8, 16])
+def test_row_recursion_matches_the_sample_major_reference(fam, N):
+    # the recursion runs on one row of samples per shift; on the same seeded
+    # coefficients each value is within 4 u of the reference's, and equal
+    # at k = 1, where no product of shift rows is taken and the recursion's
+    # operations are the reference's
+    spec = group(fam, N)
+    u, B, seed = np.finfo(float).eps, 500, 1501 + N
+    cases = [SZEGO_SHIFTS[j:j + k] for k in (1, 2, 4) for j in range(0, len(SZEGO_SHIFTS), k)]
+    for shifts in cases:
+        for m in range(len(shifts) + 1):
+            got = _autocorr_chunk(spec, shifts, m, np.random.default_rng(seed), B)
+            ref = _sample_major_values(spec, shifts, m, np.random.default_rng(seed), B)
+            assert got.shape == ref.shape == (B,)
+            if len(shifts) == 1:
+                assert np.array_equal(got, ref), (shifts, m)
+            else:
+                assert np.all(np.abs(got - ref) <= 4 * u * np.abs(ref)), (shifts, m)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 16])

@@ -28,6 +28,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 
 # the ROADMAP points, bench/workloads.ROADMAP_POINTS
 POINTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
@@ -46,6 +47,16 @@ def timed(call):
         call()
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def peak_mib(call) -> float:
+    """The tracemalloc peak of one call(), MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
 
 
 def alternate(script, before, after) -> dict:

@@ -25,23 +25,13 @@ from __future__ import annotations
 
 import cmath
 import sys
-import tracemalloc
 from functools import partial
 
-from bench_common import POINTS, main, timed
+from bench_common import POINTS, main, peak_mib, timed
 
 ALPHAS = (0.12 + 0.05j, -0.1 + 0.13j, 0.2 - 0.11j)
 BOUND = 1e-12
 FAMILIES = ("unitary", "symplectic", "so", "ominus")
-
-
-def _peak_mib(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
-    finally:
-        tracemalloc.stop()
 
 
 def _closed_form_error(family, N, m, shifts, value) -> float:
@@ -93,7 +83,7 @@ def measure(root):
     rows = {}
     for name, call, error in cases():
         seconds, value = timed(call)
-        rows[name] = [seconds, error(value), BOUND, _peak_mib(call)]
+        rows[name] = [seconds, error(value), BOUND, peak_mib(call)]
     return rows
 
 
