@@ -29,7 +29,7 @@ class RouteError(Exception):
 
 class NearConfluent(RouteError):
     """Evaluation points too close together for a Vandermonde-normalized
-    route; use a confluent-safe route (Jacobi-Trudi Schur) instead."""
+    route; use a confluent-safe route (`schur`) instead."""
 
 
 class PoleHit(RouteError):

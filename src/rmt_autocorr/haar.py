@@ -511,7 +511,10 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
         vals = np.asarray(integrand(sample_eigenangle_batch(spec, rng_seed, count)))
     if np.all(vals == vals[0]):  # a constant, whose rounded mean and spread are noise
         return complex(vals[0]), 0.0
-    mean = complex(vals.mean())
+    with np.errstate(over="ignore"):
+        mean = complex(vals.mean())
+    if not np.isfinite(mean) and np.isfinite(scale := np.abs(vals).max()):
+        mean = complex((vals / scale).mean()) * float(scale)  # finite values, sum past the range
     dev = np.abs(vals - mean)
     with np.errstate(over="ignore"):
         squares = np.sum(dev ** 2)

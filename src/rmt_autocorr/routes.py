@@ -2,9 +2,8 @@
 and its size; ROUTES[family][name](N, shifts, m, prec) are the sums, and
 CONTOUR[family] = (route, sign) is the contour form, route(N, alphas, m,
 cfg) at shifts w = exp(sign * alpha).  The split point m matters for U(N)
-only.  CANONICAL[family] is the order in which canonical_value tries the
-sums: each but the last may refuse with a RouteError, and the last is total.
-Nothing here imports numpy.
+only.  Every family's `schur` sum is total and confluent-safe, and it is
+the family's canonical value.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import partial
 from typing import Sequence
 
 from . import orthogonal, symplectic, unitary
-from .errors import RouteError, require_count
+from .errors import require_count
 from .precision import PrecisionConfig, ops_for
 
 UNITARY = "unitary"
@@ -84,23 +83,11 @@ CONTOUR = {"unitary": (unitary.autocorr_contour, -1),
            "so": (_self_dual(partial(orthogonal.orthogonal_contour, "so")), 1),
            "ominus": (_self_dual(partial(orthogonal.orthogonal_contour, "ominus")), 1)}
 
-# `det` keeps the digits that the U(N) Schur sum loses off the unit circle.
-# The self-dual value is the folded Schur sum alone: it is confluent-safe,
-# where `eps` cancels near w = 1 without refusing.
-CANONICAL = {"unitary": ("det", "schur"), "symplectic": ("schur",),
-             "so": ("schur",), "ominus": ("schur",)}
-
 
 def canonical_value(family: str, N: int, shifts: Sequence[complex], m: int = 0,
                     prec: PrecisionConfig | None = None):
-    """The family's value by the first route of CANONICAL that does not refuse."""
-    *fallible, total = CANONICAL[family]
-    for name in fallible:
-        try:
-            return ROUTES[family][name](N, shifts, m, prec)
-        except RouteError:
-            pass
-    return ROUTES[family][total](N, shifts, m, prec)
+    """The family's value by its `schur` route."""
+    return ROUTES[family]["schur"](N, shifts, m, prec)
 
 
 def full_o2n_average(N: int, shifts: Sequence[complex],

@@ -3,10 +3,10 @@
 This is the symmetric-function substrate shared by all the autocorrelation
 routes: integer partitions with explicit length, the block splits of the
 shift indices and the sign vectors indexing the combinatorial sums, the one
-Vandermonde product, two Schur polynomial evaluators -- the
-bialternant, one power determinant over the Vandermonde (fails near
-coincident points), and a confluent-safe complete-homogeneous
-determinant -- and the determinant sums of the self-dual routes.
+Vandermonde product, two Schur polynomial evaluators -- the bialternant,
+one power determinant over the Vandermonde (fails near coincident points),
+and `schur_stable`, a block of the confluent-safe divided-difference one --
+and the determinant sums of the self-dual routes.
 
 Each self-dual sum runs over the exponent vectors of an `IndexFamily`:
 pinned columns, and blocks of columns e + step v over weakly increasing
@@ -232,7 +232,8 @@ def _homogeneous_rows(num, max_degree: int, points: Sequence) -> Iterator[list]:
 
 
 def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfig | None = None) -> list:
-    """h_0, ..., h_max_degree of the points: the last row of `_homogeneous_rows`."""
+    """h_0, ..., h_max_degree of the points: the last row of `_homogeneous_rows`.
+    No route calls it; bench/tracer.py patches it, which keeps it here."""
     num = ops_for(prec)
     with num.guard():
         for h in _homogeneous_rows(num, max_degree, points):
@@ -262,24 +263,34 @@ def schur_bialternant(mu: Partition, points: Sequence, prec: PrecisionConfig | N
 
 
 def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None = None):
-    """Confluent-safe Schur evaluation via the complete-homogeneous
-    (Jacobi-Trudi) determinant det[h_{mu_i - i + j}].
-
-    Agrees with the bialternant wherever that is defined and extends it
-    continuously to coincident points.
+    """Confluent-safe Schur evaluation: det[h_(mu_i - i + j)(x_1..x_(n-j))],
+    0 <= i, j < ell nonzero parts, on the points by increasing modulus (read
+    in double).  It is the non-unit block, rows r = n-1-j, of the divided-
+    difference determinant that `divided_difference_sum` reads, so its rows
+    are one `_homogeneous_rows` pass and its column scales multiply to the
+    value's size.  Where no point is zero and the box complement
+    mu'_i = mu_1 - mu_(n+1-i) has fewer nonzero parts, the value is
+    (x_1...x_n)^mu_1 s_mu'(1/x_1..1/x_n).
     """
     if len(mu) != len(points):
         raise ValueError("partition length must equal the number of points")
     num = ops_for(prec)
-    ell = mu.nonzero_count
-    if ell == 0:
-        with num.guard():
-            return num.one
     with num.guard():
-        # h_0..h_top and a zero: h_d at d = mu_i - i + j, the zero for d < 0
-        h = complete_homogeneous(mu.parts[0] + ell - 1, points, prec) + [num.zero]
-        return num.det([[h[max(mu.parts[i] - i + j, -1)] for j in range(ell)]
-                        for i in range(ell)])
+        pts, parts, scale = [num.scalar(p) for p in points], mu.parts, num.one
+        if all(pts) and len(parts) - parts.count(max(parts, default=0)) < mu.nonzero_count:
+            for x in pts:
+                scale = scale * x ** parts[0]
+            pts, parts = [num.one / x for x in pts], tuple(parts[0] - p for p in reversed(parts))
+        ell = len(parts) - parts.count(0)
+        if ell == 0:
+            return scale
+        pts.sort(key=lambda x: abs(complex(x)))
+        # rows[ell - 1 - j]: h of the first n - j points
+        rows = [list(h) for h in islice(_homogeneous_rows(num, parts[0] + ell - 1, pts),
+                                        len(pts) - ell + 1, None)]
+        return scale * num.det([[rows[ell - 1 - j][d] if d >= 0 else num.zero
+                                 for j, d in enumerate(range(parts[i] - i, parts[i] - i + ell))]
+                                for i in range(ell)])
 
 
 def _extend(minors: dict, column: list) -> dict:

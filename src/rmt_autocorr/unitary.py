@@ -4,7 +4,7 @@ I_{m,n}(N; w_1..w_m; w_{m+1}..w_n) is the Haar average of m adjoint
 characteristic polynomials at the first block of shifts times n-m direct
 ones at the second block (with their w^N prefactors absorbed).  It equals
 
-* a rectangular-partition Schur polynomial (confluent-safe),
+* a rectangular-partition Schur polynomial (confluent-safe, canonical),
 * its bialternant: n x n power columns over the Vandermonde,
 * a block-split sum with (1 - w_l / w_q)^(-1) factors,
 * an n-fold contour integral in exponentiated shifts w_j = exp(-alpha_j).
@@ -68,10 +68,9 @@ def rectangle_partition(query: UnitaryQuery) -> Partition:
 
 
 def autocorr_schur(query: UnitaryQuery, prec: PrecisionConfig | None = None):
-    """Canonical route: the rectangular Schur polynomial of the shifts.
-
-    Total on all inputs, including coincident and zero shifts.
-    """
+    """Canonical route: the rectangular Schur polynomial s_(N^(n-m)) of the
+    shifts by `schur_stable`, so in the complement when n - m > n/2.
+    Total on all inputs, including coincident and zero shifts."""
     return schur_stable(rectangle_partition(query), query.shifts, prec)
 
 

@@ -294,6 +294,16 @@ def test_constant_integrand_has_zero_stderr():
     assert mean == pytest.approx(2.5 + 1j) and se == 0.0
 
 
+def test_monte_carlo_mean_of_values_near_the_top_of_the_range():
+    # 4,096 values of about 2e306 to 3e306, whose sum passes the double
+    # range: the mean was inf, with an overflow RuntimeWarning
+    spec = group("usp", 2)
+    mean, se = monte_carlo_average(spec, lambda T: 1e306 * (2 + np.cos(T[:, 0])), 1, 4096)
+    unit_mean, unit_se = monte_carlo_average(spec, lambda T: 2 + np.cos(T[:, 0]), 1, 4096)
+    assert mean == pytest.approx(1e306 * unit_mean, rel=1e-14)
+    assert se == pytest.approx(1e306 * unit_se, rel=1e-14)
+
+
 def test_monte_carlo_consistent_with_quadrature_on_random_integrands():
     # random class functions: symmetric in the angles and even per angle,
     # since an eigenangle vector is only defined up to ordering and (for the

@@ -2,11 +2,13 @@
 
 import cmath
 
+import numpy as np
 import pytest
+from schur_reference import jacobi_trudi
 
 from rmt_autocorr import NearConfluent, PrecisionConfig
 from rmt_autocorr.routes import CONTOUR, ROUTES, canonical_value, full_o2n_average
-from rmt_autocorr.symcore import divided_difference_sum
+from rmt_autocorr.symcore import Partition, divided_difference_sum
 from rmt_autocorr.symplectic import parity_family
 
 SHIFTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
@@ -23,6 +25,20 @@ NEAR_PAIRS = {
 # for USp and O^-, 780 for SO).  The reference is `eps` at 60 digits.
 CENTRAL_B = (0.3, 0.5 + 0.2j, 0.7 - 0.1j, 0.9)
 CENTRAL_S = {f"central-s={s:g}": s for s in (0.01, 0.1, 1, 10)}
+# U(N) cells, judged against the Jacobi-Trudi rectangle at 140 digits: the
+# ROADMAP points, where the Jacobi-Trudi route was off by 1.0e102 at N = 256
+# and m = 0; a cluster, where `det` printed 3.9573e-13; and a zero shift,
+# where the value is 0 at m = 0 and otherwise the rectangle in the others.
+UNITARY_CELLS = {"roadmap-points": SHIFTS,
+                 "cluster": (0.80002, 0.80005, 0.80007, 0.80001),
+                 "zero-shift": (0.0, *SHIFTS[1:])}
+JT_REF = PrecisionConfig.extended(140)
+
+
+def _rectangle(N, shifts, m):
+    """s_(N^(n-m)) of the shifts by Jacobi-Trudi at 140 digits."""
+    n = len(shifts)
+    return jacobi_trudi(Partition((N,) * (n - m) + (0,) * m), shifts, JT_REF)
 
 
 def _central(N, s):
@@ -32,7 +48,12 @@ def _central(N, s):
 def _reference(family, N, m, reference):
     """(shifts, value) of a row: a route at 60 digits on SHIFTS, a NEAR_PAIRS
     cell's unfolded USp Schur sum at 100 digits, or a central cell's `eps`
-    at 60 digits."""
+    at 60 digits, or a U(N) cell's rectangle at 140 digits."""
+    if reference == "zero-shift":
+        shifts = UNITARY_CELLS[reference]
+        return shifts, 0.0 if m == 0 else _rectangle(N, shifts[1:], m - 1)
+    if reference in UNITARY_CELLS:
+        return UNITARY_CELLS[reference], _rectangle(N, UNITARY_CELLS[reference], m)
     if reference in NEAR_PAIRS:
         shifts = NEAR_PAIRS[reference]
         families = [parity_family(len(shifts), 2 * N + len(shifts) - 1)]
@@ -44,14 +65,17 @@ def _reference(family, N, m, reference):
 
 
 @pytest.mark.parametrize("family,N,m,reference", [
-    ("unitary", 128, 2, "comb"),    # the rectangular Schur route is off by 2.4e3 here
+    ("unitary", 128, 2, "comb"),    # the Jacobi-Trudi Schur route was off by 2.4e3 here
+    ("unitary", 32, 0, "cluster"),  # 3.96391e-13
     ("symplectic", 32, 0, "eps"),   # 58,905 Schur terms, off by 3e-9
     ("so", 32, 0, "eps"),
     ("ominus", 32, 0, "eps"),
     ("symplectic", 256, 0, "unfolded-pair-plus-1e-7"),     # was off by 1.4e7
     ("symplectic", 256, 0, "unfolded-pair-times-1+1e-7"),  # was off by 3.2e11
 ] + [(family, N, 0, cell) for family in ("symplectic", "so", "ominus")
-     for N in (8, 32, 256) for cell in CENTRAL_S])
+     for N in (8, 32, 256) for cell in CENTRAL_S]
+  + [("unitary", N, m, cell) for cell in ("roadmap-points", "zero-shift")
+     for N in (128, 256) for m in range(5)])
 def test_canonical_value_keeps_its_digits(family, N, m, reference):
     shifts, exact = _reference(family, N, m, reference)
     value = complex(canonical_value(family, N, shifts, m))
@@ -67,6 +91,47 @@ def test_canonical_value_falls_back_when_det_refuses():
     value = canonical_value("unitary", 4, shifts, 1)
     assert value == ROUTES["unitary"]["schur"](4, shifts, 1, None)
     assert value == pytest.approx(0.31250000125, rel=1e-12)
+
+
+def _random_unitary_query(rng, geometry):
+    """(N, shifts, m): N = round(2^U(0,8)), 1 <= n <= 4, a random m, and the
+    shifts of one geometry -- on 0.5 < |w| < 1.5, on the unit circle, within
+    relative 1e-7..1e-2 of one point, or within 1e-4..1e-1 of one of +-1."""
+    N = int(round(2 ** rng.uniform(0, 8)))
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, n + 1))
+
+    def phase():
+        return cmath.exp(2j * cmath.pi * rng.uniform())
+
+    if geometry == "annulus":
+        shifts = [rng.uniform(0.5, 1.5) * phase() for _ in range(n)]
+    elif geometry == "circle":
+        shifts = [phase() for _ in range(n)]
+    elif geometry == "cluster":
+        c = rng.uniform(0.5, 1.5) * phase()
+        shifts = [c * (1 + 10 ** rng.uniform(-7, -2) * phase()) for _ in range(n)]
+    else:
+        sign = rng.choice((-1.0, 1.0))
+        shifts = [sign + 10 ** rng.uniform(-4, -1) * phase() for _ in range(n)]
+    return N, tuple(complex(w) for w in shifts), m
+
+
+def test_unitary_canonical_value_keeps_its_digits_on_random_queries():
+    # 800 queries, 200 per geometry, in about 0.3 s.  The canonical value
+    # that tried `det` and fell back to the Jacobi-Trudi route was off by
+    # more than 1e-12 on 174 of them (annulus 4, cluster 106, pm1 64), by up
+    # to 35 relative.
+    rng = np.random.default_rng(11)
+    wrong = []
+    for geometry in ("annulus", "circle", "cluster", "pm1"):
+        for _ in range(200):
+            N, shifts, m = _random_unitary_query(rng, geometry)
+            exact = complex(_rectangle(N, shifts, m))
+            value = complex(canonical_value("unitary", N, shifts, m))
+            if not abs(value - exact) <= 1e-12 * abs(exact):
+                wrong.append((geometry, N, shifts, m))
+    assert not wrong, f"{len(wrong)} of 800 off by more than 1e-12, first {wrong[:3]}"
 
 
 @pytest.mark.parametrize("N", [8, 32, 256])
