@@ -26,8 +26,8 @@ _EXPORTS = {
     "errors": ("ContourTooTight", "DimensionCap", "InconsistentCoefficients", "NearConfluent",
                "PoleHit", "RouteError"),
     "haar": ("char_poly_eval", "functional_equation_residual", "group", "monte_carlo_average",
-             "quadrature_average", "sample_eigenangles", "weyl_autocorrelation", "weyl_density",
-             "znorm_residual"),
+             "quadrature_average", "sample_eigenangle_batch", "weyl_autocorrelation",
+             "weyl_density", "znorm_residual"),
     "identities": ("IdentitySuiteReport", "fn_eval", "identity1_residual", "identity2_residual",
                    "identity3_residual", "identity4_residual", "lemma1_residual",
                    "run_identity_suite", "symmb_coeff_transform"),
@@ -38,12 +38,12 @@ _EXPORTS = {
     "precision": ("PrecisionConfig",),
     "routes": ("GroupSpec", "full_o2n_average"),
     "symcore": ("Partition", "conjugate_partition", "enumerate_even_partitions",
-                "enumerate_so_index_sets", "enumerate_split_permutations", "schur_bialternant",
-                "schur_stable", "vandermonde"),
+                "enumerate_so_index_sets", "enumerate_split_permutations", "schur_stable",
+                "vandermonde"),
     "symplectic": ("sp_autocorr_contour", "sp_autocorr_det", "sp_autocorr_eps",
                    "sp_autocorr_schur", "sp_large_n_ratio"),
-    "unitary": ("UnitaryQuery", "autocorr_alpha_sum", "autocorr_comb", "autocorr_contour",
-                "autocorr_det", "autocorr_schur", "shifted_product_average"),
+    "unitary": ("UnitaryQuery", "autocorr_comb", "autocorr_contour", "autocorr_det",
+                "autocorr_schur", "shifted_product_average"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

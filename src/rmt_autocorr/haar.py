@@ -39,7 +39,6 @@ functional-equation residuals.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -481,14 +480,10 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     return vals
 
 
-def sample_eigenangles(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
-    """Stream of `count` >= 1 eigenangle vectors, reproducible from the seed."""
-    count = require_count(count, 1, "count")
-    return itertools.chain.from_iterable(_eigenangle_chunks(spec, rng_seed, count))
-
-
 def sample_eigenangle_batch(spec: GroupSpec, rng_seed: int, count: int) -> np.ndarray:
-    """All `count` >= 1 eigenangle vectors at once (same stream as the generator)."""
+    """`count` >= 1 eigenangle vectors, shape (count, free angles), reproducible
+    from the seed.  They are drawn `_SAMPLE_CHUNK` at a time from one stream,
+    so their whole chunks are the first rows of any longer batch from that seed."""
     count = require_count(count, 1, "count")
     return np.concatenate(list(_eigenangle_chunks(spec, rng_seed, count)), axis=0)
 
@@ -518,7 +513,7 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
     dev = np.abs(vals - mean)
     with np.errstate(over="ignore"):
         squares = np.sum(dev ** 2)
-    if np.isfinite(squares) or not np.isfinite(scale := dev.max()):
-        return mean, math.sqrt(float(squares / (count - 1)) / count)
-    # finite deviations whose squares pass the double range: scale them first
-    return mean, float(scale * math.sqrt(np.sum((dev / scale) ** 2) / (count - 1) / count))
+    if not np.finfo(float).tiny <= squares < math.inf and 0 < (scale := dev.max()) < math.inf:
+        # finite deviations whose squares overflow or underflow: scale them first
+        return mean, float(scale * math.sqrt(np.sum((dev / scale) ** 2) / (count - 1) / count))
+    return mean, math.sqrt(float(squares / (count - 1)) / count)

@@ -99,7 +99,10 @@ class DoubleOps:
     @staticmethod
     def fsum(terms):
         ts = [complex(t) for t in terms]
-        return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
+        try:
+            return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
+        except ValueError:  # -inf + inf: the plain IEEE sum, whose part is NaN
+            return sum(ts, 0j)
 
     @classmethod
     def det(cls, rows):

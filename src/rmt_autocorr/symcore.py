@@ -3,10 +3,9 @@
 This is the symmetric-function substrate shared by all the autocorrelation
 routes: integer partitions with explicit length, the block splits of the
 shift indices and the sign vectors indexing the combinatorial sums, the one
-Vandermonde product, two Schur polynomial evaluators -- the bialternant,
-one power determinant over the Vandermonde (fails near coincident points),
-and `schur_stable`, a block of the confluent-safe divided-difference one --
-and the determinant sums of the self-dual routes.
+Vandermonde product, the one Schur polynomial evaluator `schur_stable` (a
+block of the confluent-safe divided-difference determinant), and the
+determinant sums of the self-dual routes.
 
 Each self-dual sum runs over the exponent vectors of an `IndexFamily`:
 pinned columns, and blocks of columns e + step v over weakly increasing
@@ -239,27 +238,6 @@ def complete_homogeneous(max_degree: int, points: Sequence, prec: PrecisionConfi
         for h in _homogeneous_rows(num, max_degree, points):
             pass
         return h
-
-
-def _bialternant(exponents: Sequence[int], points: Sequence, prec: PrecisionConfig | None):
-    """det[x_i^(e_j)] / vandermonde(points) over increasing exponents e;
-    NearConfluent unless the points are separated (it is 0/0 where they meet)."""
-    require_separated(points)
-    num = ops_for(prec)
-    with num.guard():
-        pts = [num.scalar(p) for p in points]
-        return num.det([[x ** e for e in exponents] for x in pts]) / vandermonde(pts, prec)
-
-
-def schur_bialternant(mu: Partition, points: Sequence, prec: PrecisionConfig | None = None):
-    """Schur polynomial as the bialternant over the exponents mu_j + n - j.
-
-    Requires len(mu) == len(points) and pairwise separation above the
-    configured threshold; raises NearConfluent otherwise (use schur_stable).
-    """
-    if len(mu) != len(points):
-        raise ValueError("partition length must equal the number of points")
-    return _bialternant([p + i for i, p in enumerate(reversed(mu.parts))], points, prec)
 
 
 def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None = None):

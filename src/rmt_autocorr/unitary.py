@@ -31,11 +31,12 @@ from .errors import PoleHit, require_count
 from .precision import PrecisionConfig, ops_for, require_finite
 from .symcore import (
     Partition,
-    _bialternant,
     enumerate_split_permutations,
     min_separation,
+    require_separated,
     schur_stable,
     separation_threshold,
+    vandermonde,
 )
 
 
@@ -76,18 +77,16 @@ def autocorr_schur(query: UnitaryQuery, prec: PrecisionConfig | None = None):
 
 def autocorr_det(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     """Determinant route: the bialternant of the rectangular Schur polynomial,
-    power columns {0..m-1, N+m..N+n-1} over the Vandermonde."""
+    det[w_i^(e_j)] over the power columns e = {0..m-1, N+m..N+n-1}, divided
+    by the Vandermonde.  NearConfluent unless the shifts are separated (it
+    is 0/0 where they meet)."""
     n, m, N = query.n, query.m, query.N
-    return _bialternant([*range(m), *range(N + m, N + n)], query.shifts, prec)
-
-
-def _require_split_poles(shifts: Sequence) -> None:
-    """PoleHit for a zero shift, or for two shifts closer than the separation
-    threshold: the split sums divide by 1 - w_l / w_q."""
-    if any(w == 0 for w in shifts):
-        raise PoleHit("combinatorial route needs nonzero shifts")
-    if min_separation(shifts) < separation_threshold(shifts):
-        raise PoleHit("equal shifts across a split; use the Schur route")
+    exponents = [*range(m), *range(N + m, N + n)]
+    require_separated(query.shifts)
+    num = ops_for(prec)
+    with num.guard():
+        pts = [num.scalar(p) for p in query.shifts]
+        return num.det([[x ** e for e in exponents] for x in pts]) / vandermonde(pts, prec)
 
 
 def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
@@ -100,7 +99,10 @@ def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     shifts or equal shifts across any split (which means any equal pair
     at all).
     """
-    _require_split_poles(query.shifts)
+    if any(w == 0 for w in query.shifts):
+        raise PoleHit("combinatorial route needs nonzero shifts")
+    if min_separation(query.shifts) < separation_threshold(query.shifts):
+        raise PoleHit("equal shifts across a split; use the Schur route")
     n, m = query.n, query.m
     num = ops_for(prec)
     with num.guard():
@@ -136,37 +138,6 @@ def shifted_product_average(N: int, shifts: Sequence[complex], m: int,
         for x in s[:m]:
             value = value * num.scalar(x) ** (-N)
         return value
-
-
-def autocorr_alpha_sum(N: int, alphas: Sequence[complex], m: int,
-                       prec: PrecisionConfig | None = None):
-    """Exponential-coordinate form of the shifted-product average.
-
-    Evaluates, for shifts on the curve s_j = exp(alpha_j), the explicit
-    block-split sum with exp(N/2 ...) weights and
-    (1 - exp(alpha_q - alpha_l))^(-1) factors, the divisors tabled once as
-    in autocorr_comb.  Serves as an independent cross-check of
-    autocorr_comb / shifted_product_average.  Raises PoleHit where
-    autocorr_comb does at the shifts s_j, and ValueError where UnitaryQuery does.
-    """
-    num = ops_for(prec)
-    query = UnitaryQuery(N, m, alphas)
-    N, m, n = query.N, query.m, query.n
-    with num.guard():
-        al = [num.scalar(a) for a in alphas]
-        _require_split_poles([num.exp(a) for a in al])
-        half_n = num.scalar(N) / 2
-        pref = num.exp(half_n * (sum(al[m:], num.zero) - sum(al[:m], num.zero)))
-        divisors = [[num.one - num.exp(b - a) for b in al] for a in al] if 0 < m < n else []
-        terms = []
-        for left, right in enumerate_split_permutations(n, m):
-            t = num.exp(half_n * (sum((al[l] for l in left), num.zero)
-                                  - sum((al[q] for q in right), num.zero)))
-            for l in left:
-                for q in right:
-                    t = t / divisors[l][q]
-            terms.append(t)
-        return pref * num.fsum(terms)
 
 
 def autocorr_contour(N: int, alphas: Sequence[complex], m: int,

@@ -459,6 +459,20 @@ def test_non_finite_result_is_a_numerical_error(capsys, method):
     assert set(json.loads(out)) == {"error", "detail"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--method", "comb"),
+    ("crosscheck", "--routes", "comb,schur"),
+], ids=["compute", "crosscheck"])
+def test_terms_overflowing_to_opposite_infinities_are_a_numerical_error(capsys, argv):
+    # comb's two split terms overflow to -inf and +inf; math.fsum raised
+    # "-inf + inf in fsum", which the CLI reported as a usage error (exit 2)
+    command, *route = argv
+    code, out, _ = run_cli(capsys, command, "--group", "u", "--N", "306", "--m", "1",
+                           "--shifts", "10,10.0001", *route)
+    assert code == 3
+    assert json.loads(out) == {"error": "NonFiniteValue", "detail": "non-finite value in report"}
+
+
 def test_identity_suite_nan_residual_is_a_numerical_error(capsys):
     code, out, _ = run_cli(capsys, "identity-suite", "--trials", "1", "--radius", "1e200")
     assert code == 3

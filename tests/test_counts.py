@@ -22,7 +22,6 @@ from rmt_autocorr.orthogonal import ominus_autocorr_eps, so_autocorr_eps
 from rmt_autocorr.symplectic import sp_autocorr_eps, sp_large_n_ratio
 from rmt_autocorr.unitary import (
     UnitaryQuery,
-    autocorr_alpha_sum,
     autocorr_comb,
     autocorr_schur,
     shifted_product_average,
@@ -41,10 +40,8 @@ SHIFTS = (0.5, 0.3)
     ("N", lambda: so_autocorr_eps(2.5, SHIFTS)),
     ("N", lambda: ominus_autocorr_eps(2.5, SHIFTS)),
     ("N", lambda: sp_large_n_ratio([0.3], 2.5)),
-    ("N", lambda: autocorr_alpha_sum(2.5, [0.1, 0.2j], 1)),
-    ("N", lambda: autocorr_alpha_sum(0, [0.1, 0.2j], 1)),
-    ("N", lambda: autocorr_alpha_sum(-3, [0.1, 0.2j], 1)),
-    ("m", lambda: autocorr_alpha_sum(2, [0.1, 0.2j], 1.5)),
+    ("N", lambda: autocorr_comb(UnitaryQuery(0, 1, SHIFTS))),
+    ("N", lambda: autocorr_comb(UnitaryQuery(-3, 1, SHIFTS))),
     ("m", lambda: monte_carlo_average(
         GroupSpec("u", 3), autocorr_integrand(GroupSpec("u", 3), (0.5, 0.3j), 1.5), 1, 100)),
     ("count", lambda: monte_carlo_average(
@@ -55,9 +52,9 @@ SHIFTS = (0.5, 0.3)
     ("nodes_per_dim", lambda: ContourConfig(16.5)),
     ("digits", lambda: PrecisionConfig(40.5)),
 ], ids=["comb-N", "schur-N", "schur-m", "shifted-product-m", "usp-eps-N", "usp-eps-N-float",
-        "so-eps-N", "ominus-eps-N", "large-n-ratio-N", "alpha-sum-N", "alpha-sum-N-zero",
-        "alpha-sum-N-negative", "alpha-sum-m", "integrand-m", "monte-carlo-count",
-        "partition-part", "group-size", "identity-trials", "contour-nodes", "digits"])
+        "so-eps-N", "ominus-eps-N", "large-n-ratio-N", "comb-N-zero", "comb-N-negative",
+        "integrand-m", "monte-carlo-count", "partition-part", "group-size", "identity-trials",
+        "contour-nodes", "digits"])
 def test_a_fractional_or_small_count_is_refused_by_name(what, call):
     with pytest.raises(ValueError, match=f"^{what} must be "):
         call()

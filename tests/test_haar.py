@@ -18,7 +18,6 @@ from rmt_autocorr import (
     monte_carlo_average,
     ominus_autocorr_eps,
     quadrature_average,
-    sample_eigenangles,
     so_autocorr_eps,
     sp_autocorr_eps,
     weyl_autocorrelation,
@@ -27,6 +26,7 @@ from rmt_autocorr import (
 )
 from rmt_autocorr.haar import (
     _JACOBI_A,
+    _SAMPLE_CHUNK,
     _autocorr_chunk,
     _jacobi_verblunsky,
     _sample_chunks,
@@ -235,13 +235,14 @@ def test_functional_equation_unit_circle_large_n():
 # ---------------------------------------------------------------------------
 
 def test_sampling_deterministic():
-    for fam in ("u", "usp"):
+    # 3 samples past a whole chunk are a second chunk drawn from the same
+    # generator, which leaves the first chunk as it was
+    for fam in ALL_FAMILIES:
         spec = group(fam, 2)
-        a = list(sample_eigenangles(spec, 99, 5))
-        b = list(sample_eigenangles(spec, 99, 5))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        batch = sample_eigenangle_batch(spec, 99, 5)
-        assert np.array_equal(np.stack(a), batch)
+        longer = sample_eigenangle_batch(spec, 99, _SAMPLE_CHUNK + 3)
+        assert longer.shape == (_SAMPLE_CHUNK + 3, spec.free_angles)
+        assert np.array_equal(longer[:_SAMPLE_CHUNK],
+                              sample_eigenangle_batch(spec, 99, _SAMPLE_CHUNK))
 
 
 def test_ominus2_samples_have_no_free_angles():
@@ -302,6 +303,16 @@ def test_monte_carlo_mean_of_values_near_the_top_of_the_range():
     unit_mean, unit_se = monte_carlo_average(spec, lambda T: 2 + np.cos(T[:, 0]), 1, 4096)
     assert mean == pytest.approx(1e306 * unit_mean, rel=1e-14)
     assert se == pytest.approx(1e306 * unit_se, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-306, 1e-160])
+def test_monte_carlo_standard_error_of_values_near_the_bottom_of_the_range(scale):
+    # the squared deviations, about scale^2 * 1e-1, underflow: the error was 0.0
+    spec = group("usp", 2)
+    mean, se = monte_carlo_average(spec, lambda T: scale * (2 + np.cos(T[:, 0])), 1, 4096)
+    unit_mean, unit_se = monte_carlo_average(spec, lambda T: 2 + np.cos(T[:, 0]), 1, 4096)
+    assert mean == pytest.approx(scale * unit_mean, rel=1e-14)
+    assert se == pytest.approx(scale * unit_se, rel=1e-14)
 
 
 def test_monte_carlo_consistent_with_quadrature_on_random_integrands():
@@ -587,12 +598,9 @@ def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
     lambda: sample_eigenangle_batch(group("usp", 2), 1, 0),
     lambda: sample_eigenangle_batch(group("usp", 2), 1, -3),
     lambda: sample_eigenangle_batch(group("u", 2), 1, 2.5),
-    lambda: sample_eigenangles(group("usp", 2), 1, 0),
-    lambda: sample_eigenangles(group("usp", 2), 1, -3),
-    lambda: sample_eigenangles(group("u", 2), 1, 2.5),
 ], ids=["angle-count", "functional-equation-at-0", "znorm-unitary", "znorm-at-0",
         "three-nodes", "m-above-n", "one-sample", "batch-of-none", "batch-below-zero",
-        "fractional-batch", "stream-of-none", "stream-below-zero", "fractional-stream"])
+        "fractional-batch"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

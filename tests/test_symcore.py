@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmt_autocorr import (
-    NearConfluent,
     Partition,
     conjugate_partition,
     enumerate_even_partitions,
     enumerate_so_index_sets,
     enumerate_split_permutations,
-    schur_bialternant,
     schur_stable,
     vandermonde,
 )
@@ -31,6 +29,8 @@ from rmt_autocorr.symcore import (
     so_index_families,
 )
 from rmt_autocorr.symplectic import parity_family, parity_index_vectors
+
+from schur_reference import jacobi_trudi
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +378,6 @@ def test_so_index_sets_match_condition_filter(k, n_param):
 # Schur evaluation
 # ---------------------------------------------------------------------------
 
-def test_bialternant_examples():
-    assert schur_bialternant(Partition((0, 0)), [1.7, 0.3 - 1j]) == pytest.approx(1.0)
-    w1, w2 = 1.3 + 0.2j, -0.4 + 0.9j
-    assert schur_bialternant(Partition((2, 0)), [w1, w2]) == \
-        pytest.approx(w1 ** 2 + w1 * w2 + w2 ** 2)
-    assert schur_bialternant(Partition((1, 1)), [3.0, 5.0]) == pytest.approx(15.0)
-
-
-def test_bialternant_near_confluent_raises():
-    with pytest.raises(NearConfluent):
-        schur_bialternant(Partition((2, 0)), [1.0, 1.0 + 1e-9])
-
-
 def _prefix_pass(max_degree, points, num):
     """h_0..h_max_degree of the points by their own pass of the recurrence."""
     h = [num.one] + [num.zero] * max_degree
@@ -440,7 +427,7 @@ def test_schur_stable_matches_monomial_oracle(shape, npts):
     assert complex(schur_stable(lam, pts)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_schur_stable_agrees_with_bialternant():
+def test_schur_stable_agrees_with_jacobi_trudi():
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(1, 5))
@@ -452,7 +439,7 @@ def test_schur_stable_agrees_with_bialternant():
         parts = tuple(sorted(rng.integers(0, 5, size=n), reverse=True))
         lam = Partition(tuple(int(p) for p in parts))
         a = complex(schur_stable(lam, pts))
-        b = complex(schur_bialternant(lam, pts))
+        b = complex(jacobi_trudi(lam, pts, REF))
         assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
 
@@ -479,8 +466,6 @@ def test_schur_stable_homogeneity():
 def test_schur_length_mismatch_rejected():
     with pytest.raises(ValueError):
         schur_stable(Partition((1,)), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        schur_bialternant(Partition((1, 0, 0)), [1.0, 2.0])
 
 
 EXTERIOR_FAMILIES = {

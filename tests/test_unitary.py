@@ -14,7 +14,6 @@ from rmt_autocorr import (
     NearConfluent,
     PrecisionConfig,
     UnitaryQuery,
-    autocorr_alpha_sum,
     autocorr_comb,
     autocorr_contour,
     autocorr_det,
@@ -83,6 +82,15 @@ def test_comb_route_examples():
         autocorr_comb(UnitaryQuery(2, 1, (0.0, 1.0)))
     with pytest.raises(PoleHit):
         autocorr_comb(UnitaryQuery(2, 1, (1.3, 1.3)))
+
+
+@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
+@pytest.mark.parametrize("delta", [1e-7, 1e-9, 0.0])
+def test_comb_refuses_below_the_separation_threshold(delta, prec):
+    # the split sum divides by 1 - w_l / w_q, about delta
+    w = cmath.exp(0.1)
+    with pytest.raises(PoleHit, match="equal shifts across a split"):
+        autocorr_comb(UnitaryQuery(2, 1, (w, w * cmath.exp(delta))), prec)
 
 
 def test_route_agreement_random():
@@ -216,7 +224,7 @@ def test_shifted_product_average_against_monte_carlo():
     assert abs(mean - exact) <= 4 * se
 
 
-def test_alpha_sum_matches_comb_on_unit_circle():
+def test_shifted_product_average_matches_reindexed_comb_on_unit_circle():
     # imaginary alphas put the shifts on the unit circle
     rng = np.random.default_rng(49)
     for n, m in ((2, 1), (4, 2), (3, 1)):
@@ -224,40 +232,13 @@ def test_alpha_sum_matches_comb_on_unit_circle():
         while min(abs(a - b) for i, a in enumerate(alphas) for b in alphas[:i]) < 1e-2:
             alphas = [1j * a for a in rng.uniform(-0.8, 0.8, n)]
         N = int(rng.integers(1, 5))
-        direct = complex(autocorr_alpha_sum(N, alphas, m))
         s = [cmath.exp(a) for a in alphas]
         via_ci = complex(shifted_product_average(N, s, m))
-        assert abs(direct - via_ci) <= 1e-10 * max(1.0, abs(via_ci))
-        # and through the combinatorial route explicitly
         reordered = tuple(s[m:]) + tuple(s[:m])
         comb = complex(autocorr_comb(UnitaryQuery(N, n - m, reordered)))
         for x in s[:m]:
             comb *= x ** (-N)
-        assert abs(direct - comb) <= 1e-10 * max(1.0, abs(comb))
-
-
-@pytest.mark.parametrize("prec", [None, PrecisionConfig.extended(40)], ids=["double", "ext40"])
-@pytest.mark.parametrize("delta", [1e-7, 1e-9, 0.0])
-def test_alpha_sum_refuses_where_comb_refuses(delta, prec):
-    # below the separation threshold of s_j = exp(alpha_j) the split sum
-    # divides by 1 - exp(alpha_q - alpha_l) ~ delta; at delta = 1e-9 the
-    # double sum gave 113.02 for 3.000000003
-    with pytest.raises(PoleHit):
-        autocorr_alpha_sum(2, [0.1, 0.1 + delta], 1, prec)
-
-
-@pytest.mark.parametrize("m", [0, 2])
-def test_alpha_sum_forms_no_divisor_without_a_cross_pair(m):
-    # one block is empty, so no split reads 1 - e^(alpha_b - alpha_a),
-    # whose e^800 would overflow
-    assert autocorr_alpha_sum(1, [-400.0, 400.0], m) == 1
-
-
-def test_alpha_sum_answers_above_the_separation_threshold():
-    alphas = [0.1, 0.1 + 1e-3]
-    exact = complex(shifted_product_average(2, [cmath.exp(a) for a in alphas], 1,
-                                            PrecisionConfig.extended(40)))
-    assert abs(complex(autocorr_alpha_sum(2, alphas, 1)) - exact) <= 1e-10 * abs(exact)
+        assert abs(via_ci - comb) <= 1e-10 * max(1.0, abs(comb))
 
 
 def test_contour_route_agreement():
@@ -292,9 +273,8 @@ def test_query_validation():
 
 @pytest.mark.parametrize("call", [
     lambda: shifted_product_average(1, [0.5], 2),
-    lambda: autocorr_alpha_sum(1, [0.5], 2),
     lambda: autocorr_contour(1, [0.5], 2),
-], ids=["shifted-product-average", "alpha-sum", "contour"])
+], ids=["shifted-product-average", "contour"])
 def test_input_guards(call):
     with pytest.raises(ValueError, match="need 0 <= m <= n"):
         call()
