@@ -13,10 +13,11 @@ closed-form routes:
   prod (w - e^{i theta}) and prod (1 - e^{-i theta} w) directly.  For U(N)
   the coefficients are independent and complex; for the self-dual
   families they are 2n real ones (Theorem 2), whose polynomial is
-  prod (1 + w^2 - 2 w cos theta).  The coefficients are drawn into one
-  contiguous row of samples per coefficient, and the recursion keeps one
-  row per shift, so its array operations run over the samples.  Any
-  other angle functional gets eigenangles from the same coefficients:
+  prod (1 + w^2 - 2 w cos theta).  Each coefficient's row of samples is
+  drawn in place by exact closed forms with scalar parameters (an inverse
+  CDF, a disk coordinate or a ratio of Gamma draws), and the recursion
+  keeps one row per shift, so its array operations run over the samples.
+  Any other angle functional gets eigenangles from the same coefficients:
   U(N) those of their CMV matrix
   (Cantero-Moral-Velazquez, LAA 362, 2003), the self-dual families those
   of the Jacobi matrix the real coefficients define (one eigensolve per
@@ -328,25 +329,44 @@ def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np
     contiguous row of B samples per coefficient, the layout `_szego` reads.
 
     Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b:
-    alpha_0..alpha_{2n-2} are independent Beta draws and
-    alpha_{-1} = alpha_{2n-1} = -1.  The measure they define on the circle
-    has its mass at e^{+-i theta} for the eigenvalues x = 2 cos(theta) of
-    the Jacobi matrix of `_jacobi_angles`, whose density is prop. to
-    Delta(x)^2 prod (4 - x^2)^a on [-2, 2]: the Weyl law of USp(2n) for
-    a = 1/2 and of SO(2n) for a = -1/2.
+    alpha_0..alpha_{2n-2} are independent, alpha_t = 1 - 2 Beta(p, q) with
+    p = q = (2n - t - 2)/2 + a + 1 for even t, p = (2n - t - 3)/2 + 2a + 2
+    and q = (2n - t - 1)/2 for odd t, and alpha_{-1} = alpha_{2n-1} = -1.
+    The measure they define on the circle has its mass at e^{+-i theta} for
+    the eigenvalues x = 2 cos(theta) of the Jacobi matrix of
+    `_jacobi_angles`, whose density is prop. to Delta(x)^2 prod (4 - x^2)^a
+    on [-2, 2]: the Weyl law of USp(2n) for a = 1/2 and of SO(2n) for
+    a = -1/2.
+
+    Each row is drawn in place by calls with scalar parameters.  At p = q
+    (every row at a = -1/2, the even rows at a = 1/2; p >= 1/2 for
+    a >= -1/2) 1 - 2 Beta(p, p) is the first coordinate cos(2 pi V) r of a
+    point of the unit disk with r^2 ~ Beta(1, p - 1/2) (Ulrich, Appl.
+    Stat. 33, 1984), the arcsine law cos(2 pi V) at p = 1/2.  Otherwise
+    (the odd rows at a = 1/2, where p = q + 2) it is (h - g) / (g + h) for
+    g ~ Gamma(p) and h ~ Gamma(q).
     """
     alpha = np.empty((2 * n + 1, B))  # alpha[t + 1] is alpha_t
     alpha[0] = alpha[-1] = -1.0
-    if n:
-        k = np.arange(2 * n - 1)
-        even = k % 2 == 0
-        p = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + 2 * a + 2)
-        q = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 1) / 2)
-        draws = rng.beta(p, q, size=(B, 2 * n - 1))
-        draws *= -2
-        draws += 1  # 1 - 2 Beta, bit for bit
-        alpha[1:-1] = draws.T
+    for t, row in enumerate(alpha[1:-1]):
+        if t % 2 == 0:
+            p = q = (2 * n - t - 2) / 2 + a + 1
+        else:
+            p, q = (2 * n - t - 3) / 2 + 2 * a + 2, (2 * n - t - 1) / 2
+        if p == q:
+            np.cos(rng.uniform(0.0, TWO_PI, B), out=row)
+            if p > 0.5:
+                row *= np.sqrt(_beta_one(rng, B, p - 0.5))
+        else:
+            g, h = rng.standard_gamma(p, B), rng.standard_gamma(q, B)
+            np.divide(h - g, g + h, out=row)
     return alpha.T
+
+
+def _beta_one(rng: np.random.Generator, B: int, b: float) -> np.ndarray:
+    """B draws of Beta(1, b), b > 0: 1 - (1 - U)^{1/b}, the exact inverse of
+    its CDF 1 - (1 - x)^b, where log1p takes U = 0 to 0, not to log(0)."""
+    return -np.expm1(np.log1p(-rng.random(B)) / b)
 
 
 def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
@@ -380,14 +400,15 @@ def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
     Killip-Nenciu (IMRN 2004), Theorem 1 with beta = 2: independent, with
     uniform phase, |alpha_t|^2 ~ Beta(1, N - t - 1) for t < N - 1 and
     alpha_{N-1} on the unit circle.  The zeros of the Phi_N they define
-    are then the eigenvalues of a Haar U(N) matrix.
+    are then the eigenvalues of a Haar U(N) matrix.  The phases are drawn
+    in that layout and each modulus row by `_beta_one`.
     """
-    radius2 = rng.beta(1.0, N - 1.0 - np.arange(N - 1), size=(B, N - 1))
-    theta = rng.uniform(0.0, TWO_PI, size=(B, N)).T
+    theta = rng.uniform(0.0, TWO_PI, size=(N, B))
     alpha = np.empty((N, B), dtype=complex)  # alpha[t] is alpha_t
     np.cos(theta, out=alpha.real)  # e^{i theta} without the complex exp
     np.sin(theta, out=alpha.imag)
-    alpha[:-1] *= np.sqrt(radius2.T)
+    for t, row in enumerate(alpha[:-1]):
+        row *= np.sqrt(_beta_one(rng, B, N - t - 1))
     return alpha.T
 
 

@@ -344,6 +344,97 @@ def test_full_orthogonal_batch_without_component_fix():
 
 
 # ---------------------------------------------------------------------------
+# The Killip-Nenciu coefficient laws, row by row
+# ---------------------------------------------------------------------------
+
+KS_BOUND = 1.95  # sqrt(n) D of the one-sample Kolmogorov-Smirnov test at p = 0.001
+
+
+def _ks(samples, cdf):
+    """sqrt(n) D: the scaled Kolmogorov-Smirnov distance of `samples` from `cdf`."""
+    x = np.sort(samples)
+    n = len(x)
+    F = np.array([float(cdf(v)) for v in x])
+    i = np.arange(1, n + 1)
+    return np.sqrt(n) * max(np.max(i / n - F), np.max(F - (i - 1) / n))
+
+
+def _beta_cdf(p, q):
+    """CDF of Beta(p, q), regularized incomplete beta in the double context."""
+    return lambda x: mpmath.fp.betainc(p, q, 0, x, regularized=True)
+
+
+@pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_self_dual_coefficient_rows_follow_their_beta_laws(fam, n):
+    # Killip-Nenciu Theorem 2 (beta = 2, a = b): alpha_t = 1 - 2 Beta(p, q),
+    # p = q = (2n - t - 2)/2 + a + 1 for even t, p = (2n - t - 3)/2 + 2a + 2
+    # and q = (2n - t - 1)/2 for odd t.  SO meets p = q = 1/2 (the arcsine
+    # law) at t = 2n - 2 and p = q at every row; USp and O^- p = q + 2 at odd t
+    spec = group(fam, n + 1 if fam == "ominus" else n)
+    a, B = _JACOBI_A[spec.family], 1000
+    alpha = _jacobi_verblunsky(np.random.default_rng(1601 + n), B, n, a)
+    assert alpha.shape == (B, 2 * n + 1) and alpha.T.flags.c_contiguous
+    assert np.all(alpha[:, 0] == -1) and np.all(alpha[:, -1] == -1)
+    for t, row in enumerate(alpha.T[1:-1]):
+        if t % 2 == 0:
+            p = q = (2 * n - t - 2) / 2 + a + 1
+        else:
+            p, q = (2 * n - t - 3) / 2 + 2 * a + 2, (2 * n - t - 1) / 2
+        # P(1 - 2 X <= y) = P(X >= (1 - y)/2) = I_{(1 + y)/2}(q, p)
+        cdf = _beta_cdf(q, p)
+        assert _ks(row, lambda y: cdf((1 + y) / 2)) <= KS_BOUND, (t, p, q)
+
+
+def test_unitary_coefficient_rows_follow_their_laws():
+    # Killip-Nenciu Theorem 1 (beta = 2): |alpha_t|^2 ~ Beta(1, N - t - 1)
+    # for t < N - 1, |alpha_{N-1}| = 1, every phase uniform
+    N, B, u = 8, 1000, np.finfo(float).eps
+    alpha = _verblunsky_unitary(np.random.default_rng(1701), B, N)
+    assert alpha.shape == (B, N) and alpha.T.flags.c_contiguous
+    assert np.max(np.abs(np.abs(alpha[:, -1]) - 1)) <= 4 * u
+    for t, row in enumerate(alpha.T):
+        if t < N - 1:
+            assert _ks(np.abs(row) ** 2, _beta_cdf(1, N - t - 1)) <= KS_BOUND, t
+        phase = np.mod(np.angle(row), 2 * np.pi)
+        assert _ks(phase, lambda x: x / (2 * np.pi)) <= KS_BOUND, t
+
+
+class _EdgeGenerator:
+    """Stands in for a numpy Generator at the ends of its ranges: every
+    draw of [0, 1) is `u`, every Gamma(shape) draw the tiny `tiny * shape`."""
+
+    def __init__(self, u, tiny):
+        self.u, self.tiny = u, tiny
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
+
+    def standard_gamma(self, shape, size):
+        return np.full(size, self.tiny * shape)
+
+
+@pytest.mark.parametrize("u", [0.0, 1 - 2.0 ** -53])
+@pytest.mark.parametrize("tiny", [5e-324, np.finfo(float).tiny])
+def test_coefficients_at_the_edge_draws_are_finite_and_in_range(u, tiny):
+    # U = 0 gives log1p(-0) = 0, not log(0): no warning (warnings are errors
+    # in this suite), and every coefficient is finite and in [-1, 1]
+    rng = _EdgeGenerator(u, tiny)
+    for n in (1, 2, 6):
+        for a in (0.5, -0.5):
+            alpha = _jacobi_verblunsky(rng, 8, n, a)
+            assert np.all(np.isfinite(alpha)) and np.all(np.abs(alpha) <= 1), (n, a)
+    for N in (1, 2, 8):
+        alpha = _verblunsky_unitary(rng, 8, N)
+        parts = np.stack([alpha.real, alpha.imag])
+        assert np.all(np.isfinite(parts)) and np.all(np.abs(parts) <= 1), N
+        assert np.all(np.abs(alpha) <= 1 + 4 * np.finfo(float).eps), N
+
+
+# ---------------------------------------------------------------------------
 # The Jacobi model of the self-dual spectra
 # ---------------------------------------------------------------------------
 
