@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (one route, one JSON line), ``crosscheck`` (all
-requested routes with pairwise deviations), ``identity-suite`` (randomized
-residual sweep), ``montecarlo`` (sampled mean vs exact value with a
-z-score), ``scaling`` (large-N ratio table as CSV).
+requested routes with pairwise deviations; a pair passes within the
+tolerance plus `Z_MAX` of its Monte Carlo standard errors),
+``identity-suite`` (randomized residual sweep), ``montecarlo`` (sampled
+mean vs exact value with a z-score), ``scaling`` (large-N ratio table as
+CSV).
 
 Exit codes: 0 success / all checks passed, 2 usage error (a non-finite
 input or an unwritable --out among them), 3 numerical route error
-(NearConfluent, PoleHit, DimensionCap, ContourTooTight, an OverflowError
-of the arithmetic, or an inf or NaN in the report), 4 a cross-check,
-identity or Monte Carlo gate failed.
+(NearConfluent, PoleHit, DimensionCap, ContourTooTight, PrecisionLoss, an
+OverflowError of the arithmetic, or an inf or NaN in the report), 4 a
+cross-check, identity or Monte Carlo gate failed.
 
 The closed-form routes need no numpy, so this module imports `haar` and
 `identities`, which do, only in the commands that run them.
@@ -38,6 +40,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ROUTE = 3
 EXIT_FAIL = 4
+
+# Standard errors a sampled value may stray: the Monte Carlo gate, and the
+# error-bar term of a crosscheck pair
+Z_MAX = 4.0
 
 _METHODS_BY_FAMILY = {family: (*table, "contour", "quadrature", "montecarlo")
                       for family, table in routes.ROUTES.items()}
@@ -229,26 +235,32 @@ def cmd_crosscheck(args) -> int:
     for r in requested:
         _check_method(spec.family, r)
     tol = _tolerance(args, prec.agreement_tol if prec else 1e-9)
-    values: dict[str, complex] = {}
-    timings: dict[str, float] = {}
+    entries: dict[str, dict] = {}
     for r in requested:
         t0 = time.perf_counter()
-        val, _ = _route_value(spec, shifts, m, r, args, prec)
-        timings[r] = time.perf_counter() - t0
-        values[r] = complex(val)
+        val, err = _route_value(spec, shifts, m, r, args, prec)
+        entries[r] = {"value": complex(val), "seconds": time.perf_counter() - t0}
+        if err is not None:
+            entries[r]["error_estimate"] = err
     pairwise = {}
     worst = 0.0
-    names = sorted(values)
+    passed = True
+    names = sorted(entries)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            d = _deviation(values[a], values[b])
+            va, vb = entries[a]["value"], entries[b]["value"]
+            d = _deviation(va, vb)
             pairwise[f"{a}|{b}"] = d
             worst = max(worst, d)
-    passed = worst <= tol
+            # |a - b| <= tol max(1, |a|, |b|) + Z_MAX sqrt(e_a^2 + e_b^2), over
+            # max(1, |a|, |b|): d <= tol where neither route has a bar
+            bars = math.hypot(entries[a].get("error_estimate", 0.0),
+                              entries[b].get("error_estimate", 0.0))
+            passed &= d <= tol + Z_MAX * bars / max(1.0, abs(va), abs(vb))
     report = {
         "query": _query_echo(spec, shifts, m),
         "precision": _precision_echo(prec),
-        "routes": {r: {"value": values[r], "seconds": timings[r]} for r in requested},
+        "routes": entries,
         "pairwise_deviation": pairwise,
         "max_deviation": worst,
         "agreement_tol": tol,
@@ -281,7 +293,7 @@ def cmd_montecarlo(args) -> int:
         z = abs(mean - exact) / stderr
     else:
         z = 0.0 if _deviation(mean, exact) <= 1e-12 else float("inf")
-    passed = z <= 4.0
+    passed = z <= Z_MAX
     report = {
         "query": _query_echo(spec, shifts, m),
         "samples": args.samples,

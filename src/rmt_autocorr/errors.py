@@ -2,7 +2,9 @@
 
 Every route that can fail for a *numerical* reason (as opposed to a usage
 error) raises one of these, so callers can fall back to a confluent-safe
-route or report a machine-readable error name.  `require_count` checks
+route or report a machine-readable error name.  `PrecisionLoss` is the
+refusal of a route whose own error estimate is too large (the Heine
+determinant of the Weyl quadrature raises it).  `require_count` checks
 every size, split point and node, sample or digit count; this module
 imports nothing of the package, so every module can call it.
 """
@@ -37,7 +39,13 @@ class PoleHit(RouteError):
 
 
 class DimensionCap(RouteError):
-    """A tensor-product grid would exceed the configured dimension cap."""
+    """A tensor-product grid would exceed the configured dimension cap, or
+    a matrix the configured order cap."""
+
+
+class PrecisionLoss(RouteError):
+    """The route's own error estimate exceeds the double crosscheck
+    tolerance: its value may have lost the digits the check needs."""
 
 
 class ContourTooTight(RouteError):

@@ -3,9 +3,12 @@
 Two independent ways to average over a group, used as oracles for the
 closed-form routes:
 
-* deterministic tensor quadrature against the explicit Weyl eigenvalue
-  densities (exact for the trigonometric-polynomial integrands in scope,
-  feasible for small matrix size), and
+* the periodic trapezoid rule against the explicit Weyl eigenvalue
+  densities, exact for the trigonometric-polynomial integrands in scope.
+  The moments (`autocorr_integrand`) take it as one Heine determinant of
+  their folded Fourier coefficients, at every matrix size up to
+  `HEINE_CAP`; any other integrand is summed on the tensor grid, up to
+  `contour.DIM_CAP` free angles; and
 * Monte Carlo.  The moments (`autocorr_integrand`) need only
   characteristic-polynomial values, which come from random coefficients
   of Killip-Nenciu (IMRN 2004) with no group matrix and no eigensolve:
@@ -46,13 +49,21 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .contour import trapezoid_sum
-from .errors import require_count
+from .errors import DimensionCap, PrecisionLoss, require_count
 from .routes import O_MINUS, SO_EVEN, SYMPLECTIC, UNITARY, GroupSpec
 from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
 
 _SAMPLE_CHUNK = 4096
+
+# Largest free-angle count of the Heine determinant: its n x n matrix is
+# factored twice (the determinant and the condition number)
+HEINE_CAP = 1024
+# Largest relative error bound the determinant is returned with: the
+# double-precision crosscheck tolerance
+HEINE_TOL = 1e-9
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def group(family: str, size: int) -> GroupSpec:
@@ -177,35 +188,97 @@ def znorm_residual(spec: GroupSpec, angles: np.ndarray, s: complex) -> float:
 
 def quadrature_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.ndarray],
                        nodes_per_dim: int = 64) -> complex:
-    """Average `integrand` against the Weyl density by tensor trapezoid.
+    """Average `integrand` against the Weyl density by the M-node periodic
+    trapezoid rule in each of the d free angles.
 
     The periodic trapezoid rule is exact for trigonometric polynomials of
     per-angle degree < nodes_per_dim, which covers every integrand in this
     package, so this is an exact oracle rather than an approximation.
 
     `integrand` must accept a (P, d) angle array and return (P,) values; it
-    is called once at all M^d grid points.  An `autocorr_integrand` of
-    `spec` is not called: it is a product of one factor per angle, and the
-    density one of per-angle and pair factors, so `trapezoid_sum` contracts
-    M-vectors and M x M tables (at d = 3 with one matrix product) and no
-    M^d array is formed.  Raises DimensionCap when the free-angle count
-    exceeds `contour.DIM_CAP`, and ValueError for a node count not an integer >= 4.
+    is called once at all M^d grid points, and DimensionCap is raised when
+    d exceeds `contour.DIM_CAP`.  An `autocorr_integrand` of `spec` is not
+    called: its trapezoid sum is the determinant of `_heine_average`, at
+    every d up to `HEINE_CAP`.  ValueError for a node count not an integer >= 4.
     """
-    d = spec.free_angles
     M = require_count(nodes_per_dim, 4, "nodes_per_dim")
     moment = _moment_of(spec, integrand)
+    if moment is not None:
+        return _heine_average(*moment, M)
+    d = spec.free_angles
 
     def factors(*thetas: np.ndarray) -> list:
-        weyl = _weyl_factors(spec, list(thetas))
-        if moment is not None:
-            return weyl + _autocorr_factors(*moment, list(thetas))
         T = np.empty((M ** d, d))
         for a, t in enumerate(thetas):
             T[:, a] = np.broadcast_to(t, (M,) * d).ravel()
-        return weyl + [np.asarray(integrand(T)).reshape((M,) * d)]
+        return _weyl_factors(spec, list(thetas)) + [np.asarray(integrand(T)).reshape((M,) * d)]
 
     theta = TWO_PI * np.arange(M) / M
     return trapezoid_sum([theta] * d, [np.ones(M)] * d, factors) * (TWO_PI / M) ** d
+
+
+def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
+    """The M-node trapezoid sum of `quadrature_average` for
+    `autocorr_integrand(spec, w, m)`, as one n x n determinant, n the
+    free-angle count.
+
+    The moment is prod_j f(theta_j) times the coset constant, f the
+    per-angle factor of `_autocorr_factors`: a Laurent polynomial in
+    e^{i theta} whose coefficients f^_q come from k short convolutions.
+    The Weyl density is a product of two n x n determinants of functions of
+    one angle, so by the Heine/Andreief identity (Johansson, Ann. Math. 145,
+    1997; Baik-Rains, Duke Math. J. 109, 2001) the average is one
+    determinant of one-angle averages.  Summed over the nodes instead
+    (Cauchy-Binet), f^_q enters folded mod M, as c_l = sum of f^_q over
+    q = l (mod M), so the determinant is the trapezoid sum at every M, with
+    0 <= i, j < n:
+    U(N) det[c_{j-i}], USp(2N) det[c_{i-j} - c_{i+j+2}],
+    SO(2N) det[c_{i-j} + c_{i+j}] / 2, and O^-(2N) the USp form at N - 1.
+
+    Raises DimensionCap for n > HEINE_CAP before anything is built, and
+    PrecisionLoss when n u kappa_1(G), the bound on the determinant's
+    relative rounding error, exceeds HEINE_TOL.
+    """
+    n = spec.free_angles
+    if n > HEINE_CAP:
+        raise DimensionCap(f"{n} free angles exceed the determinant order cap {HEINE_CAP}")
+    const = _coset_constant(spec, w)
+    if n == 0:
+        return complex(const)
+    if spec.family == UNITARY:  # frequencies -1, 0 and 0, 1
+        low, terms = -m, [(-wr, 1) for wr in w[:m]] + [(wj, -1) for wj in w[m:]]
+    else:  # frequencies -1, 0, 1
+        low, terms = -len(w), [(-wj, 1 + wj * wj, -wj) for wj in w]
+    # a few short lists: plain Python costs less here than numpy calls
+    f_hat = [1.0]
+    for term in terms:
+        product = [0j] * (len(f_hat) + len(term) - 1)
+        for q, fq in enumerate(f_hat):
+            for t, a in enumerate(term):
+                product[q + t] += fq * a
+        f_hat = product
+    # c[l] is c_l for every l = -n..2n the matrices read, the negative ones
+    # by negative indexing
+    c = [0j] * (3 * n + 1)
+    for q, fq in enumerate(f_hat, low):
+        for l in range((q + n) % M - n, 2 * n + 1, M):
+            c[l] += fq
+    c = np.array(c)
+    i, j = np.arange(n)[:, None], np.arange(n)
+    if spec.family == UNITARY:
+        G, scale = c[j - i], 1.0
+    elif spec.family == SO_EVEN:
+        G, scale = c[i - j] + c[i + j], 0.5
+    else:
+        G, scale = c[i - j] - c[i + j + 2], 1.0
+    try:  # np.linalg.cond(G, 1) without the overhead of its generality
+        kappa = np.abs(G).sum(axis=0).max() * np.abs(np.linalg.inv(G)).sum(axis=0).max()
+    except np.linalg.LinAlgError:  # exactly singular
+        kappa = math.inf
+    if not n * _UNIT_ROUNDOFF * kappa <= HEINE_TOL:  # NaN refuses too
+        raise PrecisionLoss(f"the {n} x {n} Heine determinant may have lost the "
+                            f"{HEINE_TOL:g} agreement of the crosscheck")
+    return complex(const * scale * np.linalg.det(G))
 
 
 def default_nodes(spec: GroupSpec, shift_count: int) -> int:
@@ -224,8 +297,13 @@ def _autocorr_factors(spec: GroupSpec, w: tuple, m: int, thetas: list) -> list:
     else:
         def angle(t):
             return math.prod(1 + wj * wj - 2 * wj * np.cos(t) for wj in w)
-    const = math.prod(-(1 - wj) * (1 + wj) for wj in w) if spec.family == O_MINUS else 1.0
-    return [const] + [angle(t) for t in thetas]
+    return [_coset_constant(spec, w)] + [angle(t) for t in thetas]
+
+
+def _coset_constant(spec: GroupSpec, w: tuple) -> complex:
+    """prod -(1 - w_j)(1 + w_j) for O^-(2N), from its forced eigenvalues +-1
+    and its defining (-1)^k; 1 for the other families."""
+    return math.prod(-(1 - wj) * (1 + wj) for wj in w) if spec.family == O_MINUS else 1.0
 
 
 def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
@@ -239,7 +317,7 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
 
     The callable carries `autocorr = (spec, shifts, m)`, by which
     `monte_carlo_average` samples its values without eigenangles and
-    `quadrature_average` contracts its factors without a grid.
+    `quadrature_average` takes its sum as one determinant, without a grid.
     """
     w = tuple(complex(x) for x in shifts)
     m = require_count(m, 0, "m")
@@ -263,10 +341,12 @@ def _moment_of(spec: GroupSpec, integrand) -> tuple | None:
 
 def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
                          nodes_per_dim: int | None = None) -> complex:
-    """Brute-force quadrature value of the family's autocorrelation.
+    """Weyl quadrature value of the family's autocorrelation: the trapezoid
+    sum of `quadrature_average`, one Heine determinant.
 
     Per angle, the density times the integrand has frequencies up to
     2N + k, so nodes_per_dim <= 2N + k would alias: ValueError.
+    PrecisionLoss and DimensionCap as `_heine_average` raises them.
     """
     if nodes_per_dim is None:
         nodes_per_dim = default_nodes(spec, len(shifts))

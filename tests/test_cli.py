@@ -80,6 +80,13 @@ def test_exit_code_numerical_error(capsys):
                            "--shifts", "0", "--method", "eps")
     assert code == 3
     assert json.loads(out)["error"] == "PoleHit"
+    # a determinant whose condition bounds its error above the tolerance, and
+    # one of an order past the cap
+    for N, error in (("64", "PrecisionLoss"), ("100000000", "DimensionCap")):
+        code, out, _ = run_cli(capsys, "compute", "--group", "u", "--N", N, "--m", "0",
+                               "--shifts", "0.5", "--method", "quadrature")
+        assert code == 3
+        assert json.loads(out)["error"] == error
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,6 +140,29 @@ def test_crosscheck_self_dual_quadrature(capsys, fam):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and report["max_deviation"] <= 1e-9
+
+
+def test_crosscheck_judges_monte_carlo_by_its_standard_error(capsys, monkeypatch):
+    # at N = 4 quadrature is the Heine determinant, and Monte Carlo's
+    # deviation (3.3e-3) is within 4 of its standard errors (5.3e-3)
+    query = ("crosscheck", "--group", "usp", "--N", "4", "--shifts", "0.5,0.3")
+    assert run_cli(capsys, *query, "--routes", "schur,eps,quadrature")[0] == 0
+    code, out, _ = run_cli(capsys, *query, "--routes", "schur,eps,quadrature,montecarlo")
+    assert code == 0
+    routes = json.loads(out)["routes"]
+    assert [r for r in routes if "error_estimate" in routes[r]] == ["montecarlo"]
+
+    from rmt_autocorr import haar
+
+    average = haar.monte_carlo_average
+
+    def biased(*args):
+        mean, stderr = average(*args)
+        return mean + 10 * stderr, stderr
+
+    monkeypatch.setattr(haar, "monte_carlo_average", biased)
+    code, out, _ = run_cli(capsys, *query, "--routes", "schur,montecarlo")
+    assert code == 4 and json.loads(out)["pass"] is False
 
 
 def test_identity_suite_cli(capsys):

@@ -9,6 +9,8 @@ import pytest
 
 from rmt_autocorr import (
     DimensionCap,
+    PrecisionConfig,
+    PrecisionLoss,
     UnitaryQuery,
     autocorr_det,
     GroupSpec,
@@ -25,6 +27,7 @@ from rmt_autocorr import (
     znorm_residual,
 )
 from rmt_autocorr.haar import (
+    HEINE_CAP,
     _JACOBI_A,
     _SAMPLE_CHUNK,
     _autocorr_chunk,
@@ -32,6 +35,7 @@ from rmt_autocorr.haar import (
     _sample_chunks,
     _verblunsky_unitary,
     autocorr_integrand,
+    default_nodes,
     eigenangles_of,
     sample_eigenangle_batch,
     sample_matrix_batch,
@@ -39,6 +43,7 @@ from rmt_autocorr.haar import (
 from rmt_autocorr.routes import canonical_value
 
 from haar_reference import _haar_orthogonal_batch, _szego, haar_matrix_batch
+from test_routes import _random_unitary_query
 
 ALL_FAMILIES = ["u", "usp", "so", "ominus"]
 
@@ -87,8 +92,8 @@ def test_quadrature_dimension_cap():
 
 @pytest.mark.parametrize("fam,N", [("u", 3), ("usp", 3), ("so", 3), ("ominus", 4)])
 def test_three_angle_quadrature_forms_no_full_grid(fam, N):
-    # three free angles at M = 4 (2N + k) nodes: a moment is contracted from
-    # M-vectors and M x M tables, never an M^3 grid of angles and values
+    # three free angles at M = 4 (2N + k) nodes: a moment is one 3 x 3
+    # determinant, never an M^3 grid of angles and values
     spec = group(fam, N)
     shifts, m = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j), 2 if fam == "u" else 0
     weyl_autocorrelation(spec, shifts, m)   # lazy imports are not the working set
@@ -164,6 +169,57 @@ def test_unitary_quadrature_matches_schur_fixture():
     from rmt_autocorr import UnitaryQuery, autocorr_schur
     exact = complex(autocorr_schur(UnitaryQuery(1, 1, (w, w))))
     assert val == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("fam,N", [(fam, N) for fam in ("u", "usp", "so") for N in (1, 2, 3)]
+                         + [("ominus", N) for N in (1, 2, 3, 4)])
+@pytest.mark.parametrize("k", [2, 4])
+def test_heine_determinant_is_the_tensor_grid_sum(fam, N, k):
+    # the determinant is the trapezoid sum at every node count: an untagged
+    # wrapper of the same integrand takes the tensor grid
+    spec, shifts = group(fam, N), (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)[:k]
+    for m in range(k + 1) if fam == "u" else [0]:
+        integrand = autocorr_integrand(spec, shifts, m)
+        for M in (2 * N + k + 1, default_nodes(spec, k)):
+            grid = quadrature_average(spec, lambda T: integrand(T), nodes_per_dim=M)
+            value = quadrature_average(spec, integrand, nodes_per_dim=M)
+            assert abs(value - grid) <= 1e-13 * max(1.0, abs(grid))
+
+
+GEOMETRIES = ["annulus", "circle", "cluster", "pm1"]
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+@pytest.mark.parametrize("N", [4, 8, 32, 256])
+def test_heine_determinant_is_right_or_refuses(geometry, fam, N):
+    # within the double crosscheck tolerance of the 60-digit value, or
+    # PrecisionLoss, at orders the tensor grid never reached; the shifts and
+    # m of a random U(N) query of the geometry
+    rng = np.random.default_rng([GEOMETRIES.index(geometry), ALL_FAMILIES.index(fam), N])
+    _N, shifts, m = _random_unitary_query(rng, geometry)
+    spec = group(fam, N)
+    m = m if fam == "u" else 0
+    ref = complex(canonical_value(spec.family, N, shifts, m, PrecisionConfig.extended(60)))
+    try:
+        value = weyl_autocorrelation(spec, shifts, m)
+    except PrecisionLoss:
+        assert N > 8  # these orders are well conditioned in every geometry
+        return
+    assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_heine_determinant_order_cap_refuses_before_allocating():
+    spec = group("usp", HEINE_CAP + 1)
+    weyl_autocorrelation(group("usp", 2), (0.5, 0.3))   # lazy imports are not the working set
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCap):
+            weyl_autocorrelation(spec, (0.5, 0.3))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 14  # an n-vector of complex is 16 KiB
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ EXPORTS = {
     "contour": ("BipartiteKernel", "ContourConfig", "LemmaCheckResult", "SymmetricKernel",
                 "circular_integral", "lemma_sym_check", "lemma_unitary_check"),
     "errors": ("ContourTooTight", "DimensionCap", "InconsistentCoefficients", "NearConfluent",
-               "PoleHit", "RouteError"),
+               "PoleHit", "PrecisionLoss", "RouteError"),
     "haar": ("GroupSpec", "char_poly_eval", "functional_equation_residual", "group",
              "monte_carlo_average", "quadrature_average", "sample_eigenangle_batch",
              "weyl_autocorrelation", "weyl_density", "znorm_residual"),
