@@ -184,17 +184,16 @@ def _route_value(spec, shifts, m, method, args, prec):
     if prec is not None:
         raise UsageError("--digits applies to the closed-form routes, scaling and the "
                          "identity suite; integration routes run in double precision")
-    nodes = getattr(args, "nodes", None)
     if method == "contour":
         if 0 in shifts:
             raise PoleHit("contour route needs nonzero shifts")
         route, sign = routes.CONTOUR[fam]
-        cfg = ContourConfig() if nodes is None else ContourConfig(nodes_per_dim=nodes)
+        cfg = ContourConfig() if args.nodes is None else ContourConfig(nodes_per_dim=args.nodes)
         return route(spec.size, [sign * cmath.log(w) for w in shifts], m, cfg), None
     from . import haar
 
     if method == "quadrature":
-        return haar.weyl_autocorrelation(spec, shifts, m, nodes_per_dim=nodes), None
+        return haar.weyl_autocorrelation(spec, shifts, m), None
     # method == "montecarlo"
     require_count(args.samples, 100, "--samples")
     integrand = haar.autocorr_integrand(spec, shifts, m)
@@ -358,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--method", required=True,
                    help="schur | det | comb (u) / eps | contour | quadrature | montecarlo")
-    p.add_argument("--nodes", type=int, help="nodes per dimension (quadrature/contour)")
+    p.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
     p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
     p.set_defaults(func=cmd_compute)
 
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--routes", required=True, help="comma-separated route list")
     p.add_argument("--tol", type=float, help="agreement tolerance")
-    p.add_argument("--nodes", type=int, help="nodes per dimension (quadrature/contour)")
+    p.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
     p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
     p.set_defaults(func=cmd_crosscheck)
 

@@ -12,7 +12,7 @@ Every integrand here is a product of one-variable factors (shifts,
 denominators, exp factors, diagonal poles) and two-variable factors (the
 Vandermonde squares and the kernels' pair poles).  `trapezoid_sum`, the
 one contraction of a d <= DIM_CAP periodic trapezoid sum that this module
-and the Weyl quadrature of `haar` share, takes the factors unmultiplied:
+and `haar.quadrature_average` share, takes the factors unmultiplied:
 one-variable factors join their axis's node weights w_a and two-variable
 factors make up M x M tables A_ab, so d = 3 is
 sum(A_01 * w_0 (x) w_1 * ((A_02 * w_2) @ A_12^T)) -- one matrix product

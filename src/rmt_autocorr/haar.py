@@ -7,8 +7,9 @@ closed-form routes:
   densities, exact for the trigonometric-polynomial integrands in scope.
   The moments (`autocorr_integrand`) take it as one Heine determinant of
   their folded Fourier coefficients, at every matrix size up to
-  `HEINE_CAP`; any other integrand is summed on the tensor grid, up to
-  `contour.DIM_CAP` free angles; and
+  `HEINE_CAP`; above 2N + k nodes nothing folds, so `weyl_autocorrelation`
+  takes no node count.  Any other integrand is summed on the tensor grid,
+  up to `contour.DIM_CAP` free angles; and
 * Monte Carlo.  The moments (`autocorr_integrand`) need only
   characteristic-polynomial values, which come from random coefficients
   of Killip-Nenciu (IMRN 2004) with no group matrix and no eigensolve:
@@ -281,11 +282,6 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
     return complex(const * scale * np.linalg.det(G))
 
 
-def default_nodes(spec: GroupSpec, shift_count: int) -> int:
-    """Node-count rule: 4 * (2N + max e^{i th}-degree of the integrand)."""
-    return max(16, 4 * (2 * spec.size + shift_count))
-
-
 def _autocorr_factors(spec: GroupSpec, w: tuple, m: int, thetas: list) -> list:
     """The factors of `autocorr_integrand` at the broadcastable angle arrays
     `thetas`, one per free angle: a constant and one factor per angle."""
@@ -339,21 +335,17 @@ def _moment_of(spec: GroupSpec, integrand) -> tuple | None:
     return moment if moment is not None and moment[0] == spec else None
 
 
-def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0,
-                         nodes_per_dim: int | None = None) -> complex:
+def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0) -> complex:
     """Weyl quadrature value of the family's autocorrelation: the trapezoid
     sum of `quadrature_average`, one Heine determinant.
 
     Per angle, the density times the integrand has frequencies up to
-    2N + k, so nodes_per_dim <= 2N + k would alias: ValueError.
+    2N + k, so every node count above 2N + k gives the same determinant;
+    this takes the smallest (at least `quadrature_average`'s 4).
     PrecisionLoss and DimensionCap as `_heine_average` raises them.
     """
-    if nodes_per_dim is None:
-        nodes_per_dim = default_nodes(spec, len(shifts))
-    if nodes_per_dim <= 2 * spec.size + len(shifts):
-        raise ValueError(f"nodes_per_dim must exceed 2N + k = {2 * spec.size + len(shifts)}")
     return quadrature_average(spec, autocorr_integrand(spec, shifts, m),
-                              nodes_per_dim=nodes_per_dim)
+                              nodes_per_dim=max(4, 2 * spec.size + len(shifts) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +569,7 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
         phi[:m] = phi_star[:m]
         vals = phi.prod(axis=0)
         if spec.family == O_MINUS:
-            vals *= np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
+            vals *= _coset_constant(spec, shifts)
     return vals
 
 

@@ -1,6 +1,7 @@
 """Weyl measures, quadrature, sampling and functional equations."""
 
 import functools
+import math
 import tracemalloc
 
 import mpmath
@@ -11,6 +12,7 @@ from rmt_autocorr import (
     DimensionCap,
     PrecisionConfig,
     PrecisionLoss,
+    RouteError,
     UnitaryQuery,
     autocorr_det,
     GroupSpec,
@@ -35,7 +37,6 @@ from rmt_autocorr.haar import (
     _sample_chunks,
     _verblunsky_unitary,
     autocorr_integrand,
-    default_nodes,
     eigenangles_of,
     sample_eigenangle_batch,
     sample_matrix_batch,
@@ -92,8 +93,8 @@ def test_quadrature_dimension_cap():
 
 @pytest.mark.parametrize("fam,N", [("u", 3), ("usp", 3), ("so", 3), ("ominus", 4)])
 def test_three_angle_quadrature_forms_no_full_grid(fam, N):
-    # three free angles at M = 4 (2N + k) nodes: a moment is one 3 x 3
-    # determinant, never an M^3 grid of angles and values
+    # three free angles: a moment is one 3 x 3 determinant, never an M^3
+    # grid of angles and values
     spec = group(fam, N)
     shifts, m = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j), 2 if fam == "u" else 0
     weyl_autocorrelation(spec, shifts, m)   # lazy imports are not the working set
@@ -119,11 +120,14 @@ def test_so_density_is_finite_at_zero_and_pi(N):
 
 
 def test_so_quadrature_with_nodes_at_zero_and_pi_matches_eps():
-    # 24 nodes put theta = 0 and pi on the grid
+    # 24 nodes put theta = 0 and pi on the tensor grid of an untagged wrapper
     spec = group("so", 2)
     shifts = [0.8 + 0.1j, -0.5 + 0.4j]
-    val = weyl_autocorrelation(spec, shifts, nodes_per_dim=24)
-    assert val == pytest.approx(complex(so_autocorr_eps(2, shifts)), rel=1e-12)
+    integrand = autocorr_integrand(spec, shifts)
+    exact = complex(so_autocorr_eps(2, shifts))
+    assert weyl_autocorrelation(spec, shifts) == pytest.approx(exact, rel=1e-12)
+    grid = quadrature_average(spec, lambda T: integrand(T), nodes_per_dim=24)
+    assert grid == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("fam,N,shifts,m", [
@@ -134,23 +138,23 @@ def test_so_quadrature_with_nodes_at_zero_and_pi_matches_eps():
     ("ominus", 3, (0.6 - 0.2j, 0.4), 0),
 ])
 def test_quadrature_refuses_node_counts_that_alias(fam, N, shifts, m):
-    # per angle the density times the integrand has frequencies up to 2N + k
-    spec, M = group(fam, N), 2 * N + len(shifts)
-    with pytest.raises(ValueError, match="2N \\+ k"):
-        weyl_autocorrelation(spec, shifts, m, nodes_per_dim=M)
+    # per angle the density times the integrand has frequencies up to 2N + k;
+    # `weyl_autocorrelation` takes 2N + k + 1 nodes, the fewest that do not alias
+    spec = group(fam, N)
     exact = complex(canonical_value(spec.family, N, shifts, m))
-    assert weyl_autocorrelation(spec, shifts, m, nodes_per_dim=M + 1) == pytest.approx(exact, rel=1e-12)
+    assert weyl_autocorrelation(spec, shifts, m) == pytest.approx(exact, rel=1e-12)
 
 
 def test_quadrature_refuses_non_integer_node_counts():
     # 6.9 clears USp(4)'s alias bound 2N + k = 6, but int(6.9) = 6 nodes alias
     # (1.4413 against 1.6681); an integer-valued numpy count is fine
     spec, shifts = group("usp", 2), (0.5, 0.3)
+    integrand = autocorr_integrand(spec, shifts)
     with pytest.raises(ValueError, match="integer"):
-        weyl_autocorrelation(spec, shifts, nodes_per_dim=6.9)
+        quadrature_average(spec, integrand, nodes_per_dim=6.9)
     with pytest.raises(ValueError, match="integer"):
         quadrature_average(spec, lambda T: np.ones(len(T)), nodes_per_dim=16.0)
-    value = weyl_autocorrelation(spec, shifts, nodes_per_dim=np.int64(7))
+    value = quadrature_average(spec, integrand, nodes_per_dim=np.int64(7))
     assert value == pytest.approx(complex(sp_autocorr_eps(2, shifts)), rel=1e-12)
 
 
@@ -180,10 +184,51 @@ def test_heine_determinant_is_the_tensor_grid_sum(fam, N, k):
     spec, shifts = group(fam, N), (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)[:k]
     for m in range(k + 1) if fam == "u" else [0]:
         integrand = autocorr_integrand(spec, shifts, m)
-        for M in (2 * N + k + 1, default_nodes(spec, k)):
+        for M in (2 * N + k + 1, 4 * (2 * N + k)):
             grid = quadrature_average(spec, lambda T: integrand(T), nodes_per_dim=M)
             value = quadrature_average(spec, integrand, nodes_per_dim=M)
             assert abs(value - grid) <= 1e-13 * max(1.0, abs(grid))
+
+
+@pytest.mark.parametrize("fam,N", [(fam, N) for fam in ("u", "usp", "so") for N in (1, 2, 3)]
+                         + [("ominus", N) for N in (1, 2, 3, 4)])
+@pytest.mark.parametrize("k", [2, 4])
+def test_heine_fold_at_aliasing_node_counts_is_the_tensor_grid_sum(fam, N, k):
+    # at M <= 2N + k the folded coefficients alias, and the determinant is
+    # still the M-node trapezoid sum, or it refuses
+    spec, shifts = group(fam, N), (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)[:k]
+    for m in range(k + 1) if fam == "u" else [0]:
+        integrand = autocorr_integrand(spec, shifts, m)
+        for M in range(4, 2 * N + k + 1):
+            grid = quadrature_average(spec, lambda T: integrand(T), nodes_per_dim=M)
+            try:
+                value = quadrature_average(spec, integrand, nodes_per_dim=M)
+            except PrecisionLoss:
+                continue
+            assert abs(value - grid) <= 1e-12 * max(1.0, abs(grid))
+
+
+def _value_or_error(call):
+    try:
+        return repr(call())
+    except RouteError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 256])
+def test_weyl_value_is_the_same_at_every_node_count_that_does_not_alias(fam, N):
+    # past 2N + k no coefficient folds onto an index the matrix reads, so
+    # the node count cannot change the determinant, nor a refusal
+    spec = group(fam, N)
+    for k in (0, 2, 4):
+        shifts = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)[:k]
+        for m in range(k + 1) if fam == "u" else [0]:
+            weyl = _value_or_error(lambda: weyl_autocorrelation(spec, shifts, m))
+            integrand = autocorr_integrand(spec, shifts, m)
+            for M in (max(4, 2 * N + k + 1), 4 * (2 * N + k), 100003):
+                assert _value_or_error(lambda: quadrature_average(
+                    spec, integrand, nodes_per_dim=M)) == weyl
 
 
 GEOMETRIES = ["annulus", "circle", "cluster", "pm1"]
@@ -624,8 +669,8 @@ def _sample_major_values(spec, shifts, m, rng, B):
         alpha = _jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family])[:, 1:]
     phi, phi_star = _szego(alpha, w)
     vals = np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
-    if spec.family == "ominus":
-        vals = vals * np.prod((1 - w) * (1 + w)) * (-1) ** len(w)
+    if spec.family == "ominus":  # the coset constant, formed as the package forms it
+        vals = vals * math.prod(-(1 - wj) * (1 + wj) for wj in shifts)
     return vals
 
 

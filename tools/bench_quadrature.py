@@ -12,7 +12,8 @@ The command lines are `bench_common`'s.  Rows:
 - `lemma_sym_check` with the package's `exp_pole`, strict pairs and the
   plain variant on two alphas with 128 nodes, as in `checks`;
 - `weyl_autocorrelation` with three free angles per family (U(3) at m = 2,
-  USp(6), SO(6), O^-(8)) at the four ROADMAP points, default nodes.
+  USp(6), SO(6), O^-(8)) at the four ROADMAP points (one Heine
+  determinant each; the route takes no node count).
 A route's error is the relative error against the family's closed form
 at 60 digits (U(N): `det`, the others: `eps`), at the double shifts the
 route integrates (w = exp(sign * alpha), the route and its sign from
