@@ -51,6 +51,7 @@ import numpy as np
 
 from .contour import trapezoid_sum
 from .errors import DimensionCap, PrecisionLoss, require_count
+from .precision import DoubleOps
 from .routes import O_MINUS, SO_EVEN, SYMPLECTIC, UNITARY, GroupSpec
 from .symcore import index_pairs
 
@@ -61,9 +62,6 @@ _SAMPLE_CHUNK = 4096
 # Largest free-angle count of the Heine determinant: its n x n matrix is
 # factored twice (the determinant and the condition number)
 HEINE_CAP = 1024
-# Largest relative error bound the determinant is returned with: the
-# double-precision crosscheck tolerance
-HEINE_TOL = 1e-9
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -238,7 +236,7 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
 
     Raises DimensionCap for n > HEINE_CAP before anything is built, and
     PrecisionLoss when n u kappa_1(G), the bound on the determinant's
-    relative rounding error, exceeds HEINE_TOL.
+    relative rounding error, exceeds the crosscheck's DoubleOps.agreement_tol.
     """
     n = spec.free_angles
     if n > HEINE_CAP:
@@ -276,9 +274,9 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
         kappa = np.abs(G).sum(axis=0).max() * np.abs(np.linalg.inv(G)).sum(axis=0).max()
     except np.linalg.LinAlgError:  # exactly singular
         kappa = math.inf
-    if not n * _UNIT_ROUNDOFF * kappa <= HEINE_TOL:  # NaN refuses too
+    if not n * _UNIT_ROUNDOFF * kappa <= DoubleOps.agreement_tol:  # NaN refuses too
         raise PrecisionLoss(f"the {n} x {n} Heine determinant may have lost the "
-                            f"{HEINE_TOL:g} agreement of the crosscheck")
+                            f"{DoubleOps.agreement_tol:g} agreement of the crosscheck")
     return complex(const * scale * np.linalg.det(G))
 
 

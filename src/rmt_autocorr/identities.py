@@ -318,11 +318,11 @@ def run_identity_suite(trials: int, seed: int, prec: PrecisionConfig | None = No
             fn, statement, prose = _subset_cache(shifts, n - 1, prec)
             bump("identity2", float(abs(_laurent_at(fn, num.one))))
             bump("fn_zero", float(abs(_laurent_at(fn, num.zero))))
+            # exponents d(d - 1) + 2k: F_n is a polynomial in X = x^2, read at X = w_a w_b
             for a in range(n):
                 for b in range(a + 1, n):
-                    root = num.sqrt(num.scalar(shifts[a]) * num.scalar(shifts[b]))
-                    for signed_root in (root, -root):
-                        bump("fn_witness", float(abs(_laurent_at(fn, signed_root))))
+                    X = num.scalar(shifts[a]) * num.scalar(shifts[b])
+                    bump("fn_witness", float(abs(_laurent_at((0, 1, fn[2]), X))))
             for x in map(num.scalar, xs):
                 bump("fn_random", float(abs(_laurent_at(fn, x))))
                 bump("identity3", float(abs(_laurent_at(statement, x))))

@@ -5,9 +5,11 @@ complex numbers (the default) or on `DecimalComplex` scalars, pairs of
 `decimal.Decimal` parts rounded to a configured number of decimal digits
 (the C `decimal` module, libmpdec).  A :class:`PrecisionConfig` (None for
 doubles) travels with every call, and is itself the extended operation
-set: ``ops_for(prec)`` returns it, or `DoubleOps` for None.  Code written
-against the operation set is precision-agnostic, and a shift's value
-enters it through the set's `scalar` alone (exactly, when extended).
+set: ``ops_for(prec)`` returns it, or `DoubleOps` for None; each has
+`guard`, `scalar`, `one`, `zero`, `exp`, `expm1`, `fsum`, `det` and the
+cross-check tolerance `agreement_tol`.  Code written against the operation
+set is precision-agnostic, and a shift's value enters it through the set's
+`scalar` alone (exactly, when extended).
 
 An extended result is a `DecimalComplex` whose parts were rounded by the
 decimal context current when they were computed; the routes compute
@@ -67,6 +69,8 @@ def _generic_det(rows, absfn):
 class DoubleOps:
     """Machine-double operation set (python complex scalars)."""
 
+    agreement_tol = 1e-9   # tolerance of cross-checks in double precision
+
     @staticmethod
     def guard():
         return contextlib.nullcontext()
@@ -91,10 +95,6 @@ class DoubleOps:
             math.expm1(re) * math.cos(im) - 2.0 * math.sin(im / 2.0) ** 2,
             math.exp(re) * math.sin(im),
         )
-
-    @staticmethod
-    def sqrt(z):
-        return cmath.sqrt(z)
 
     @staticmethod
     def fsum(terms):
@@ -385,21 +385,6 @@ class PrecisionConfig:
     @staticmethod
     def expm1(z):
         return _via_mpmath("expm1", z)
-
-    @staticmethod
-    def sqrt(z):
-        """Principal square root, from the parts: the real part is >= 0, and
-        a negative real gets +i (a zero imaginary part counts as +0)."""
-        z = _to_scalar(z)
-        a, b = z._re, z._im
-        if not b:
-            return DecimalComplex(a.sqrt(), _ZERO) if a >= 0 else DecimalComplex(_ZERO, (-a).sqrt())
-        r = (a * a + b * b).sqrt()
-        if a >= 0:
-            t = ((r + a) / 2).sqrt()
-            return DecimalComplex(t, b / (2 * t))
-        t = ((r - a) / 2).sqrt()
-        return DecimalComplex(abs(b) / (2 * t), t if b > 0 else -t)
 
     @staticmethod
     def fsum(terms):

@@ -530,3 +530,16 @@ def test_cli_as_a_process():
                   "--method", "schur")
     assert done.returncode == 3
     assert set(json.loads(done.stdout)) == {"error", "detail"}
+
+
+def test_crosscheck_times_an_integration_route_without_its_imports():
+    # a fresh interpreter has not imported numpy and haar yet; the Weyl
+    # determinant itself takes about 0.05 ms, the imports about 0.2 s
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "rmt_autocorr.cli", "crosscheck",
+                           "--group", "usp", "--N", "4", "--shifts", "0.5,0.3",
+                           "--routes", "schur,eps,quadrature"], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["routes"]["quadrature"]["seconds"] < 0.05

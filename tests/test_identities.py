@@ -245,9 +245,10 @@ def test_suite_double_precision():
 
 @pytest.mark.parametrize("prec, trials", [(None, 8), (PrecisionConfig.extended(40), 2)])
 def test_suite_evaluates_every_x(monkeypatch, prec, trials):
-    # per trial: one cache; F_n at 1, 0, the n(n - 1) witnesses +-sqrt(w_a w_b)
-    # and every random x, and each identity-3 polynomial at every random x;
-    # a faster sweep must not check fewer points
+    # per trial: one cache; F_n at 1, 0, the n(n - 1)/2 witnesses x^2 = w_a w_b
+    # (one point of x^2 per pair, read in X = x^2) and every random x, and each
+    # identity-3 polynomial at every random x; a faster sweep must not check
+    # fewer points
     calls = []   # [n, the cache's polynomials, their _laurent_at calls] per _subset_cache call
     build, evaluate = identities._subset_cache, identities._laurent_at
 
@@ -258,14 +259,62 @@ def test_suite_evaluates_every_x(monkeypatch, prec, trials):
 
     def at(poly, x):
         _n, polys, counts = calls[-1]
-        counts[next(i for i, p in enumerate(polys) if p is poly)] += 1
+        counts[next(i for i, p in enumerate(polys) if p[2] is poly[2])] += 1
         return evaluate(poly, x)
 
     monkeypatch.setattr(identities, "_subset_cache", cache)
     monkeypatch.setattr(identities, "_laurent_at", at)
     run_identity_suite(trials, 5, prec, n_min=2, n_max=5, random_x_count=7)
     assert len(calls) == trials
-    assert all(counts == [2 + n * (n - 1) + 7, 7, 7] for n, _polys, counts in calls)
+    assert all(counts == [2 + n * (n - 1) // 2 + 7, 7, 7] for n, _polys, counts in calls)
+
+
+@pytest.mark.parametrize("digits", [None, 40])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_witnesses_read_f_n_as_a_polynomial_in_x_squared(monkeypatch, n, digits):
+    # at r = n - 1 every exponent of x in F_n is d(d - 1) + 2k, so the suite
+    # reads F_n once per pair a < b, in X = x^2 at X = w_a w_b; that is F_n at
+    # either square root
+    prec = None if digits is None else PrecisionConfig.extended(digits)
+    num = ops_for(prec)
+    tol = 1e-12 if digits is None else 1e-30
+    trials = []   # [shifts, F_n, [(X, value), ...] of its reads in X] per trial
+    build, evaluate = identities._subset_cache, identities._laurent_at
+
+    def cache(shifts, r, prec):
+        polys = build(shifts, r, prec)
+        trials.append([shifts, polys[0], []])
+        return polys
+
+    def at(poly, x):
+        value = evaluate(poly, x)
+        _shifts, fn, reads = trials[-1]
+        if poly[2] is fn[2] and poly[:2] == (0, 1):
+            reads.append((x, value))
+        return value
+
+    monkeypatch.setattr(identities, "_subset_cache", cache)
+    monkeypatch.setattr(identities, "_laurent_at", at)
+    run_identity_suite(2, 30 + n, prec, n_min=n, n_max=n)
+    monkeypatch.undo()
+    assert len(trials) == 2
+    for shifts, fn, reads in trials:
+        assert fn[:2] == (0, 2)
+        with num.guard():
+            w = [num.scalar(x) for x in shifts]
+            assert [X for X, _v in reads] == [w[a] * w[b] for a, b in
+                                              itertools.combinations(range(n), 2)]
+        for X, value in reads:
+            if digits is None:
+                root = cmath.sqrt(X)
+            else:
+                with mp.workdps(digits + 20):
+                    root = mp.sqrt(mp.mpc(X))
+            for signed_root in (root, -root):
+                at_root = fn_eval(shifts, signed_root, n - 1, prec)
+                with num.guard():
+                    assert float(abs(at_root)) <= tol and float(abs(value)) <= tol
+                    assert float(abs(value - at_root)) <= tol
 
 
 def test_suite_extended_precision():

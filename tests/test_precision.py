@@ -68,31 +68,16 @@ def test_arithmetic_matches_mpmath(digits):
         with num.guard():
             a, b = num.scalar(x), num.scalar(y)
             got = {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "abs": abs(a),
-                   "sqrt": num.sqrt(a), "exp": num.exp(a), "expm1": num.expm1(a * 1e-25),
+                   "exp": num.exp(a), "expm1": num.expm1(a * 1e-25),
                    **{f"**{e}": a ** e for e in (-7, -1, 0, 1, 2, 5, 13)}}
         with mp.workdps(digits + 20):
             p, q = mp.mpc(x), mp.mpc(y)
             want = {"+": p + q, "-": p - q, "*": p * q, "/": p / q, "abs": abs(p),
-                    "sqrt": mp.sqrt(p), "exp": mp.exp(p), "expm1": mp.expm1(p * mp.mpf(1e-25)),
+                    "exp": mp.exp(p), "expm1": mp.expm1(p * mp.mpf(1e-25)),
                     **{f"**{e}": p ** e for e in (-7, -1, 0, 1, 2, 5, 13)}}
         for key in want:
             _assert_close(got[key], want[key], digits)
     assert got["**0"] == 1 and type(got["**0"]) is DecimalComplex
-
-
-@pytest.mark.parametrize("digits", DIGITS)
-def test_sqrt_takes_the_principal_branch(digits):
-    num = ops_for(PrecisionConfig(digits))
-    for z in (-4.0, complex(-4.0, -0.0), complex(-3.0, 1e-30), complex(-3.0, -1e-30), 0.0, 2.0,
-              -2.5j, 1j):
-        with num.guard():
-            got = num.sqrt(num.scalar(z))
-        with mp.workdps(digits + 20):
-            want = mp.sqrt(mp.mpc(z))
-            if want == 0:
-                assert got == 0
-            else:
-                _assert_close(got, want, digits)
 
 
 @pytest.mark.parametrize("digits", DIGITS)

@@ -6,7 +6,8 @@
 The command lines are `bench_common`'s.  Rows:
 - the five `run_identity_suite` calls of the benchmark's `checks` workload
   (n_min = n_max = 3, 4, 5 with 4 trials in double, 3 and 4 with 1 trial at
-  40 digits), at suite seed 1;
+  40 digits), at suite seed 1, and one more in their form at n = 6 and 40
+  digits, whose trial reads F_n at 15 witness pairs;
 - the two suites of acceptance criterion 04 (500 trials in double and 50 at
   40 digits, seed 20260810, n from 2 to 6).
 The error is the suite's worst residual, bound its tolerance (1e-10 in
@@ -23,7 +24,7 @@ from bench_common import main, timed
 TOLERANCE = {None: 1e-10, 40: 1e-30}
 # (row name, trials, seed, digits, n_min, n_max)
 SUITES = [(f"checks n={n} trials=4 double", 4, 1, None, n, n) for n in (3, 4, 5)] + [
-    (f"checks n={n} trials=1 @40", 1, 1, 40, n, n) for n in (3, 4)] + [
+    (f"checks n={n} trials=1 @40", 1, 1, 40, n, n) for n in (3, 4, 6)] + [
     ("acceptance 04 trials=500 double", 500, 20260810, None, 2, 6),
     ("acceptance 04 trials=50 @40", 50, 20260810, 40, 2, 6)]
 
