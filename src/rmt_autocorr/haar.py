@@ -37,8 +37,9 @@ elements.  The Haar-matrix samplers the coefficient models are tested
 against (QR of Gaussian matrices, a symplectic Gram-Schmidt) live in
 `tests/haar_reference.py`.
 
-Also hosts per-matrix characteristic-polynomial evaluation and the
-functional-equation residuals.
+Also hosts characteristic polynomials from the free angles and the residuals
+of the one functional equation of every family, D its matrix size:
+Lambda_M(s) = (-s)^D det M Lambda_{M^dagger}(1/s).
 """
 
 from __future__ import annotations
@@ -103,8 +104,11 @@ def _weyl_factors(spec: GroupSpec, thetas: list) -> list:
 
 
 def weyl_density(spec: GroupSpec, T: np.ndarray) -> np.ndarray:
-    """Weyl eigenangle density at the (P, d) angle array T, mass 1 on
-    [0, 2 pi)^d: the product of the `_weyl_factors` of its columns."""
+    """Weyl eigenangle density at the (P, d) angle array T, d the free-angle
+    count (else ValueError), mass 1 on [0, 2 pi)^d: the product of the
+    `_weyl_factors` of its columns."""
+    if T.shape[1] != spec.free_angles:
+        raise ValueError("angle count does not match the group")
     return math.prod(_weyl_factors(spec, list(T.T)), start=np.ones(T.shape[0]))
 
 
@@ -133,52 +137,37 @@ def char_poly_eval(spec: GroupSpec, angles: np.ndarray, s: complex):
     return out[0] if single else out
 
 
-def char_poly_dagger(spec: GroupSpec, angles: np.ndarray, s: complex):
-    """Lambda_{M^dagger}(s): the characteristic polynomial of the adjoint."""
-    return np.conj(char_poly_eval(spec, angles, np.conj(complex(s))))
+def _functional_equation_sides(spec: GroupSpec, angles: np.ndarray, s: complex) -> tuple:
+    """(Lambda_M(s), det M, Lambda_{M^dagger}(1/s) = conj Lambda_M(1/conj s)) at
+    s != 0: det M is prod e^{i theta} for U(N), -1 for O^- and 1 otherwise."""
+    if s == 0:
+        raise ValueError("the functional equation needs s != 0")
+    if spec.family == UNITARY:
+        det_m = complex(np.prod(np.exp(1j * np.asarray(angles, dtype=float))))
+    else:
+        det_m = -1 if spec.family == O_MINUS else 1
+    return (complex(char_poly_eval(spec, angles, s)), det_m,
+            np.conj(complex(char_poly_eval(spec, angles, 1 / np.conj(s)))))
 
 
 def functional_equation_residual(spec: GroupSpec, angles: np.ndarray, s: complex) -> float:
-    """|Lambda_M(s) - RHS(s)| for the family's functional equation.
-
-    Unitary:      RHS = (-1)^N det(M) s^N Lambda_{M^dagger}(1/s)
-    USp, SO:      RHS = s^{2N} conj(Lambda_M(1/conj(s)))
-    O^-:          RHS = -s^{2N} conj(Lambda_M(1/conj(s)))
-    """
+    """|Lambda_M(s) - (-1)^D det M s^D Lambda_{M^dagger}(1/s)|, D the matrix size."""
     s = complex(s)
-    if s == 0:
-        raise ValueError("functional equation requires s != 0")
-    N = spec.size
-    lhs = complex(char_poly_eval(spec, angles, s))
-    if spec.family == UNITARY:
-        det_m = complex(np.prod(np.exp(1j * np.asarray(angles, dtype=float))))
-        rhs = (-1) ** N * det_m * s ** N * complex(char_poly_dagger(spec, angles, 1 / s))
-    else:
-        reflected = complex(char_poly_eval(spec, angles, 1 / np.conj(s)))
-        rhs = s ** (2 * N) * np.conj(reflected)
-        if spec.family == O_MINUS:
-            rhs = -rhs
-    return abs(lhs - rhs)
+    lam, det_m, lam_dagger = _functional_equation_sides(spec, angles, s)
+    D = spec.matrix_dim
+    # (-1)^D s^D, not (-s)^D: past D = 100 CPython takes a complex to an integer
+    # power by exp and log, where -s would round otherwise than s
+    return abs(lam - (-1) ** D * det_m * s ** D * lam_dagger)
 
 
 def znorm_residual(spec: GroupSpec, angles: np.ndarray, s: complex) -> float:
-    """Residual of the unit-circle-symmetrized functional equation.
-
-    With Z(s) = s^{-N} Lambda(s) (USp, SO) the relation is
-    Z(s) = conj(Z(1/conj(s))); with Z(s) = -s^{-N} Lambda(s) (O^-) it is
-    Z(s) = -conj(Z(1/conj(s))).
-    """
+    """|Z(s) - s^N Lambda_{M^dagger}(1/s)| for Z(s) = det M s^{-N} Lambda_M(s): the
+    self-dual families' functional equation (D = 2N) as Z(s) = det M conj Z(1/conj s)."""
     if spec.family == UNITARY:
         raise ValueError("Z-normalization applies to the self-dual families only")
     s = complex(s)
-    if s == 0:
-        raise ValueError("s must be nonzero")
-    N = spec.size
-    sign = -1.0 if spec.family == O_MINUS else 1.0
-    z_here = sign * s ** (-N) * complex(char_poly_eval(spec, angles, s))
-    sr = 1 / np.conj(s)
-    z_there = sign * sr ** (-N) * complex(char_poly_eval(spec, angles, sr))
-    return abs(z_here - sign * np.conj(z_there))
+    lam, det_m, lam_dagger = _functional_equation_sides(spec, angles, s)
+    return abs(det_m * s ** -spec.size * lam - s ** spec.size * lam_dagger)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +211,7 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
     free-angle count.
 
     The moment is prod_j f(theta_j) times the coset constant, f the
-    per-angle factor of `_autocorr_factors`: a Laurent polynomial in
+    per-angle factor of `autocorr_integrand`: a Laurent polynomial in
     e^{i theta} whose coefficients f^_q come from k short convolutions.
     The Weyl density is a product of two n x n determinants of functions of
     one angle, so by the Heine/Andreief identity (Johansson, Ann. Math. 145,
@@ -280,20 +269,6 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
     return complex(const * scale * np.linalg.det(G))
 
 
-def _autocorr_factors(spec: GroupSpec, w: tuple, m: int, thetas: list) -> list:
-    """The factors of `autocorr_integrand` at the broadcastable angle arrays
-    `thetas`, one per free angle: a constant and one factor per angle."""
-    if spec.family == UNITARY:
-        def angle(t):
-            e = np.exp(1j * t)
-            return (math.prod(1 - np.conj(e) * wr for wr in w[:m])
-                    * math.prod(wj - e for wj in w[m:]))
-    else:
-        def angle(t):
-            return math.prod(1 + wj * wj - 2 * wj * np.cos(t) for wj in w)
-    return [_coset_constant(spec, w)] + [angle(t) for t in thetas]
-
-
 def _coset_constant(spec: GroupSpec, w: tuple) -> complex:
     """prod -(1 - w_j)(1 + w_j) for O^-(2N), from its forced eigenvalues +-1
     and its defining (-1)^k; 1 for the other families."""
@@ -318,8 +293,17 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
     if spec.family == UNITARY and m > len(w):
         raise ValueError("need 0 <= m <= len(shifts)")
 
+    if spec.family == UNITARY:
+        def angle(t):
+            e = np.exp(1j * t)
+            return (math.prod(1 - np.conj(e) * wr for wr in w[:m])
+                    * math.prod(wj - e for wj in w[m:]))
+    else:
+        def angle(t):
+            return math.prod(1 + wj * wj - 2 * wj * np.cos(t) for wj in w)
+
     def integrand(T: np.ndarray) -> np.ndarray:
-        return math.prod(_autocorr_factors(spec, w, m, list(T.T)),
+        return math.prod([_coset_constant(spec, w)] + [angle(t) for t in T.T],
                          start=np.ones(T.shape[0], dtype=complex))
 
     integrand.autocorr = (spec, w, m)
@@ -379,11 +363,14 @@ def sample_matrix_batch(spec: GroupSpec, rng: np.random.Generator, count: int) -
 
 
 def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
-    """Free eigenangles of a batch of group elements, each in [0, 2 pi).
+    """Free eigenangles of a batch of D x D group elements (else ValueError),
+    each in [0, 2 pi).
 
     Conjugate-paired spectra are reduced to one angle per pair; the forced
     +1 and -1 eigenvalues of the determinant -1 coset are dropped.
     """
+    if np.shape(mats)[-2:] != (spec.matrix_dim,) * 2:
+        raise ValueError("matrix size does not match the group")
     ev = np.linalg.eigvals(mats)
     if spec.family == UNITARY:
         return np.sort(np.mod(np.angle(ev), TWO_PI), axis=1)
@@ -529,29 +516,13 @@ def _sample_chunks(rng_seed: int, count: int,
         yield draw(rng, min(_SAMPLE_CHUNK, count - start))
 
 
-def _eigenangle_chunks(spec: GroupSpec, rng_seed: int, count: int) -> Iterator[np.ndarray]:
-    """`count` eigenangle vectors from the seeded stream, in sampling chunks.
-
-    U(N) angles are those of the CMV matrix of the coefficients that
-    `_autocorr_chunk` draws; the self-dual families draw theirs from the
-    Jacobi model without building a group element.  The free
-    angles of O^-(2N) follow the USp(2N - 2) law.
-    """
-    def draw(rng: np.random.Generator, B: int) -> np.ndarray:
-        if spec.family == UNITARY:
-            return eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
-        return _jacobi_angles(_jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family]))
-
-    return _sample_chunks(rng_seed, count, draw)
-
-
 def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Generator,
                     B: int) -> np.ndarray:
     """B values of `autocorr_integrand(spec, shifts, m)` at fresh Haar samples,
     from sampled coefficients instead of eigenangles: one Szego recursion
     over the Killip-Nenciu coefficients of every family.
 
-    Every family reads the same stream as `_eigenangle_chunks`, so each
+    Every family reads the same stream as `sample_eigenangle_batch`, so each
     value is the angle path's up to rounding.  The recursion reads the
     coefficients as rows, and the value is the product of the k rows of
     Phi* (the first m shifts) and Phi.  A value beyond the double range is
@@ -574,9 +545,17 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
 def sample_eigenangle_batch(spec: GroupSpec, rng_seed: int, count: int) -> np.ndarray:
     """`count` >= 1 eigenangle vectors, shape (count, free angles), reproducible
     from the seed.  They are drawn `_SAMPLE_CHUNK` at a time from one stream,
-    so their whole chunks are the first rows of any longer batch from that seed."""
+    so their whole chunks are the first rows of any longer batch from that seed.
+    U(N) takes the CMV angles of the coefficients `_autocorr_chunk` draws, the
+    self-dual families the Jacobi model's (O^-(2N) with the USp(2N - 2) law)."""
     count = require_count(count, 1, "count")
-    return np.concatenate(list(_eigenangle_chunks(spec, rng_seed, count)), axis=0)
+
+    def draw(rng: np.random.Generator, B: int) -> np.ndarray:
+        if spec.family == UNITARY:
+            return eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
+        return _jacobi_angles(_jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family]))
+
+    return np.concatenate(list(_sample_chunks(rng_seed, count, draw)), axis=0)
 
 
 def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.ndarray],

@@ -331,6 +331,48 @@ def test_functional_equation_unit_circle_large_n():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_functional_equation_on_group_matrices(fam, N):
+    # Haar matrices of the reference samplers: Lambda_M(s) from the free
+    # angles is det(I - s M), det M is prod e^{i theta} for U(N), -1 for O^-
+    # and 1 otherwise, and det(I - s M) = (-s)^D det M conj det(I - M / conj s)
+    spec = group(fam, N)
+    D = spec.matrix_dim
+    rng = np.random.default_rng(70 + N)
+    mats = haar_matrix_batch(spec, rng, 30)
+    angles = eigenangles_of(spec, mats)
+    dets = np.linalg.det(mats)
+    if fam == "u":
+        expected = np.prod(np.exp(1j * angles), axis=1)
+    else:
+        expected = np.full(len(mats), -1.0 if fam == "ominus" else 1.0)
+    assert np.abs(dets - expected).max() <= 1e-12
+    eye = np.eye(D)
+    for M, ang, det_m in zip(mats, angles, dets):
+        for s in rng.uniform(0.5, 2.0, 3) * np.exp(2j * np.pi * rng.random(3)):
+            lam = np.linalg.det(eye - s * M)
+            assert abs(complex(char_poly_eval(spec, ang, s)) - lam) <= 1e-12 * abs(lam)
+            reflected = (-s) ** D * det_m * np.conj(np.linalg.det(eye - M / np.conj(s)))
+            assert abs(lam - reflected) <= 1e-12 * abs(lam)
+            assert functional_equation_residual(spec, ang, s) <= 1e-12 * abs(lam)
+
+
+@pytest.mark.parametrize("fam, N", [("usp", 51), ("usp", 64), ("so", 51), ("so", 64),
+                                    ("ominus", 51), ("ominus", 64), ("u", 101)])
+def test_functional_equation_past_exponent_100(fam, N):
+    # D > 100, where CPython takes a complex to an integer power by exp and
+    # log; s drawn as in test_functional_equation_residuals_small
+    spec = group(fam, N)
+    rng = np.random.default_rng(N)
+    for ang in sample_eigenangle_batch(spec, 800 + N, 30):
+        s = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random()))
+        lam = abs(complex(char_poly_eval(spec, ang, s)))
+        assert functional_equation_residual(spec, ang, s) <= 1e-12 * lam
+        if fam != "u":
+            assert znorm_residual(spec, ang, s) <= 1e-12 * abs(s) ** -N * lam
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -790,9 +832,11 @@ def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
     lambda: sample_eigenangle_batch(group("usp", 2), 1, 0),
     lambda: sample_eigenangle_batch(group("usp", 2), 1, -3),
     lambda: sample_eigenangle_batch(group("u", 2), 1, 2.5),
+    lambda: weyl_density(group("u", 5), np.zeros((3, 2))),  # the U(2) density
+    lambda: eigenangles_of(group("usp", 3), np.tile(np.eye(4), (2, 1, 1))),  # USp(4) matrices
 ], ids=["angle-count", "functional-equation-at-0", "znorm-unitary", "znorm-at-0",
         "three-nodes", "m-above-n", "one-sample", "batch-of-none", "batch-below-zero",
-        "fractional-batch"])
+        "fractional-batch", "weyl-density-angle-count", "eigenangles-matrix-size"])
 def test_input_guards(call):
     with pytest.raises(ValueError):
         call()

@@ -25,7 +25,7 @@ import subprocess
 import sys
 import time
 
-from bench_common import POINTS, ROUNDS, main
+from bench_common import POINTS, ROUNDS, main, reference
 
 BOUND = 1e-12
 LAUNCHES = 5
@@ -76,12 +76,7 @@ def _error(query, stdout: str) -> float:
     """The relative error of the printed value(s) against the 60-digit closed form."""
     if query is None:
         return 0.0
-    from rmt_autocorr.precision import PrecisionConfig
-    from rmt_autocorr.routes import ROUTES
-
-    family, N, shifts, m = query
-    ref = complex(ROUTES[family]["det" if family == "unitary" else "eps"](
-        N, shifts, m, PrecisionConfig.extended(60)))
+    ref = complex(reference(*query))
     report = json.loads(stdout)
     values = [r["value"] for r in report["routes"].values()] if "routes" in report \
         else [report["value"]]

@@ -16,7 +16,8 @@ recorded, so a BEFORE tree that was wrong shows as wrong.
 
 prints the rows of one side as JSON and exits 1 when a row's error is not
 <= its bound (a NaN error fails too).  A run that crashes exits 1 as well,
-but prints no rows.
+but prints no rows.  `reference` is the 60-digit closed form that the tools
+measure a route's error against.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ import tracemalloc
 # the ROADMAP points, bench/workloads.ROADMAP_POINTS
 POINTS = (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)
 ROUNDS = 5
+
+
+def reference(family, N, shifts, m):
+    """The family's closed form at 60 digits, as the route returns it: the
+    `det` sum for U(N), `eps` for the others."""
+    from rmt_autocorr.precision import PrecisionConfig
+    from rmt_autocorr.routes import ROUTES
+
+    return ROUTES[family]["det" if family == "unitary" else "eps"](
+        N, shifts, m, PrecisionConfig.extended(60))
 
 
 def timed(call):

@@ -28,7 +28,7 @@ import cmath
 import sys
 from functools import partial
 
-from bench_common import POINTS, main, peak_mib, timed
+from bench_common import POINTS, main, peak_mib, reference, timed
 
 ALPHAS = (0.12 + 0.05j, -0.1 + 0.13j, 0.2 - 0.11j)
 BOUND = 1e-12
@@ -36,11 +36,7 @@ FAMILIES = ("unitary", "symplectic", "so", "ominus")
 
 
 def _closed_form_error(family, N, m, shifts, value) -> float:
-    from rmt_autocorr.precision import PrecisionConfig
-    from rmt_autocorr.routes import ROUTES
-
-    ref = complex(ROUTES[family]["det" if family == "unitary" else "eps"](
-        N, shifts, m, PrecisionConfig.extended(60)))
+    ref = complex(reference(family, N, shifts, m))
     return abs(complex(value) - ref) / abs(ref)
 
 

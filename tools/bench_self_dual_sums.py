@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from bench_common import POINTS, main, timed
+from bench_common import POINTS, main, reference, timed
 
 ANNULUS = (1.2 + 0.5j, -0.4 + 0.7j, -1.1 - 0.6j, 0.5 - 1.3j)
 BOUND = 1e-12
@@ -33,13 +33,12 @@ def measure(root):
     from rmt_autocorr.precision import PrecisionConfig
     from rmt_autocorr.routes import ROUTES
 
-    ref_prec = PrecisionConfig.extended(60)
     rows = {}
     for N, point_set, points, digits in CASES:
         prec = None if digits is None else PrecisionConfig.extended(digits)
         for family, route in SUMS:
             seconds, value = timed(lambda fn=ROUTES[family][route]: fn(N, points, 0, prec))
-            ref = ROUTES[family]["eps"](N, points, 0, ref_prec)
+            ref = reference(family, N, points, 0)
             precision = "double" if digits is None else f"{digits} digits"
             rows[f"{family}.{route} N={N}{point_set} {precision}"] = [
                 seconds, float(abs(value - ref) / abs(ref)), BOUND]
