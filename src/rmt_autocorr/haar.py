@@ -30,7 +30,10 @@ closed-form routes:
 Each self-dual family's eigenangle law is written once, as the Jacobi
 exponent of `_JACOBI_A` in the coordinate x = 2 cos(theta), where the Weyl
 density is a real polynomial (Keating-Snaith, CMP 214, 2000); the
-quadrature density and the Jacobi sampler both read that table.
+quadrature density, the Heine determinant and the Jacobi sampler all read
+that table.  The forced eigenvalues +1 and -1 of O^-(2N) are written once
+too, as its row of `routes.FORCED_EIGENVALUES`, which the characteristic
+polynomial, det M, the coset constant and `eigenangles_of` read.
 
 `eigenangles_of` reads the free eigenangles of any family's group
 elements.  The Haar-matrix samplers the coefficient models are tested
@@ -44,6 +47,7 @@ Lambda_M(s) = (-s)^D det M Lambda_{M^dagger}(1/s).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import Callable, Iterator, Sequence
@@ -52,8 +56,8 @@ import numpy as np
 
 from .contour import trapezoid_sum
 from .errors import DimensionCap, PrecisionLoss, require_count
-from .precision import DoubleOps
-from .routes import O_MINUS, SO_EVEN, SYMPLECTIC, UNITARY, GroupSpec
+from .precision import DoubleOps, require_finite
+from .routes import FORCED_EIGENVALUES, O_MINUS, SO_EVEN, SYMPLECTIC, UNITARY, GroupSpec
 from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
@@ -64,6 +68,9 @@ _SAMPLE_CHUNK = 4096
 # factored twice (the determinant and the condition number)
 HEINE_CAP = 1024
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Below this log of the bound ||G||_1^n on |det G|, np.linalg.det cannot pass
+# the double range (e^709.78) and warn, rounding included
+_SAFE_LOG_DET = 700.0
 
 
 def group(family: str, size: int) -> GroupSpec:
@@ -76,8 +83,9 @@ def group(family: str, size: int) -> GroupSpec:
 
 # Jacobi endpoint exponent a of each self-dual family: in x = 2 cos(theta)
 # its n = free_angles eigenangles have density prop. to
-# Delta(x)^2 prod (4 - x^2)^a on [-2, 2]^n.  Read by the Weyl density and
-# by the Jacobi-model sampler.  O^-(2N) has the USp(2N - 2) law.
+# Delta(x)^2 prod (4 - x^2)^a on [-2, 2]^n.  Read by the Weyl density, the
+# Heine determinant and the Jacobi-model sampler.  O^-(2N) has the
+# USp(2N - 2) law.
 _JACOBI_A = {SYMPLECTIC: 0.5, SO_EVEN: -0.5, O_MINUS: 0.5}
 
 
@@ -117,11 +125,9 @@ def weyl_density(spec: GroupSpec, T: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def char_poly_eval(spec: GroupSpec, angles: np.ndarray, s: complex):
-    """Lambda_M(s) = det(I - M s) from the free eigenangles.
+    """Lambda_M(s) = det(I - M s) from the free eigenangles and the forced eigenvalues.
 
     `angles` has shape (d,) or (B, d); returns a scalar or a (B,) array.
-    The forced +-1 eigenvalues of the determinant -1 orthogonal coset
-    contribute the (1 - s)(1 + s) factor.
     """
     T = np.atleast_2d(np.asarray(angles, dtype=float))
     single = np.asarray(angles).ndim == 1
@@ -132,20 +138,20 @@ def char_poly_eval(spec: GroupSpec, angles: np.ndarray, s: complex):
         out = np.prod(1 - np.exp(1j * T) * s, axis=1)
     else:
         out = np.prod(1 + s * s - 2 * s * np.cos(T), axis=1)
-        if spec.family == O_MINUS:
-            out = out * (1 - s) * (1 + s)
+        for e in FORCED_EIGENVALUES[spec.family]:
+            out = out * (1 - e * s)
     return out[0] if single else out
 
 
 def _functional_equation_sides(spec: GroupSpec, angles: np.ndarray, s: complex) -> tuple:
     """(Lambda_M(s), det M, Lambda_{M^dagger}(1/s) = conj Lambda_M(1/conj s)) at
-    s != 0: det M is prod e^{i theta} for U(N), -1 for O^- and 1 otherwise."""
+    s != 0: det M is prod e^{i theta} for U(N), else that of the forced eigenvalues."""
     if s == 0:
         raise ValueError("the functional equation needs s != 0")
     if spec.family == UNITARY:
         det_m = complex(np.prod(np.exp(1j * np.asarray(angles, dtype=float))))
     else:
-        det_m = -1 if spec.family == O_MINUS else 1
+        det_m = math.prod(FORCED_EIGENVALUES[spec.family])
     return (complex(char_poly_eval(spec, angles, s)), det_m,
             np.conj(complex(char_poly_eval(spec, angles, 1 / np.conj(s)))))
 
@@ -219,13 +225,16 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
     determinant of one-angle averages.  Summed over the nodes instead
     (Cauchy-Binet), f^_q enters folded mod M, as c_l = sum of f^_q over
     q = l (mod M), so the determinant is the trapezoid sum at every M, with
-    0 <= i, j < n:
-    U(N) det[c_{j-i}], USp(2N) det[c_{i-j} - c_{i+j+2}],
-    SO(2N) det[c_{i-j} + c_{i+j}] / 2, and O^-(2N) the USp form at N - 1.
+    0 <= i, j < n: U(N) det[c_{j-i}], and a self-dual family of Jacobi
+    exponent a (`_JACOBI_A`) det[c_{i-j} - 2a c_{i+j+2a+1}], halved at
+    a = -1/2.  That is det[c_{i-j} - c_{i+j+2}] for USp(2N) and for O^-(2N)
+    (at n = N - 1), and det[c_{i-j} + c_{i+j}] / 2 for SO(2N).
 
-    Raises DimensionCap for n > HEINE_CAP before anything is built, and
+    Raises DimensionCap for n > HEINE_CAP before anything is built,
     PrecisionLoss when n u kappa_1(G), the bound on the determinant's
-    relative rounding error, exceeds the crosscheck's DoubleOps.agreement_tol.
+    relative rounding error, exceeds the crosscheck's DoubleOps.agreement_tol,
+    and OverflowError, with no numpy warning, where the average passes the
+    double range.
     """
     n = spec.free_angles
     if n > HEINE_CAP:
@@ -255,24 +264,36 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
     i, j = np.arange(n)[:, None], np.arange(n)
     if spec.family == UNITARY:
         G, scale = c[j - i], 1.0
-    elif spec.family == SO_EVEN:
-        G, scale = c[i - j] + c[i + j], 0.5
-    else:
-        G, scale = c[i - j] - c[i + j + 2], 1.0
+    else:  # Hankel offset 2a + 1; the sign of -2a is chosen, not multiplied in
+        a = _JACOBI_A[spec.family]
+        hankel = c[i + j + round(2 * a + 1)]
+        G, scale = (c[i - j] - hankel, 1.0) if a > 0 else (c[i - j] + hankel, 0.5)
+    norm = float(np.abs(G).sum(axis=0).max())  # ||G||_1
     try:  # np.linalg.cond(G, 1) without the overhead of its generality
-        kappa = np.abs(G).sum(axis=0).max() * np.abs(np.linalg.inv(G)).sum(axis=0).max()
+        kappa = norm * float(np.abs(np.linalg.inv(G)).sum(axis=0).max())
     except np.linalg.LinAlgError:  # exactly singular
         kappa = math.inf
     if not n * _UNIT_ROUNDOFF * kappa <= DoubleOps.agreement_tol:  # NaN refuses too
         raise PrecisionLoss(f"the {n} x {n} Heine determinant may have lost the "
                             f"{DoubleOps.agreement_tol:g} agreement of the crosscheck")
-    return complex(const * scale * np.linalg.det(G))
+    if n * math.log(norm) < _SAFE_LOG_DET:
+        det = np.linalg.det(G)
+    else:  # sign * exp(log |det G|) as np.linalg.det forms it, but by math.exp, which
+        # raises OverflowError where np.linalg.det would warn
+        sign, log_det = np.linalg.slogdet(G)
+        det = sign * math.exp(log_det)
+    value = const * scale * complex(det)  # Python complex arithmetic, which does not warn
+    if not cmath.isfinite(value):
+        raise OverflowError("the Heine average is beyond the double range")
+    return value
 
 
 def _coset_constant(spec: GroupSpec, w: tuple) -> complex:
-    """prod -(1 - w_j)(1 + w_j) for O^-(2N), from its forced eigenvalues +-1
-    and its defining (-1)^k; 1 for the other families."""
-    return math.prod(-(1 - wj) * (1 + wj) for wj in w) if spec.family == O_MINUS else 1.0
+    """prod_j det M prod_e (1 - e w_j) over the forced eigenvalues e = +-1: that is
+    prod_j prod_e (e - w_j), as det M = prod e and e^2 = 1.  O^-(2N)'s defining
+    (-1)^k is the det M^k."""
+    forced = FORCED_EIGENVALUES[spec.family]
+    return math.prod(math.prod(e - wj for e in forced) for wj in w) if forced else 1.0
 
 
 def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
@@ -287,8 +308,10 @@ def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):
     The callable carries `autocorr = (spec, shifts, m)`, by which
     `monte_carlo_average` samples its values without eigenangles and
     `quadrature_average` takes its sum as one determinant, without a grid.
+    ValueError for a non-finite shift.
     """
     w = tuple(complex(x) for x in shifts)
+    require_finite(w)
     m = require_count(m, 0, "m")
     if spec.family == UNITARY and m > len(w):
         raise ValueError("need 0 <= m <= len(shifts)")
@@ -324,7 +347,8 @@ def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0)
     Per angle, the density times the integrand has frequencies up to
     2N + k, so every node count above 2N + k gives the same determinant;
     this takes the smallest (at least `quadrature_average`'s 4).
-    PrecisionLoss and DimensionCap as `_heine_average` raises them.
+    PrecisionLoss, DimensionCap and OverflowError as `_heine_average` raises
+    them, and ValueError for a non-finite shift.
     """
     return quadrature_average(spec, autocorr_integrand(spec, shifts, m),
                               nodes_per_dim=max(4, 2 * spec.size + len(shifts) + 1))
@@ -366,17 +390,16 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     """Free eigenangles of a batch of D x D group elements (else ValueError),
     each in [0, 2 pi).
 
-    Conjugate-paired spectra are reduced to one angle per pair; the forced
-    +1 and -1 eigenvalues of the determinant -1 coset are dropped.
+    Conjugate-paired spectra are reduced to one angle per pair, after the
+    angles 0 and pi of the family's forced eigenvalues +1 and -1 are dropped.
     """
     if np.shape(mats)[-2:] != (spec.matrix_dim,) * 2:
         raise ValueError("matrix size does not match the group")
     ev = np.linalg.eigvals(mats)
     if spec.family == UNITARY:
         return np.sort(np.mod(np.angle(ev), TWO_PI), axis=1)
-    a = np.sort(np.abs(np.angle(ev)), axis=1)
-    if spec.family == O_MINUS:
-        a = a[:, 1:-1]  # drop the angles of the forced +-1 eigenvalues
+    forced = FORCED_EIGENVALUES[spec.family]
+    a = np.sort(np.abs(np.angle(ev)), axis=1)[:, forced.count(1):ev.shape[1] - forced.count(-1)]
     return (a[:, 0::2] + a[:, 1::2]) / 2.0
 
 
@@ -537,7 +560,7 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
         phi, phi_star = _szego(alpha, w)
         phi[:m] = phi_star[:m]
         vals = phi.prod(axis=0)
-        if spec.family == O_MINUS:
+        if FORCED_EIGENVALUES[spec.family]:
             vals *= _coset_constant(spec, shifts)
     return vals
 

@@ -26,6 +26,8 @@ _ALIASES = {
     "usp": SYMPLECTIC, "symplectic": SYMPLECTIC,
     "so": SO_EVEN, "ominus": O_MINUS,
 }
+# The eigenvalues every element of the family has: O^-(2N) fixes +1 and -1
+FORCED_EIGENVALUES = {UNITARY: (), SYMPLECTIC: (), SO_EVEN: (), O_MINUS: (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class GroupSpec:
 
     @property
     def free_angles(self) -> int:
-        return self.size - 1 if self.family == O_MINUS else self.size
+        return self.size - len(FORCED_EIGENVALUES[self.family]) // 2
 
 
 def _unitary(route):

@@ -165,11 +165,13 @@ def reflection_contour(N: int, alphas: Sequence[complex], cfg: ContourConfig | N
     """exp(sign N sum alpha) times the sign-vector lemma's `variant` contour
     side on a circle enclosing +-alpha, with kernel exp(N sum z) prod
     (1 - exp(-z_m - z_l))^(-1) over pairs l <= m (l < m without the diagonal).
-    Raises ValueError for an N not among the family's sizes (`_require_size`)."""
+    Raises ValueError for an N not among the family's sizes (`_require_size`)
+    and for a non-finite alpha."""
     import numpy as np
 
     N = _require_size(N, diagonal)
     al = [complex(a) for a in alphas]
+    require_finite(al)
     enclosed = al + [-a for a in al]
     require_exp_kernel_contour(enclosed, "+-alpha points")
     kernel = SymmetricKernel(exp_pole, lambda a: exp_sum(N, a), include_diagonal=diagonal)

@@ -106,6 +106,7 @@ def test_contour_route_refuses_a_zero_shift(capsys, argv):
 @pytest.mark.parametrize("query", [
     ("--group", "u", "--N", "2", "--m", "0", "--shifts", "1e200", "--method", "det"),
     ("--group", "usp", "--N", "100000", "--shifts", "0.5", "--method", "eps"),
+    ("--group", "u", "--N", "2", "--m", "0", "--shifts", "1e200", "--method", "quadrature"),
 ])
 def test_overflow_is_a_numerical_error(capsys, query):
     code, out, _ = run_cli(capsys, "compute", *query)

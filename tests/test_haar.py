@@ -336,7 +336,11 @@ def test_functional_equation_unit_circle_large_n():
 def test_functional_equation_on_group_matrices(fam, N):
     # Haar matrices of the reference samplers: Lambda_M(s) from the free
     # angles is det(I - s M), det M is prod e^{i theta} for U(N), -1 for O^-
-    # and 1 otherwise, and det(I - s M) = (-s)^D det M conj det(I - M / conj s)
+    # and 1 otherwise, and det(I - s M) = (-s)^D det M conj det(I - M / conj s).
+    # The moment integrand at the angles is its matrix form: prod_j det M
+    # det(I - w_j M) for the self-dual families, whose forced eigenvalues
+    # enter only through the coset constant, and prod_{r<m} det(I - w_r M^dagger)
+    # prod_{j>=m} det(w_j I - M) for U(N)
     spec = group(fam, N)
     D = spec.matrix_dim
     rng = np.random.default_rng(70 + N)
@@ -356,6 +360,16 @@ def test_functional_equation_on_group_matrices(fam, N):
             reflected = (-s) ** D * det_m * np.conj(np.linalg.det(eye - M / np.conj(s)))
             assert abs(lam - reflected) <= 1e-12 * abs(lam)
             assert functional_equation_residual(spec, ang, s) <= 1e-12 * abs(lam)
+    for w in [(0.5,), (0.9, -0.6 + 0.2j), (0.9, 0.7 + 0.3j, -0.5 + 0.6j, 1.2 - 0.4j)]:
+        for m in range(len(w) + 1) if fam == "u" else [0]:
+            values = autocorr_integrand(spec, w, m)(angles)
+            for M, value, det_m in zip(mats, values, dets):
+                if fam == "u":
+                    expected = (math.prod(np.linalg.det(eye - wr * M.conj().T) for wr in w[:m])
+                                * math.prod(np.linalg.det(wj * eye - M) for wj in w[m:]))
+                else:
+                    expected = math.prod(det_m * np.linalg.det(eye - wj * M) for wj in w)
+                assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("fam, N", [("usp", 51), ("usp", 64), ("so", 51), ("so", 64),

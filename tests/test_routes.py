@@ -7,6 +7,7 @@ import pytest
 from schur_reference import jacobi_trudi
 
 from rmt_autocorr import NearConfluent, PrecisionConfig
+from rmt_autocorr.haar import autocorr_integrand, group, monte_carlo_average, weyl_autocorrelation
 from rmt_autocorr.routes import CONTOUR, ROUTES, canonical_value, full_o2n_average
 from rmt_autocorr.symcore import Partition, divided_difference_sum
 from rmt_autocorr.symplectic import parity_family
@@ -174,9 +175,13 @@ def test_self_dual_routes_refuse_sizes_below_the_family(family, smallest, moment
     assert complex(contour(smallest, ALPHAS, 0, None)) == pytest.approx(moment(*w), abs=1e-12)
 
 
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [complex("nan"), complex("inf"), complex(0.5, float("-inf"))],
+    ids=["nan", "inf", "imag-inf"])
+
+
 @pytest.mark.parametrize("digits", [None, 40], ids=["double", "40-digits"])
-@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.5, float("-inf"))],
-                         ids=["nan", "inf", "imag-inf"])
+@NON_FINITE
 @pytest.mark.parametrize("family,name", [(f, n) for f, table in ROUTES.items() for n in table])
 def test_every_route_refuses_a_non_finite_shift(family, name, bad, digits):
     # before the check a NaN came back, or OverflowError, decimal.InvalidOperation
@@ -184,3 +189,16 @@ def test_every_route_refuses_a_non_finite_shift(family, name, bad, digits):
     prec = None if digits is None else PrecisionConfig(digits)
     with pytest.raises(ValueError, match="non-finite shift"):
         ROUTES[family][name](2, (0.5, bad), 1, prec)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("family", list(CONTOUR))
+def test_every_integration_route_refuses_a_non_finite_shift(family, bad):
+    # before the check the self-dual contour routes and Monte Carlo returned
+    # NaN with numpy warnings, and the U(N) Weyl route raised PrecisionLoss
+    spec, shifts = group(family, 2), (0.5, bad)
+    for call in (lambda: CONTOUR[family][0](2, shifts, 1, None),
+                 lambda: weyl_autocorrelation(spec, shifts, 1),
+                 lambda: monte_carlo_average(spec, autocorr_integrand(spec, shifts, 1), 1, 100)):
+        with pytest.raises(ValueError, match="non-finite shift"):
+            call()
