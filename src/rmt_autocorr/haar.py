@@ -268,7 +268,7 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
         a = _JACOBI_A[spec.family]
         hankel = c[i + j + round(2 * a + 1)]
         G, scale = (c[i - j] - hankel, 1.0) if a > 0 else (c[i - j] + hankel, 0.5)
-    norm = float(np.abs(G).sum(axis=0).max())  # ||G||_1
+    norm = float(np.abs(G).sum(axis=0).max())  # ||G||_1; floats pass the range with no warning
     try:  # np.linalg.cond(G, 1) without the overhead of its generality
         kappa = norm * float(np.abs(np.linalg.inv(G)).sum(axis=0).max())
     except np.linalg.LinAlgError:  # exactly singular
@@ -289,9 +289,8 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
 
 
 def _coset_constant(spec: GroupSpec, w: tuple) -> complex:
-    """prod_j det M prod_e (1 - e w_j) over the forced eigenvalues e = +-1: that is
-    prod_j prod_e (e - w_j), as det M = prod e and e^2 = 1.  O^-(2N)'s defining
-    (-1)^k is the det M^k."""
+    """prod_j det M prod_e (1 - e w_j) = prod_j prod_e (e - w_j) over the forced
+    eigenvalues e = +-1 (det M = prod e, e^2 = 1); det M^k is O^-'s defining (-1)^k."""
     forced = FORCED_EIGENVALUES[spec.family]
     return math.prod(math.prod(e - wj for e in forced) for wj in w) if forced else 1.0
 

@@ -338,9 +338,9 @@ def test_functional_equation_on_group_matrices(fam, N):
     # angles is det(I - s M), det M is prod e^{i theta} for U(N), -1 for O^-
     # and 1 otherwise, and det(I - s M) = (-s)^D det M conj det(I - M / conj s).
     # The moment integrand at the angles is its matrix form: prod_j det M
-    # det(I - w_j M) for the self-dual families, whose forced eigenvalues
-    # enter only through the coset constant, and prod_{r<m} det(I - w_r M^dagger)
-    # prod_{j>=m} det(w_j I - M) for U(N)
+    # det(I - w_j M) for the self-dual families, which ties the coset constant
+    # (det M and the forced eigenvalues) to the matrices, and
+    # prod_{r<m} det(I - w_r M^dagger) prod_{j>=m} det(w_j I - M) for U(N)
     spec = group(fam, N)
     D = spec.matrix_dim
     rng = np.random.default_rng(70 + N)
