@@ -107,12 +107,24 @@ def test_contour_route_refuses_a_zero_shift(capsys, argv):
     ("--group", "u", "--N", "2", "--m", "0", "--shifts", "1e200", "--method", "det"),
     ("--group", "usp", "--N", "100000", "--shifts", "0.5", "--method", "eps"),
     ("--group", "u", "--N", "2", "--m", "0", "--shifts", "1e200", "--method", "quadrature"),
+    ("--group", "ominus", "--N", "1", "--shifts", "1e200", "--method", "quadrature"),
 ])
 def test_overflow_is_a_numerical_error(capsys, query):
     code, out, _ = run_cli(capsys, "compute", *query)
     assert code == 3
     report = json.loads(out)
     assert set(report) == {"error", "detail"} and report["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("group", ["usp", "so"])
+def test_heine_matrix_beyond_the_double_range_is_refused(capsys, group):
+    # the Toeplitz + Hankel sum and ||G||_1 pass the double range before the
+    # determinant does; the condition bound refuses, with no numpy warning
+    code, out, _ = run_cli(capsys, "compute", "--group", group, "--N", "3",
+                           "--shifts", "1e154,0.5", "--method", "quadrature")
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"error", "detail"} and report["error"] == "PrecisionLoss"
 
 
 def test_crosscheck_pass_and_fail_paths(capsys):

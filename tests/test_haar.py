@@ -726,7 +726,7 @@ def _sample_major_values(spec, shifts, m, rng, B):
     phi, phi_star = _szego(alpha, w)
     vals = np.where(np.arange(len(w)) < m, phi_star, phi).prod(axis=1)
     if spec.family == "ominus":  # the coset constant, formed as the package forms it
-        vals = vals * math.prod(-(1 - wj) * (1 + wj) for wj in shifts)
+        vals = vals * math.prod((1 - wj) * (-1 - wj) for wj in shifts)
     return vals
 
 
