@@ -18,9 +18,10 @@ closed-form routes:
   the coefficients are independent and complex; for the self-dual
   families they are 2n real ones (Theorem 2), whose polynomial is
   prod (1 + w^2 - 2 w cos theta).  Each coefficient's row of samples is
-  drawn in place by exact closed forms with scalar parameters (an inverse
-  CDF, a disk coordinate or a ratio of Gamma draws), and the recursion
-  keeps one row per shift, so its array operations run over the samples.
+  drawn in place by exact closed forms with scalar parameters (a circle
+  point from one tangent, inverse CDFs of Beta(1, b) and Beta(b, 1)), and
+  the recursion keeps one row per shift, so its array operations run over
+  the samples.
   Any other angle functional gets eigenangles from the same coefficients:
   U(N) those of their CMV matrix
   (Cantero-Moral-Velazquez, LAA 362, 2003), the self-dual families those
@@ -61,6 +62,7 @@ from .routes import FORCED_EIGENVALUES, O_MINUS, SO_EVEN, SYMPLECTIC, UNITARY, G
 from .symcore import index_pairs
 
 TWO_PI = 2.0 * np.pi
+HALF_PI = np.pi / 2
 
 _SAMPLE_CHUNK = 4096
 
@@ -414,11 +416,15 @@ def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np
 
     Each row is drawn in place by calls with scalar parameters.  At p = q
     (every row at a = -1/2, the even rows at a = 1/2; p >= 1/2 for
-    a >= -1/2) 1 - 2 Beta(p, p) is the first coordinate cos(2 pi V) r of a
-    point of the unit disk with r^2 ~ Beta(1, p - 1/2) (Ulrich, Appl.
-    Stat. 33, 1984), the arcsine law cos(2 pi V) at p = 1/2.  Otherwise
-    (the odd rows at a = 1/2, where p = q + 2) it is (h - g) / (g + h) for
-    g ~ Gamma(p) and h ~ Gamma(q).
+    a >= -1/2) 1 - 2 Beta(p, p) is the first coordinate cos(phi) r of a
+    point of the unit disk, phi uniform (`_circle_points`) and
+    r^2 ~ Beta(1, p - 1/2) (Ulrich, Appl. Stat. 33, 1984), the arcsine law
+    cos(phi) at p = 1/2.  The odd rows at a = 1/2 have p = q + 2, and for
+    X ~ Beta(p, q), 1 - X ~ Beta(q, q + 2) is the product of independent
+    Beta(q, q), Beta(2q, 1) and Beta(2q + 1, 1) draws, as
+    Beta(x, y) Beta(x + y, z) ~ Beta(x, y + z); so alpha = 1 - 2X is
+    (1 + Y) T - 1 for Y the p = q row at q and
+    T = (1 - U1)^{1/(2q)} (1 - U2)^{1/(2q + 1)}, U1 and U2 uniform.
     """
     alpha = np.empty((2 * n + 1, B))  # alpha[t + 1] is alpha_t
     alpha[0] = alpha[-1] = -1.0
@@ -427,13 +433,14 @@ def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np
             p = q = (2 * n - t - 2) / 2 + a + 1
         else:
             p, q = (2 * n - t - 3) / 2 + 2 * a + 2, (2 * n - t - 1) / 2
-        if p == q:
-            np.cos(rng.uniform(0.0, TWO_PI, B), out=row)
-            if p > 0.5:
-                row *= np.sqrt(_beta_one(rng, B, p - 0.5))
-        else:
-            g, h = rng.standard_gamma(p, B), rng.standard_gamma(q, B)
-            np.divide(h - g, g + h, out=row)
+        row[:] = _circle_points(rng.uniform(-HALF_PI, HALF_PI, B))[0]
+        if q > 0.5:
+            row *= np.sqrt(_beta_one(rng, B, q - 0.5))
+        if p != q:  # p = q + 2
+            row += 1
+            row *= np.exp(np.log1p(-rng.random(B)) / (2 * q)
+                          + np.log1p(-rng.random(B)) / (2 * q + 1))
+            row -= 1
     return alpha.T
 
 
@@ -441,6 +448,18 @@ def _beta_one(rng: np.random.Generator, B: int, b: float) -> np.ndarray:
     """B draws of Beta(1, b), b > 0: 1 - (1 - U)^{1/b}, the exact inverse of
     its CDF 1 - (1 - x)^b, where log1p takes U = 0 to 0, not to log(0)."""
     return -np.expm1(np.log1p(-rng.random(B)) / b)
+
+
+def _circle_points(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(phi) and sin(phi) at phi = 2 psi, uniform on the circle for psi
+    uniform on (-pi/2, pi/2), without cos or sin: from the Cauchy draw
+    t = tan(psi), cos(phi) = 2/(1 + t^2) - 1 and sin(phi) = 2t/(1 + t^2).
+
+    numpy's float64 tan is a SIMD loop where its cos and sin are scalar.
+    At psi = +-fl(pi/2), |t| is about 1.6e16 and t^2 stays finite."""
+    t = np.tan(psi)
+    c = 2 / (1 + t * t)
+    return c - 1, c * t
 
 
 def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
@@ -474,15 +493,14 @@ def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
     Killip-Nenciu (IMRN 2004), Theorem 1 with beta = 2: independent, with
     uniform phase, |alpha_t|^2 ~ Beta(1, N - t - 1) for t < N - 1 and
     alpha_{N-1} on the unit circle.  The zeros of the Phi_N they define
-    are then the eigenvalues of a Haar U(N) matrix.  The phases are drawn
-    in that layout and each modulus row by `_beta_one`.
+    are then the eigenvalues of a Haar U(N) matrix.  Each row is a point of
+    `_circle_points` scaled by the square root of a `_beta_one` row.
     """
-    theta = rng.uniform(0.0, TWO_PI, size=(N, B))
     alpha = np.empty((N, B), dtype=complex)  # alpha[t] is alpha_t
-    np.cos(theta, out=alpha.real)  # e^{i theta} without the complex exp
-    np.sin(theta, out=alpha.imag)
-    for t, row in enumerate(alpha[:-1]):
-        row *= np.sqrt(_beta_one(rng, B, N - t - 1))
+    for t, row in enumerate(alpha):
+        row.real, row.imag = _circle_points(rng.uniform(-HALF_PI, HALF_PI, B))
+        if t < N - 1:
+            row *= np.sqrt(_beta_one(rng, B, N - t - 1))
     return alpha.T
 
 

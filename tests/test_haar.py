@@ -33,6 +33,7 @@ from rmt_autocorr.haar import (
     _JACOBI_A,
     _SAMPLE_CHUNK,
     _autocorr_chunk,
+    _circle_points,
     _jacobi_verblunsky,
     _sample_chunks,
     _verblunsky_unitary,
@@ -522,7 +523,7 @@ def _beta_cdf(p, q):
 
 
 @pytest.mark.parametrize("fam", ["usp", "so", "ominus"])
-@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("n", [1, 2, 6, 16])
 def test_self_dual_coefficient_rows_follow_their_beta_laws(fam, n):
     # Killip-Nenciu Theorem 2 (beta = 2, a = b): alpha_t = 1 - 2 Beta(p, q),
     # p = q = (2n - t - 2)/2 + a + 1 for even t, p = (2n - t - 3)/2 + 2a + 2
@@ -546,7 +547,7 @@ def test_self_dual_coefficient_rows_follow_their_beta_laws(fam, n):
 def test_unitary_coefficient_rows_follow_their_laws():
     # Killip-Nenciu Theorem 1 (beta = 2): |alpha_t|^2 ~ Beta(1, N - t - 1)
     # for t < N - 1, |alpha_{N-1}| = 1, every phase uniform
-    N, B, u = 8, 1000, np.finfo(float).eps
+    N, B, u = 16, 1000, np.finfo(float).eps
     alpha = _verblunsky_unitary(np.random.default_rng(1701), B, N)
     assert alpha.shape == (B, N) and alpha.T.flags.c_contiguous
     assert np.max(np.abs(np.abs(alpha[:, -1]) - 1)) <= 4 * u
@@ -557,12 +558,27 @@ def test_unitary_coefficient_rows_follow_their_laws():
         assert _ks(phase, lambda x: x / (2 * np.pi)) <= KS_BOUND, t
 
 
-class _EdgeGenerator:
-    """Stands in for a numpy Generator at the ends of its ranges: every
-    draw of [0, 1) is `u`, every Gamma(shape) draw the tiny `tiny * shape`."""
+def test_circle_points_are_the_double_angle_of_the_tangent():
+    # cos and sin of phi = 2 psi from t = tan(psi), against 60-digit values at
+    # the same t, on a grid of psi through +-fl(pi/2), where |t| ~ 1.6e16
+    u, half_pi = np.finfo(float).eps, np.pi / 2
+    psi = np.concatenate([np.linspace(-half_pi, half_pi, 1001),
+                          np.nextafter(half_pi, 0) * np.array([-1, 1]), [-1e-300, 1e-300]])
+    c, s = _circle_points(psi)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+    assert np.all(np.abs(np.hypot(c, s) - 1) <= 4 * u)
+    with mpmath.workdps(60):
+        for t, ct, st in zip(np.tan(psi), c, s):
+            phi = 2 * mpmath.atan(mpmath.mpf(float(t)))
+            assert abs(ct - mpmath.cos(phi)) <= 2 * u and abs(st - mpmath.sin(phi)) <= 2 * u, t
 
-    def __init__(self, u, tiny):
-        self.u, self.tiny = u, tiny
+
+class _EdgeGenerator:
+    """Stands in for a numpy Generator at the ends of its range: every
+    draw of [0, 1) is `u`."""
+
+    def __init__(self, u):
+        self.u = u
 
     def random(self, size):
         return np.full(size, self.u)
@@ -570,16 +586,13 @@ class _EdgeGenerator:
     def uniform(self, low, high, size):
         return low + (high - low) * self.random(size)
 
-    def standard_gamma(self, shape, size):
-        return np.full(size, self.tiny * shape)
-
 
 @pytest.mark.parametrize("u", [0.0, 1 - 2.0 ** -53])
-@pytest.mark.parametrize("tiny", [5e-324, np.finfo(float).tiny])
-def test_coefficients_at_the_edge_draws_are_finite_and_in_range(u, tiny):
-    # U = 0 gives log1p(-0) = 0, not log(0): no warning (warnings are errors
+def test_coefficients_at_the_edge_draws_are_finite_and_in_range(u):
+    # U = 0 gives log1p(-0) = 0, not log(0), and the phases reach tan at
+    # psi = -fl(pi/2) and just below fl(pi/2): no warning (warnings are errors
     # in this suite), and every coefficient is finite and in [-1, 1]
-    rng = _EdgeGenerator(u, tiny)
+    rng = _EdgeGenerator(u)
     for n in (1, 2, 6):
         for a in (0.5, -0.5):
             alpha = _jacobi_verblunsky(rng, 8, n, a)
