@@ -575,24 +575,28 @@ def test_circle_points_are_the_double_angle_of_the_tangent():
 
 class _EdgeGenerator:
     """Stands in for a numpy Generator at the ends of its range: every
-    draw of [0, 1) is `u`."""
+    draw of [0, 1) is `u`, and every other phase draw is the tiny `tiny`
+    above the middle of its range instead of the end that `u` gives."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, u, tiny):
+        self.u, self.tiny = u, tiny
 
     def random(self, size):
         return np.full(size, self.u)
 
     def uniform(self, low, high, size):
-        return low + (high - low) * self.random(size)
+        end = low + (high - low) * self.random(size)
+        return np.where(np.arange(size) % 2, (low + high) / 2 + self.tiny, end)
 
 
 @pytest.mark.parametrize("u", [0.0, 1 - 2.0 ** -53])
-def test_coefficients_at_the_edge_draws_are_finite_and_in_range(u):
+@pytest.mark.parametrize("tiny", [5e-324, np.finfo(float).tiny])
+def test_coefficients_at_the_edge_draws_are_finite_and_in_range(u, tiny):
     # U = 0 gives log1p(-0) = 0, not log(0), and the phases reach tan at
-    # psi = -fl(pi/2) and just below fl(pi/2): no warning (warnings are errors
-    # in this suite), and every coefficient is finite and in [-1, 1]
-    rng = _EdgeGenerator(u)
+    # psi = -fl(pi/2) and just below fl(pi/2), and at psi = tiny, where t^2
+    # underflows to 0: no warning (warnings are errors in this suite), and
+    # every coefficient is finite and in [-1, 1]
+    rng = _EdgeGenerator(u, tiny)
     for n in (1, 2, 6):
         for a in (0.5, -0.5):
             alpha = _jacobi_verblunsky(rng, 8, n, a)
