@@ -329,6 +329,18 @@ def cmd_scaling(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value, checked where it is parsed: numpy's generators take
+    no negative seed, and would refuse it in words that name no option."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("--seed must be >= 0")
+    return seed
+
+
 def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
                 with_digits: bool = True, with_seed: bool = True) -> None:
     if with_query:
@@ -343,7 +355,7 @@ def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
     if with_digits:
         p.add_argument("--digits", type=int, help="extended-precision decimal digits (>= 30)")
     if with_seed:
-        p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
+        p.add_argument("--seed", type=_seed, default=1, help="RNG seed >= 0 (default 1)")
     p.add_argument("--out", help="also write the report to this file")
 
 

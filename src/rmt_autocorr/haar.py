@@ -17,12 +17,15 @@ closed-form routes:
   prod (w - e^{i theta}) and prod (1 - e^{-i theta} w) directly.  For U(N)
   the coefficients are independent and complex; for the self-dual
   families they are 2n real ones (Theorem 2), whose polynomial is
-  prod (1 + w^2 - 2 w cos theta).  Each coefficient's row of samples is
-  drawn in place by exact closed forms with scalar parameters (a circle
-  point from one tangent, inverse CDFs of Beta(1, b) and Beta(b, 1)), and
-  the recursion keeps one row per shift, so its array operations run over
-  the samples.
-  Any other angle functional gets eigenangles from the same coefficients:
+  prod (1 + w^2 - 2 w cos theta).  Each family has one row generator
+  (`_unitary_rows`, `_jacobi_rows`): it draws each coefficient's row of
+  samples into one reused buffer, by exact closed forms with scalar
+  parameters (a circle point from one tangent, inverse CDFs of Beta(1, b)
+  and Beta(b, 1)).  The moments take each row into the recursion as soon
+  as it is drawn, one step per shift on that shift's own rows of Phi and
+  Phi*, so no coefficient array is built and a chunk's memory does not
+  grow with N.
+  Any other angle functional gets eigenangles from the same rows, stacked:
   U(N) those of their CMV matrix
   (Cantero-Moral-Velazquez, LAA 362, 2003), the self-dual families those
   of the Jacobi matrix the real coefficients define (one eigensolve per
@@ -362,9 +365,10 @@ def sample_matrix_batch(spec: GroupSpec, rng: np.random.Generator, count: int) -
     and rho_t = sqrt(1 - |alpha_t|^2), L = diag(Theta_0, Theta_2, ...) and
     M = diag(1, Theta_1, Theta_3, ...); alpha_{N-1} lies on the circle and
     closes its matrix with the 1 x 1 block conj(alpha_{N-1}).  The
-    characteristic polynomial is the Phi_N of `_szego`, so the spectrum is
-    that of a Haar U(N) matrix (Killip-Nenciu, IMRN 2004); the matrix
-    itself is not Haar-distributed.  Raises ValueError for other families.
+    characteristic polynomial is the Phi_N of the Szego recursion of
+    `_autocorr_chunk`, so the spectrum is that of a Haar U(N) matrix
+    (Killip-Nenciu, IMRN 2004); the matrix itself is not Haar-distributed.
+    Raises ValueError for other families.
     """
     if spec.family != UNITARY:
         raise ValueError("the CMV sampler draws U(N) only")
@@ -401,8 +405,15 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
 
 def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np.ndarray:
     """B rows of real Verblunsky coefficients alpha_{-1}, alpha_0..alpha_{2n-1}
-    of the Jacobi ensemble, shape (B, 2n + 1): the transpose of one
-    contiguous row of B samples per coefficient, the layout `_szego` reads.
+    of the Jacobi ensemble, shape (B, 2n + 1): alpha_{-1} = -1 and the
+    rows of `_jacobi_rows`, stacked as one contiguous row of B samples per
+    coefficient."""
+    return np.array([np.full(B, -1.0)] + [row.copy() for row in _jacobi_rows(rng, B, n, a)]).T
+
+
+def _jacobi_rows(rng: np.random.Generator, B: int, n: int, a: float) -> Iterator[np.ndarray]:
+    """alpha_0..alpha_{2n-1} of the Jacobi ensemble, B samples each, drawn
+    one after another into one reused row.
 
     Killip-Nenciu (IMRN 2004), Theorem 2 with beta = 2 and a = b:
     alpha_0..alpha_{2n-2} are independent, alpha_t = 1 - 2 Beta(p, q) with
@@ -426,40 +437,70 @@ def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np
     (1 + Y) T - 1 for Y the p = q row at q and
     T = (1 - U1)^{1/(2q)} (1 - U2)^{1/(2q + 1)}, U1 and U2 uniform.
     """
-    alpha = np.empty((2 * n + 1, B))  # alpha[t + 1] is alpha_t
-    alpha[0] = alpha[-1] = -1.0
-    for t, row in enumerate(alpha[1:-1]):
+    row, u, v = np.empty(B), np.empty(B), np.empty(B)
+    for t in range(2 * n - 1):
         if t % 2 == 0:
             p = q = (2 * n - t - 2) / 2 + a + 1
         else:
             p, q = (2 * n - t - 3) / 2 + 2 * a + 2, (2 * n - t - 1) / 2
-        row[:] = _circle_points(rng.uniform(-HALF_PI, HALF_PI, B))[0]
+        _circle_points(_phases(rng, u), row)
         if q > 0.5:
-            row *= np.sqrt(_beta_one(rng, B, q - 0.5))
+            row *= np.sqrt(_beta_one(rng, u, q - 0.5), out=u)
         if p != q:  # p = q + 2
             row += 1
-            row *= np.exp(np.log1p(-rng.random(B)) / (2 * q)
-                          + np.log1p(-rng.random(B)) / (2 * q + 1))
+            _log1m_over(rng, u, 2 * q)
+            u += _log1m_over(rng, v, 2 * q + 1)
+            row *= np.exp(u, out=u)
             row -= 1
-    return alpha.T
+        yield row
+    if n:  # alpha_{2n-1}; O^-(2) has no coefficient row
+        row.fill(-1.0)
+        yield row
 
 
-def _beta_one(rng: np.random.Generator, B: int, b: float) -> np.ndarray:
-    """B draws of Beta(1, b), b > 0: 1 - (1 - U)^{1/b}, the exact inverse of
-    its CDF 1 - (1 - x)^b, where log1p takes U = 0 to 0, not to log(0)."""
-    return -np.expm1(np.log1p(-rng.random(B)) / b)
+def _phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """psi = pi U - pi/2 into `out`, U uniform on [0, 1): the draws of
+    rng.uniform(-pi/2, pi/2), bit for bit."""
+    rng.random(out=out)
+    out *= np.pi
+    out -= HALF_PI
+    return out
 
 
-def _circle_points(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(phi) and sin(phi) at phi = 2 psi, uniform on the circle for psi
-    uniform on (-pi/2, pi/2), without cos or sin: from the Cauchy draw
-    t = tan(psi), cos(phi) = 2/(1 + t^2) - 1 and sin(phi) = 2t/(1 + t^2).
+def _log1m_over(rng: np.random.Generator, out: np.ndarray, b: float) -> np.ndarray:
+    """log(1 - U) / b into `out`, U uniform on [0, 1); log1p takes U = 0 to
+    0, not to log(0)."""
+    rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out /= b
+    return out
+
+
+def _beta_one(rng: np.random.Generator, out: np.ndarray, b: float) -> np.ndarray:
+    """Draws of Beta(1, b), b > 0, into `out`: 1 - (1 - U)^{1/b}, the exact
+    inverse of its CDF 1 - (1 - x)^b."""
+    np.expm1(_log1m_over(rng, out, b), out=out)
+    return np.negative(out, out=out)
+
+
+def _circle_points(psi: np.ndarray, cos: np.ndarray,
+                   sin: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """cos(phi) into `cos` and, given `sin`, sin(phi) into it, at phi = 2 psi,
+    uniform on the circle for psi uniform on (-pi/2, pi/2), without cos or
+    sin: from the Cauchy draw t = tan(psi), written over psi,
+    cos(phi) = 2/(1 + t^2) - 1 and sin(phi) = 2t/(1 + t^2).
 
     numpy's float64 tan is a SIMD loop where its cos and sin are scalar.
     At psi = +-fl(pi/2), |t| is about 1.6e16 and t^2 stays finite."""
-    t = np.tan(psi)
-    c = 2 / (1 + t * t)
-    return c - 1, c * t
+    t = np.tan(psi, out=psi)
+    np.multiply(t, t, out=cos)
+    cos += 1
+    np.divide(2, cos, out=cos)  # 2/(1 + t^2)
+    if sin is not None:
+        np.multiply(cos, t, out=sin)
+    cos -= 1
+    return cos, sin
 
 
 def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
@@ -487,8 +528,14 @@ def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
 
 def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
     """B rows of Verblunsky coefficients alpha_0..alpha_{N-1} of CUE(N),
-    shape (B, N): the transpose of one contiguous row of B samples per
-    coefficient, the layout `_szego` reads.
+    shape (B, N): the rows of `_unitary_rows`, stacked as one contiguous
+    row of B samples per coefficient."""
+    return np.array([row.copy() for row in _unitary_rows(rng, B, N)]).T
+
+
+def _unitary_rows(rng: np.random.Generator, B: int, N: int) -> Iterator[np.ndarray]:
+    """alpha_0..alpha_{N-1} of CUE(N), B samples each, drawn one after
+    another into one reused row.
 
     Killip-Nenciu (IMRN 2004), Theorem 1 with beta = 2: independent, with
     uniform phase, |alpha_t|^2 ~ Beta(1, N - t - 1) for t < N - 1 and
@@ -496,51 +543,12 @@ def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
     are then the eigenvalues of a Haar U(N) matrix.  Each row is a point of
     `_circle_points` scaled by the square root of a `_beta_one` row.
     """
-    alpha = np.empty((N, B), dtype=complex)  # alpha[t] is alpha_t
-    for t, row in enumerate(alpha):
-        row.real, row.imag = _circle_points(rng.uniform(-HALF_PI, HALF_PI, B))
+    row, u, cos, sin = np.empty(B, dtype=complex), np.empty(B), np.empty(B), np.empty(B)
+    for t in range(N):
+        row.real, row.imag = _circle_points(_phases(rng, u), cos, sin)
         if t < N - 1:
-            row *= np.sqrt(_beta_one(rng, B, N - t - 1))
-    return alpha.T
-
-
-def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_N(w) = prod (w - e^{i theta}) and Phi*_N(w) = prod (1 - e^{-i theta} w)
-    of each coefficient column at each shift, both of shape (k, B).
-
-    `alpha` has one contiguous row of B samples per coefficient, and Phi
-    and Phi* one per shift, updated in place in buffers made once, so each
-    step's array operations run their inner loops over the B samples.
-    Szego recursion (Simon, OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
-    Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
-    Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
-    For the 2n real coefficients of `_jacobi_verblunsky` (alpha_{2n-1} = -1)
-    the zeros come in pairs e^{+-i theta}, and
-    Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  For real
-    coefficients at w = s = +-1, Phi*_t = s^t Phi_t, so each step multiplies
-    by s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)): these shifts
-    take the product of the formed factors, since the recursion's
-    s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.  No
-    coefficient rows give Phi = 1.
-    """
-    phi = np.ones((len(w), alpha.shape[1]), dtype=complex)
-    phi_star = phi.copy()
-    w_phi = np.empty_like(phi)
-    column = w[:, None]
-    real = not np.iscomplexobj(alpha)
-    for a, conj_a in zip(alpha, alpha if real else np.conj(alpha)):
-        np.multiply(column, phi, out=w_phi)
-        np.multiply(conj_a, phi_star, out=phi)
-        np.subtract(w_phi, phi, out=phi)
-        np.multiply(a, w_phi, out=w_phi)
-        np.subtract(phi_star, w_phi, out=phi_star)
-    if real:
-        t = np.arange(len(alpha))[:, None]
-        for j in np.flatnonzero((w == 1) | (w == -1)):
-            s = w[j].real
-            phi[j] = np.prod(s - alpha * s ** t, axis=0)
-            phi_star[j] = s ** len(t) * phi[j]
-    return phi, phi_star
+            row *= np.sqrt(_beta_one(rng, u, N - t - 1), out=u)
+        yield row
 
 
 def _sample_chunks(rng_seed: int, count: int,
@@ -555,23 +563,62 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
                     B: int) -> np.ndarray:
     """B values of `autocorr_integrand(spec, shifts, m)` at fresh Haar samples,
     from sampled coefficients instead of eigenangles: one Szego recursion
-    over the Killip-Nenciu coefficients of every family.
+    over the Killip-Nenciu coefficients of every family, each row taken as
+    soon as it is drawn.
 
-    Every family reads the same stream as `sample_eigenangle_batch`, so each
-    value is the angle path's up to rounding.  The recursion reads the
-    coefficients as rows, and the value is the product of the k rows of
-    Phi* (the first m shifts) and Phi.  A value beyond the double range is
-    inf or nan, without a warning: the caller's report refuses it.
+    Every family reads the same rows as `sample_eigenangle_batch`, so each
+    value is the angle path's up to rounding.  Szego recursion (Simon,
+    OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
+    Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
+    Phi*_{t+1} = Phi*_t - alpha_t w Phi_t,
+    one step per shift on that shift's own rows of B samples, updated in
+    place; Phi_N(w) = prod (w - e^{i theta}) and
+    Phi*_N(w) = prod (1 - e^{-i theta} w).  For the 2n real coefficients
+    of `_jacobi_rows` (alpha_{2n-1} = -1) the zeros come in pairs
+    e^{+-i theta}, and Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).
+    For real coefficients at w = s = +-1, Phi*_t = s^t Phi_t, so each step
+    multiplies by s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)):
+    these shifts take the product of the formed factors, since the
+    recursion's s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.
+
+    The value is the product of Phi* at the first m shifts and Phi at the
+    rest.  A value beyond the double range is inf or nan, without a
+    warning: the caller's report refuses it.
     """
-    w = np.asarray(shifts, dtype=complex)
-    if spec.family == UNITARY:
-        alpha = _verblunsky_unitary(rng, B, spec.size).T
-    else:
-        alpha = _jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family]).T[1:]
+    real = spec.family != UNITARY
+    rows = (_jacobi_rows(rng, B, spec.free_angles, _JACOBI_A[spec.family]) if real
+            else _unitary_rows(rng, B, spec.size))
+    w = [complex(wj) for wj in shifts]  # made once: an array would make a scalar per step
+    formed = [real and wj in (1, -1) for wj in w]
+    # Phi and Phi* of each shift; a formed product is real, and has no Phi*
+    phi = [np.ones(B, dtype=float if f else complex) for f in formed]
+    phi_star = [None if f else np.ones(B, dtype=complex) for f in formed]
+    w_phi, alpha = np.empty(B, dtype=complex), np.empty(B, dtype=complex)
+    factor = np.empty(B)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, phi_star = _szego(alpha, w)
-        phi[:m] = phi_star[:m]
-        vals = phi.prod(axis=0)
+        for t, row in enumerate(rows):
+            if real:  # cast once, as each real-by-complex product would; conj(alpha_t) = alpha_t
+                np.copyto(alpha, row)
+                a = conj_a = alpha
+            else:
+                a, conj_a = row, np.conjugate(row, out=alpha)
+            for wj, f, p, p_star in zip(w, formed, phi, phi_star):
+                if f:  # s - alpha_t s^t
+                    np.multiply(row, wj.real ** t, out=factor)
+                    np.subtract(wj.real, factor, out=factor)
+                    p *= factor
+                    continue
+                np.multiply(wj, p, out=w_phi)
+                np.multiply(conj_a, p_star, out=p)
+                np.subtract(w_phi, p, out=p)
+                np.multiply(a, w_phi, out=w_phi)
+                np.subtract(p_star, w_phi, out=p_star)
+        vals = np.ones(B, dtype=complex)
+        for j, (wj, f, p, p_star) in enumerate(zip(w, formed, phi, phi_star)):
+            if f:  # the formed product as a complex Phi, and Phi* = s^{2n} Phi
+                p = p.astype(complex)
+                p_star = wj.real ** (2 * spec.free_angles) * p
+            vals *= p_star if j < m else p
         if FORCED_EIGENVALUES[spec.family]:
             vals *= _coset_constant(spec, shifts)
     return vals

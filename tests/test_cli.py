@@ -234,6 +234,22 @@ def test_montecarlo_standard_error_past_the_range_of_squares(capsys):
     assert code == 3 and err.startswith("numerical route error")
 
 
+@pytest.mark.parametrize("argv", [
+    ("montecarlo", "--group", "so", "--N", "2", "--shifts", "0.5"),
+    ("identity-suite",),
+    ("crosscheck", "--group", "so", "--N", "2", "--shifts", "0.5", "--routes", "det,montecarlo"),
+    ("compute", "--group", "so", "--N", "2", "--shifts", "0.5", "--method", "montecarlo"),
+    ("compute", "--group", "so", "--N", "2", "--shifts", "0.5", "--method", "eps"),
+])
+def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
+    # numpy refuses a negative seed in words that name no option, and the
+    # routes that draw nothing never see it: every subcommand taking
+    # --seed refuses it as it is parsed
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "--seed must be >= 0" in err
+
+
 @pytest.mark.parametrize("option", [("--method", "montecarlo", "--samples", "0"),
                                     ("--method", "contour", "--nodes", "0")])
 def test_zero_samples_or_nodes_is_a_usage_error(option):

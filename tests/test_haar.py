@@ -564,7 +564,7 @@ def test_circle_points_are_the_double_angle_of_the_tangent():
     u, half_pi = np.finfo(float).eps, np.pi / 2
     psi = np.concatenate([np.linspace(-half_pi, half_pi, 1001),
                           np.nextafter(half_pi, 0) * np.array([-1, 1]), [-1e-300, 1e-300]])
-    c, s = _circle_points(psi)
+    c, s = _circle_points(psi.copy(), np.empty_like(psi), np.empty_like(psi))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
     assert np.all(np.abs(np.hypot(c, s) - 1) <= 4 * u)
     with mpmath.workdps(60):
@@ -575,28 +575,28 @@ def test_circle_points_are_the_double_angle_of_the_tangent():
 
 class _EdgeGenerator:
     """Stands in for a numpy Generator at the ends of its range: every
-    draw of [0, 1) is `u`, and every other phase draw is the tiny `tiny`
-    above the middle of its range instead of the end that `u` gives."""
+    draw of [0, 1) is `u`, written into the buffer the sampler passes."""
 
-    def __init__(self, u, tiny):
-        self.u, self.tiny = u, tiny
+    def __init__(self, u):
+        self.u = u
 
-    def random(self, size):
-        return np.full(size, self.u)
-
-    def uniform(self, low, high, size):
-        end = low + (high - low) * self.random(size)
-        return np.where(np.arange(size) % 2, (low + high) / 2 + self.tiny, end)
+    def random(self, *, out):
+        out.fill(self.u)
+        return out
 
 
 @pytest.mark.parametrize("u", [0.0, 1 - 2.0 ** -53])
 @pytest.mark.parametrize("tiny", [5e-324, np.finfo(float).tiny])
 def test_coefficients_at_the_edge_draws_are_finite_and_in_range(u, tiny):
-    # U = 0 gives log1p(-0) = 0, not log(0), and the phases reach tan at
-    # psi = -fl(pi/2) and just below fl(pi/2), and at psi = tiny, where t^2
-    # underflows to 0: no warning (warnings are errors in this suite), and
-    # every coefficient is finite and in [-1, 1]
-    rng = _EdgeGenerator(u, tiny)
+    # U = 0 gives log1p(-0) = 0, not log(0), and the phases pi U - pi/2
+    # reach tan at psi = -fl(pi/2) and just below fl(pi/2): no warning
+    # (warnings are errors in this suite), and every coefficient is finite
+    # and in [-1, 1].  No U puts psi where t^2 underflows (the nonzero
+    # phases nearest 0 are about 2e-16 from it), so the circle point is
+    # checked there directly: cos(phi) = 1 and sin(phi) = 2 psi
+    c, s = _circle_points(np.array([tiny, -tiny]), np.empty(2), np.empty(2))
+    assert np.array_equal(c, [1.0, 1.0]) and np.array_equal(s, [2 * tiny, -2 * tiny])
+    rng = _EdgeGenerator(u)
     for n in (1, 2, 6):
         for a in (0.5, -0.5):
             alpha = _jacobi_verblunsky(rng, 8, n, a)
@@ -766,6 +766,25 @@ def test_row_recursion_matches_the_sample_major_reference(fam, N):
                 assert np.array_equal(got, ref), (shifts, m)
             else:
                 assert np.all(np.abs(got - ref) <= 4 * u * np.abs(ref)), (shifts, m)
+
+
+@pytest.mark.parametrize("fam", ["u", "usp"])
+def test_monte_carlo_memory_does_not_grow_with_the_group(fam):
+    # each coefficient row is taken into the recursion as soon as it is
+    # drawn, so one chunk holds a few rows of samples at any N: the peak of
+    # a 4,096-sample call is no larger at N = 64 than at N = 2
+    def peak(N):
+        spec = group(fam, N)
+        integrand = autocorr_integrand(spec, (0.7 + 0.3j, -0.5 + 0.6j), 1 if fam == "u" else 0)
+        monte_carlo_average(spec, integrand, 5, _SAMPLE_CHUNK)  # lazy imports: not the working set
+        tracemalloc.start()
+        try:
+            monte_carlo_average(spec, integrand, 5, _SAMPLE_CHUNK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= peak(2)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 16])

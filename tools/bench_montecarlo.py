@@ -7,11 +7,12 @@ draws and one Szego recursion per call.
 The command lines are `bench_common`'s.  Rows: `monte_carlo_average` of
 `autocorr_integrand` with 4,096 samples (one sampling chunk) at k = 2
 shifts of modulus at most 0.9, for the benchmark's `montecarlo` cells (the
-four families at N = 2, 8 and 16, U(N) at m = 1) and for USp and SO at
-N = 32; each row has its own fixed seed.  A row's error is its z-score,
-|mean - 60-digit `canonical_value`| / standard error, bound 4 (the
-benchmark's `Z_MAX`).  The extras are the samples per second of the
-fastest call and the tracemalloc peak of one call after the timed calls.
+four families at N = 2, 8 and 16, U(N) at m = 1), for USp and SO at
+N = 32 and for U and USp at N = 64; each row has its own fixed seed.  A
+row's error is its z-score, |mean - 60-digit `canonical_value`| /
+standard error, bound 4 (the benchmark's `Z_MAX`).  The extras are the
+samples per second of the fastest call and the tracemalloc peak of one
+call after the timed calls.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ SAMPLES = 4096
 SHIFTS = POINTS[1:3]   # 0.7 + 0.3i, -0.5 + 0.6i: |w| <= 0.9, k = 2
 Z_MAX = 4.0
 CELLS = [(family, N) for family in ("unitary", "symplectic", "so", "ominus")
-         for N in (2, 8, 16)] + [("symplectic", 32), ("so", 32)]
+         for N in (2, 8, 16)] + [("symplectic", 32), ("so", 32),
+                                 ("unitary", 64), ("symplectic", 64)]
 
 
 def measure(root):
