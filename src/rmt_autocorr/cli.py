@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import routes, symplectic
 from .contour import ContourConfig
@@ -119,10 +119,10 @@ def parse_complex(token: str) -> complex:
     return z
 
 
-def parse_complex_list(text: str) -> list[complex]:
+def parse_complex_list(text: str, what: str = "shift list") -> list[complex]:
     items = [t for t in text.split(",") if t.strip()]
     if not items:
-        raise UsageError("empty shift list")
+        raise UsageError(f"empty {what}")
     return [parse_complex(t) for t in items]
 
 
@@ -312,12 +312,9 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_scaling(args) -> int:
     prec = _resolve_precision(args)
-    b = parse_complex_list(args.b)
-    n_list = [int(t) for t in args.N_list.split(",") if t.strip()]
-    if not n_list:
-        raise UsageError("empty --N-list")
+    b = parse_complex_list(args.b, "--b list")
     lines = ["N,ratio_re,ratio_im,abs_err"]
-    for n in n_list:
+    for n in args.N_list:
         ratio = complex(symplectic.sp_large_n_ratio(b, n, prec))
         lines.append(",".join([str(n), _format_float(ratio.real),
                                _format_float(ratio.imag), _format_float(abs(ratio - 1.0))]))
@@ -329,16 +326,27 @@ def cmd_scaling(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    """A --seed value, checked where it is parsed: numpy's generators take
-    no negative seed, and would refuse it in words that name no option."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError("--seed must be >= 0")
-    return seed
+def _count(option: str, least: int) -> Callable[[str], int]:
+    """The argparse type of an integer option >= `least`, checked where it is
+    parsed: numpy's generators refuse a negative seed, and GroupSpec a size
+    below 1, in words that name no option."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{option} must be >= {least}")
+        return value
+    return parse
+
+
+def _size_list(text: str) -> list[int]:
+    """A comma-separated --N-list, each entry a `_count` >= 1."""
+    sizes = [_count("--N-list entries", 1)(t) for t in text.split(",") if t.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("empty list")
+    return sizes
 
 
 def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
@@ -346,7 +354,7 @@ def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
     if with_query:
         p.add_argument("--group", required=True,
                        help="group family: u, usp, so, ominus")
-        p.add_argument("--N", required=True, type=int, help="size parameter")
+        p.add_argument("--N", required=True, type=_count("--N", 1), help="size parameter")
         given = p.add_mutually_exclusive_group(required=True)
         given.add_argument("--shifts", help="comma-separated complex shifts, e.g. 0.5,1+0.2i")
         given.add_argument("--alpha", help="shifts in exponentiated coordinates "
@@ -355,7 +363,8 @@ def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
     if with_digits:
         p.add_argument("--digits", type=int, help="extended-precision decimal digits (>= 30)")
     if with_seed:
-        p.add_argument("--seed", type=_seed, default=1, help="RNG seed >= 0 (default 1)")
+        p.add_argument("--seed", type=_count("--seed", 0), default=1,
+                       help="RNG seed >= 0 (default 1)")
     p.add_argument("--out", help="also write the report to this file")
 
 
@@ -403,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", allow_abbrev=False, help="large-N ratio table (CSV)")
     _add_common(p, with_query=False, with_seed=False)
     p.add_argument("--b", required=True, help="comma-separated b values")
-    p.add_argument("--N-list", dest="N_list", required=True,
+    p.add_argument("--N-list", dest="N_list", required=True, type=_size_list,
                    help="comma-separated size parameters")
     p.set_defaults(func=cmd_scaling)
 

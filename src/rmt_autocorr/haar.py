@@ -17,19 +17,18 @@ closed-form routes:
   prod (w - e^{i theta}) and prod (1 - e^{-i theta} w) directly.  For U(N)
   the coefficients are independent and complex; for the self-dual
   families they are 2n real ones (Theorem 2), whose polynomial is
-  prod (1 + w^2 - 2 w cos theta).  Each family has one row generator
-  (`_unitary_rows`, `_jacobi_rows`): it draws each coefficient's row of
-  samples into one reused buffer, by exact closed forms with scalar
-  parameters (a circle point from one tangent, inverse CDFs of Beta(1, b)
-  and Beta(b, 1)).  The moments take each row into the recursion as soon
-  as it is drawn, one step per shift on that shift's own rows of Phi and
-  Phi*, so no coefficient array is built and a chunk's memory does not
-  grow with N.
-  Any other angle functional gets eigenangles from the same rows, stacked:
-  U(N) those of their CMV matrix
-  (Cantero-Moral-Velazquez, LAA 362, 2003), the self-dual families those
-  of the Jacobi matrix the real coefficients define (one eigensolve per
-  sample either way).  Every family has one random model.
+  prod (1 + w^2 - 2 w cos theta).  A family picks its row generator in
+  `_coefficient_rows` (`_unitary_rows`, `_jacobi_rows`), which draws each
+  coefficient's row of samples into one reused buffer, by exact closed
+  forms with scalar parameters (a circle point from one tangent, inverse
+  CDFs of Beta(1, b) and Beta(b, 1)).  The moments take each row into the
+  recursion as soon as it is drawn, one step per shift on that shift's own
+  rows of Phi and Phi*, so a chunk's memory does not grow with N.  Any
+  other angle functional gets eigenangles from the same rows, stacked
+  (`_coefficients`): U(N) those of their CMV matrix (Cantero-Moral-Velazquez,
+  LAA 362, 2003), the self-dual families those of the Jacobi matrix the
+  real coefficients define, built `_SOLVE_CHUNK` samples at a time.  Every
+  family has one random model, drawn in chunks by `_sampled`.
 
 Each self-dual family's eigenangle law is written once, as the Jacobi
 exponent of `_JACOBI_A` in the coordinate x = 2 cos(theta), where the Weyl
@@ -68,6 +67,8 @@ TWO_PI = 2.0 * np.pi
 HALF_PI = np.pi / 2
 
 _SAMPLE_CHUNK = 4096
+# samples whose dense matrices the angle path builds and solves at once
+_SOLVE_CHUNK = 256
 
 # Largest free-angle count of the Heine determinant: its n x n matrix is
 # factored twice (the determinant and the condition number)
@@ -358,7 +359,15 @@ def weyl_autocorrelation(spec: GroupSpec, shifts: Sequence[complex], m: int = 0)
 # ---------------------------------------------------------------------------
 
 def sample_matrix_batch(spec: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` CMV matrices C = L M of U(N) from `_verblunsky_unitary` rows.
+    """`count` CMV matrices of U(N), from the stacked `_coefficient_rows` of
+    `rng` (`_cmv_matrices`).  Raises ValueError for other families."""
+    if spec.family != UNITARY:
+        raise ValueError("the CMV sampler draws U(N) only")
+    return _cmv_matrices(_coefficients(spec, rng, count))
+
+
+def _cmv_matrices(alpha: np.ndarray) -> np.ndarray:
+    """The CMV matrices C = L M of the (B, N) coefficient rows `alpha`.
 
     Cantero-Moral-Velazquez (LAA 362, 2003): with
     Theta_t = [[conj(alpha_t), rho_t], [rho_t, -alpha_t]] on rows t, t + 1
@@ -368,12 +377,8 @@ def sample_matrix_batch(spec: GroupSpec, rng: np.random.Generator, count: int) -
     characteristic polynomial is the Phi_N of the Szego recursion of
     `_autocorr_chunk`, so the spectrum is that of a Haar U(N) matrix
     (Killip-Nenciu, IMRN 2004); the matrix itself is not Haar-distributed.
-    Raises ValueError for other families.
     """
-    if spec.family != UNITARY:
-        raise ValueError("the CMV sampler draws U(N) only")
-    N = spec.size
-    alpha = _verblunsky_unitary(rng, count, N)
+    count, N = alpha.shape
     L = np.zeros((count, N, N), dtype=complex)
     M = np.zeros_like(L)
     M[:, 0, 0] = 1
@@ -403,12 +408,18 @@ def eigenangles_of(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return (a[:, 0::2] + a[:, 1::2]) / 2.0
 
 
-def _jacobi_verblunsky(rng: np.random.Generator, B: int, n: int, a: float) -> np.ndarray:
-    """B rows of real Verblunsky coefficients alpha_{-1}, alpha_0..alpha_{2n-1}
-    of the Jacobi ensemble, shape (B, 2n + 1): alpha_{-1} = -1 and the
-    rows of `_jacobi_rows`, stacked as one contiguous row of B samples per
-    coefficient."""
-    return np.array([np.full(B, -1.0)] + [row.copy() for row in _jacobi_rows(rng, B, n, a)]).T
+def _coefficient_rows(spec: GroupSpec, rng: np.random.Generator, B: int) -> Iterator[np.ndarray]:
+    """The family's Killip-Nenciu rows of B samples, in one reused row:
+    `_unitary_rows` for U(N), else `_jacobi_rows` at its `_JACOBI_A`."""
+    if spec.family == UNITARY:
+        return _unitary_rows(rng, B, spec.size)
+    return _jacobi_rows(rng, B, spec.free_angles, _JACOBI_A[spec.family])
+
+
+def _coefficients(spec: GroupSpec, rng: np.random.Generator, B: int) -> np.ndarray:
+    """The rows of `_coefficient_rows`, stacked as one contiguous row of B
+    samples per coefficient: shape (B, coefficients), (B, 0) for O^-(2)."""
+    return np.array([row.copy() for row in _coefficient_rows(spec, rng, B)]).reshape(-1, B).T
 
 
 def _jacobi_rows(rng: np.random.Generator, B: int, n: int, a: float) -> Iterator[np.ndarray]:
@@ -505,15 +516,14 @@ def _circle_points(psi: np.ndarray, cos: np.ndarray,
 
 def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
     """Ascending angles theta = arccos(x / 2) in [0, pi] of the eigenvalues x
-    of the n x n Jacobi matrix of each `_jacobi_verblunsky` row.
+    of the n x n Jacobi matrix of each row of (B, 2n) `_jacobi_rows` draws.
 
     Its diagonal and squared off-diagonal come from the Geronimus relations.
     """
-    odd = alpha[:, 0::2]   # alpha_{-1}, alpha_1, ..., alpha_{2n-1}
-    ev = alpha[:, 1::2]    # alpha_0, alpha_2, ..., alpha_{2n-2}
+    odd = np.insert(alpha[:, 1::2], 0, -1.0, axis=1)  # -1 = alpha_{-1}, alpha_1, ..., alpha_{2n-1}
+    ev = alpha[:, 0::2]    # alpha_0, alpha_2, ..., alpha_{2n-2}
     B, n = ev.shape
-    # alpha_{2j-2}; at j = 0 it is multiplied by 1 + alpha_{-1} = 0
-    ev_prev = np.concatenate([np.zeros((B, 1)), ev[:, :-1]], axis=1)
+    ev_prev = np.insert(ev[:, :-1], 0, 0.0, axis=1)  # alpha_{2j-2}; 1 + alpha_{-1} = 0 at j = 0
     diag = (1 - odd[:, :-1]) * ev - (1 + odd[:, :-1]) * ev_prev
     off2 = (1 - odd[:, :-2]) * (1 - ev[:, :-1] ** 2) * (1 + odd[:, 1:-1])
     jac = np.zeros((B, n, n))
@@ -524,13 +534,6 @@ def _jacobi_angles(alpha: np.ndarray) -> np.ndarray:
     jac[:, idx[:-1], idx[1:]] = off
     x = np.linalg.eigvalsh(jac)[:, ::-1]
     return np.arccos(np.clip(x / 2, -1.0, 1.0))
-
-
-def _verblunsky_unitary(rng: np.random.Generator, B: int, N: int) -> np.ndarray:
-    """B rows of Verblunsky coefficients alpha_0..alpha_{N-1} of CUE(N),
-    shape (B, N): the rows of `_unitary_rows`, stacked as one contiguous
-    row of B samples per coefficient."""
-    return np.array([row.copy() for row in _unitary_rows(rng, B, N)]).T
 
 
 def _unitary_rows(rng: np.random.Generator, B: int, N: int) -> Iterator[np.ndarray]:
@@ -551,12 +554,13 @@ def _unitary_rows(rng: np.random.Generator, B: int, N: int) -> Iterator[np.ndarr
         yield row
 
 
-def _sample_chunks(rng_seed: int, count: int,
-                   draw: Callable[[np.random.Generator, int], np.ndarray]) -> Iterator[np.ndarray]:
-    """draw(rng, B) over one seeded stream, for `count` samples in chunks."""
+def _sampled(rng_seed: int, count: int,
+             draw: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
+    """draw(rng, B) over one seeded stream, for `count` samples in chunks of
+    `_SAMPLE_CHUNK`, joined along the first axis."""
     rng = np.random.default_rng(rng_seed)
-    for start in range(0, count, _SAMPLE_CHUNK):
-        yield draw(rng, min(_SAMPLE_CHUNK, count - start))
+    return np.concatenate([draw(rng, min(_SAMPLE_CHUNK, count - start))
+                           for start in range(0, count, _SAMPLE_CHUNK)])
 
 
 def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Generator,
@@ -586,8 +590,6 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     warning: the caller's report refuses it.
     """
     real = spec.family != UNITARY
-    rows = (_jacobi_rows(rng, B, spec.free_angles, _JACOBI_A[spec.family]) if real
-            else _unitary_rows(rng, B, spec.size))
     w = [complex(wj) for wj in shifts]  # made once: an array would make a scalar per step
     formed = [real and wj in (1, -1) for wj in w]
     # Phi and Phi* of each shift; a formed product is real, and has no Phi*
@@ -596,7 +598,7 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     w_phi, alpha = np.empty(B, dtype=complex), np.empty(B, dtype=complex)
     factor = np.empty(B)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, row in enumerate(rows):
+        for t, row in enumerate(_coefficient_rows(spec, rng, B)):
             if real:  # cast once, as each real-by-complex product would; conj(alpha_t) = alpha_t
                 np.copyto(alpha, row)
                 a = conj_a = alpha
@@ -628,16 +630,22 @@ def sample_eigenangle_batch(spec: GroupSpec, rng_seed: int, count: int) -> np.nd
     """`count` >= 1 eigenangle vectors, shape (count, free angles), reproducible
     from the seed.  They are drawn `_SAMPLE_CHUNK` at a time from one stream,
     so their whole chunks are the first rows of any longer batch from that seed.
-    U(N) takes the CMV angles of the coefficients `_autocorr_chunk` draws, the
-    self-dual families the Jacobi model's (O^-(2N) with the USp(2N - 2) law)."""
+    Each chunk stacks the `_coefficient_rows` `_autocorr_chunk` reads, and
+    solves their matrices `_SOLVE_CHUNK` samples at a time: U(N) the CMV
+    angles, the self-dual families the Jacobi model's."""
     count = require_count(count, 1, "count")
+    if spec.family == UNITARY:
+        def angles(alpha: np.ndarray) -> np.ndarray:
+            return eigenangles_of(spec, _cmv_matrices(alpha))
+    else:
+        angles = _jacobi_angles
 
     def draw(rng: np.random.Generator, B: int) -> np.ndarray:
-        if spec.family == UNITARY:
-            return eigenangles_of(spec, sample_matrix_batch(spec, rng, B))
-        return _jacobi_angles(_jacobi_verblunsky(rng, B, spec.free_angles, _JACOBI_A[spec.family]))
+        alpha = _coefficients(spec, rng, B)
+        return np.concatenate([angles(alpha[start:start + _SOLVE_CHUNK])
+                               for start in range(0, B, _SOLVE_CHUNK)])
 
-    return np.concatenate(list(_sample_chunks(rng_seed, count, draw)), axis=0)
+    return _sampled(rng_seed, count, draw)
 
 
 def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.ndarray],
@@ -647,25 +655,24 @@ def monte_carlo_average(spec: GroupSpec, integrand: Callable[[np.ndarray], np.nd
     An `autocorr_integrand` of `spec` is not evaluated on angles: its
     values come from sampled coefficients (`_autocorr_chunk`), with no
     group matrix and no eigensolve.  Other functionals get the angles of
-    `sample_eigenangle_batch`.
+    `sample_eigenangle_batch`.  One pass takes the statistics of the values
+    over 2^e just above their largest part: exact, and in the double range.
     """
     count = require_count(count, 2, "count")  # two samples for a standard error
     moment = _moment_of(spec, integrand)
     if moment is not None:
-        vals = np.concatenate(list(_sample_chunks(rng_seed, count,
-                                                  functools.partial(_autocorr_chunk, *moment))))
+        vals = _sampled(rng_seed, count, functools.partial(_autocorr_chunk, *moment))
     else:
-        vals = np.asarray(integrand(sample_eigenangle_batch(spec, rng_seed, count)))
+        vals = np.ascontiguousarray(integrand(sample_eigenangle_batch(spec, rng_seed, count)), complex)
     if np.all(vals == vals[0]):  # a constant, whose rounded mean and spread are noise
         return complex(vals[0]), 0.0
-    with np.errstate(over="ignore"):
-        mean = complex(vals.mean())
-    if not np.isfinite(mean) and np.isfinite(scale := np.abs(vals).max()):
-        mean = complex((vals / scale).mean()) * float(scale)  # finite values, sum past the range
-    dev = np.abs(vals - mean)
-    with np.errstate(over="ignore"):
-        squares = np.sum(dev ** 2)
-    if not np.finfo(float).tiny <= squares < math.inf and 0 < (scale := dev.max()) < math.inf:
-        # finite deviations whose squares overflow or underflow: scale them first
-        return mean, float(scale * math.sqrt(np.sum((dev / scale) ** 2) / (count - 1) / count))
-    return mean, math.sqrt(float(squares / (count - 1)) / count)
+    parts = vals.view(float)  # a complex division would flip signed zeros
+    peak = float(np.abs(parts).max())
+    if not math.isfinite(peak):  # beyond the double range: the caller's report refuses it
+        return complex(math.nan, math.nan), math.nan
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(parts, -e).view(complex)
+    mean = scaled.mean()
+    squares = float(np.sum(np.abs(scaled - mean) ** 2))
+    return (complex(math.ldexp(mean.real, e), math.ldexp(mean.imag, e)),
+            math.ldexp(math.sqrt(squares / (count - 1) / count), e))

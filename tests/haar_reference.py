@@ -93,7 +93,7 @@ def _szego(alpha: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Szego recursion (Simon, OPUC, 2005, sec. 1.5) from Phi_0 = Phi*_0 = 1:
     Phi_{t+1} = w Phi_t - conj(alpha_t) Phi*_t,
     Phi*_{t+1} = Phi*_t - alpha_t w Phi_t.
-    For the 2n real coefficients of `_jacobi_verblunsky` (alpha_{2n-1} = -1)
+    For the 2n real coefficients of `_jacobi_rows` (alpha_{2n-1} = -1)
     the zeros come in pairs e^{+-i theta}, and
     Phi_{2n}(w) = Phi*_{2n}(w) = prod (1 + w^2 - 2 w cos theta).  For real
     rows at w = s = +-1, Phi*_t = s^t Phi_t, so each step multiplies by

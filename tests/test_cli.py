@@ -250,6 +250,25 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
     assert "--seed must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("compute", "--group", "usp", "--N", "0", "--shifts", "2", "--method", "eps"),
+     "argument --N: --N must be >= 1"),
+    (("montecarlo", "--group", "so", "--N", "-2", "--shifts", "0.5"),
+     "argument --N: --N must be >= 1"),
+    (("scaling", "--b", "1", "--N-list", "10,abc"), "argument --N-list: invalid int value: 'abc'"),
+    (("scaling", "--b", "1", "--N-list", "10,0"),
+     "argument --N-list: --N-list entries must be >= 1"),
+    (("scaling", "--b", "1", "--N-list", ","), "argument --N-list: empty list"),
+    (("scaling", "--b", ",", "--N-list", "10"), "usage error: empty --b list"),
+])
+def test_size_errors_name_their_option(capsys, argv, message):
+    # each was refused (exit 2) in words that named no option or the wrong
+    # one: "size must be >= 1", int()'s "invalid literal", "empty shift list"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("option", [("--method", "montecarlo", "--samples", "0"),
                                     ("--method", "contour", "--nodes", "0")])
 def test_zero_samples_or_nodes_is_a_usage_error(option):
