@@ -175,6 +175,24 @@ def _check_method(family: str, method: str) -> None:
         raise UsageError(f"method {method!r} is not available for {family}")
 
 
+def _contour_alphas(args, spec, shifts, sign: int) -> list[complex]:
+    """The contour route's alphas: --alpha as given, or sign * log w of each
+    of --shifts.  The U(N) circle encloses the alphas, so each log is moved
+    by the multiple of 2 pi i that puts it within pi of the first one
+    (principal logs across the negative axis lie 2 pi apart); the self-dual
+    circle encloses +-alpha around 0, which principal logs keep smallest."""
+    if args.alpha is not None:
+        return parse_complex_list(args.alpha)
+    alphas = [sign * cmath.log(w) for w in shifts]
+    if spec.family != "unitary":
+        return alphas
+    for j, a in enumerate(alphas):
+        turns = round((a.imag - alphas[0].imag) / (2 * math.pi))
+        if turns:
+            alphas[j] = a - 2j * math.pi * turns
+    return alphas
+
+
 def _route_value(spec, shifts, m, method, args, prec):
     """(value, Monte Carlo standard error or None) of one route."""
     fam = spec.family
@@ -185,17 +203,18 @@ def _route_value(spec, shifts, m, method, args, prec):
         raise UsageError("--digits applies to the closed-form routes, scaling and the "
                          "identity suite; integration routes run in double precision")
     if method == "contour":
-        if 0 in shifts:
+        if 0 in shifts:  # also an --alpha whose shift underflows
             raise PoleHit("contour route needs nonzero shifts")
         route, sign = routes.CONTOUR[fam]
-        cfg = ContourConfig() if args.nodes is None else ContourConfig(nodes_per_dim=args.nodes)
-        return route(spec.size, [sign * cmath.log(w) for w in shifts], m, cfg), None
+        # checked here, not where it is parsed: the other routes ignore --nodes
+        cfg = ContourConfig() if args.nodes is None else ContourConfig(
+            require_count(args.nodes, 16, "--nodes"))
+        return route(spec.size, _contour_alphas(args, spec, shifts, sign), m, cfg), None
     from . import haar
 
     if method == "quadrature":
         return haar.weyl_autocorrelation(spec, shifts, m), None
     # method == "montecarlo"
-    require_count(args.samples, 100, "--samples")
     integrand = haar.autocorr_integrand(spec, shifts, m)
     return haar.monte_carlo_average(spec, integrand, args.seed, args.samples)
 
@@ -328,8 +347,8 @@ def cmd_scaling(args) -> int:
 
 def _count(option: str, least: int) -> Callable[[str], int]:
     """The argparse type of an integer option >= `least`, checked where it is
-    parsed: numpy's generators refuse a negative seed, and GroupSpec a size
-    below 1, in words that name no option."""
+    parsed: numpy's generators refuse a negative seed in words that name no
+    option, and the package's own checks name a field (size, digits, n_min)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -361,7 +380,8 @@ def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
                                            "(w = exp(-alpha) for u/usp, exp(+alpha) for so/ominus)")
         p.add_argument("--m", type=int, help="unitary split point (adjoint block size)")
     if with_digits:
-        p.add_argument("--digits", type=int, help="extended-precision decimal digits (>= 30)")
+        p.add_argument("--digits", type=_count("--digits", 30),
+                       help="extended-precision decimal digits (>= 30)")
     if with_seed:
         p.add_argument("--seed", type=_count("--seed", 0), default=1,
                        help="RNG seed >= 0 (default 1)")
@@ -382,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    help="schur | det | comb (u) / eps | contour | quadrature | montecarlo")
     p.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
-    p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=_count("--samples", 100), default=100000,
+                   help="Monte Carlo sample count")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("crosscheck", allow_abbrev=False, help="evaluate several routes and compare")
@@ -390,23 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routes", required=True, help="comma-separated route list")
     p.add_argument("--tol", type=float, help="agreement tolerance")
     p.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
-    p.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=_count("--samples", 100), default=100000,
+                   help="Monte Carlo sample count")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("identity-suite", allow_abbrev=False,
                        help="randomized identity residual sweep")
     _add_common(p, with_query=False)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_count("--trials", 1), default=500)
     p.add_argument("--tol", type=float, help="max allowed residual")
     p.add_argument("--radius", type=float, default=1.0, help="shift sampling disk radius")
-    p.add_argument("--n-min", dest="n_min", type=int, default=2)
+    p.add_argument("--n-min", dest="n_min", type=_count("--n-min", 2), default=2)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--x-count", dest="x_count", type=int, default=20)
+    p.add_argument("--x-count", dest="x_count", type=_count("--x-count", 1), default=20)
     p.set_defaults(func=cmd_identity_suite)
 
     p = sub.add_parser("montecarlo", allow_abbrev=False, help="Monte Carlo mean vs the exact value")
     _add_common(p, with_digits=False)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_count("--samples", 100), default=100000)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("scaling", allow_abbrev=False, help="large-N ratio table (CSV)")

@@ -28,8 +28,8 @@ blocks.
 The two lemma checks evaluate both sides (block-ordered permutation sum
 vs n-fold integral, and sign-vector sum vs k-fold integral) from their
 printed definitions and report the residual.  Each contour route is one
-of the two lemmas applied to an exp-pole kernel, so the routes build
-their integrands with the same two builders.  With the package's
+of the two lemmas applied to an exp-pole kernel, and returns that
+lemma's integral side, which its check reads too.  With the package's
 `exp_pole`, f(x) = 1/(1 - e^{-x}), a kernel gives each pair factor
 f(z_i +- z_j) as the Pair 1/(1 - u v) of the per-variable exponentials
 u = e^{-+z}: a product, a subtraction and a reciprocal per table entry,
@@ -269,7 +269,7 @@ def circular_integral(dim: int, integrand, cfg: ContourConfig | None = None,
     hands it one broadcastable array per dimension and expects, as
     `trapezoid_sum` does, a factor (an array that broadcasts to the full
     grid, or a `Pair`) or a list or iterator of factors whose product is
-    the integrand; it does not write to them.  The lemma integrands below
+    the integrand; it does not write to them.  The lemma integrals below
     yield one-variable factors and Pairs, so they cost row blocks of
     M x M tables and, at dim = 3, one whole table and one M x M matrix
     product, with no M^dim array.  False calls
@@ -388,14 +388,13 @@ class LemmaCheckResult:
         return abs(self.lhs - self.rhs)
 
 
-def unitary_lemma_integrand(kernel: BipartiteKernel, u: Sequence[complex], m: int):
-    """Vectorized integrand of the unitary lemma's n-fold side, constant included.
-
-    (-1)^{n(n-1)/2} / (m! (n-m)!) * G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2
-    / prod_{i,j}(z_i - u_j), for circular_integral(n, ..., enclosed_points=u,
-    vectorized=True).  It yields its factors: the constant, the Pair
-    (z_k - z_j)^2 per pair, the kernel's factors and one denominator per
-    variable.
+def unitary_lemma_integral(kernel: BipartiteKernel, u: Sequence[complex], m: int,
+                           cfg: ContourConfig | None = None) -> complex:
+    """The unitary lemma's n-fold side on a shared circle enclosing the u:
+    (-1)^{n(n-1)/2} / (m! (n-m)!) * (2 pi i)^{-n} * contour integral of
+    G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2 / prod_{i,j}(z_i - u_j).  Its
+    integrand yields its factors: the constant, the Pair (z_k - z_j)^2 per
+    pair, the kernel's factors and one denominator per variable.
     """
     u = [complex(x) for x in u]
     n = len(u)
@@ -409,17 +408,17 @@ def unitary_lemma_integrand(kernel: BipartiteKernel, u: Sequence[complex], m: in
         for zd in z:
             yield 1.0 / math.prod(zd - p for p in u)
 
-    return integrand
+    return circular_integral(n, integrand, cfg, enclosed_points=u, vectorized=True)
 
 
-def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], variant: str):
-    """Vectorized integrand of the sign-vector lemma's k-fold side, constant included.
-
-    (-1)^{k(k-1)/2} 2^k / k! * G(z) Delta(z^2)^2 * numerator
-    / prod_{i,j}(z_i - alpha_j)(z_i + alpha_j), numerator prod z_j ("plain")
-    or prod alpha_j ("signed"), for a contour enclosing +-alpha.  It yields
-    its factors: the constant, the Pair (z_k^2 - z_j^2)^2 per pair, the
-    kernel's factors and one numerator over denominator per variable.
+def sym_lemma_integral(kernel: SymmetricKernel, alphas: Sequence[complex], variant: str,
+                       cfg: ContourConfig | None = None) -> complex:
+    """The sign-vector lemma's k-fold side on a shared circle enclosing +-alpha:
+    (-1)^{k(k-1)/2} 2^k / k! * (2 pi i)^{-k} * contour integral of G(z)
+    Delta(z^2)^2 * numerator / prod_{i,j}(z_i - alpha_j)(z_i + alpha_j),
+    numerator prod z_j ("plain") or prod alpha_j ("signed").  Its integrand
+    yields its factors: the constant, the Pair (z_k^2 - z_j^2)^2 per pair,
+    the kernel's factors and one numerator over denominator per variable.
     """
     if variant not in ("plain", "signed"):
         raise ValueError("variant must be 'plain' or 'signed'")
@@ -439,7 +438,8 @@ def sym_lemma_integrand(kernel: SymmetricKernel, alphas: Sequence[complex], vari
             top = zd if variant == "plain" else 1.0
             yield top / math.prod((zd - a) * (zd + a) for a in al)
 
-    return integrand
+    return circular_integral(k, integrand, cfg, enclosed_points=al + [-a for a in al],
+                             vectorized=True)
 
 
 def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
@@ -447,8 +447,7 @@ def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
     """Block-ordered permutation sum of G vs the n-fold contour integral.
 
     lhs = sum over block-increasing sigma of G(u_left; u_right);
-    rhs = (-1)^{n(n-1)/2} / (m! (n-m)!) * (2 pi i)^{-n} * contour integral
-    of G(z_1..z_m; z_{m+1}..z_n) Delta(z)^2 / prod_{i,j}(z_i - u_j).
+    rhs = `unitary_lemma_integral`.
     Raises NearConfluent when two of the points u coincide.
     """
     u = [complex(x) for x in u]
@@ -457,27 +456,23 @@ def lemma_unitary_check(kernel: BipartiteKernel, u: Sequence[complex], m: int,
     lhs = 0j
     for left, right in enumerate_split_permutations(len(u), m):
         lhs += kernel(tuple(u[i] for i in left), tuple(u[i] for i in right))
-    rhs = circular_integral(len(u), unitary_lemma_integrand(kernel, u, m), cfg,
-                            enclosed_points=u, vectorized=True)
-    return LemmaCheckResult(lhs, rhs)
+    return LemmaCheckResult(lhs, unitary_lemma_integral(kernel, u, m, cfg))
 
 
 def lemma_sym_check(kernel: SymmetricKernel, alphas: Sequence[complex], variant: str,
                     cfg: ContourConfig | None = None) -> LemmaCheckResult:
     """Sign-vector sum of G vs the k-fold contour integral enclosing +-alpha.
 
-    variant "plain":  lhs = sum_eps G(eps * alpha), integral numerator prod z_j;
-    variant "signed": lhs = sum_eps (prod eps) G(eps * alpha), numerator prod alpha_j.
+    variant "plain":  lhs = sum_eps G(eps * alpha);
+    variant "signed": lhs = sum_eps (prod eps) G(eps * alpha);
+    rhs = `sym_lemma_integral` of the variant.
     Raises NearConfluent when two of the points +-alpha coincide.
     """
     al = [complex(x) for x in alphas]
-    enclosed = al + [-a for a in al]
-    require_separated(enclosed, "+-alpha points")
-    integrand = sym_lemma_integrand(kernel, alphas, variant)
+    require_separated(al + [-a for a in al], "+-alpha points")
     assert_unit_residue(kernel.pole)
     lhs = 0j
     for eps in sign_vectors(len(al)):
         weight = math.prod(eps) if variant == "signed" else 1
         lhs += weight * kernel(tuple(e * a for e, a in zip(eps, al)))
-    rhs = circular_integral(len(al), integrand, cfg, enclosed_points=enclosed, vectorized=True)
-    return LemmaCheckResult(lhs, rhs)
+    return LemmaCheckResult(lhs, sym_lemma_integral(kernel, al, variant, cfg))

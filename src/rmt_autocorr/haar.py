@@ -583,7 +583,8 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     For real coefficients at w = s = +-1, Phi*_t = s^t Phi_t, so each step
     multiplies by s - alpha_t s^t (1 - alpha_t, or -(1 + (-1)^t alpha_t)):
     these shifts take the product of the formed factors, since the
-    recursion's s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1.
+    recursion's s Phi_t - alpha_t Phi*_t cancels when alpha_t is near +-1,
+    as one real row that is Phi_{2n} and Phi*_{2n} = s^{2n} Phi_{2n} both.
 
     The value is the product of Phi* at the first m shifts and Phi at the
     rest.  A value beyond the double range is inf or nan, without a
@@ -592,9 +593,9 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
     real = spec.family != UNITARY
     w = [complex(wj) for wj in shifts]  # made once: an array would make a scalar per step
     formed = [real and wj in (1, -1) for wj in w]
-    # Phi and Phi* of each shift; a formed product is real, and has no Phi*
+    # Phi and Phi* of each shift; a formed product is real, and its own Phi*
     phi = [np.ones(B, dtype=float if f else complex) for f in formed]
-    phi_star = [None if f else np.ones(B, dtype=complex) for f in formed]
+    phi_star = [p if f else np.ones(B, dtype=complex) for f, p in zip(formed, phi)]
     w_phi, alpha = np.empty(B, dtype=complex), np.empty(B, dtype=complex)
     factor = np.empty(B)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -616,10 +617,7 @@ def _autocorr_chunk(spec: GroupSpec, shifts: tuple, m: int, rng: np.random.Gener
                 np.multiply(a, w_phi, out=w_phi)
                 np.subtract(p_star, w_phi, out=p_star)
         vals = np.ones(B, dtype=complex)
-        for j, (wj, f, p, p_star) in enumerate(zip(w, formed, phi, phi_star)):
-            if f:  # the formed product as a complex Phi, and Phi* = s^{2n} Phi
-                p = p.astype(complex)
-                p_star = wj.real ** (2 * spec.free_angles) * p
+        for j, (p, p_star) in enumerate(zip(phi, phi_star)):
             vals *= p_star if j < m else p
         if FORCED_EIGENVALUES[spec.family]:
             vals *= _coset_constant(spec, shifts)

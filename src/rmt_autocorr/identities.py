@@ -8,8 +8,9 @@ the SO(2N) closed forms; beyond it and the Vandermonde, nothing is shared.
 
 The x-exponent of the |C|-even identity is printed two ways in its
 source material (|D|^2 - 2|D| + 1 in the statement, |D|^2 + 2|D| + 1 in
-the surrounding prose); both are implemented and the suite records which
-one actually vanishes instead of resolving the discrepancy by fiat.
+the surrounding prose); both are implemented.  The suite gates the
+statement exponent, whose sum vanishes, and reports the prose exponent
+as the losing convention, with its largest residual.
 """
 
 from __future__ import annotations

@@ -260,10 +260,18 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
      "argument --N-list: --N-list entries must be >= 1"),
     (("scaling", "--b", "1", "--N-list", ","), "argument --N-list: empty list"),
     (("scaling", "--b", ",", "--N-list", "10"), "usage error: empty --b list"),
+    (("compute", "--group", "so", "--N", "1", "--shifts", "0.5", "--method", "contour",
+      "--nodes", "8"), "usage error: --nodes must be >= 16"),
+    (("compute", "--group", "so", "--N", "1", "--shifts", "0.5", "--method", "eps",
+      "--digits", "10"), "argument --digits: --digits must be >= 30"),
+    (("identity-suite", "--trials", "0"), "argument --trials: --trials must be >= 1"),
+    (("identity-suite", "--n-min", "1"), "argument --n-min: --n-min must be >= 2"),
+    (("identity-suite", "--x-count", "0"), "argument --x-count: --x-count must be >= 1"),
 ])
 def test_size_errors_name_their_option(capsys, argv, message):
     # each was refused (exit 2) in words that named no option or the wrong
-    # one: "size must be >= 1", int()'s "invalid literal", "empty shift list"
+    # one: "size must be >= 1", int()'s "invalid literal", "empty shift list",
+    # "nodes_per_dim must be >= 16", "digits must be >= 30", "n_min must be >= 2"
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
@@ -273,6 +281,19 @@ def test_size_errors_name_their_option(capsys, argv, message):
                                     ("--method", "contour", "--nodes", "0")])
 def test_zero_samples_or_nodes_is_a_usage_error(option):
     assert main(["compute", "--group", "so", "--N", "1", "--shifts", "0.5", *option]) == 2
+
+
+def test_too_few_samples_is_a_usage_error_wherever_a_montecarlo_route_runs(capsys):
+    # --samples is checked where it is parsed, also when the routes asked
+    # for draw nothing; crosscheck used to run them and exit 0
+    for argv in (("crosscheck", "--routes", "schur,eps"),
+                 ("crosscheck", "--routes", "schur,montecarlo"),
+                 ("compute", "--method", "montecarlo"), ("montecarlo",)):
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command, "--group", "usp", "--N", "2",
+                                 "--shifts", "0.5", *rest, "--samples", "10")
+        assert (code, out) == (2, ""), argv
+        assert "argument --samples: --samples must be >= 100" in err
 
 
 @pytest.mark.parametrize("query", [
@@ -465,6 +486,35 @@ def test_ominus_schur_route(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and set(report["routes"]) == {"det", "eps", "schur"}
+
+
+@pytest.mark.parametrize("given", [
+    ("--alpha", "0.1+3.1i,0.15+3.2i"),       # Im alpha past pi: no round trip through log
+    ("--shifts=-0.9+0.01i,-0.9-0.02i",),      # principal logs 2 pi apart across the cut
+], ids=["alpha", "shifts"])
+def test_unitary_contour_cli_near_the_negative_axis(capsys, given):
+    # both refused with ContourTooTight (radius 6.28 and 6.35): the route
+    # got principal logs, a circle around which crosses the periodic poles
+    values = []
+    for method in ("contour", "schur"):
+        code, out, _ = run_cli(capsys, "compute", "--group", "u", "--N", "2", "--m", "1",
+                               *given, "--method", method)
+        assert code == 0
+        value = json.loads(out)["value"]
+        values.append(complex(value["re"], value["im"]))
+    assert abs(values[0] - values[1]) <= 1e-12 * max(1.0, abs(values[1]))
+
+
+def test_self_dual_contour_cli_near_minus_one_keeps_principal_logs(capsys):
+    # the circle encloses +-alpha around 0, and near w = -1 they lie about
+    # 2 pi apart on every branch: the principal logs, which give the
+    # smallest circle, are kept
+    code, out, _ = run_cli(capsys, "compute", "--group", "usp", "--N", "2",
+                           "--shifts=-0.9+0.01i,-0.9-0.02i", "--method", "contour")
+    assert code == 3
+    assert json.loads(out) == {"error": "ContourTooTight", "detail": (
+        "contour radius 6.365 reaches the 2 pi i-periodic pole branches; "
+        "move the enclosed points closer together")}
 
 
 def test_unitary_contour_cli(capsys):

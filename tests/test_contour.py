@@ -25,9 +25,10 @@ from rmt_autocorr.contour import (
     Pair,
     _node_circles,
     assert_unit_residue,
+    exp_sum,
     require_exp_kernel_radius,
     resolve_geometry,
-    sym_lemma_integrand,
+    sym_lemma_integral,
     trapezoid_sum,
 )
 from rmt_autocorr.contour import exp_pole as package_exp_pole
@@ -342,6 +343,26 @@ def test_contour_routes_exponentiate_vectors_only(route, n, monkeypatch):
     assert sizes and max(sizes) <= M
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 3])
+def test_each_contour_route_is_its_lemma_checks_integral_side(N, n):
+    # a route and its lemma's check read one integral side: the route's
+    # value is the check's rhs with the route's exp kernel, bit for bit,
+    # times exp(sign N sum alpha) for the sign-vector lemma
+    al = list(ROUTE_ALPHAS[:n])
+    cfg = ContourConfig(nodes_per_dim=64)
+    unitary = BipartiteKernel(package_exp_pole, lambda _a, b: exp_sum(-N, b))
+    for m in range(n + 1):
+        assert autocorr_contour(N, al, m, cfg) == lemma_unitary_check(unitary, al, m, cfg).rhs
+    for value, diagonal, variant, sign in (
+            (sp_autocorr_contour(N, al, cfg), True, "plain", -1),
+            (orthogonal_contour("so", N, al, cfg), False, "plain", 1),
+            (orthogonal_contour("ominus", N, al, cfg), False, "signed", 1)):
+        kernel = SymmetricKernel(package_exp_pole, lambda a: exp_sum(N, a), diagonal)
+        rhs = lemma_sym_check(kernel, al, variant, cfg).rhs
+        assert value == np.exp(sign * N * sum(al)) * rhs, (diagonal, variant)
+
+
 _pole_40_digits = np.frompyfunc(
     lambda x, y: complex(1 / (1 - mpmath.exp(-(mpmath.mpc(x) + mpmath.mpc(y))))), 2, 1)
 
@@ -394,7 +415,7 @@ def test_exp_pole_pair_tables_are_the_pole_to_rounding(n):
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: sym_lemma_integrand(SymmetricKernel(exp_pole), [0.1], "other"), "variant must be"),
+    (lambda: sym_lemma_integral(SymmetricKernel(exp_pole), [0.1], "other"), "variant must be"),
     (lambda: trapezoid_sum([np.zeros(16)], [np.ones(16)], lambda z: np.ones(3)),
      "does not broadcast"),
 ], ids=["unknown-variant", "factor-does-not-broadcast"])
