@@ -152,6 +152,8 @@ def _query_spec(args):
         return spec, shifts, 0
     if args.m is None:
         raise UsageError("the unitary family requires --m")
+    if args.m > len(shifts):
+        raise UsageError(f"--m must be <= the number of shifts ({len(shifts)})")
     return spec, shifts, args.m
 
 
@@ -294,6 +296,8 @@ def cmd_crosscheck(args) -> int:
 def cmd_identity_suite(args) -> int:
     from .identities import run_identity_suite
 
+    if args.n_max < args.n_min:
+        raise UsageError(f"--n-max must be >= --n-min ({args.n_min})")
     prec = _resolve_precision(args)
     tol = _tolerance(args, 1e-10 if prec is None else 10.0 ** (-(prec.digits - 10)))
     report = run_identity_suite(args.trials, args.seed, prec,
@@ -368,27 +372,30 @@ def _size_list(text: str) -> list[int]:
     return sizes
 
 
-def _add_common(p: argparse.ArgumentParser, with_query: bool = True,
-                with_digits: bool = True, with_seed: bool = True) -> None:
-    if with_query:
-        p.add_argument("--group", required=True,
-                       help="group family: u, usp, so, ominus")
-        p.add_argument("--N", required=True, type=_count("--N", 1), help="size parameter")
-        given = p.add_mutually_exclusive_group(required=True)
-        given.add_argument("--shifts", help="comma-separated complex shifts, e.g. 0.5,1+0.2i")
-        given.add_argument("--alpha", help="shifts in exponentiated coordinates "
-                                           "(w = exp(-alpha) for u/usp, exp(+alpha) for so/ominus)")
-        p.add_argument("--m", type=int, help="unitary split point (adjoint block size)")
-    if with_digits:
-        p.add_argument("--digits", type=_count("--digits", 30),
-                       help="extended-precision decimal digits (>= 30)")
-    if with_seed:
-        p.add_argument("--seed", type=_count("--seed", 0), default=1,
-                       help="RNG seed >= 0 (default 1)")
-    p.add_argument("--out", help="also write the report to this file")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # each shared option is declared once, on a parent parser (the query's on one)
+    query, digits, seed, out, nodes, samples, tol = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    query.add_argument("--group", required=True, help="group family: u, usp, so, ominus")
+    query.add_argument("--N", required=True, type=_count("--N", 1), help="size parameter")
+    given = query.add_mutually_exclusive_group(required=True)
+    given.add_argument("--shifts", help="comma-separated complex shifts, e.g. 0.5,1+0.2i")
+    given.add_argument("--alpha", help="shifts in exponentiated coordinates "
+                                       "(w = exp(-alpha) for u/usp, exp(+alpha) for so/ominus)")
+    query.add_argument("--m", type=_count("--m", 0),
+                       help="unitary split point (adjoint block size)")
+    digits.add_argument("--digits", type=_count("--digits", 30),
+                        help="extended-precision decimal digits (>= 30)")
+    seed.add_argument("--seed", type=_count("--seed", 0), default=1,
+                      help="RNG seed >= 0 (default 1)")
+    out.add_argument("--out", help="also write the report to this file")
+    nodes.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
+    samples.add_argument("--samples", type=_count("--samples", 100), default=100000,
+                         help="Monte Carlo sample count")
+    tol.add_argument("--tol", type=float, help="crosscheck: agreement tolerance; "
+                                               "identity-suite: largest allowed residual")
+    route = (query, digits, seed, out, nodes, samples)  # what evaluating a route reads
+
     parser = argparse.ArgumentParser(
         prog="rmt-autocorr",
         description="Shifted moments of characteristic polynomials over the "
@@ -397,46 +404,33 @@ def build_parser() -> argparse.ArgumentParser:
     # unknown one such as --n is a usage error, not a prefix of --nodes
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", allow_abbrev=False, help="evaluate one route")
-    _add_common(p)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, parents=parents, allow_abbrev=False, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("compute", cmd_compute, "evaluate one route", *route)
     p.add_argument("--method", required=True,
                    help="schur | det | comb (u) / eps | contour | quadrature | montecarlo")
-    p.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
-    p.add_argument("--samples", type=_count("--samples", 100), default=100000,
-                   help="Monte Carlo sample count")
-    p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("crosscheck", allow_abbrev=False, help="evaluate several routes and compare")
-    _add_common(p)
+    p = command("crosscheck", cmd_crosscheck, "evaluate several routes and compare", *route, tol)
     p.add_argument("--routes", required=True, help="comma-separated route list")
-    p.add_argument("--tol", type=float, help="agreement tolerance")
-    p.add_argument("--nodes", type=int, help="nodes per circle of the contour route")
-    p.add_argument("--samples", type=_count("--samples", 100), default=100000,
-                   help="Monte Carlo sample count")
-    p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("identity-suite", allow_abbrev=False,
-                       help="randomized identity residual sweep")
-    _add_common(p, with_query=False)
+    p = command("identity-suite", cmd_identity_suite, "randomized identity residual sweep",
+                digits, seed, out, tol)
     p.add_argument("--trials", type=_count("--trials", 1), default=500)
-    p.add_argument("--tol", type=float, help="max allowed residual")
     p.add_argument("--radius", type=float, default=1.0, help="shift sampling disk radius")
     p.add_argument("--n-min", dest="n_min", type=_count("--n-min", 2), default=2)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
     p.add_argument("--x-count", dest="x_count", type=_count("--x-count", 1), default=20)
-    p.set_defaults(func=cmd_identity_suite)
 
-    p = sub.add_parser("montecarlo", allow_abbrev=False, help="Monte Carlo mean vs the exact value")
-    _add_common(p, with_digits=False)
-    p.add_argument("--samples", type=_count("--samples", 100), default=100000)
-    p.set_defaults(func=cmd_montecarlo)
+    command("montecarlo", cmd_montecarlo, "Monte Carlo mean vs the exact value",
+            query, seed, out, samples)
 
-    p = sub.add_parser("scaling", allow_abbrev=False, help="large-N ratio table (CSV)")
-    _add_common(p, with_query=False, with_seed=False)
+    p = command("scaling", cmd_scaling, "large-N ratio table (CSV)", digits, out)
     p.add_argument("--b", required=True, help="comma-separated b values")
     p.add_argument("--N-list", dest="N_list", required=True, type=_size_list,
                    help="comma-separated size parameters")
-    p.set_defaults(func=cmd_scaling)
 
     return parser
 
@@ -451,8 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             return args.func(args)
         except (RouteError, OverflowError, NonFiniteValue) as exc:
-            _emit(canonical_json({"error": type(exc).__name__, "detail": str(exc)}),
-                  getattr(args, "out", None))
+            _emit(canonical_json({"error": type(exc).__name__, "detail": str(exc)}), args.out)
             print(f"numerical route error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_ROUTE
     except ValueError as exc:  # also an unwritable --out for the route-error report

@@ -293,7 +293,15 @@ def _coset_constant(spec: GroupSpec, w: tuple) -> complex:
     """prod_j det M prod_e (1 - e w_j) = prod_j prod_e (e - w_j) over the forced
     eigenvalues e = +-1 (det M = prod e, e^2 = 1); det M^k is O^-'s defining (-1)^k."""
     forced = FORCED_EIGENVALUES[spec.family]
-    return math.prod(math.prod(e - wj for e in forced) for wj in w) if forced else 1.0
+    if not forced:
+        return 1.0
+    value = 1
+    for wj in w:
+        factor = 1
+        for e in forced:
+            factor *= e - wj
+        value *= factor
+    return value
 
 
 def autocorr_integrand(spec: GroupSpec, shifts: Sequence[complex], m: int = 0):

@@ -88,10 +88,12 @@ def test_a_b_run_folds_each_side_and_records_a_failing_before(tmp_path):
     report = json.loads(done.stdout)
     assert report["command"] == "python3 tools/bench_fake.py BEFORE_ROOT AFTER_ROOT"
     assert report["accuracy"] == "fake error" and report["extra"] == "a fake extra"
+    assert "speedup inside either side's spread is unresolved" in report["spread"]
     a, b = report["rows"]
     assert a == {"row": "a", "bound": 1e-12,
-                 "before_ms": 2.0, "before_err": 5e-11, "before_extra": 10,
-                 "after_ms": 0.5, "after_err": 2e-13, "after_extra": 4, "speedup": 4.0}
+                 "before_ms": 2.0, "before_spread": 3.0, "before_err": 5e-11,
+                 "before_extra": 10, "after_ms": 0.5, "after_spread": 3.0,
+                 "after_err": 2e-13, "after_extra": 4, "speedup": 4.0}
     assert b["row"] == "b" and math.isnan(b["before_err"]) and b["after_err"] == 0.0
     assert (b["before_ms"], b["after_ms"], b["speedup"]) == (2.0, 1.0, 2.0)
     for root in (before_root, after_root):

@@ -1,5 +1,6 @@
 """CLI behavior: values, exit codes, determinism, canonical serialization."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from rmt_autocorr import PrecisionConfig, sp_large_n_ratio
-from rmt_autocorr.cli import UsageError, canonical_json, main, parse_complex
+from rmt_autocorr import PrecisionConfig, cli, sp_large_n_ratio
+from rmt_autocorr.cli import UsageError, build_parser, canonical_json, main, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -267,11 +268,23 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
     (("identity-suite", "--trials", "0"), "argument --trials: --trials must be >= 1"),
     (("identity-suite", "--n-min", "1"), "argument --n-min: --n-min must be >= 2"),
     (("identity-suite", "--x-count", "0"), "argument --x-count: --x-count must be >= 1"),
+    (("identity-suite", "--n-min", "4", "--n-max", "3", "--trials", "1"),
+     "usage error: --n-max must be >= --n-min (4)"),
+    (("compute", "--group", "u", "--N", "2", "--m", "-1", "--shifts", "0.5", "--method", "schur"),
+     "argument --m: --m must be >= 0"),
+    (("compute", "--group", "u", "--N", "2", "--m", "5", "--shifts", "0.5", "--method", "schur"),
+     "usage error: --m must be <= the number of shifts (1)"),
+    (("crosscheck", "--group", "u", "--N", "2", "--m", "5", "--shifts", "0.5", "--routes",
+      "schur,det"), "usage error: --m must be <= the number of shifts (1)"),
+    (("montecarlo", "--group", "u", "--N", "2", "--m", "3", "--shifts", "0.5", "--samples",
+      "200"), "usage error: --m must be <= the number of shifts (1)"),
 ])
 def test_size_errors_name_their_option(capsys, argv, message):
     # each was refused (exit 2) in words that named no option or the wrong
     # one: "size must be >= 1", int()'s "invalid literal", "empty shift list",
-    # "nodes_per_dim must be >= 16", "digits must be >= 30", "n_min must be >= 2"
+    # "nodes_per_dim must be >= 16", "digits must be >= 30", "n_min must be >= 2",
+    # "n_max must be >= 4", "m must be >= 0", "need 0 <= m <= n",
+    # "need 0 <= m <= len(shifts)"
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
@@ -542,6 +555,77 @@ def test_canonical_json_formatting():
 def test_shifts_and_alpha_are_mutually_exclusive():
     assert main(["compute", "--group", "usp", "--N", "2", "--shifts", "0.5",
                  "--alpha", "0.1", "--method", "eps"]) == 2
+
+
+# (option strings, dest, default, required) of each subcommand's 44 options
+QUERY = [(("--N",), "N", None, True), (("--alpha",), "alpha", None, False),
+         (("--group",), "group", None, True), (("--m",), "m", None, False),
+         (("--shifts",), "shifts", None, False)]
+DIGITS, OUT, SEED = ((("--digits",), "digits", None, False), (("--out",), "out", None, False),
+                     (("--seed",), "seed", 1, False))
+NODES, SAMPLES, TOL = ((("--nodes",), "nodes", None, False),
+                       (("--samples",), "samples", 100000, False), (("--tol",), "tol", None, False))
+OPTIONS = {
+    "compute": [*QUERY, DIGITS, SEED, OUT, NODES, SAMPLES,
+                (("--method",), "method", None, True)],
+    "crosscheck": [*QUERY, DIGITS, SEED, OUT, NODES, SAMPLES, TOL,
+                   (("--routes",), "routes", None, True)],
+    "identity-suite": [DIGITS, SEED, OUT, TOL, (("--trials",), "trials", 500, False),
+                       (("--radius",), "radius", 1.0, False),
+                       (("--n-min",), "n_min", 2, False), (("--n-max",), "n_max", 6, False),
+                       (("--x-count",), "x_count", 20, False)],
+    "montecarlo": [*QUERY, SEED, OUT, SAMPLES],
+    "scaling": [DIGITS, OUT, (("--b",), "b", None, True),
+                (("--N-list",), "N_list", None, True)],
+}
+
+
+def test_each_subcommand_keeps_its_options_and_their_parses():
+    # what a subcommand accepts and how it parses, whichever way the parser
+    # declares its options
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(OPTIONS)
+    for name, p in sub.choices.items():
+        rows = [(tuple(a.option_strings), a.dest, a.default, a.required)
+                for a in p._actions if a.dest != "help"]
+        assert sorted(rows) == sorted(OPTIONS[name]), name
+        groups = [(sorted(a.dest for a in g._group_actions), g.required)
+                  for g in p._mutually_exclusive_groups]
+        has_query = set(QUERY) <= set(OPTIONS[name])
+        assert groups == ([(["alpha", "shifts"], True)] if has_query else []), name
+    assert sum(len(rows) for rows in OPTIONS.values()) == 44
+    compute = {"alpha": None, "digits": None, "out": None, "seed": 1, "nodes": None,
+               "samples": 100000}
+    suite = {"command": "identity-suite", "func": cli.cmd_identity_suite, "digits": None,
+             "seed": 1, "out": None, "tol": None, "trials": 500, "radius": 1.0, "n_min": 2,
+             "n_max": 6, "x_count": 20}
+    cases = [
+        (("compute", "--group", "u", "--N", "3", "--m", "1", "--shifts", "0.5,0.3",
+          "--method", "schur"),
+         {**compute, "command": "compute", "func": cli.cmd_compute, "group": "u", "N": 3,
+          "m": 1, "shifts": "0.5,0.3", "method": "schur"}),
+        (("crosscheck", "--group", "usp", "--N", "2", "--alpha", "0.1", "--routes",
+          "eps,contour", "--tol", "1e-9", "--nodes", "64", "--samples", "500", "--seed", "4",
+          "--digits", "40", "--out", "x.json"),
+         {"command": "crosscheck", "func": cli.cmd_crosscheck, "group": "usp", "N": 2,
+          "m": None, "shifts": None, "alpha": "0.1", "routes": "eps,contour", "tol": 1e-9,
+          "nodes": 64, "samples": 500, "seed": 4, "digits": 40, "out": "x.json"}),
+        (("identity-suite",), suite),
+        (("identity-suite", "--trials", "3", "--tol", "1e-8", "--n-min", "3", "--n-max", "4",
+          "--x-count", "2", "--radius", "0.5", "--seed", "7", "--digits", "35"),
+         {**suite, "trials": 3, "tol": 1e-8, "n_min": 3, "n_max": 4, "x_count": 2,
+          "radius": 0.5, "seed": 7, "digits": 35}),
+        (("montecarlo", "--group", "so", "--N", "2", "--shifts", "0.5", "--samples", "200",
+          "--seed", "3"),
+         {"command": "montecarlo", "func": cli.cmd_montecarlo, "group": "so", "N": 2,
+          "shifts": "0.5", "alpha": None, "m": None, "samples": 200, "seed": 3, "out": None}),
+        (("scaling", "--b", "1", "--N-list", "10,100", "--digits", "40"),
+         {"command": "scaling", "func": cli.cmd_scaling, "b": "1", "N_list": [10, 100],
+          "digits": 40, "out": None}),
+    ]
+    for argv, namespace in cases:
+        assert vars(build_parser().parse_args(argv)) == namespace, argv
 
 
 @pytest.mark.parametrize("argv", [
