@@ -131,11 +131,13 @@ def _resolve_precision(args) -> PrecisionConfig | None:
 
 
 def _tolerance(args, default: float) -> float:
-    """--tol, or `default` when it is not given; a non-finite --tol is a usage error."""
+    """--tol, or `default` when it is not given; a non-finite or negative --tol is a usage error."""
     if args.tol is None:
         return default
     if not math.isfinite(args.tol):
         raise UsageError(f"non-finite --tol {args.tol!r}")
+    if args.tol < 0:
+        raise UsageError("--tol must be >= 0")
     return args.tol
 
 
@@ -188,11 +190,7 @@ def _contour_alphas(args, spec, shifts, sign: int) -> list[complex]:
     alphas = [sign * cmath.log(w) for w in shifts]
     if spec.family != "unitary":
         return alphas
-    for j, a in enumerate(alphas):
-        turns = round((a.imag - alphas[0].imag) / (2 * math.pi))
-        if turns:
-            alphas[j] = a - 2j * math.pi * turns
-    return alphas
+    return [a - 2j * math.pi * round((a.imag - alphas[0].imag) / (2 * math.pi)) for a in alphas]
 
 
 def _route_value(spec, shifts, m, method, args, prec):
@@ -298,6 +296,8 @@ def cmd_identity_suite(args) -> int:
 
     if args.n_max < args.n_min:
         raise UsageError(f"--n-max must be >= --n-min ({args.n_min})")
+    if not 0 < args.radius < math.inf:  # NaN refuses too
+        raise UsageError("--radius must be positive and finite")
     prec = _resolve_precision(args)
     tol = _tolerance(args, 1e-10 if prec is None else 10.0 ** (-(prec.digits - 10)))
     report = run_identity_suite(args.trials, args.seed, prec,

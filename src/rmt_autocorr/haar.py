@@ -135,8 +135,7 @@ def char_poly_eval(spec: GroupSpec, angles: np.ndarray, s: complex):
     T = np.atleast_2d(np.asarray(angles, dtype=float))
     single = np.asarray(angles).ndim == 1
     if T.shape[1] != spec.free_angles:
-        if not (spec.free_angles == 0 and T.size == 0):
-            raise ValueError("angle count does not match the group")
+        raise ValueError("angle count does not match the group")
     if spec.family == UNITARY:
         out = np.prod(1 - np.exp(1j * T) * s, axis=1)
     else:
@@ -243,47 +242,44 @@ def _heine_average(spec: GroupSpec, w: tuple, m: int, M: int) -> complex:
     if n > HEINE_CAP:
         raise DimensionCap(f"{n} free angles exceed the determinant order cap {HEINE_CAP}")
     const = _coset_constant(spec, w)
-    if n == 0:  # O^-(2): no free angle, and the average is the coset constant
-        value = complex(const)
-    else:
-        if spec.family == UNITARY:  # frequencies -1, 0 and 0, 1
-            low, terms = -m, [(-wr, 1) for wr in w[:m]] + [(wj, -1) for wj in w[m:]]
-        else:  # frequencies -1, 0, 1
-            low, terms = -len(w), [(-wj, 1 + wj * wj, -wj) for wj in w]
-        # a few short lists: plain Python costs less here than numpy calls
-        f_hat = [1.0]
-        for term in terms:
-            product = [0j] * (len(f_hat) + len(term) - 1)
-            for q, fq in enumerate(f_hat):
-                for t, a in enumerate(term):
-                    product[q + t] += fq * a
-            f_hat = product
-        # c[l] is c_l for every l = -n..2n the matrices read, the negative ones
-        # by negative indexing
-        c = [0j] * (3 * n + 1)
-        for q, fq in enumerate(f_hat, low):
-            for l in range((q + n) % M - n, 2 * n + 1, M):
-                c[l] += fq
-        c = np.array(c)
-        i, j = np.arange(n)[:, None], np.arange(n)
-        # an inf or NaN passes silently here and is refused by kappa or on the value
-        with np.errstate(over="ignore", invalid="ignore"):
-            if spec.family == UNITARY:
-                G, scale = c[j - i], 1.0
-            else:  # Hankel offset 2a + 1; the sign of -2a is chosen, not multiplied in
-                a = _JACOBI_A[spec.family]
-                hankel = c[i + j + round(2 * a + 1)]
-                G, scale = (c[i - j] - hankel, 1.0) if a > 0 else (c[i - j] + hankel, 0.5)
-            norm = float(np.abs(G).sum(axis=0).max())  # ||G||_1
-            try:  # np.linalg.cond(G, 1) without the overhead of its generality
-                kappa = norm * float(np.abs(np.linalg.inv(G)).sum(axis=0).max())
-            except np.linalg.LinAlgError:  # exactly singular
-                kappa = math.inf
-            if not n * _UNIT_ROUNDOFF * kappa <= DoubleOps.agreement_tol:  # NaN refuses too
-                raise PrecisionLoss(f"the {n} x {n} Heine determinant may have lost the "
-                                    f"{DoubleOps.agreement_tol:g} agreement of the crosscheck")
-            det = np.linalg.det(G)
-        value = const * scale * complex(det)
+    if spec.family == UNITARY:  # frequencies -1, 0 and 0, 1
+        low, terms = -m, [(-wr, 1) for wr in w[:m]] + [(wj, -1) for wj in w[m:]]
+    else:  # frequencies -1, 0, 1
+        low, terms = -len(w), [(-wj, 1 + wj * wj, -wj) for wj in w]
+    # a few short lists: plain Python costs less here than numpy calls
+    f_hat = [1.0]
+    for term in terms:
+        product = [0j] * (len(f_hat) + len(term) - 1)
+        for q, fq in enumerate(f_hat):
+            for t, a in enumerate(term):
+                product[q + t] += fq * a
+        f_hat = product
+    # c[l] is c_l for every l = -n..2n the matrices read, the negative ones
+    # by negative indexing
+    c = [0j] * (3 * n + 1)
+    for q, fq in enumerate(f_hat, low):
+        for l in range((q + n) % M - n, 2 * n + 1, M):
+            c[l] += fq
+    c = np.array(c)
+    i, j = np.arange(n)[:, None], np.arange(n)
+    # an inf or NaN passes silently here and is refused by kappa or on the value
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == UNITARY:
+            G, scale = c[j - i], 1.0
+        else:  # Hankel offset 2a + 1; the sign of -2a is chosen, not multiplied in
+            a = _JACOBI_A[spec.family]
+            hankel = c[i + j + round(2 * a + 1)]
+            G, scale = (c[i - j] - hankel, 1.0) if a > 0 else (c[i - j] + hankel, 0.5)
+        norm = float(np.abs(G).sum(axis=0).max(initial=0.0))  # ||G||_1; O^-(2)'s G is 0 x 0
+        try:  # np.linalg.cond(G, 1) without the overhead of its generality
+            kappa = norm * float(np.abs(np.linalg.inv(G)).sum(axis=0).max(initial=0.0))
+        except np.linalg.LinAlgError:  # exactly singular
+            kappa = math.inf
+        if not n * _UNIT_ROUNDOFF * kappa <= DoubleOps.agreement_tol:  # NaN refuses too
+            raise PrecisionLoss(f"the {n} x {n} Heine determinant may have lost the "
+                                f"{DoubleOps.agreement_tol:g} agreement of the crosscheck")
+        det = np.linalg.det(G)
+    value = const * scale * complex(det)
     if not cmath.isfinite(value):
         raise OverflowError("the Heine average is beyond the double range")
     return value

@@ -46,8 +46,6 @@ def _generic_det(rows, absfn):
     """
     a = [list(r) for r in rows]
     n = len(a)
-    if n == 0:
-        return 1
     det = 1
     sign = 1
     for c in range(n):

@@ -71,9 +71,8 @@ class Partition:
 def conjugate_partition(lam: Partition) -> Partition:
     """Transpose of the Young diagram: lambda'_i = #{j : lambda_j >= i}."""
     parts = [p for p in lam.parts if p > 0]
-    if not parts:
-        return Partition(())
-    return Partition(tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)))
+    return Partition(tuple(sum(1 for p in parts if p >= i)
+                           for i in range(1, max(parts, default=0) + 1)))
 
 
 def enumerate_split_permutations(
@@ -190,9 +189,7 @@ def enumerate_so_index_sets(k: int, n_param: int) -> Iterator[tuple[int, ...]]:
 
 def min_separation(points: Sequence[complex]) -> float:
     pts = [complex(p) for p in points]
-    if len(pts) < 2:
-        return float("inf")
-    return min(abs(a - b) for i, a in enumerate(pts) for b in pts[:i])
+    return min((abs(a - b) for i, a in enumerate(pts) for b in pts[:i]), default=float("inf"))
 
 
 def separation_threshold(points: Sequence[complex]) -> float:

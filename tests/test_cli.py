@@ -278,13 +278,19 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
       "schur,det"), "usage error: --m must be <= the number of shifts (1)"),
     (("montecarlo", "--group", "u", "--N", "2", "--m", "3", "--shifts", "0.5", "--samples",
       "200"), "usage error: --m must be <= the number of shifts (1)"),
+    (("crosscheck", "--group", "usp", "--N", "2", "--shifts", "0.5", "--routes", "schur,eps",
+      "--tol=-1"), "usage error: --tol must be >= 0"),
+    (("identity-suite", "--trials", "2", "--tol=-1"), "usage error: --tol must be >= 0"),
+    *((("identity-suite", f"--radius={r}"), "usage error: --radius must be positive and finite")
+      for r in ("-1", "0", "inf", "nan")),
 ])
 def test_size_errors_name_their_option(capsys, argv, message):
     # each was refused (exit 2) in words that named no option or the wrong
     # one: "size must be >= 1", int()'s "invalid literal", "empty shift list",
     # "nodes_per_dim must be >= 16", "digits must be >= 30", "n_min must be >= 2",
     # "n_max must be >= 4", "m must be >= 0", "need 0 <= m <= n",
-    # "need 0 <= m <= len(shifts)"
+    # "need 0 <= m <= len(shifts)", "radius must be positive and finite"; a
+    # negative --tol was taken, and no pair could pass it (exit 4)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err

@@ -903,6 +903,8 @@ def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda: char_poly_eval(group("usp", 2), np.zeros(3), 0.5),  # 3 angles for USp(4)
+    # three angles for O^-(2), none of them free: weyl_density refuses the same array
+    lambda: char_poly_eval(group("ominus", 1), np.zeros((0, 3)), 0.5),
     lambda: functional_equation_residual(group("usp", 2), np.zeros(2), 0),
     lambda: znorm_residual(group("u", 2), np.zeros(2), 0.5),
     lambda: znorm_residual(group("usp", 2), np.zeros(2), 0),
@@ -917,7 +919,7 @@ def test_autocorr_moments_need_no_matrix_and_no_eigensolver(monkeypatch):
     lambda: sample_eigenangle_batch(group("u", 2), 1, 2.5),
     lambda: weyl_density(group("u", 5), np.zeros((3, 2))),  # the U(2) density
     lambda: eigenangles_of(group("usp", 3), np.tile(np.eye(4), (2, 1, 1))),  # USp(4) matrices
-], ids=["angle-count", "functional-equation-at-0", "znorm-unitary", "znorm-at-0",
+], ids=["angle-count", "empty-batch-angle-count", "functional-equation-at-0", "znorm-unitary", "znorm-at-0",
         "three-nodes", "m-above-n", "one-sample", "batch-of-none", "batch-below-zero",
         "fractional-batch", "weyl-density-angle-count", "eigenangles-matrix-size"])
 def test_input_guards(call):
