@@ -14,7 +14,9 @@ OverflowError of the arithmetic, or an inf or NaN in the report), 4 a
 cross-check, identity or Monte Carlo gate failed.
 
 The closed-form routes need no numpy, so this module imports `haar` and
-`identities`, which do, only in the commands that run them.
+`identities`, which do, only in the commands that run them; a route's
+family module is imported by its `routes` table entry, so a closed form
+loads its family's module alone.
 
 Output is deterministic given the full argument list: JSON objects are
 emitted with sorted keys and 17-significant-digit floats, so re-serializing
@@ -31,9 +33,9 @@ import sys
 import time
 from typing import Callable, Sequence
 
-from . import routes, symplectic
+from . import routes
 from .contour import ContourConfig
-from .errors import PoleHit, RouteError, require_count
+from .errors import ContourTooTight, PoleHit, RouteError, require_count
 from .precision import PrecisionConfig, ops_for
 
 EXIT_OK = 0
@@ -183,13 +185,22 @@ def _contour_alphas(args, spec, shifts, sign: int) -> list[complex]:
     """The contour route's alphas: --alpha as given, or sign * log w of each
     of --shifts.  The U(N) circle encloses the alphas, so each log is moved
     by the multiple of 2 pi i that puts it within pi of the first one
-    (principal logs across the negative axis lie 2 pi apart); the self-dual
-    circle encloses +-alpha around 0, which principal logs keep smallest."""
+    (principal logs across the negative axis lie 2 pi apart).  The self-dual
+    circle encloses +-alpha around 0, which principal logs keep smallest; a
+    shift with Re w <= 0 has a log at least pi/2 from 0, which puts the
+    circle on the pole branches.  -I is in USp(2N) and SO(2N) and -U stays
+    in O^-(2N), so M(-w) = M(w): shifts that all have Re w < 0 are read as -w."""
     if args.alpha is not None:
         return parse_complex_list(args.alpha)
-    alphas = [sign * cmath.log(w) for w in shifts]
     if spec.family != "unitary":
-        return alphas
+        left = [w.real < 0 for w in shifts]
+        if any(left) and not all(left):
+            raise ContourTooTight(
+                "shifts on both sides of Re w = 0: the self-dual contour reads every w "
+                "or every -w (M(-w) = M(w)), and one it reads at Re <= 0 puts the circle "
+                "on the 2 pi i-periodic pole branches")
+        return [sign * cmath.log(-w if left[0] else w) for w in shifts]
+    alphas = [sign * cmath.log(w) for w in shifts]
     return [a - 2j * math.pi * round((a.imag - alphas[0].imag) / (2 * math.pi)) for a in alphas]
 
 
@@ -253,8 +264,10 @@ def cmd_crosscheck(args) -> int:
     for r in requested:
         _check_method(spec.family, r)
     tol = _tolerance(args, ops_for(prec).agreement_tol)
+    # imported untimed: the family's module, and an integration route's numpy
+    # and haar, are no route's cost
+    routes.family_module(spec.family)
     if set(requested) - set(routes.ROUTES[spec.family]):
-        # imported untimed: an integration route's numpy and haar are no route's cost
         from . import haar  # noqa: F401
     entries: dict[str, dict] = {}
     for r in requested:
@@ -334,11 +347,13 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    from .symplectic import sp_large_n_ratio
+
     prec = _resolve_precision(args)
     b = parse_complex_list(args.b, "--b list")
     lines = ["N,ratio_re,ratio_im,abs_err"]
     for n in args.N_list:
-        ratio = complex(symplectic.sp_large_n_ratio(b, n, prec))
+        ratio = complex(sp_large_n_ratio(b, n, prec))
         lines.append(",".join([str(n), _format_float(ratio.real),
                                _format_float(ratio.imag), _format_float(abs(ratio - 1.0))]))
     _emit("\n".join(lines), args.out)

@@ -46,10 +46,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .errors import ContourTooTight, DimensionCap, require_count
+from .errors import ContourTooTight, DimensionCap, Record, require_count
 from .symcore import (
     enumerate_split_permutations,
     index_pairs,
@@ -67,13 +66,11 @@ GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 EXP_KERNEL_MAX_RADIUS = 2.8
 
 
-@dataclass(frozen=True)
-class ContourConfig:
-    nodes_per_dim: int = 128
+class ContourConfig(Record):
+    __slots__ = _fields = ("nodes_per_dim",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes_per_dim",
-                           require_count(self.nodes_per_dim, 16, "nodes_per_dim"))
+    def __init__(self, nodes_per_dim: int = 128) -> None:
+        object.__setattr__(self, "nodes_per_dim", require_count(nodes_per_dim, 16, "nodes_per_dim"))
 
 
 DEFAULT_CONTOUR = ContourConfig()
@@ -344,12 +341,11 @@ def assert_unit_residue(f: Callable[[complex], complex]) -> None:
             raise ValueError("pole factor does not have a simple pole of residue 1 at 0")
 
 
-@dataclass(frozen=True)
-class BipartiteKernel:
+class BipartiteKernel(NamedTuple):
     """G(a; b) = F(a; b) * prod_{i,j} f(a_i - b_j) with f ~ 1/x near 0."""
 
     pole: Callable[[complex], complex]
-    regular: Callable = field(default=_one)
+    regular: Callable = _one
 
     def __call__(self, a: Sequence[complex], b: Sequence[complex]) -> complex:
         return complex(math.prod(map(_value, self.factors(a, b))))
@@ -361,12 +357,11 @@ class BipartiteKernel:
                                itertools.product(range(len(a)), range(len(b))))
 
 
-@dataclass(frozen=True)
-class SymmetricKernel:
+class SymmetricKernel(NamedTuple):
     """G(a) = F(a) * prod over pairs f(a_i + a_j), diagonal optional."""
 
     pole: Callable[[complex], complex]
-    regular: Callable = field(default=_one)
+    regular: Callable = _one
     include_diagonal: bool = True
 
     def __call__(self, a: Sequence[complex]) -> complex:
@@ -378,8 +373,7 @@ class SymmetricKernel:
         yield from _pair_poles(self.pole, a, a, index_pairs(len(a), self.include_diagonal))
 
 
-@dataclass(frozen=True)
-class LemmaCheckResult:
+class LemmaCheckResult(NamedTuple):
     lhs: complex
     rhs: complex
 

@@ -19,10 +19,9 @@ subset sums of the standalone identity checks; the subset statistics record
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .contour import (
     ContourConfig,
@@ -53,8 +52,7 @@ from .symplectic import (
 # Subset statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubsetStats:
+class SubsetStats(NamedTuple):
     """Products and counting statistics of an ordered subset pair (A, B).
 
     Indices are 0-based positions into the shift vector; A and B must
@@ -161,8 +159,7 @@ def so_autocorr_eps(N: int, shifts: Sequence[complex], prec: PrecisionConfig | N
 # Partial index families M / E / R / L
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialSumResult:
+class PartialSumResult(NamedTuple):
     value: complex        # the index-sum side
     closed_form: complex  # the subset closed form
 

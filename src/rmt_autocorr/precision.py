@@ -30,12 +30,11 @@ import cmath
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from functools import total_ordering
 from operator import attrgetter
 
-from .errors import require_count
+from .errors import Record, require_count
 
 
 def _generic_det(rows, absfn):
@@ -330,8 +329,7 @@ def _via_mpmath(name: str, z) -> DecimalComplex:
     return DecimalComplex(ctx.plus(_from_mpf(re)), ctx.plus(_from_mpf(im)))
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class PrecisionConfig(Record):
     """Extended arithmetic at `digits` decimal digits (>= 30), and its
     operation set: ``ops_for(prec)`` returns the config (doubles are None).
 
@@ -342,10 +340,11 @@ class PrecisionConfig:
     and ``mpmath.mp.mpc(v)`` converts a result exactly up to one rounding
     at mpmath's precision."""
 
-    digits: int = 40
+    _fields = ("digits",)
+    __slots__ = ("digits", "_context")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", require_count(self.digits, 30, "digits"))
+    def __init__(self, digits: int = 40) -> None:
+        object.__setattr__(self, "digits", require_count(digits, 30, "digits"))
         # not a field: equality, hashing and repr read the digits alone
         object.__setattr__(self, "_context", Context(prec=self.digits + 2, Emax=MAX_EMAX, Emin=MIN_EMIN))
 

@@ -3,17 +3,19 @@ and its size; ROUTES[family][name](N, shifts, m, prec) are the sums, and
 CONTOUR[family] = (route, sign) is the contour form, route(N, alphas, m,
 cfg) at shifts w = exp(sign * alpha).  The split point m matters for U(N)
 only.  Every family's `schur` sum is total and confluent-safe, and it is
-the family's canonical value.  Nothing here imports numpy.
+the family's canonical value.
+
+Nothing here imports a family module or numpy: each table entry imports
+its module (`unitary`, `symplectic` or `orthogonal`) on its first call, so
+a closed form loads its family's module alone (`orthogonal` also loads
+`symplectic`, whose sums it reads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import orthogonal, symplectic, unitary
-from .errors import require_count
+from .errors import Record, require_count
 from .precision import PrecisionConfig, ops_for
 
 UNITARY = "unitary"
@@ -30,23 +32,21 @@ _ALIASES = {
 FORCED_EIGENVALUES = {UNITARY: (), SYMPLECTIC: (), SO_EVEN: (), O_MINUS: (1, -1)}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A compact group family with its size parameter N.
 
     The matrix dimension is N for the unitary family and 2N for the
     symplectic and orthogonal families.
     """
 
-    family: str
-    size: int
+    __slots__ = _fields = ("family", "size")
 
-    def __post_init__(self) -> None:
-        fam = _ALIASES.get(str(self.family).lower())
+    def __init__(self, family: str, size: int) -> None:
+        fam = _ALIASES.get(str(family).lower())
         if fam is None:
-            raise ValueError(f"unknown group family {self.family!r}")
+            raise ValueError(f"unknown group family {family!r}")
         object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "size", require_count(self.size, 1, "size"))
+        object.__setattr__(self, "size", require_count(size, 1, "size"))
 
     @property
     def matrix_dim(self) -> int:
@@ -57,33 +57,64 @@ class GroupSpec:
         return self.size - len(FORCED_EIGENVALUES[self.family]) // 2
 
 
-def _unitary(route):
-    return lambda N, shifts, m, prec: route(unitary.UnitaryQuery(N, m, shifts), prec)
+def family_module(family: str):
+    """The module of the family's routes, imported on the first call
+    (`orthogonal` imports `symplectic`, whose sums it reads)."""
+    if family == "unitary":
+        from . import unitary as module
+    elif family == "symplectic":
+        from . import symplectic as module
+    else:  # so, ominus
+        from . import orthogonal as module
+    return module
 
 
-def _self_dual(route):
-    return lambda N, shifts, m, prec: route(N, shifts, prec)
+def _on_first_call(family: str, bind: Callable) -> Callable:
+    """A table entry: its first call imports the family's module and keeps
+    bind(module), the route that this call and every later one runs."""
+    route = None
+
+    def call(*args):
+        nonlocal route
+        if route is None:
+            route = bind(family_module(family))
+        return route(*args)
+    return call
+
+
+def _unitary(name: str) -> Callable:
+    def bind(mod):
+        route, query = getattr(mod, name), mod.UnitaryQuery
+        return lambda N, shifts, m, prec: route(query(N, m, shifts), prec)
+    return _on_first_call("unitary", bind)
+
+
+def _self_dual(family: str, name: str, *head) -> Callable:
+    def bind(mod):
+        route = getattr(mod, name)
+        return lambda N, shifts, m, prec: route(*head, N, shifts, prec)
+    return _on_first_call(family, bind)
 
 
 ROUTES = {
-    "unitary": {"schur": _unitary(unitary.autocorr_schur),
-                "det": _unitary(unitary.autocorr_det),
-                "comb": _unitary(unitary.autocorr_comb)},
-    "symplectic": {"schur": _self_dual(symplectic.sp_autocorr_schur),
-                   "det": _self_dual(symplectic.sp_autocorr_det),
-                   "eps": _self_dual(symplectic.sp_autocorr_eps)},
-    "so": {"schur": _self_dual(orthogonal.so_autocorr_schur),
-           "det": _self_dual(orthogonal.so_autocorr_det),
-           "eps": _self_dual(orthogonal.so_autocorr_eps)},
-    "ominus": {"schur": _self_dual(orthogonal.ominus_autocorr_schur),
-               "det": _self_dual(orthogonal.ominus_autocorr_det),
-               "eps": _self_dual(orthogonal.ominus_autocorr_eps)},
+    "unitary": {"schur": _unitary("autocorr_schur"),
+                "det": _unitary("autocorr_det"),
+                "comb": _unitary("autocorr_comb")},
+    "symplectic": {"schur": _self_dual("symplectic", "sp_autocorr_schur"),
+                   "det": _self_dual("symplectic", "sp_autocorr_det"),
+                   "eps": _self_dual("symplectic", "sp_autocorr_eps")},
+    "so": {"schur": _self_dual("so", "so_autocorr_schur"),
+           "det": _self_dual("so", "so_autocorr_det"),
+           "eps": _self_dual("so", "so_autocorr_eps")},
+    "ominus": {"schur": _self_dual("ominus", "ominus_autocorr_schur"),
+               "det": _self_dual("ominus", "ominus_autocorr_det"),
+               "eps": _self_dual("ominus", "ominus_autocorr_eps")},
 }
 
-CONTOUR = {"unitary": (unitary.autocorr_contour, -1),
-           "symplectic": (_self_dual(symplectic.sp_autocorr_contour), -1),
-           "so": (_self_dual(partial(orthogonal.orthogonal_contour, "so")), 1),
-           "ominus": (_self_dual(partial(orthogonal.orthogonal_contour, "ominus")), 1)}
+CONTOUR = {"unitary": (_on_first_call("unitary", lambda mod: mod.autocorr_contour), -1),
+           "symplectic": (_self_dual("symplectic", "sp_autocorr_contour"), -1),
+           "so": (_self_dual("so", "orthogonal_contour", "so"), 1),
+           "ominus": (_self_dual("ominus", "orthogonal_contour", "ominus"), 1)}
 
 
 def canonical_value(family: str, N: int, shifts: Sequence[complex], m: int = 0,

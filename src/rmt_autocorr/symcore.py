@@ -24,29 +24,27 @@ per-term views of the families, by itertools; the sums do not call them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import NearConfluent, require_count
+from .errors import NearConfluent, Record, require_count
 from .precision import PrecisionConfig, ops_for, require_finite
 
 SEPARATION_RTOL = 1e-6  # relative pairwise-separation floor for bialternant-type routes
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing nonnegative integer parts with explicit length.
 
     Trailing zeros are kept: the length fixes the number of variables the
     partition will be paired with in a Schur evaluation.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(require_count(p, 0, "partition parts") for p in self.parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(require_count(p, 0, "partition parts") for p in parts)
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)

@@ -15,7 +15,6 @@ singular configurations instead of silently losing digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .contour import (
@@ -27,7 +26,7 @@ from .contour import (
     require_exp_kernel_contour,
     unitary_lemma_integral,
 )
-from .errors import PoleHit, require_count
+from .errors import PoleHit, Record, require_count
 from .precision import PrecisionConfig, ops_for, require_finite
 from .symcore import (
     Partition,
@@ -40,20 +39,17 @@ from .symcore import (
 )
 
 
-@dataclass(frozen=True)
-class UnitaryQuery:
+class UnitaryQuery(Record):
     """Shifted-moment query: size N, split point m, and the n shifts as
     given (a route reads them through its `scalar`, keeping their digits).
     ValueError for N < 1, m outside 0..n or a non-finite shift."""
 
-    N: int
-    m: int
-    shifts: tuple[complex, ...]
+    __slots__ = _fields = ("N", "m", "shifts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shifts", tuple(self.shifts))
-        object.__setattr__(self, "N", require_count(self.N, 1, "N"))
-        object.__setattr__(self, "m", require_count(self.m, 0, "m"))
+    def __init__(self, N: int, m: int, shifts: Sequence[complex]) -> None:
+        object.__setattr__(self, "shifts", tuple(shifts))
+        object.__setattr__(self, "N", require_count(N, 1, "N"))
+        object.__setattr__(self, "m", require_count(m, 0, "m"))
         if self.m > self.n:
             raise ValueError("need 0 <= m <= n")
         require_finite(self.shifts)

@@ -524,16 +524,33 @@ def test_unitary_contour_cli_near_the_negative_axis(capsys, given):
     assert abs(values[0] - values[1]) <= 1e-12 * max(1.0, abs(values[1]))
 
 
-def test_self_dual_contour_cli_near_minus_one_keeps_principal_logs(capsys):
-    # the circle encloses +-alpha around 0, and near w = -1 they lie about
-    # 2 pi apart on every branch: the principal logs, which give the
-    # smallest circle, are kept
+@pytest.mark.parametrize("group,N,shifts", [
+    ("usp", "1", "-0.5"), ("so", "1", "-0.5"), ("ominus", "1", "-0.5"),
+    ("usp", "2", "-0.9+0.01i,-0.9-0.02i"),
+], ids=["usp", "so", "ominus", "usp-near-minus-one"])
+def test_self_dual_contour_cli_reads_left_half_plane_shifts_as_minus_w(capsys, group, N, shifts):
+    # -I is in USp(2N) and SO(2N) and -U stays in O^-(2N), so M(-w) = M(w);
+    # the principal logs of these shifts are at least pi/2 from 0 and put the
+    # circle on the pole branches (they exited 3, ContourTooTight)
+    values = []
+    for method in ("contour", "schur"):
+        code, out, _ = run_cli(capsys, "compute", "--group", group, "--N", N,
+                               f"--shifts={shifts}", "--method", method)
+        assert code == 0
+        value = json.loads(out)["value"]
+        values.append(complex(value["re"], value["im"]))
+    assert abs(values[0] - values[1]) <= 1e-12 * max(1.0, abs(values[1]))
+
+
+def test_self_dual_contour_cli_refuses_shifts_in_both_half_planes(capsys):
+    # neither w nor -w puts every shift in Re > 0
     code, out, _ = run_cli(capsys, "compute", "--group", "usp", "--N", "2",
-                           "--shifts=-0.9+0.01i,-0.9-0.02i", "--method", "contour")
+                           "--shifts=-0.9+0.01i,0.9-0.02i", "--method", "contour")
     assert code == 3
     assert json.loads(out) == {"error": "ContourTooTight", "detail": (
-        "contour radius 6.365 reaches the 2 pi i-periodic pole branches; "
-        "move the enclosed points closer together")}
+        "shifts on both sides of Re w = 0: the self-dual contour reads every w or every -w "
+        "(M(-w) = M(w)), and one it reads at Re <= 0 puts the circle on the 2 pi i-periodic "
+        "pole branches")}
 
 
 def test_unitary_contour_cli(capsys):
@@ -731,3 +748,30 @@ def test_crosscheck_times_an_integration_route_without_its_imports():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert json.loads(done.stdout)["routes"]["quadrature"]["seconds"] < 0.05
+
+
+# A crosscheck whose clock records, at each reading, which modules its
+# routes run are not loaded yet
+CLOCKED_CROSSCHECK = (
+    "import json, sys, time\n"
+    "from rmt_autocorr import cli\n"
+    "clock, missing = time.perf_counter, []\n"
+    "def perf_counter():\n"
+    "    missing.append(sorted({'rmt_autocorr.symplectic', 'rmt_autocorr.haar', 'numpy'}\n"
+    "                          - set(sys.modules)))\n"
+    "    return clock()\n"
+    "time.perf_counter = perf_counter\n"
+    "code = cli.main(['crosscheck', '--group', 'usp', '--N', '4', '--shifts', '0.5,0.3',\n"
+    "                 '--routes', 'schur,eps,quadrature'])\n"
+    "print(json.dumps([code, missing]))")
+
+
+def test_crosscheck_imports_the_family_module_before_its_clock_starts():
+    # the routes table imports `symplectic` on a route's first call; a
+    # crosscheck imports it, and haar and numpy, before it times a route
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", CLOCKED_CROSSCHECK], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, missing = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and missing == [[]] * 6

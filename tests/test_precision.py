@@ -1,6 +1,5 @@
 """The precision config and the operation sets it selects."""
 
-import dataclasses
 import inspect
 import operator
 import os
@@ -18,7 +17,8 @@ from rmt_autocorr.precision import DecimalComplex, ExtendedOps, PrecisionConfig,
 
 def test_precision_config_sets_only_the_digits():
     prec = PrecisionConfig.extended(40)
-    assert [f.name for f in dataclasses.fields(prec)] == ["digits"]
+    # the digits are its only field: the decimal context is no field
+    assert prec._fields == ("digits",)
     assert (prec.mode, prec.agreement_tol, prec.is_double) == ("extended", 1e-25, False)
     with pytest.raises(AttributeError):
         prec.agreement_tol = 1e-9

@@ -9,7 +9,9 @@ The command lines are `bench_common`'s.  Each row is one command, run as
 floor), the two imports, the benchmark's cold-start `compute`, a 40-digit
 U(N) `schur`, a closed-form `crosscheck` and a `contour` route.  A row's
 time is the fastest of `LAUNCHES` launches, after one untimed launch under
-`-X importtime` that tells whether the command imports numpy (the extra).
+`-X importtime` that tells whether the command imports numpy and
+`dataclasses`, and how many of the package's modules it imports (the
+extras).
 A row's error is the relative error of the value the command printed (the
 largest over a crosscheck's routes) against the 60-digit closed form at
 the double shifts (U(N): `det`, the others: `eps`), bound 1e-12; a row
@@ -65,11 +67,15 @@ def _launch(root, args) -> tuple[float, subprocess.CompletedProcess]:
     return time.perf_counter() - start, done
 
 
-def _imports_numpy(root, args) -> int:
-    """1 when `python3 -X importtime ARGS` imports numpy, else 0."""
+def _imports(root, args) -> list[int]:
+    """[numpy, dataclasses, package modules]: whether `python3 -X importtime
+    ARGS` imports numpy and `dataclasses` (1 or 0), and how many rmt_autocorr
+    modules it imports (a `-m` module runs as __main__, and -X importtime
+    lists no module loaded by `importlib.import_module`: neither is counted)."""
     _seconds, done = _launch(root, ("-X", "importtime", *args))
-    return int(any(line.rsplit("|", 1)[-1].strip() == "numpy"
-                   for line in done.stderr.splitlines()))
+    names = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    return [int("numpy" in names), int("dataclasses" in names),
+            sum(name.split(".")[0] == "rmt_autocorr" for name in names)]
 
 
 def _error(query, stdout: str) -> float:
@@ -84,13 +90,14 @@ def _error(query, stdout: str) -> float:
 
 
 def measure(root):
-    """{row: [seconds, relative error, bound, imports numpy]} of the tree at root."""
+    """{row: [seconds, relative error, bound, numpy, dataclasses, modules]} of
+    the tree at root."""
     rows = {}
     for name, (args, query) in ROWS.items():
-        numpy = _imports_numpy(root, args)
+        imports = _imports(root, args)
         runs = [_launch(root, args) for _ in range(LAUNCHES)]
         rows[name] = [min(s for s, _done in runs), _error(query, runs[0][1].stdout), BOUND,
-                      numpy]
+                      *imports]
     return rows
 
 
@@ -100,7 +107,12 @@ if __name__ == "__main__":
                   "routes) against the 60-digit det (U(N)) or eps (USp) closed form at the "
                   "double shifts; 0 for a row that prints no value",
                   {"numpy": "1 when the command imports numpy (one launch under "
-                            "-X importtime), largest over rounds"},
+                            "-X importtime), largest over rounds",
+                   "dataclasses": "1 when the command imports dataclasses (the same "
+                                  "launch), largest over rounds",
+                   "modules": "rmt_autocorr modules the command imports (the same launch; "
+                              "a -m module runs as __main__ and is not counted), largest "
+                              "over rounds"},
                   f"fastest of {ROUNDS} alternating rounds per side; each round the "
                   f"fastest of {LAUNCHES} launches of a fresh interpreter, wall time from "
                   "the parent, after one untimed launch"))
