@@ -34,6 +34,7 @@ from .symcore import (
     enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
     enumerate_so_index_sets,  # not called here; bench/tracer.py patches this binding too
     partial_family,
+    per_size,
     schur_stable,  # not called here; bench/tracer.py patches this binding too
     so_index_families,
     vandermonde,
@@ -105,19 +106,30 @@ def subset_stats(A: Sequence[int], B: Sequence[int], shifts: Sequence[complex],
 
 def _subset_terms(w: list, num) -> Iterator[tuple]:
     """(C, D, (-1)^S Delta(C) Delta(D), w_C, [w_a w_b for a in C, b in D])
-    for every ordered subset pair of the working-precision shifts w, C read
-    off the bits of a mask from 0 to 2^m - 1; the Deltas and the cross
-    products come from one difference and one product table."""
-    m = len(w)
+    for every ordered subset pair of the working-precision shifts w, in the
+    order of `_subset_plan`; the Deltas and the cross products come from one
+    difference and one product table."""
     diff = [[wj - wi for wj in w] for wi in w]
     cross = [[wa * wb for wb in w] for wa in w]
+    for C, D, odd, within, across in _subset_plan(len(w)):
+        base = math.prod((diff[i][j] for i, j in within), start=-num.one if odd else num.one)
+        yield (C, D, base, math.prod((w[a] for a in C), start=num.one),
+               [cross[a][b] for a, b in across])
+
+
+@per_size(exponential=True)
+def _subset_plan(m: int) -> tuple:
+    """Per ordered subset pair (C, D) of range(m), C read off the bits of a
+    mask from 0 to 2^m - 1: (C, D, whether S is odd, the pairs i < j within
+    C and then within D, the cross pairs (a, b) over a in C, b in D)."""
+    out = []
     for mask in range(2 ** m):
         C = tuple(i for i in range(m) if (mask >> i) & 1)
         D = tuple(i for i in range(m) if not (mask >> i) & 1)
-        base = math.prod((diff[i][j] for part in (C, D) for i, j in combinations(part, 2)),
-                         start=-num.one if _sign_exponent(C, D)[0] % 2 else num.one)
-        yield (C, D, base, math.prod((w[a] for a in C), start=num.one),
-               [cross[a][b] for a in C for b in D])
+        out.append((C, D, _sign_exponent(C, D)[0] % 2 == 1,
+                    tuple(pair for part in (C, D) for pair in combinations(part, 2)),
+                    tuple((a, b) for a in C for b in D)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

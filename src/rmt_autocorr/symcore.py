@@ -19,11 +19,15 @@ differences x^e[w_1..w_{r+1}] and divides by nothing, so it is
 confluent-safe.  `IndexFamily.vectors` and the tuple and Partition
 generators (`enumerate_even_partitions`, `enumerate_so_index_sets`) are
 per-term views of the families, by itertools; the sums do not call them.
+What a route derives from its sizes alone (its families, splits, sign
+vectors, pairs, `_extend` plans, Schur layout) is built once per size by a
+`per_size` builder, as a tuple or record, and read by every later call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, wraps
 from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Sequence
@@ -32,6 +36,28 @@ from .errors import NearConfluent, Record, require_count
 from .precision import PrecisionConfig, ops_for, require_finite
 
 SEPARATION_RTOL = 1e-6  # relative pairwise-separation floor for bialternant-type routes
+PLAN_SIZES = 1024  # sizes each per-size memo keeps (the `exact` benchmark grid reads 408 in all)
+PLAN_MAX_K = 10    # a plan of about 2^k entries is memoized up to this k, built per call above
+PLANS: list = []   # every per-size memo, for its cache_info and cache_clear
+
+
+def per_size(exponential: bool = False):
+    """A decorator: the size-only builder memoized per argument tuple (ints,
+    bools and tuples of ints, told apart by type), `PLAN_SIZES` of them at
+    most.  With `exponential` the plan has about 2^k entries, k the first
+    argument, and is memoized only up to k = PLAN_MAX_K; above it each call
+    builds it."""
+    def memoized(builder):
+        cached = lru_cache(PLAN_SIZES, typed=True)(builder)
+        PLANS.append(cached)
+        if not exponential:
+            return cached
+
+        @wraps(builder)
+        def plan(k, *sizes):
+            return (cached if k <= PLAN_MAX_K else builder)(k, *sizes)
+        return plan
+    return memoized
 
 
 class Partition(Record):
@@ -79,19 +105,25 @@ def enumerate_split_permutations(
     tuples (left, right), m indices on the left, in lexicographic order of left."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    for left in combinations(range(n), m):
-        yield left, tuple(i for i in range(n) if i not in left)
+    yield from _splits(n, m)
 
 
-def sign_vectors(k: int) -> Iterator[tuple[int, ...]]:
+@per_size(exponential=True)
+def _splits(n: int, m: int) -> tuple:
+    return tuple((left, tuple(i for i in range(n) if i not in left))
+                 for left in combinations(range(n), m))
+
+
+@per_size(exponential=True)
+def sign_vectors(k: int) -> tuple[tuple[int, ...], ...]:
     """All 2^k vectors in {+1, -1}^k; bit j of the counter flips entry j."""
-    for mask in range(2 ** k):
-        yield tuple(1 - 2 * ((mask >> j) & 1) for j in range(k))
+    return tuple(tuple(1 - 2 * ((mask >> j) & 1) for j in range(k)) for mask in range(2 ** k))
 
 
-def index_pairs(k: int, diagonal: bool) -> list[tuple[int, int]]:
+@per_size()
+def index_pairs(k: int, diagonal: bool) -> tuple[tuple[int, int], ...]:
     """Index pairs 0 <= i <= j < k in lexicographic order; i < j without the diagonal."""
-    return [(i, j) for i in range(k) for j in range(i if diagonal else i + 1, k)]
+    return tuple((i, j) for i in range(k) for j in range(i if diagonal else i + 1, k))
 
 
 class IndexFamily(NamedTuple):
@@ -116,6 +148,7 @@ class IndexFamily(NamedTuple):
                                     for e in block) + self.tail
 
     @property
+    @per_size()
     def top(self) -> int:
         """The largest exponent a vector reads; -1 where none does."""
         if self.blocks and self.size < 1:
@@ -163,6 +196,7 @@ def partial_family(variant: str, count: int, n_max: int) -> tuple[IndexFamily, .
                         1, hi - lo - 2 * pairs + 2, (n_max,) * last),)
 
 
+@per_size()
 def so_index_families(k: int, n_param: int) -> tuple[IndexFamily, ...]:
     """Index families of the even-orthogonal determinant sum, n_param >= 1.
 
@@ -249,40 +283,67 @@ def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None =
         raise ValueError("partition length must equal the number of points")
     num = ops_for(prec)
     with num.guard():
-        pts, parts, scale = [num.scalar(p) for p in points], mu.parts, num.one
-        if all(pts) and len(parts) - parts.count(max(parts, default=0)) < mu.nonzero_count:
+        pts, scale = [num.scalar(p) for p in points], num.one
+        layout, complement = _schur_plan(mu.parts)
+        if complement and all(pts):
             for x in pts:
-                scale = scale * x ** parts[0]
-            pts, parts = [num.one / x for x in pts], tuple(parts[0] - p for p in reversed(parts))
-        ell = len(parts) - parts.count(0)
-        if ell == 0:
+                scale = scale * x ** mu.parts[0]
+            pts, layout = [num.one / x for x in pts], complement
+        degree, first, cells = layout
+        if not cells:
             return scale
         pts.sort(key=lambda x: abs(complex(x)))
-        # rows[ell - 1 - j]: h of the first n - j points
-        rows = [list(h) for h in islice(_homogeneous_rows(num, parts[0] + ell - 1, pts),
-                                        len(pts) - ell + 1, None)]
-        return scale * num.det([[rows[ell - 1 - j][d] if d >= 0 else num.zero
-                                 for j, d in enumerate(range(parts[i] - i, parts[i] - i + ell))]
-                                for i in range(ell)])
+        rows = [list(h) for h in islice(_homogeneous_rows(num, degree, pts), first, None)]
+        return scale * num.det([[rows[c[0]][c[1]] if c else num.zero for c in row]
+                                for row in cells])
 
 
-def _extend(minors: dict, column: list) -> dict:
+@per_size()
+def _schur_plan(parts: tuple[int, ...]) -> tuple:
+    """`schur_stable`'s (layout of parts, layout of the box complement where
+    it has fewer nonzero parts, else None).  A layout is (top degree of h,
+    first prefix row read, cells): cell (i, j) reads h_d, d = parts_i - i + j,
+    of the first n - j points as (ell - 1 - j, d), or None where d < 0."""
+    def layout(parts):
+        ell = len(parts) - parts.count(0)
+        return (parts[0] + ell - 1 if ell else 0, len(parts) - ell + 1,
+                tuple(tuple((ell - 1 - j, d) if d >= 0 else None
+                            for j, d in enumerate(range(parts[i] - i, parts[i] - i + ell)))
+                      for i in range(ell)))
+    flip = len(parts) - parts.count(max(parts, default=0)) < len(parts) - parts.count(0)
+    return layout(parts), layout(tuple(parts[0] - p for p in reversed(parts))) if flip else None
+
+
+def _extend(minors: list, column: list, plan: tuple) -> list:
     """The minors of the columns so far, extended by one column.
 
-    `minors[rows]` lists per v the minor on the sorted row tuple `rows`, and
-    `column[r]` the new column's entry in row r.  On one row more, the new
-    minor is the Laplace expansion along the new column: the sum over i of
-    (-1)^(c - i) column[rows[i]] minors[rows without rows[i]], c + 1 rows.
+    `minors` lists per v the minor on each c-row set, in `combinations`
+    order, and `column[r]` the new column's entry in row r.  On one row
+    more, the new minor is the Laplace expansion along the new column: the
+    sum over i of (-1)^(c - i) column[rows[i]] minors[rows without rows[i]],
+    whose terms `plan` (an entry of `_laplace_plans`) lists per row set.
     """
-    c = len(next(iter(minors)))
-    out = {}
-    for rows in combinations(range(len(column)), c + 1):
-        acc = list(map(mul, column[rows[c]], minors[rows[:c]]))
-        for i in range(c - 1, -1, -1):
-            term = map(mul, column[rows[i]], minors[rows[:i] + rows[i + 1:]])
-            acc = list(map(sub if (c - i) % 2 else add, acc, term))
-        out[rows] = acc
+    out = []
+    for (r, minor), *terms in plan:
+        acc = list(map(mul, column[r], minors[minor]))
+        for r, minor, op in terms:
+            acc = list(map(op, acc, map(mul, column[r], minors[minor])))
+        out.append(acc)
     return out
+
+
+@per_size(exponential=True)
+def _laplace_plans(n: int) -> tuple:
+    """Per c < n, the `_extend` plan from the minors on c of n rows to those
+    on c + 1: per (c + 1)-row set, in `combinations` order, the terms (row,
+    position of the minor on the other rows), i = c first, then i = c - 1
+    down to 0 with `sub` or `add` for the sign (-1)^(c - i)."""
+    sets = [{rows: at for at, rows in enumerate(combinations(range(n), c))}
+            for c in range(n + 1)]
+    return tuple(tuple(((rows[c], sets[c][rows[:c]]),)
+                       + tuple((rows[i], sets[c][rows[:i] + rows[i + 1:]],
+                                sub if (c - i) % 2 else add) for i in range(c - 1, -1, -1))
+                       for rows in sets[c + 1]) for c in range(n))
 
 
 def _exterior_sum(num, table, family: IndexFamily):
@@ -303,21 +364,21 @@ def _exterior_sum(num, table, family: IndexFamily):
         raise ValueError("the table stops below the family's largest exponent")
     if family.blocks and family.size < 1:
         return num.zero
-    minors = {(): [num.one]}
+    minors, plans = [[num.one]], iter(_laplace_plans(len(table)))
     for e in family.head:
-        minors = _extend(minors, [[row[e]] for row in table])
+        minors = _extend(minors, [[row[e]] for row in table], next(plans))
     if family.blocks:
         n, step = family.size, family.step
-        minors = {rows: m * n for rows, m in minors.items()}
+        minors = [m * n for m in minors]
         for c, block in enumerate(family.blocks):
             if c:
-                minors = {rows: list(accumulate(m)) for rows, m in minors.items()}
+                minors = [list(accumulate(m)) for m in minors]
             for e in block:
-                minors = _extend(minors, [row[e:e + step * n:step] for row in table])
-        minors = {rows: [num.fsum(m)] for rows, m in minors.items()}
+                minors = _extend(minors, [row[e:e + step * n:step] for row in table], next(plans))
+        minors = [[num.fsum(m)] for m in minors]
     for e in family.tail:
-        minors = _extend(minors, [[row[e]] for row in table])
-    return minors[tuple(range(len(table)))][0]
+        minors = _extend(minors, [[row[e]] for row in table], next(plans))
+    return minors[0][0]
 
 
 def bialternant_sum(shifts: Sequence, families: Sequence[IndexFamily],

@@ -38,6 +38,7 @@ from .symcore import (
     divided_difference_sum,
     enumerate_even_partitions,  # not called here; bench/tracer.py patches this binding too
     index_pairs,
+    per_size,
     schur_stable,  # not called here; bench/tracer.py patches this binding too
     sign_vectors as _epsilon_vectors,
 )
@@ -45,6 +46,7 @@ from .symcore import (
 EPS_DENOM_FLOOR = 1e-6  # below this the 2^k closed form has lost too much
 
 
+@per_size()
 def parity_family(k: int, top: int) -> IndexFamily:
     """Strictly increasing (i_1..i_k) in {0..top} with i_j == j-1 mod 2:
     i_j = j - 1 + 2 b_j over weakly increasing b, k one-column blocks."""
@@ -76,26 +78,35 @@ def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
                             prec)
 
 
-def _pair_table(pairs: Sequence[tuple[int, int]], value) -> dict:
-    """{(i, j, a, b): value(i, j, a, b)} over the pairs and signs a, b = +-1,
-    with a = b on the diagonal: the pair factors a sign-vector sum reads."""
-    return {(i, j, a, b): value(i, j, a, b)
-            for i, j in pairs for a in (1, -1) for b in ((1, -1) if i < j else (a,))}
+@per_size(exponential=True)
+def _sign_plan(k: int, diagonal: bool) -> tuple:
+    """(keys, terms) of the 2^k-term sign-vector sum over `index_pairs(k,
+    diagonal)`.  `keys` lists the pair factors' (i, j, a, b), signs a, b =
+    +-1 with a = b on the diagonal; per eps, `terms` has (prod eps_j < 0,
+    the positions 2 j + (eps_j < 0) of its powers, the positions in `keys`
+    of its pair factors)."""
+    pairs = index_pairs(k, diagonal)
+    keys = tuple((i, j, a, b) for i, j in pairs for a in (1, -1)
+                 for b in ((1, -1) if i < j else (a,)))
+    at = {key: n for n, key in enumerate(keys)}
+    return keys, tuple((math.prod(eps) < 0, tuple(2 * j + (e < 0) for j, e in enumerate(eps)),
+                        tuple(at[i, j, eps[i], eps[j]] for i, j in pairs))
+                       for eps in _epsilon_vectors(k))
 
 
-def _sign_vector_sum(num, k: int, pairs, powers: dict, divisors: dict, signed: bool = False):
-    """The 2^k-term sign-vector sum: the term of eps is prod_j powers[j, eps_j]
-    over the product of divisors[i, j, eps_i, eps_j] on the pairs, times
-    prod eps_j when signed."""
-    terms = []
-    for eps in _epsilon_vectors(k):
-        t = -num.one if signed and math.prod(eps) < 0 else num.one
-        for j in range(k):
-            t = t * powers[j, eps[j]]
-        for i, j in pairs:
-            t = t / divisors[i, j, eps[i], eps[j]]
-        terms.append(t)
-    return num.fsum(terms)
+def _sign_vector_sum(num, terms: tuple, powers: list, divisors: list, signed: bool = False):
+    """The sign-vector sum over `_sign_plan`'s terms: the term of eps is the
+    product of its powers over the product of its pair factors (`divisors`
+    in the order of the plan's keys), times prod eps_j when signed."""
+    out = []
+    for negative, power_at, divisor_at in terms:
+        t = -num.one if signed and negative else num.one
+        for p in power_at:
+            t = t * powers[p]
+        for d in divisor_at:
+            t = t / divisors[d]
+        out.append(t)
+    return num.fsum(out)
 
 
 def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None,
@@ -111,20 +122,19 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     """
     N = _require_size(N, diagonal)
     require_finite(shifts)
-    k = len(shifts)
-    pairs = index_pairs(k, diagonal)
+    keys, terms = _sign_plan(len(shifts), diagonal)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
         if any(w == 0 for w in ws):
             raise PoleHit("sign-vector route needs nonzero shifts")
-        divisors = _pair_table(pairs, lambda i, j, a, b: num.one - ws[i] ** (-a) * ws[j] ** (-b))
-        if any(abs(complex(d)) < EPS_DENOM_FLOOR for d in divisors.values()):
+        divisors = [num.one - ws[i] ** (-a) * ws[j] ** (-b) for i, j, a, b in keys]
+        if any(abs(complex(d)) < EPS_DENOM_FLOOR for d in divisors):
             raise PoleHit("reflection-sum denominator vanishes; use the Schur route")
-        powers = {(j, e): w ** (e * N) for j, w in enumerate(ws) for e in (1, -1)}
-        total = _sign_vector_sum(num, k, pairs, powers, divisors, signed)
-        for j in range(k):
-            total = total * powers[j, 1]
+        powers = [w ** (e * N) for w in ws for e in (1, -1)]
+        total = _sign_vector_sum(num, terms, powers, divisors, signed)
+        for p in powers[::2]:
+            total = total * p
         return total
 
 
@@ -196,25 +206,24 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     """
     N = require_count(N, 1, "N")
     k = len(b)
-    pairs = index_pairs(k, diagonal=True)
+    keys, terms = _sign_plan(k, True)
     num = ops_for(prec)
     with num.guard():
         bs = [num.scalar(x) for x in b]
         if any(x == 0 for x in bs):
             raise PoleHit("scaling ratio needs nonzero b")
         scale = max((abs(x) for x in bs), default=0.0)   # no shifts: both sums are 1
-        xs = _pair_table(pairs, lambda i, j, a, c: a * bs[i] + c * bs[j])
-        if any(abs(x) < 1e-12 * scale for x in xs.values()):
+        xs = [a * bs[i] + c * bs[j] for i, j, a, c in keys]
+        if any(abs(x) < 1e-12 * scale for x in xs):
             raise PoleHit("eps_i b_i + eps_j b_j vanishes")
-        divisors = {key: -num.expm1(-x / N) for key, x in xs.items()}
-        if any(abs(d) < 1e-12 * abs(xs[key] / N) for key, d in divisors.items()):
+        divisors = [-num.expm1(-x / N) for x in xs]
+        if any(abs(d) < 1e-12 * abs(x / N) for d, x in zip(divisors, xs)):
             raise PoleHit("1 - exp(-(eps_i b_i + eps_j b_j) / N) vanishes")
-        powers = {(j, e): num.exp(e * x) for j, x in enumerate(bs) for e in (1, -1)}
-        exact = _sign_vector_sum(num, k, pairs, powers, divisors)
-        asym = _sign_vector_sum(num, k, pairs, powers, xs)
+        powers = [num.exp(e * x) for x in bs for e in (1, -1)]
+        exact = _sign_vector_sum(num, terms, powers, divisors)
+        asym = _sign_vector_sum(num, terms, powers, xs)
         # sum |term| of the asymptotic sum: the same sum over the moduli
-        size = _sign_vector_sum(num, k, pairs, {key: abs(p) for key, p in powers.items()},
-                                {key: abs(x) for key, x in xs.items()})
+        size = _sign_vector_sum(num, terms, [abs(p) for p in powers], [abs(x) for x in xs])
         if abs(asym) < 1e-12 * abs(size):
             raise PoleHit("the asymptotic sign-vector sum cancels")
         # the common e^{sum b} prefactors cancel in the ratio

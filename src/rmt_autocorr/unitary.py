@@ -32,6 +32,7 @@ from .symcore import (
     Partition,
     enumerate_split_permutations,
     min_separation,
+    per_size,
     require_separated,
     schur_stable,
     separation_threshold,
@@ -61,7 +62,12 @@ class UnitaryQuery(Record):
 
 def rectangle_partition(query: UnitaryQuery) -> Partition:
     """(N, ..., N) with n - m parts, zero-padded to length n."""
-    return Partition((query.N,) * (query.n - query.m) + (0,) * query.m)
+    return _rectangle(query.N, query.n, query.m)
+
+
+@per_size()
+def _rectangle(N: int, n: int, m: int) -> Partition:
+    return Partition((N,) * (n - m) + (0,) * m)
 
 
 def autocorr_schur(query: UnitaryQuery, prec: PrecisionConfig | None = None):

@@ -90,15 +90,27 @@ def test_a_b_run_folds_each_side_and_records_a_failing_before(tmp_path):
     assert report["accuracy"] == "fake error" and report["extra"] == "a fake extra"
     assert "speedup inside either side's spread is unresolved" in report["spread"]
     a, b = report["rows"]
+    # spread: rounds of 2..6 ms have inclusive quartiles 3 and 5 ms
     assert a == {"row": "a", "bound": 1e-12,
-                 "before_ms": 2.0, "before_spread": 3.0, "before_err": 5e-11,
-                 "before_extra": 10, "after_ms": 0.5, "after_spread": 3.0,
+                 "before_ms": 2.0, "before_spread": 1.67, "before_err": 5e-11,
+                 "before_extra": 10, "after_ms": 0.5, "after_spread": 1.67,
                  "after_err": 2e-13, "after_extra": 4, "speedup": 4.0}
     assert b["row"] == "b" and math.isnan(b["before_err"]) and b["after_err"] == 0.0
     assert (b["before_ms"], b["after_ms"], b["speedup"]) == (2.0, 1.0, 2.0)
     for root in (before_root, after_root):
         with open(os.path.join(root, "calls")) as f:
             assert int(f.read()) == len(seconds)
+
+
+def test_one_slow_round_does_not_set_the_spread():
+    sys.path.insert(0, TOOLS)
+    try:
+        from bench_common import fold
+    finally:
+        sys.path.remove(TOOLS)
+    rounds = [{"a": [s, 0.0, 1e-12]} for s in (1.0, 1.1, 1.0, 1.2, 9.0)]
+    row, = fold({"before": rounds, "after": rounds})
+    assert (row["before_ms"], row["before_spread"], row["after_spread"]) == (1000.0, 1.2, 1.2)
 
 
 def test_a_b_run_stops_on_a_side_that_crashes(tmp_path):

@@ -10,8 +10,8 @@ floor), the two imports, the benchmark's cold-start `compute`, a 40-digit
 U(N) `schur`, a closed-form `crosscheck` and a `contour` route.  A row's
 time is the fastest of `LAUNCHES` launches, after one untimed launch under
 `-X importtime` that tells whether the command imports numpy and
-`dataclasses`, and how many of the package's modules it imports (the
-extras).
+`dataclasses`, and how many of the package's modules are in its
+`sys.modules` when it exits (the extras).
 A row's error is the relative error of the value the command printed (the
 largest over a crosscheck's routes) against the 60-digit closed form at
 the double shifts (U(N): `det`, the others: `eps`), bound 1e-12; a row
@@ -67,15 +67,39 @@ def _launch(root, args) -> tuple[float, subprocess.CompletedProcess]:
     return time.perf_counter() - start, done
 
 
+# `python3 -c REPORTING ARGS` runs `ARGS` (`-c CODE` or `-m MODULE ...`) as
+# python3 would, and at exit writes "modules" and the rmt_autocorr modules
+# of its sys.modules to stderr
+REPORTING = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("modules", *sorted(
+    name for name in sys.modules if name.partition(".")[0] == "rmt_autocorr"), file=sys.stderr))
+flag, target, *sys.argv[1:] = sys.argv[1:]
+if flag == "-m":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
+def _loaded(root, args) -> tuple[list[str], list[str]]:
+    """(the modules `python3 -X importtime ARGS` lists, the rmt_autocorr
+    modules in its sys.modules at exit), from one launch.  The second
+    counts a module loaded by `importlib.import_module` too, which -X
+    importtime does not list; a `-m` module runs as __main__ and is in
+    neither."""
+    _seconds, done = _launch(root, ("-X", "importtime", "-c", REPORTING, *args))
+    lines = done.stderr.splitlines()
+    return ([line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")],
+            next(line.split()[1:] for line in reversed(lines) if line.startswith("modules")))
+
+
 def _imports(root, args) -> list[int]:
-    """[numpy, dataclasses, package modules]: whether `python3 -X importtime
-    ARGS` imports numpy and `dataclasses` (1 or 0), and how many rmt_autocorr
-    modules it imports (a `-m` module runs as __main__, and -X importtime
-    lists no module loaded by `importlib.import_module`: neither is counted)."""
-    _seconds, done = _launch(root, ("-X", "importtime", *args))
-    names = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
-    return [int("numpy" in names), int("dataclasses" in names),
-            sum(name.split(".")[0] == "rmt_autocorr" for name in names)]
+    """[numpy, dataclasses, package modules]: whether the command imports
+    numpy and `dataclasses` (1 or 0), and how many rmt_autocorr modules it
+    loads (`_loaded`)."""
+    imported, package = _loaded(root, args)
+    return [int("numpy" in imported), int("dataclasses" in imported), len(package)]
 
 
 def _error(query, stdout: str) -> float:
@@ -110,9 +134,9 @@ if __name__ == "__main__":
                             "-X importtime), largest over rounds",
                    "dataclasses": "1 when the command imports dataclasses (the same "
                                   "launch), largest over rounds",
-                   "modules": "rmt_autocorr modules the command imports (the same launch; "
-                              "a -m module runs as __main__ and is not counted), largest "
-                              "over rounds"},
+                   "modules": "rmt_autocorr modules in the command's sys.modules at exit "
+                              "(the same launch; a -m module runs as __main__ and is not "
+                              "counted), largest over rounds"},
                   f"fastest of {ROUNDS} alternating rounds per side; each round the "
                   f"fastest of {LAUNCHES} launches of a fresh interpreter, wall time from "
                   "the parent, after one untimed launch"))

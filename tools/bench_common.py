@@ -8,10 +8,10 @@ under its `__main__` check.  Then
 
 runs `--measure` on each source checkout in a process of its own, the two
 sides alternating for `ROUNDS` rounds, and prints one row per name: each
-side's fastest time, its spread (slowest round over fastest), largest
-error and largest extras over the rounds, the bound, and the speedup.  A
-side whose rows break their bound is still recorded, so a BEFORE tree that
-was wrong shows as wrong.
+side's fastest time, its spread (the upper quartile of its rounds' times
+over the lower), largest error and largest extras over the rounds, the
+bound, and the speedup.  A side whose rows break their bound is still
+recorded, so a BEFORE tree that was wrong shows as wrong.
 
     python3 tools/bench_X.py --measure ROOT
 
@@ -27,6 +27,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -96,16 +97,18 @@ def _largest(values):
 
 
 def fold(runs: dict, extras=()) -> list:
-    """One row per name: the bound, each side's fastest ms, spread (its slowest
-    round's time over its fastest), largest error and largest of each named
-    extra over its rounds, and before_ms / after_ms."""
+    """One row per name: the bound, each side's fastest ms, spread (the upper
+    quartile of its rounds' times over the lower, so that one slow round
+    does not set it), largest error and largest of each named extra over
+    its rounds, and before_ms / after_ms."""
     rows = []
     for name, (_seconds, _error, bound, *_x) in runs["after"][0].items():
         row = {"row": name, "bound": bound}
         for side, measured in runs.items():
             times = [m[name][0] for m in measured]
             row[f"{side}_ms"] = round(1e3 * min(times), 4)
-            row[f"{side}_spread"] = round(max(times) / min(times), 2)
+            lower, _median, upper = statistics.quantiles(times, n=4, method="inclusive")
+            row[f"{side}_spread"] = round(upper / lower, 2)
             row[f"{side}_err"] = _largest(m[name][1] for m in measured)
             for i, extra in enumerate(extras, 3):
                 row[f"{side}_{extra}"] = _largest(m[name][i] for m in measured)
@@ -146,8 +149,9 @@ def main(script, measure, accuracy: str, extras: dict | None = None,
         "time": timing or f"fastest of {ROUNDS} alternating rounds per side; each round "
                           "the fastest of the first call and 50 more (first call under "
                           "10 ms), 10 more (under 0.1 s) or none",
-        "spread": "a side's slowest round's time over its fastest; a speedup inside "
-                  "either side's spread is unresolved",
+        "spread": "the upper quartile of a side's round times over the lower "
+                  "(inclusive quartiles); a speedup inside either side's spread is "
+                  "unresolved",
         "accuracy": accuracy, **extras,
         "rows": fold(alternate(script, before, after), extras)}, indent=1))
     return 0
