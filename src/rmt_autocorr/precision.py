@@ -6,10 +6,17 @@ complex numbers (the default) or on `DecimalComplex` scalars, pairs of
 (the C `decimal` module, libmpdec).  A :class:`PrecisionConfig` (None for
 doubles) travels with every call, and is itself the extended operation
 set: ``ops_for(prec)`` returns it, or `DoubleOps` for None; each has
-`guard`, `scalar`, `one`, `zero`, `exp`, `expm1`, `fsum`, `det` and the
-cross-check tolerance `agreement_tol`.  Code written against the operation
-set is precision-agnostic, and a shift's value enters it through the set's
-`scalar` alone (exactly, when extended).
+`guard`, `scalar`, `one`, `zero`, `exp`, `expm1`, `fsum`, `det`,
+`products`, `power_table`, `quotient_sum` and the cross-check tolerance
+`agreement_tol`.  Code written against the operation set is
+precision-agnostic, and a shift's value enters it through the set's
+`scalar` alone (exactly, when extended).  The two sets differ in their
+operations only where the extended one saves decimal work: its `products`
+forms no product with the `one` or `zero` object, its `power_table` shares
+binary powering's squares, and its `quotient_sum` divides each term once,
+by the product of its divisors.  The double forms are the plain loops,
+operation for operation, so every double result, and the verdict of a
+route that cancels, is bit-identical to theirs.
 
 An extended result is a `DecimalComplex` whose parts were rounded by the
 decimal context current when they were computed; the routes compute
@@ -31,8 +38,8 @@ import contextlib
 import math
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
-from functools import total_ordering
-from operator import attrgetter
+from functools import reduce, total_ordering
+from operator import attrgetter, mul
 
 from .errors import Record, require_count
 
@@ -55,12 +62,15 @@ def _generic_det(rows, absfn):
             a[p], a[c] = a[c], a[p]
             sign = -sign
         piv = a[c][c]
-        det = det * piv
+        det = det * piv if c else piv
         for r in range(c + 1, n):
             f = a[r][c] / piv
             for cc in range(c + 1, n):
                 a[r][cc] = a[r][cc] - f * a[c][cc]
     return det if sign > 0 else -det
+
+
+_NO_CONTEXT = contextlib.nullcontext()   # reusable: it holds no state
 
 
 class DoubleOps:
@@ -70,11 +80,9 @@ class DoubleOps:
 
     @staticmethod
     def guard():
-        return contextlib.nullcontext()
+        return _NO_CONTEXT
 
-    @staticmethod
-    def scalar(z) -> complex:
-        return complex(z)
+    scalar = staticmethod(complex)
 
     one = 1.0 + 0.0j
     zero = 0.0 + 0.0j
@@ -104,6 +112,31 @@ class DoubleOps:
     @classmethod
     def det(cls, rows):
         return _generic_det([[complex(x) for x in r] for r in rows], abs)
+
+    @staticmethod
+    def products(xs, ys):
+        """The pairwise products x * y of two sequences, as an iterator."""
+        return map(mul, xs, ys)
+
+    @staticmethod
+    def power_table(w, top: int) -> list:
+        """[w ** 0, ..., w ** top], each by Python's complex power."""
+        return [w ** e for e in range(top + 1)]
+
+    @classmethod
+    def quotient_sum(cls, terms, numerators, divisors, signed: bool = False):
+        """The sum over `terms` (negative, numerator positions, divisor
+        positions) of the product of the numerators divided by each divisor
+        in turn, negated where `signed` and negative."""
+        out, one = [], cls.one
+        for negative, num_at, div_at in terms:
+            t = -one if signed and negative else one
+            for p in num_at:
+                t = t * numerators[p]
+            for d in div_at:
+                t = t / divisors[d]
+            out.append(t)
+        return cls.fsum(out)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +234,33 @@ class DecimalComplex:
         return NotImplemented if o is None else o / self
 
     def __pow__(self, e):
-        """z ** e for an integer e by binary powering; z ** 0 is 1, and a
-        negative e is the reciprocal of z ** -e (ZeroDivisionError at 0)."""
+        """z ** e for an integer e by binary powering from z itself: z ** 0
+        is 1, z ** 1 is +z, and a negative e is the reciprocal of z ** -e
+        (ZeroDivisionError at 0)."""
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             return _ONE / self ** -e
-        out, base = _ONE, self
-        while e:
+        if not e:
+            return _ONE
+        base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = +base
+        while e > 1:
+            e >>= 1
+            base = base * base
             if e & 1:
                 out = out * base
-            e >>= 1
-            if e:
-                base = base * base
         return out
 
     def __neg__(self):
         return DecimalComplex(-self._re, -self._im)
+
+    def __pos__(self):
+        """z rounded in the current context."""
+        return DecimalComplex(+self._re, +self._im)
 
     def __abs__(self):
         a, b = self._re, self._im
@@ -400,6 +443,36 @@ class PrecisionConfig(Record):
         # pivots by |z|^2, which orders the entries as |z| does without a sqrt
         return _generic_det([[_to_scalar(x) for x in r] for r in rows],
                             lambda z: z._re * z._re + z._im * z._im)
+
+    def products(self, xs, ys):
+        """The pairwise products x * y of two sequences, as a list; a factor
+        that is the `one` object gives the other factor and one that is the
+        `zero` object gives `zero`, without a decimal product."""
+        one, zero = self.one, self.zero
+        return [zero if x is zero or y is zero else y if x is one else x if y is one else x * y
+                for x, y in zip(xs, ys)]
+
+    def power_table(self, w, top: int) -> list:
+        """[w ** 0, ..., w ** top] with one product per entry: w ** e is
+        w ** (e - b) times the square w ** b, b the highest bit of e, which
+        is binary powering's last product, so each entry equals w ** e."""
+        table, square, bit = [self.one, +w], w, 1
+        for e in range(2, top + 1):
+            if e == 2 * bit:
+                square, bit = square * square, e
+            table.append(square if e == bit else table[e - bit] * square)
+        return table[:top + 1]
+
+    def quotient_sum(self, terms, numerators, divisors, signed: bool = False):
+        """`DoubleOps.quotient_sum` with one division per term: the product
+        of its numerators, from the first, over the product of its divisors."""
+        out = []
+        for negative, num_at, div_at in terms:
+            t = reduce(mul, [numerators[p] for p in num_at]) if num_at else self.one
+            if div_at:
+                t = t / reduce(mul, [divisors[d] for d in div_at])
+            out.append(-t if signed and negative else t)
+        return self.fsum(out)
 
 
 # bench/tracer.py patches `det` and `fsum` on the extended set under this name.

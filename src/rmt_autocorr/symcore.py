@@ -27,7 +27,7 @@ vectors, pairs, `_extend` plans, Schur layout) is built once per size by a
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Sequence
@@ -225,7 +225,7 @@ def min_separation(points: Sequence[complex]) -> float:
 
 
 def separation_threshold(points: Sequence[complex]) -> float:
-    scale = max((abs(complex(p)) for p in points), default=0.0)
+    scale = max(map(abs, map(complex, points)), default=0.0)
     return SEPARATION_RTOL * max(scale, 1.0)
 
 
@@ -240,11 +240,8 @@ def vandermonde(points: Sequence, prec: PrecisionConfig | None = None):
     num = ops_for(prec)
     with num.guard():
         pts = [num.scalar(p) for p in points]
-        out = num.one
-        for j in range(len(pts)):
-            for k in range(j + 1, len(pts)):
-                out *= pts[k] - pts[j]
-        return out
+        diffs = [pts[k] - pts[j] for j in range(len(pts)) for k in range(j + 1, len(pts))]
+        return reduce(mul, diffs) if diffs else num.one
 
 
 def _homogeneous_rows(num, max_degree: int, points: Sequence) -> Iterator[list]:
@@ -254,7 +251,9 @@ def _homogeneous_rows(num, max_degree: int, points: Sequence) -> Iterator[list]:
     h = [num.one] + [num.zero] * max_degree
     yield h
     for x in map(num.scalar, points):
-        for k in range(1, max_degree + 1):
+        if max_degree:
+            h[1] = h[1] + +x   # x h_0 with h_0 = 1: x rounded, as the product is
+        for k in range(2, max_degree + 1):
             h[k] = h[k] + x * h[k - 1]
         yield h
 
@@ -283,19 +282,18 @@ def schur_stable(mu: Partition, points: Sequence, prec: PrecisionConfig | None =
         raise ValueError("partition length must equal the number of points")
     num = ops_for(prec)
     with num.guard():
-        pts, scale = [num.scalar(p) for p in points], num.one
+        pts = [num.scalar(p) for p in points]
         layout, complement = _schur_plan(mu.parts)
-        if complement and all(pts):
-            for x in pts:
-                scale = scale * x ** mu.parts[0]
+        factors = [x ** mu.parts[0] for x in pts] if complement and all(pts) else []
+        if factors:
             pts, layout = [num.one / x for x in pts], complement
         degree, first, cells = layout
-        if not cells:
-            return scale
-        pts.sort(key=lambda x: abs(complex(x)))
-        rows = [list(h) for h in islice(_homogeneous_rows(num, degree, pts), first, None)]
-        return scale * num.det([[rows[c[0]][c[1]] if c else num.zero for c in row]
-                                for row in cells])
+        if cells:
+            pts.sort(key=lambda x: abs(complex(x)))
+            rows = [list(h) for h in islice(_homogeneous_rows(num, degree, pts), first, None)]
+            factors.append(num.det([[rows[c[0]][c[1]] if c else num.zero for c in row]
+                                    for row in cells]))
+        return reduce(mul, factors) if factors else num.one
 
 
 @per_size()
@@ -314,36 +312,40 @@ def _schur_plan(parts: tuple[int, ...]) -> tuple:
     return layout(parts), layout(tuple(parts[0] - p for p in reversed(parts))) if flip else None
 
 
-def _extend(minors: list, column: list, plan: tuple) -> list:
+def _extend(num, minors, column: list, plans) -> list:
     """The minors of the columns so far, extended by one column.
 
     `minors` lists per v the minor on each c-row set, in `combinations`
     order, and `column[r]` the new column's entry in row r.  On one row
     more, the new minor is the Laplace expansion along the new column: the
     sum over i of (-1)^(c - i) column[rows[i]] minors[rows without rows[i]],
-    whose terms `plan` (an entry of `_laplace_plans`) lists per row set.
+    whose terms the next plan of `plans` (from `_laplace_plans`) lists per
+    row set.  With no columns so far (minors None) the column is its own
+    minors, one row each, and no plan is read.
     """
+    if minors is None:
+        return column
     out = []
-    for (r, minor), *terms in plan:
-        acc = list(map(mul, column[r], minors[minor]))
+    for (r, minor), *terms in next(plans):
+        acc = num.products(column[r], minors[minor])
         for r, minor, op in terms:
-            acc = list(map(op, acc, map(mul, column[r], minors[minor])))
-        out.append(acc)
+            acc = map(op, acc, num.products(column[r], minors[minor]))
+        out.append(list(acc))
     return out
 
 
 @per_size(exponential=True)
 def _laplace_plans(n: int) -> tuple:
-    """Per c < n, the `_extend` plan from the minors on c of n rows to those
-    on c + 1: per (c + 1)-row set, in `combinations` order, the terms (row,
-    position of the minor on the other rows), i = c first, then i = c - 1
-    down to 0 with `sub` or `add` for the sign (-1)^(c - i)."""
+    """Per 0 < c < n, the `_extend` plan from the minors on c of n rows to
+    those on c + 1: per (c + 1)-row set, in `combinations` order, the terms
+    (row, position of the minor on the other rows), i = c first, then
+    i = c - 1 down to 0 with `sub` or `add` for the sign (-1)^(c - i)."""
     sets = [{rows: at for at, rows in enumerate(combinations(range(n), c))}
             for c in range(n + 1)]
     return tuple(tuple(((rows[c], sets[c][rows[:c]]),)
                        + tuple((rows[i], sets[c][rows[:i] + rows[i + 1:]],
                                 sub if (c - i) % 2 else add) for i in range(c - 1, -1, -1))
-                       for rows in sets[c + 1]) for c in range(n))
+                       for rows in sets[c + 1]) for c in range(1, n))
 
 
 def _exterior_sum(num, table, family: IndexFamily):
@@ -353,10 +355,14 @@ def _exterior_sum(num, table, family: IndexFamily):
     v_1 <= ... <= v_c of the minors of the first blocks' columns is carried
     as one list over v_c per row set: before each block after the first,
     the lists are summed up to v (v_(c-1) <= v_c), and each column of the
-    block extends them by `_extend`.  Pinned columns extend lists of one
-    value.  A family of c one-column blocks over `size` values of v takes
-    about size * c * 2^(c-1) products.  Raises ValueError unless a vector
-    has one column per table row and the table reaches the family's top.
+    block extends them by `_extend`.  The first column is itself the
+    minors on one row, and pinned columns extend lists of one value.  A
+    family of c one-column blocks over `size` values of v takes about
+    size * c * 2^(c-1) products; at extended precision none of them has a
+    factor that is the op set's `one` or `zero` object (`products`), as
+    the power table's w^0 and the divided-difference rows' leading zeros
+    and unit entry are.  Raises ValueError unless a vector has one column
+    per table row and the table reaches the family's top.
     """
     if len(family.head) + sum(map(len, family.blocks)) + len(family.tail) != len(table):
         raise ValueError("a vector must have one column per table row")
@@ -364,21 +370,22 @@ def _exterior_sum(num, table, family: IndexFamily):
         raise ValueError("the table stops below the family's largest exponent")
     if family.blocks and family.size < 1:
         return num.zero
-    minors, plans = [[num.one]], iter(_laplace_plans(len(table)))
+    minors, plans = None, iter(_laplace_plans(len(table)))
     for e in family.head:
-        minors = _extend(minors, [[row[e]] for row in table], next(plans))
+        minors = _extend(num, minors, [[row[e]] for row in table], plans)
     if family.blocks:
         n, step = family.size, family.step
-        minors = [m * n for m in minors]
+        if minors is not None:
+            minors = [m * n for m in minors]
         for c, block in enumerate(family.blocks):
             if c:
                 minors = [list(accumulate(m)) for m in minors]
             for e in block:
-                minors = _extend(minors, [row[e:e + step * n:step] for row in table], next(plans))
+                minors = _extend(num, minors, [row[e:e + step * n:step] for row in table], plans)
         minors = [[num.fsum(m)] for m in minors]
     for e in family.tail:
-        minors = _extend(minors, [[row[e]] for row in table], next(plans))
-    return minors[0][0]
+        minors = _extend(num, minors, [[row[e]] for row in table], plans)
+    return num.one if minors is None else minors[0][0]
 
 
 def bialternant_sum(shifts: Sequence, families: Sequence[IndexFamily],
@@ -397,7 +404,7 @@ def bialternant_sum(shifts: Sequence, families: Sequence[IndexFamily],
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
         top = max((family.top for family in families), default=-1)
-        table = [[w ** e for e in range(top + 1)] for w in ws]
+        table = [num.power_table(w, top) for w in ws]
         return (num.fsum(_exterior_sum(num, table, family) for family in families)
                 / vandermonde(ws, prec))
 

@@ -80,33 +80,23 @@ def sp_autocorr_schur(N: int, shifts: Sequence[complex], prec: PrecisionConfig |
 
 @per_size(exponential=True)
 def _sign_plan(k: int, diagonal: bool) -> tuple:
-    """(keys, terms) of the 2^k-term sign-vector sum over `index_pairs(k,
-    diagonal)`.  `keys` lists the pair factors' (i, j, a, b), signs a, b =
-    +-1 with a = b on the diagonal; per eps, `terms` has (prod eps_j < 0,
-    the positions 2 j + (eps_j < 0) of its powers, the positions in `keys`
-    of its pair factors)."""
+    """(keys, inverses, terms) of the 2^k-term sign-vector sum over
+    `index_pairs(k, diagonal)`.  `keys` lists the pair factors' (i, j, a, b),
+    signs a, b = +-1 with a = b on the diagonal, and `inverses` their
+    positions (2 i + (a < 0), 2 j + (b < 0)) of w_i^(-a) and w_j^(-b) in a
+    list laid out as the powers; per eps, `terms` has (prod eps_j < 0, the
+    positions 2 j + (eps_j < 0) of its powers, the positions in `keys` of
+    its pair factors): the term of eps is the product of its powers over
+    the product of its pair factors, times prod eps_j when signed, and the
+    op set's `quotient_sum` adds them up."""
     pairs = index_pairs(k, diagonal)
     keys = tuple((i, j, a, b) for i, j in pairs for a in (1, -1)
                  for b in ((1, -1) if i < j else (a,)))
     at = {key: n for n, key in enumerate(keys)}
-    return keys, tuple((math.prod(eps) < 0, tuple(2 * j + (e < 0) for j, e in enumerate(eps)),
-                        tuple(at[i, j, eps[i], eps[j]] for i, j in pairs))
-                       for eps in _epsilon_vectors(k))
-
-
-def _sign_vector_sum(num, terms: tuple, powers: list, divisors: list, signed: bool = False):
-    """The sign-vector sum over `_sign_plan`'s terms: the term of eps is the
-    product of its powers over the product of its pair factors (`divisors`
-    in the order of the plan's keys), times prod eps_j when signed."""
-    out = []
-    for negative, power_at, divisor_at in terms:
-        t = -num.one if signed and negative else num.one
-        for p in power_at:
-            t = t * powers[p]
-        for d in divisor_at:
-            t = t / divisors[d]
-        out.append(t)
-    return num.fsum(out)
+    return (keys, tuple((2 * i + (a < 0), 2 * j + (b < 0)) for i, j, a, b in keys),
+            tuple((math.prod(eps) < 0, tuple(2 * j + (e < 0) for j, e in enumerate(eps)),
+                   tuple(at[i, j, eps[i], eps[j]] for i, j in pairs))
+                  for eps in _epsilon_vectors(k)))
 
 
 def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | None,
@@ -122,17 +112,18 @@ def reflection_sum(N: int, shifts: Sequence[complex], prec: PrecisionConfig | No
     """
     N = _require_size(N, diagonal)
     require_finite(shifts)
-    keys, terms = _sign_plan(len(shifts), diagonal)
+    _keys, inverses, terms = _sign_plan(len(shifts), diagonal)
     num = ops_for(prec)
     with num.guard():
         ws = [num.scalar(w) for w in shifts]
-        if any(w == 0 for w in ws):
+        if 0 in ws:
             raise PoleHit("sign-vector route needs nonzero shifts")
-        divisors = [num.one - ws[i] ** (-a) * ws[j] ** (-b) for i, j, a, b in keys]
+        inverse = [w ** -e for w in ws for e in (1, -1)] if inverses else []
+        divisors = [num.one - inverse[p] * inverse[q] for p, q in inverses]
         if any(abs(complex(d)) < EPS_DENOM_FLOOR for d in divisors):
             raise PoleHit("reflection-sum denominator vanishes; use the Schur route")
         powers = [w ** (e * N) for w in ws for e in (1, -1)]
-        total = _sign_vector_sum(num, terms, powers, divisors, signed)
+        total = num.quotient_sum(terms, powers, divisors, signed)
         for p in powers[::2]:
             total = total * p
         return total
@@ -206,7 +197,7 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
     """
     N = require_count(N, 1, "N")
     k = len(b)
-    keys, terms = _sign_plan(k, True)
+    keys, _inverses, terms = _sign_plan(k, True)
     num = ops_for(prec)
     with num.guard():
         bs = [num.scalar(x) for x in b]
@@ -220,10 +211,10 @@ def sp_large_n_ratio(b: Sequence[complex], N: int, prec: PrecisionConfig | None 
         if any(abs(d) < 1e-12 * abs(x / N) for d, x in zip(divisors, xs)):
             raise PoleHit("1 - exp(-(eps_i b_i + eps_j b_j) / N) vanishes")
         powers = [num.exp(e * x) for x in bs for e in (1, -1)]
-        exact = _sign_vector_sum(num, terms, powers, divisors)
-        asym = _sign_vector_sum(num, terms, powers, xs)
+        exact = num.quotient_sum(terms, powers, divisors)
+        asym = num.quotient_sum(terms, powers, xs)
         # sum |term| of the asymptotic sum: the same sum over the moduli
-        size = _sign_vector_sum(num, terms, [abs(p) for p in powers], [abs(x) for x in xs])
+        size = num.quotient_sum(terms, [abs(p) for p in powers], [abs(x) for x in xs])
         if abs(asym) < 1e-12 * abs(size):
             raise PoleHit("the asymptotic sign-vector sum cancels")
         # the common e^{sum b} prefactors cancel in the ratio

@@ -15,6 +15,8 @@ singular configurations instead of silently losing digits.
 
 from __future__ import annotations
 
+from itertools import combinations, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .contour import (
@@ -97,11 +99,11 @@ def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     Each term is (prod of right-block shifts)^N over the cross-block
     product of (1 - w_left / w_right), read from tables of w_q^N and
     1 - w_l / w_q built once, with only what some split reads (no power
-    at m = n, no divisor at m = 0 or m = n).  Raises PoleHit for zero
-    shifts or equal shifts across any split (which means any equal pair
-    at all).
+    at m = n, no divisor at m = 0 or m = n), and added up by the op set's
+    `quotient_sum`.  Raises PoleHit for zero shifts or equal shifts across
+    any split (which means any equal pair at all).
     """
-    if any(w == 0 for w in query.shifts):
+    if 0 in query.shifts:
         raise PoleHit("combinatorial route needs nonzero shifts")
     if min_separation(query.shifts) < separation_threshold(query.shifts):
         raise PoleHit("equal shifts across a split; use the Schur route")
@@ -110,17 +112,24 @@ def autocorr_comb(query: UnitaryQuery, prec: PrecisionConfig | None = None):
     with num.guard():
         w = [num.scalar(x) for x in query.shifts]
         powers = [x ** query.N for x in w] if m < n else []
-        divisors = [[num.one - a / b for b in w] for a in w] if 0 < m < n else []
-        terms = []
-        for left, right in enumerate_split_permutations(n, m):
-            t = num.one
-            for q in right:
-                t = t * powers[q]
-            for l in left:
-                for q in right:
-                    t = t / divisors[l][q]
-            terms.append(t)
-        return num.fsum(terms)
+        divisors, positions = [], repeat(())
+        if 0 < m < n:
+            divisors = [num.one - a / b for l, a in enumerate(w) for q, b in enumerate(w) if l != q]
+            positions = _cross_positions(n, m)
+        rights = map(_RIGHT, enumerate_split_permutations(n, m))
+        return num.quotient_sum(zip(_UNSIGNED, rights, positions), powers, divisors)
+
+
+_RIGHT, _UNSIGNED = itemgetter(1), repeat(False)   # a split's right block; no term negated
+
+
+@per_size(exponential=True)
+def _cross_positions(n: int, m: int) -> tuple:
+    """Per block split (left, right), in `enumerate_split_permutations`
+    order, the positions of its cross pairs (l, q), left by left, in
+    `autocorr_comb`'s table of 1 - w_l / w_q over the ordered pairs l != q."""
+    return tuple(tuple(l * (n - 1) + q - (q > l) for l in left for q in range(n) if q not in left)
+                 for left in combinations(range(n), m))
 
 
 def shifted_product_average(N: int, shifts: Sequence[complex], m: int,

@@ -54,10 +54,10 @@ def _operands(seed, count=6):
                                                      rng.uniform(-1, 1, count))]
 
 
-def _assert_close(got, want, digits):
-    """|got - want| <= 10^-digits |want|, at 20 digits more than the scalar's."""
+def _assert_close(got, want, digits, slack=1):
+    """|got - want| <= slack 10^-digits |want|, at 20 digits more than the scalar's."""
     with mp.workdps(digits + 20):
-        assert abs(mp.mpmathify(got) - want) <= mp.mpf(10) ** -digits * abs(want), (got, want)
+        assert abs(mp.mpmathify(got) - want) <= slack * mp.mpf(10) ** -digits * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -69,15 +69,46 @@ def test_arithmetic_matches_mpmath(digits):
             a, b = num.scalar(x), num.scalar(y)
             got = {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "abs": abs(a),
                    "exp": num.exp(a), "expm1": num.expm1(a * 1e-25),
-                   **{f"**{e}": a ** e for e in (-7, -1, 0, 1, 2, 5, 13)}}
+                   **{f"**{e}": a ** e for e in range(-70, 71)}}
         with mp.workdps(digits + 20):
             p, q = mp.mpc(x), mp.mpc(y)
             want = {"+": p + q, "-": p - q, "*": p * q, "/": p / q, "abs": abs(p),
                     "exp": mp.exp(p), "expm1": mp.expm1(p * mp.mpf(1e-25)),
-                    **{f"**{e}": p ** e for e in (-7, -1, 0, 1, 2, 5, 13)}}
+                    **{f"**{e}": p ** e for e in range(-70, 71)}}
         for key in want:
-            _assert_close(got[key], want[key], digits)
-    assert got["**0"] == 1 and type(got["**0"]) is DecimalComplex
+            # binary powering's error grows with |e|: 1.96e-40 at e = 70 and 40 digits
+            e = int(key[2:]) if key.startswith("**") else 0
+            _assert_close(got[key], want[key], digits, max(1, abs(e) / 16))
+    assert got["**0"] is num.one
+
+
+@pytest.mark.parametrize("digits", (30, 40))
+def test_powers_start_from_the_base(digits):
+    # 0.1 + 0.7j has parts of 52 and 53 digits: z ** 1 rounds them, as +z does
+    num = ops_for(PrecisionConfig(digits))
+    z = num.scalar(0.1 + 0.7j)
+    assert len(z.real.as_tuple().digits) > digits + 2
+    with num.guard():
+        assert z ** 1 == +z and (z ** 1).real != z.real
+        assert z ** 0 is num.one and num.zero ** 0 is num.one
+        assert z ** -1 == num.one / +z
+        with pytest.raises(ZeroDivisionError):
+            num.zero ** -1
+        # each entry of the table is the binary power, product for product
+        for top in (-1, 0, 1, 2, 7, 70):
+            assert num.power_table(z, top) == [z ** e for e in range(top + 1)]
+        assert num.power_table(z, 5)[0] is num.one
+
+
+def test_extended_products_skip_the_one_and_zero_objects():
+    num = ops_for(PrecisionConfig(40))
+    with num.guard():
+        z, w = num.scalar(0.5 - 2j) * 3, num.scalar(1 + 1j) / 3
+        out = num.products([z, num.one, num.zero, z, num.one], [num.one, w, z, w, num.zero])
+    assert out[0] is z and out[1] is w and out[2] is num.zero and out[4] is num.zero
+    with num.guard():
+        assert out[3] == z * w
+    assert list(ops_for(None).products([2j, 3], [1, 0.5])) == [2j, 1.5]
 
 
 @pytest.mark.parametrize("digits", DIGITS)

@@ -10,8 +10,13 @@ runs `--measure` on each source checkout in a process of its own, the two
 sides alternating for `ROUNDS` rounds, and prints one row per name: each
 side's fastest time, its spread (the upper quartile of its rounds' times
 over the lower), largest error and largest extras over the rounds, the
-bound, and the speedup.  A side whose rows break their bound is still
-recorded, so a BEFORE tree that was wrong shows as wrong.
+bound, and the speedup.  A side's spread covers only its own rounds, not
+what one process's allocation history does to another's, so a row
+outside both spreads is not yet a resolved difference between the trees:
+rows whose code is the same on both sides have read up to 13% apart (16
+U(N) `det` rows of `BENCH_closed_forms.json` at 0dbb410).  A side whose
+rows break their bound is still recorded, so a BEFORE tree that was wrong
+shows as wrong.
 
     python3 tools/bench_X.py --measure ROOT
 
@@ -150,8 +155,9 @@ def main(script, measure, accuracy: str, extras: dict | None = None,
                           "the fastest of the first call and 50 more (first call under "
                           "10 ms), 10 more (under 0.1 s) or none",
         "spread": "the upper quartile of a side's round times over the lower "
-                  "(inclusive quartiles); a speedup inside either side's spread is "
-                  "unresolved",
+                  "(inclusive quartiles); it covers only that side's own rounds. A "
+                  "speedup inside either side's spread is unresolved, and one outside "
+                  "both is not yet a resolved difference between the trees",
         "accuracy": accuracy, **extras,
         "rows": fold(alternate(script, before, after), extras)}, indent=1))
     return 0

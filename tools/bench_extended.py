@@ -11,10 +11,14 @@ The command lines are `bench_common`'s.  Rows: the U(N) `det`, `comb` and
 rows read the input's digits: the U(N) `det`, `comb` and `schur` routes at
 40 digits, N = 1 and m = 0, on the 31-digit shift `SHIFT`, whose moment is
 the shift itself; their error is |value - SHIFT| / |SHIFT|, bound 1e-30.
+A row's two extras, `mults` and `divs`, are the `DecimalComplex`
+multiplications and divisions of one call, counted in the measuring
+process by wrapping the class's methods around one untimed call.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 
 from bench_common import POINTS, main, timed
@@ -29,8 +33,34 @@ REFERENCE = {("unitary", "det"): "comb", ("unitary", "comb"): "schur",
              ("so", "eps"): "det", ("ominus", "eps"): "det"}
 
 
+def counted(call) -> list:
+    """[multiplications, divisions] of `DecimalComplex` in one call(): the
+    class's `__mul__`, `__rmul__` and `__truediv__` count while it runs
+    (`__rtruediv__` and `__pow__` go through them)."""
+    from rmt_autocorr.precision import DecimalComplex
+
+    counts = [0, 0]
+    saved = {name: DecimalComplex.__dict__[name] for name in ("__mul__", "__rmul__", "__truediv__")}
+
+    def counting(fn, at):
+        def method(*args):
+            counts[at] += 1
+            return fn(*args)
+        return method
+
+    for name, fn in saved.items():
+        setattr(DecimalComplex, name, counting(fn, int(name == "__truediv__")))
+    try:
+        call()
+    finally:
+        for name, fn in saved.items():
+            setattr(DecimalComplex, name, fn)
+    return counts
+
+
 def measure(root):
-    """{row: [seconds, relative error, bound]} of the package under root/src."""
+    """{row: [seconds, relative error, bound, mults, divs]} of the package
+    under root/src."""
     from decimal import Decimal
 
     from rmt_autocorr.precision import PrecisionConfig, ops_for
@@ -40,15 +70,17 @@ def measure(root):
     rows = {}
     for N in SIZES:
         for (family, route), ref_route in REFERENCE.items():
-            seconds, value = timed(lambda fn=ROUTES[family][route]: fn(N, POINTS, SPLIT, prec))
+            call = functools.partial(ROUTES[family][route], N, POINTS, SPLIT, prec)
+            seconds, value = timed(call)
             ref = ROUTES[family][ref_route](N, POINTS, SPLIT, ref_prec)
             rows[f"{family}.{route} N={N} 40 digits"] = [
-                seconds, float(abs(value - ref) / abs(ref)), BOUND]
+                seconds, float(abs(value - ref) / abs(ref)), BOUND, *counted(call)]
     w = ops_for(ref_prec).scalar(Decimal(SHIFT))
     for route in ("det", "comb", "schur"):
-        seconds, value = timed(lambda fn=ROUTES["unitary"][route]: fn(1, (w,), 0, prec))
+        call = functools.partial(ROUTES["unitary"][route], 1, (w,), 0, prec)
+        seconds, value = timed(call)
         rows[f"unitary.{route} N=1 m=0 31-digit shift 40 digits"] = [
-            seconds, float(abs(value - w) / abs(w)), BOUND]
+            seconds, float(abs(value - w) / abs(w)), BOUND, *counted(call)]
     return rows
 
 
@@ -56,4 +88,6 @@ if __name__ == "__main__":
     sys.exit(main(__file__, measure,
                   "relative error against the 60-digit value of another route: "
                   + ", ".join(f"{f}.{r} against {ref}" for (f, r), ref in REFERENCE.items())
-                  + f"; the 31-digit shift rows against the shift {SHIFT} itself"))
+                  + f"; the 31-digit shift rows against the shift {SHIFT} itself",
+                  {"mults": "DecimalComplex multiplications of one call",
+                   "divs": "DecimalComplex divisions of one call"}))
